@@ -17,18 +17,19 @@ import os
 import sys
 import time
 
-from .coincidence import coincidence_set, friedland_bounds, is_recurrent
-from .config import RunConfig, parse_config
+from .coincidence import certified_coincidences, friedland_bounds
+from .config import RunConfig, check_override, parse_config
 from .correspondence import (
     build_correspondence,
     d_top,
     enumerate_words,
     support_degree,
 )
-from .errors import RsentropyError
-from .estimate import estimate_entropy
+from .errors import BudgetExceeded, RsentropyError
+from .estimate import estimate_entropy, ladder_tree
 from .formulas import exact_record
 from .report import build_report, counts_to_csv
+from .separation import sum_up_partition
 
 log = logging.getLogger("rsentropy")
 
@@ -40,7 +41,9 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg.seed = check_override("seed", args.seed)
+        if args.word_length is not None:
+            check_override("relations_word_length", args.word_length)
         started = time.monotonic()
         payload, rows = _dispatch(args, cfg)
         provenance = {
@@ -164,6 +167,8 @@ def _estimate_section(cfg: RunConfig, method: str):
     section = {}
     rows = []
     est_cfg = cfg.estimator
+    levels = ladder_tree(corr, est_cfg["nu_min"], est_cfg["nu_max"], cfg.seed,
+                         est_cfg["tree_budget"])
     for m in methods:
         est, cells = estimate_entropy(
             corr, m,
@@ -171,7 +176,7 @@ def _estimate_section(cfg: RunConfig, method: str):
             nu_min=est_cfg["nu_min"],
             nu_max=est_cfg["nu_max"],
             seed=cfg.seed,
-            tree_budget=est_cfg["tree_budget"],
+            levels=levels,
         )
         section[est.method] = {
             "value": est.value,
@@ -187,25 +192,17 @@ def _estimate_section(cfg: RunConfig, method: str):
             ],
         }
         rows.extend(cells)
-    section["per_word"] = _per_word_section(corr, cfg)
+    section["per_word"] = _per_word_section(levels, cfg)
     return section, rows
 
 
-def _per_word_section(corr, cfg: RunConfig):
-    """Exact per-word maxima at the foot of the ladder, when affordable."""
-    from .errors import BudgetExceeded, NonGenericTerminal
-    from .orbits import preimage_tree
-    from .projective import sample_points
-    from .separation import sum_up_partition
-
+def _per_word_section(levels, cfg: RunConfig):
+    """Exact per-word maxima over the tree's nu_min pool, when small enough."""
     nu = cfg.estimator["nu_min"]
     eps = cfg.estimator["epsilon_grid"][0]
     try:
-        terminal = sample_points(1, cfg.seed + 9001)[0]
-        pool = preimage_tree(corr, terminal, nu,
-                             budget=cfg.estimator["tree_budget"] * 2)
-        per_word, joint, equal = sum_up_partition(pool, eps)
-    except (BudgetExceeded, NonGenericTerminal) as exc:
+        per_word, joint, equal = sum_up_partition(levels[nu], eps)
+    except BudgetExceeded as exc:
         return {"available": False, "reason": str(exc)}
     return {
         "available": True,
@@ -226,15 +223,16 @@ def _point_label(point) -> str:
 
 def _coincidence_section(cfg: RunConfig, with_bounds: bool) -> dict:
     gens = cfg.generator_set()
-    corr = build_correspondence(gens, cfg.multiplicities)
     tol = cfg.tolerances["recurrence"]
     depth = cfg.recurrence_depth
-    points = coincidence_set(gens)
+    budget = cfg.budgets["node_budget"]
+    if with_bounds:
+        fb = friedland_bounds(gens, depth, tol, node_budget=budget)
+        pairs = fb.details["coincidences"]
+    else:
+        pairs = certified_coincidences(gens, depth, tol, node_budget=budget)
     entries = []
-    for cp in points:
-        cert = is_recurrent(corr, cp.point, depth, tol,
-                            exact_point=cp.exact_coords,
-                            node_budget=cfg.budgets["node_budget"])
+    for cp, cert in pairs:
         entries.append({
             "point": _point_label(cp.point),
             "exact": cp.exact,
@@ -244,8 +242,6 @@ def _coincidence_section(cfg: RunConfig, with_bounds: bool) -> dict:
         })
     section = {"points": entries, "depth": depth}
     if with_bounds:
-        fb = friedland_bounds(gens, depth, tol,
-                              node_budget=cfg.budgets["node_budget"])
         section["friedland_bounds"] = {
             "lower": fb.lower,
             "upper": fb.upper,
@@ -260,7 +256,7 @@ def _coincidence_section(cfg: RunConfig, with_bounds: bool) -> dict:
 
 def _relations_section(cfg: RunConfig, word_length) -> dict:
     gens = cfg.generator_set()
-    length = word_length or cfg.relations_word_length
+    length = cfg.relations_word_length if word_length is None else word_length
     ledger = enumerate_words(
         gens, length,
         word_budget=cfg.budgets["word_budget"],

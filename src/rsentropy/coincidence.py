@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .correspondence import Correspondence, GeneratorSet
+from .correspondence import Correspondence, GeneratorSet, build_correspondence
 from .errors import BudgetExceeded, InconsistentItinerary, RootFindingFailure
 from .gaussian import GaussianRational
 from .polynomial import (
@@ -260,6 +260,18 @@ def is_recurrent(c: Correspondence, x: ProjPoint, depth: int,
         point=x, return_depths=tuple(returns), searched_depth=depth, status=status)
 
 
+def certified_coincidences(gens: GeneratorSet, depth: int,
+                           tol: float = RECURRENCE_TOL,
+                           node_budget: int = NODE_BUDGET) -> list[tuple]:
+    """Each coincidence point paired with its recurrence certificate."""
+    corr = build_correspondence(gens)
+    return [
+        (cp, is_recurrent(corr, cp.point, depth, tol,
+                          exact_point=cp.exact_coords, node_budget=node_budget))
+        for cp in coincidence_set(gens)
+    ]
+
+
 # -- fiber entropy ------------------------------------------------------------------
 
 
@@ -333,17 +345,8 @@ def friedland_bounds(gens: GeneratorSet, depth: int = 12,
     whether the cap was hit, in which case S is certified only to that depth.
     """
     upper = math.log(sum(gens.degrees))
-    corr_components = tuple((f, 1) for f in gens.maps)
-    corr = Correspondence(components=corr_components)
-
-    coincidences = coincidence_set(gens)
-    recurrent = []
-    for cp in coincidences:
-        cert = is_recurrent(corr, cp.point, depth, tol,
-                            exact_point=cp.exact_coords,
-                            node_budget=node_budget)
-        if cert.status == "recurrent":
-            recurrent.append(cp)
+    coincidences = certified_coincidences(gens, depth, tol, node_budget)
+    recurrent = [cp for cp, cert in coincidences if cert.status == "recurrent"]
 
     nodes: list = []
     keys: list = []  # exact coords or None, aligned with nodes
@@ -396,8 +399,7 @@ def friedland_bounds(gens: GeneratorSet, depth: int = 12,
     s_hat = max(mean, 0.0) if mean is not None else 0.0
     lower = max(upper - s_hat, 0.0)
     details = {
-        "coincidence_points": coincidences,
-        "recurrent_points": recurrent,
+        "coincidences": coincidences,
         "graph_nodes": len(nodes),
         "graph_edges": len(edges),
         "depth": depth,

@@ -9,7 +9,7 @@ back into the report.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import jsonschema
@@ -33,19 +33,14 @@ DEFAULTS = {
         "epsilon_grid": [0.02, 0.05, 0.1, 0.2],
         "nu_min": 2,
         "nu_max": 12,
-        "start_pool": 200,
         "tree_budget": 20000,
-        "mp_beta": 0.9,
     },
     "budgets": {
         "word_budget": 10 ** 6,
         "degree_budget": 10 ** 4,
-        "orbit_budget": 200_000,
         "node_budget": 20_000,
     },
     "tolerances": {
-        "compare": 1e-12,
-        "residual": 1e-9,
         "recurrence": 1e-9,
     },
     "relations_word_length": 2,
@@ -57,6 +52,15 @@ DEFAULTS = {
 def config_schema() -> dict:
     text = resources.files("rsentropy").joinpath("config_schema.json").read_text()
     return json.loads(text)
+
+
+def check_override(key: str, value):
+    """A command-line override of a top-level config key, checked by its schema."""
+    try:
+        jsonschema.validate(value, config_schema()["properties"][key])
+    except jsonschema.ValidationError as exc:
+        raise SchemaViolation(f"override: {exc.message}", "/" + key) from exc
+    return value
 
 
 def parse_scalar(raw) -> GaussianRational:
@@ -88,7 +92,6 @@ class RunConfig:
     relations_word_length: int
     recurrence_depth: int
     output: dict
-    raw: dict = field(repr=False, default_factory=dict)
 
     def generator_set(self) -> GeneratorSet:
         if not self.generators:
@@ -136,7 +139,10 @@ def load_config(data: dict) -> RunConfig:
     try:
         jsonschema.validate(data, config_schema())
     except jsonschema.ValidationError as exc:
-        pointer = "/" + "/".join(str(p) for p in exc.absolute_path)
+        path = list(exc.absolute_path)
+        if exc.validator == "additionalProperties":  # point at the first unknown key
+            path += sorted(set(exc.instance) - set(exc.schema["properties"]))[:1]
+        pointer = "/" + "/".join(str(p) for p in path)
         raise SchemaViolation(exc.message, pointer) from exc
 
     space = data.get("space", DEFAULTS["space"])
@@ -187,7 +193,6 @@ def load_config(data: dict) -> RunConfig:
         recurrence_depth=data.get(
             "recurrence_depth", DEFAULTS["recurrence_depth"]),
         output=_merged(DEFAULTS["output"], data.get("output", {})),
-        raw=data,
     )
 
 

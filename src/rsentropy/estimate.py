@@ -23,7 +23,7 @@ import numpy as np
 
 from .correspondence import Correspondence, GeneratorSet, build_correspondence, d_top
 from .errors import InsufficientData
-from .orbits import NuOrbit, preimage_tree_levels
+from .orbits import NuOrbit, affordable_depth, preimage_tree_levels
 from .projective import chordal_dist, ring_around, sample_points
 from .ratmap import evaluate, fs_jacobian
 from .separation import count_separated
@@ -102,34 +102,38 @@ def _ols_slope(xs, ys):
     return slope, math.sqrt(s2 / sxx)
 
 
+def ladder_tree(c: Correspondence, nu_min: int, nu_max: int, seed: int,
+                tree_budget: int) -> dict[int, list[NuOrbit]]:
+    """Backward tree levels for the nu ladder, from the seed's terminal point.
+
+    The ladder is cut down from nu_max to the deepest affordable tree; at
+    least three rungs nu_min.. must survive. One tree serves every rung.
+    """
+    top = affordable_depth(c, nu_max, tree_budget)
+    nus = list(range(nu_min, top + 1))
+    if len(nus) < 3:
+        raise InsufficientData(
+            f"budget {tree_budget} leaves ladder {nus}; need 3 rungs")
+    terminal = sample_points(1, seed + 9001)[0]
+    return preimage_tree_levels(c, terminal, top, 0.0, budget=tree_budget)
+
+
 def estimate_entropy(c: Correspondence, method: str,
                      epsilon_grid=EPSILON_GRID,
                      nu_min: int = NU_MIN, nu_max: int = NU_MAX,
                      seed: int = 0,
-                     tree_budget: int = TREE_BUDGET):
+                     tree_budget: int = TREE_BUDGET,
+                     levels: dict | None = None):
     """(estimate, rows) for method 'ds' or 'friedland'.
 
-    The nu ladder is cut down from the top whenever the full backward tree
-    d_top^nu would blow the budget; at least three rungs must survive.
+    Counts run over ladder_tree(c, nu_min, nu_max, seed, tree_budget), or
+    over the given levels of that same tree when the caller already has it.
     """
     mode = {"ds": "dinh_sibony", "friedland": "friedland"}[method]
-    dt = d_top(c)
-    top = nu_max
-    if dt > 1:
-        affordable = 0
-        while dt ** (affordable + 1) <= tree_budget:
-            affordable += 1
-        top = min(nu_max, affordable)
-    nus = [n for n in range(nu_min, top + 1)]
-    if len(nus) < 3:
-        raise InsufficientData(
-            f"budget {tree_budget} leaves ladder {nus}; need 3 rungs")
-
-    terminal = sample_points(1, seed + 9001)[0]
-    levels = preimage_tree_levels(c, terminal, nus[-1], 0.0,
-                                  budget=max(tree_budget * 2, 64))
+    if levels is None:
+        levels = ladder_tree(c, nu_min, nu_max, seed, tree_budget)
     rows = []
-    for i_nu, nu in enumerate(nus):
+    for i_nu, nu in enumerate(range(nu_min, max(levels) + 1)):
         pool = levels[nu]
         for i_eps, eps in enumerate(epsilon_grid):
             cell_seed = seed * 10007 + i_nu * 101 + i_eps
@@ -229,7 +233,7 @@ def mp_family(gens: GeneratorSet, beta: float, nu: int, seed: int,
     corr = build_correspondence(gens)
     terminal = sample_points(1, seed + 23)[0]
     tree = preimage_tree_levels(corr, terminal, nu, floor,
-                                budget=max(tree_budget * 2, 64))[nu]
+                                budget=tree_budget)[nu]
 
     groups: dict = {}
     for orbit in tree:

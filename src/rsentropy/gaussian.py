@@ -146,7 +146,6 @@ class GaussianRational:
 
 
 ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
 
 
 def sqrt_exact(value: GaussianRational):

@@ -34,11 +34,10 @@ PERTURB_SIZE = 1e-6
 
 @dataclass(frozen=True)
 class NuOrbit:
-    """(x_0, ..., x_nu; a_1, ..., a_nu) with an optional tree weight."""
+    """(x_0, ..., x_nu; a_1, ..., a_nu)."""
 
     points: tuple
     symbols: tuple
-    weight: int = 1
 
     @property
     def nu(self) -> int:
@@ -91,8 +90,8 @@ def preimage_tree(c: Correspondence, terminal: ProjPoint, nu: int,
                   budget: int = ORBIT_BUDGET) -> list[NuOrbit]:
     """All nu-orbits ending at the terminal point, built backward.
 
-    With jac_floor = 0 the full tree is returned: counted with root
-    multiplicities it has exactly d_top(c)^nu orbits for a generic terminal.
+    With jac_floor = 0 the full tree is returned: it has exactly d_top(c)^nu
+    orbits for a generic terminal, whose preimages are all simple roots.
     With jac_floor > 0, any backward step owning a preimage whose Jacobian
     falls below the floor keeps only one such low-Jacobian preimage, which
     reproduces the pruned families used for separated-set lower bounds.
@@ -113,7 +112,7 @@ def preimage_tree_levels(c: Correspondence, terminal: ProjPoint, nu: int,
     preimage_tree returns. Orbits at level k extend orbits at level k-1 by
     one more backward step, so one tree serves a whole ladder of depths.
     """
-    if d_top(c) ** nu > budget:
+    if affordable_depth(c, nu, budget) < nu:
         raise BudgetExceeded(
             f"tree of {d_top(c)}^{nu} orbits exceeds the budget {budget}")
     last_error = None
@@ -128,6 +127,15 @@ def preimage_tree_levels(c: Correspondence, terminal: ProjPoint, nu: int,
         f"no generic terminal after {PERTURB_ATTEMPTS} perturbations: {last_error}")
 
 
+def affordable_depth(c: Correspondence, nu: int, budget: int) -> int:
+    """The largest depth k <= nu whose full tree of d_top(c)^k orbits fits
+    the budget; the one place the tree budget is checked."""
+    dt = d_top(c)
+    while nu > 0 and dt ** nu > budget:
+        nu -= 1
+    return nu
+
+
 class _CriticalValueHit(Exception):
     pass
 
@@ -140,7 +148,7 @@ def _perturb(p: ProjPoint, attempt: int) -> ProjPoint:
 def _expand_tree(c, terminal, nu, jac_floor):
     comps = c.primed()
     m = len(comps)
-    levels = {0: [NuOrbit(points=(terminal,), symbols=(), weight=1)]}
+    levels = {0: [NuOrbit(points=(terminal,), symbols=())]}
     for depth in range(1, nu + 1):
         nxt = []
         for orbit in levels[depth - 1]:
@@ -154,11 +162,10 @@ def _expand_tree(c, terminal, nu, jac_floor):
                            if fs_jacobian(comps[a - 1], r) < jac_floor]
                     if low:
                         roots = [min(low, key=lambda rm: fs_jacobian(comps[a - 1], rm[0]))]
-                for root, mult in roots:
+                for root, _ in roots:
                     nxt.append(NuOrbit(
                         points=(root,) + orbit.points,
                         symbols=(a,) + orbit.symbols,
-                        weight=orbit.weight * mult,
                     ))
         levels[depth] = nxt
     return levels

@@ -58,13 +58,6 @@ def form_mul(a: Form, b: Form) -> Form:
     return tuple(out)
 
 
-def form_pow(base: Form, n: int) -> Form:
-    result = (GaussianRational(1),)
-    for _ in range(n):
-        result = form_mul(result, base)
-    return result
-
-
 def form_d0(form: Form) -> Form:
     """Partial derivative with respect to z0."""
     d = form_degree(form)

@@ -31,8 +31,6 @@ from .orbits import NuOrbit, shifted_separation
 EXACT_CUTOFF = 20
 JOINT_CUTOFF = 32
 
-MODES = ("dinh_sibony", "friedland", "per_word")
-
 
 @dataclass(frozen=True)
 class SeparationCount:

@@ -262,7 +262,7 @@ def test_criterion_11_property_suites():
                     pp, qq = rs.shift(pp), rs.shift(qq)
             ok = ok and acc == rs.shifted_separation(p, q, n)
     tree = rs.preimage_tree(pair, rs.sample_points(1, 1104)[0], 3)
-    ok = ok and sum(o.weight for o in tree) == rs.d_top(pair) ** 3
+    ok = ok and len(tree) == rs.d_top(pair) ** 3
     comps = pair.primed()
     for orbit in tree:
         ok = ok and orbit.validate(pair)

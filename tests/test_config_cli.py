@@ -1,12 +1,14 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
 import rsentropy as rs
-from rsentropy import cli
+from rsentropy import cli, coincidence, orbits
 from rsentropy.errors import BadScalarLiteral, SchemaViolation, UnreadableFile
+from util import Z2, Z3
 
 Z23_CONFIG = {
     "space": "P1",
@@ -177,3 +179,75 @@ def test_cli_coincidence_section(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert "friedland_bounds" not in report["coincidence"]
     assert [p["point"] for p in report["coincidence"]["points"]] == ["inf"]
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("estimator", "start_pool", 200),
+    ("estimator", "mp_beta", 0.9),
+    ("budgets", "orbit_budget", 200000),
+    ("tolerances", "compare", 1e-12),
+    ("tolerances", "residual", 1e-9),
+])
+def test_cli_rejects_deleted_knobs(tmp_path, capsys, section, key, value):
+    cfg = dict(Z23_CONFIG, **{section: {key: value}})
+    assert cli.main(["exact", "--config", write_config(tmp_path, cfg)]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "SchemaViolation"
+    assert err["pointer"] == f"/{section}/{key}"
+
+
+@pytest.mark.parametrize("args,pointer", [
+    (("exact", "--seed", "-1"), "/seed"),
+    (("relations", "--word-length", "-2"), "/relations_word_length"),
+    (("relations", "--word-length", "0"), "/relations_word_length"),
+])
+def test_cli_override_out_of_schema_bounds(tmp_path, capsys, args, pointer):
+    path = write_config(tmp_path, Z23_CONFIG)
+    assert cli.main(list(args) + ["--config", path]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert (err["type"], err["pointer"]) == ("SchemaViolation", pointer)
+
+
+def _counting(monkeypatch, module, name):
+    """Count calls of module.name, wherever a package module imported it."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("rsentropy") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_cli_report_shares_one_tree(tmp_path, capsys, monkeypatch):
+    cfg = dict(Z23_CONFIG, seed=42)
+    cfg["estimator"] = {"nu_min": 2, "nu_max": 4, "epsilon_grid": [0.1, 0.2]}
+    expansions = _counting(monkeypatch, orbits, "_expand_tree")
+    assert cli.main(["report", "--config", write_config(tmp_path, cfg)]) == 0
+    assert len(expansions) == 1
+    pw = json.loads(capsys.readouterr().out)["estimates"]["per_word"]
+
+    corr = rs.build_correspondence(rs.GeneratorSet([Z2, Z3]))
+    pool = rs.preimage_tree(corr, rs.sample_points(1, 42 + 9001)[0], 2)
+    per_word, joint, equal = rs.sum_up_partition(pool, 0.1)
+    assert pw == {
+        "available": True, "nu": 2, "epsilon": 0.1, "joint": joint,
+        "sum_matches_joint": equal,
+        "per_word": {",".join(map(str, w)): c for w, c in per_word.items()},
+    }
+
+
+def test_cli_bounds_certify_each_point_once(tmp_path, capsys, monkeypatch):
+    basilica = {"generators": [
+        {"num": ["1", "0", "-1"], "den": ["0", "0", "1"]},
+        {"num": ["1", "0", "0", "-1"], "den": ["0", "0", "0", "1"]},
+    ], "recurrence_depth": 6}
+    calls = _counting(monkeypatch, coincidence, "is_recurrent")
+    assert cli.main(["friedland-bounds", "--config",
+                     write_config(tmp_path, basilica)]) == 0
+    points = json.loads(capsys.readouterr().out)["coincidence"]["points"]
+    assert len(points) == 3
+    assert len(calls) == len(points)

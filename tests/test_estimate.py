@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import rsentropy as rs
-from rsentropy.errors import InsufficientData
+from rsentropy.errors import BudgetExceeded, InsufficientData
 from util import IDENTITY, Z2, Z3
 
 
@@ -67,6 +67,16 @@ def test_estimate_budget_shortens_ladder():
 def test_mp_family_identity_generator():
     fam = rs.mp_family(rs.GeneratorSet([IDENTITY]), 0.9, 5, seed=0, samples=50)
     assert fam.count == 1
+
+
+def test_mp_family_budget_is_exact():
+    # 2^5 = 32 orbits: above tree_budget 20, though within twice it
+    with pytest.raises(BudgetExceeded):
+        rs.mp_family(rs.GeneratorSet([Z2]), 0.9, 5, seed=0, samples=50,
+                     tree_budget=20)
+    fam = rs.mp_family(rs.GeneratorSet([Z2]), 0.9, 5, seed=0, samples=50,
+                       tree_budget=32)
+    assert fam.count >= 1
 
 
 def test_mp_family_quadratic_lower_bound():
