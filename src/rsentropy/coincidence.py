@@ -350,16 +350,22 @@ def friedland_bounds(gens: GeneratorSet, depth: int = 12,
 
     nodes: list = []
     keys: list = []  # exact coords or None, aligned with nodes
+    exact_ids: dict = {}  # exact coords -> node index
     edges: list = []
     cap_hit = False
 
+    # In exact mode every node has exact coords and equality decides; in
+    # float mode none has and the chordal tolerance does.
     def node_id(point: ProjPoint, coords: ExactPoint | None) -> int:
-        for idx in range(len(nodes)):
-            if coords is not None and keys[idx] is not None:
-                if coords == keys[idx]:
-                    return idx
-            elif chordal_dist(point, nodes[idx]) <= tol:
+        if coords is not None:
+            idx = exact_ids.get(coords)
+            if idx is not None:
                 return idx
+            exact_ids[coords] = len(nodes)
+        else:
+            for idx, seen in enumerate(nodes):
+                if chordal_dist(point, seen) <= tol:
+                    return idx
         nodes.append(point)
         keys.append(coords)
         return len(nodes) - 1

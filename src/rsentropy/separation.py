@@ -14,13 +14,16 @@ exploits that: blocks at or below the exact cutoff get a branch-and-bound
 maximum independent set of the conflict graph, larger blocks fall back to a
 seeded greedy maximal family and report ``exact=False``. Greedy families are
 certified lower bounds, which is the useful direction when the counts feed a
-sup/limsup growth estimate.
+sup/limsup growth estimate. The greedy tests an orbit only against members
+near it on a grid over the sphere, which builds the same family as testing
+it against every member.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import logging
 import math
 
 import numpy as np
@@ -30,6 +33,10 @@ from .orbits import NuOrbit, shifted_separation
 
 EXACT_CUTOFF = 20
 JOINT_CUTOFF = 32
+GREEDY_BATCH = 64          # orbits settled by one vectorised test
+GREEDY_BATCH_PAIRS = 4096  # member candidates that close a batch early
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -83,11 +90,12 @@ def count_separated(pool, epsilon: float, mode: str, word=None,
         sub = [o for o in pool if o.symbols == word]
         if not sub:
             raise EmptyPool(f"no orbits with word {word}")
-        cnt, exact = _count_points_only(sub, epsilon, seed, exact_cutoff)
         label = "per_word" + repr(word)
+        cnt, exact = _count_points_only(sub, epsilon, seed, exact_cutoff, label)
         return SeparationCount(epsilon, nu, label, cnt, len(pool), exact)
     if mode == "friedland":
-        cnt, exact = _count_points_only(pool, epsilon, seed, exact_cutoff)
+        cnt, exact = _count_points_only(pool, epsilon, seed, exact_cutoff,
+                                        mode)
         return SeparationCount(epsilon, nu, mode, cnt, len(pool), exact)
     if mode == "dinh_sibony":
         groups: dict = {}
@@ -96,14 +104,15 @@ def count_separated(pool, epsilon: float, mode: str, word=None,
         total = 0
         exact = True
         for w in sorted(groups):
-            cnt, ex = _count_points_only(groups[w], epsilon, seed, exact_cutoff)
+            cnt, ex = _count_points_only(groups[w], epsilon, seed,
+                                         exact_cutoff, mode)
             total += cnt
             exact = exact and ex
         return SeparationCount(epsilon, nu, mode, total, len(pool), exact)
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _count_points_only(orbits, epsilon, seed, exact_cutoff):
+def _count_points_only(orbits, epsilon, seed, exact_cutoff, mode):
     k = len(orbits)
     if k == 1:
         return 1, True
@@ -114,28 +123,121 @@ def _count_points_only(orbits, epsilon, seed, exact_cutoff):
     order = np.arange(k)
     if seed is not None:
         order = np.random.default_rng(seed).permutation(k)
-    chosen: list[int] = []
-    sel0 = np.empty((k, h0.shape[1]), dtype=np.complex128)
-    sel1 = np.empty((k, h0.shape[1]), dtype=np.complex128)
-    for idx in order:
-        if chosen:
-            s = len(chosen)
-            d = np.abs(h0[idx] * sel1[:s] - h1[idx] * sel0[:s]).max(axis=1)
-            if not (d > epsilon).all():
+    count, tested = _greedy_count(h0, h1, epsilon, order.tolist())
+    log.info("greedy count: mode=%s eps=%g nu=%d block=%d family=%d tested=%d",
+             mode, epsilon, orbits[0].nu, k, count, tested)
+    return count, False
+
+
+def _greedy_count(h0, h1, epsilon, order):
+    """Seeded greedy maximal family: (its size, candidate pairs tested).
+
+    Walking ``order``, an orbit joins the family when its sup distance to
+    every member exceeds eps. Two exact prunings leave every decision as a
+    test against all members would make it:
+
+    * a conflict needs d(x_0, y_0) <= eps, so only members whose x_0 lies in
+      one of the 27 grid cells around the orbit's x_0 are candidates
+      (fixed-radius near neighbours, Bentley-Stanat-Williams 1977);
+    * a candidate whose middle point is more than eps away is separated, so
+      the full sup-metric test runs on the other candidates only.
+
+    Orbits are settled a batch at a time: one vectorised test covers each
+    batch orbit against the members, and the earlier batch orbits, near it;
+    a sequential pass then replays the greedy decisions from the results.
+    Every test evaluates |a0 b1 - a1 b0| with a the later orbit in ``order``.
+    """
+    cells = _grid_cells(h0[:, 0], h1[:, 0], epsilon)
+    base = int(cells.max()) + 2  # packed keys of cells and neighbours never alias
+    keys = [(x * base + y) * base + z for x, y, z in cells.tolist()]
+    offsets = [(dx * base + dy) * base + dz
+               for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)]
+    # near[cell]: the members in the 27 cells around it, kept only for cells
+    # that hold an orbit of the pool, as no other cell is ever looked up
+    near: dict[int, list[int]] = {key: [] for key in keys}
+    reach = {key: [key + off for off in offsets if key + off in near]
+             for key in near}
+    mid = h0.shape[1] // 2
+    m0, m1 = h0[:, mid].copy(), h1[:, mid].copy()
+    count = tested = 0
+    pos = 0
+    while pos < len(order):
+        # the next batch, each orbit with the members near it
+        batch, rows, members = [], [], []
+        while (pos < len(order) and len(batch) < GREEDY_BATCH
+               and len(members) < GREEDY_BATCH_PAIRS):
+            idx = order[pos]
+            pos += 1
+            cand = near[keys[idx]]
+            rows += [len(batch)] * len(cand)
+            members += cand
+            batch.append(idx)
+        # candidate pairs by batch position (later, earlier), n standing for
+        # a member: near members, then earlier batch orbits in the 27 cells
+        n = len(batch)
+        b = np.array(batch)
+        c = cells[b]
+        p, q = np.nonzero(np.tril(np.abs(c[:, None] - c[None]).max(axis=2) <= 1, -1))
+        later_pos = np.concatenate([np.array(rows, dtype=np.intp), p])
+        earlier_pos = np.concatenate([np.full(len(members), n, dtype=np.intp), q])
+        later = b[later_pos]
+        earlier = np.concatenate([np.array(members, dtype=np.intp), b[q]])
+        tested += len(later)
+        close = ~(np.abs(m0[later] * m1[earlier] - m1[later] * m0[earlier]) > epsilon)
+        later, earlier = later[close], earlier[close]
+        d = np.abs(h0[later] * h1[earlier] - h1[later] * h0[earlier]).max(axis=1)
+        close[close] = ~(d > epsilon)
+        # replay the greedy; bit n of ``taken`` stands for the members
+        conflicts = [0] * n
+        for i, j in zip(later_pos[close].tolist(), earlier_pos[close].tolist()):
+            conflicts[i] |= 1 << j
+        taken = 1 << n
+        for i, idx in enumerate(batch):
+            if conflicts[i] & taken:
                 continue
-        sel0[len(chosen)] = h0[idx]
-        sel1[len(chosen)] = h1[idx]
-        chosen.append(int(idx))
-    return len(chosen), False
+            taken |= 1 << i
+            for cell in reach[keys[idx]]:
+                near[cell].append(idx)
+            count += 1
+    return count, tested
 
 
-def _conflict_masks(h0, h1, epsilon):
-    """Bitmask adjacency of the NOT-separated graph."""
+def _grid_cells(h0, h1, epsilon):
+    """Grid cells of points by Bloch vector, every coordinate >= 1.
+
+    For representatives h, h' the test value |h0 h1' - h1 h0'| equals
+    |h| |h'| |v - v'| / 2 with v the Bloch vector of h/|h|, so a value at
+    most eps puts v' within 2 eps / min|h|^2 of v in every coordinate. Cells
+    of at least that side keep every such pair in neighbouring cells; the
+    relative and absolute margins absorb rounding in v and in the test.
+    """
+    n2 = h0.real ** 2 + h0.imag ** 2 + h1.real ** 2 + h1.imag ** 2
+    cross = 2.0 * h0 * h1.conj()
+    bloch = np.stack([cross.real, cross.imag,
+                      h0.real ** 2 + h0.imag ** 2 - h1.real ** 2 - h1.imag ** 2],
+                     axis=1) / n2[:, None]
+    side = 2.0 * epsilon / n2.min() * (1.0 + 1e-9) + 1e-12
+    cells = np.floor(bloch / side).astype(np.int64)
+    return cells - (cells.min(axis=0) - 1)
+
+
+def _conflict_masks(h0, h1, epsilon, words=None):
+    """Bitmask adjacency of the NOT-separated graph.
+
+    With ``words`` (one label word per row), rows whose words differ always
+    separate, as in the symbol-aware sense.
+    """
     k = h0.shape[0]
+    if words is not None:
+        ids: dict = {}
+        wid = np.array([ids.setdefault(w, len(ids)) for w in words])
     adj = [0] * k
     for i in range(k):
         d = np.abs(h0[i] * h1[i + 1:] - h1[i] * h0[i + 1:]).max(axis=1)
-        for off in np.nonzero(~(d > epsilon))[0]:
+        near = ~(d > epsilon)
+        if words is not None:
+            near &= wid[i + 1:] == wid[i]
+        for off in np.nonzero(near)[0]:
             j = i + 1 + int(off)
             adj[i] |= 1 << j
             adj[j] |= 1 << i
@@ -209,17 +311,7 @@ def sum_up_partition(pool, epsilon: float,
         per_word[w] = _mis_exact(_conflict_masks(h0, h1, epsilon))
 
     h0, h1 = _pool_arrays(pool)
-    k = len(pool)
-    words = [o.symbols for o in pool]
-    adj = [0] * k
-    for i in range(k):
-        d = np.abs(h0[i] * h1[i + 1:] - h1[i] * h0[i + 1:]).max(axis=1)
-        for off in range(k - i - 1):
-            j = i + 1 + off
-            separated = d[off] > epsilon or words[i] != words[j]
-            if not separated:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    adj = _conflict_masks(h0, h1, epsilon, words=[o.symbols for o in pool])
     joint = _mis_exact(adj)
     return per_word, joint, joint == sum(per_word.values())
 

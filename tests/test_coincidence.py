@@ -177,6 +177,25 @@ def test_friedland_bounds_z2_z3():
     assert not fb.details["depth_cap_hit"]
 
 
+def test_friedland_bounds_basilica_graph_exact_and_float():
+    # 0 -> -1 -> 0 under z^2 - 1 is a recurrent coincidence point of
+    # {z^2 - 1, z^3 - 1}; exact nodes are keyed by their coordinates
+    exact = rs.GeneratorSet([rs.make_map([1, 0, -1], [0, 0, 1]),
+                             rs.make_map([1, 0, 0, -1], [0, 0, 0, 1])])
+    fb = rs.friedland_bounds(exact, depth=8)
+    assert fb.details["exact"]
+    assert (fb.details["graph_nodes"], fb.details["graph_edges"]) == (130, 130)
+    assert fb.s_hat == pytest.approx(math.log(2))
+    # the same maps with float coefficients take the chordal-tolerance path,
+    # which builds the same graph while no two orbit points come close
+    floats = rs.GeneratorSet([rs.make_map([1.0, 0, -1.0], [0, 0, 1.0]),
+                              rs.make_map([1.0, 0, 0, -1.0], [0, 0, 0, 1.0])])
+    shallow = [rs.friedland_bounds(g, depth=4) for g in (exact, floats)]
+    assert [b.details["exact"] for b in shallow] == [True, False]
+    assert ({(b.details["graph_nodes"], b.details["graph_edges"]) for b in shallow}
+            == {(10, 10)})
+
+
 def test_karp_against_brute_force():
     edges = [
         (0, 1, 1.0), (1, 0, 0.0),         # cycle mean 0.5

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import sys
 from fractions import Fraction
@@ -142,6 +143,26 @@ def test_cli_symbolic_dimension_run(tmp_path, capsys):
     assert report["exact"]["h_top_exact"] == math.log(8)
     assert report["exact"]["dynamical_degrees"] == [2, 4, 8]
     assert "d_top" not in report["exact"]
+
+
+def test_info_logging_leaves_report_unchanged(tmp_path, caplog):
+    cfg = dict(Z23_CONFIG)
+    cfg["estimator"] = {"nu_min": 2, "nu_max": 4, "epsilon_grid": [0.1, 0.2]}
+    path = write_config(tmp_path, cfg)
+    outs = []
+    for level in (logging.WARNING, logging.INFO):
+        report = tmp_path / f"r{level}.json"
+        csv = tmp_path / f"c{level}.csv"
+        with caplog.at_level(level, logger="rsentropy"):
+            assert cli.main(["report", "--config", path, "--report", str(report),
+                             "--csv", str(csv)]) == 0
+        outs.append((report.read_bytes(), csv.read_bytes()))
+    assert outs[0] == outs[1]
+    greedy = [r.getMessage() for r in caplog.records
+              if r.getMessage().startswith("greedy count:")]
+    # the nu = 4 Friedland pool (625 orbits) is counted greedily at both eps
+    assert any("mode=friedland eps=0.1 nu=4 block=625" in m for m in greedy)
+    assert any("mode=friedland eps=0.2 nu=4 block=625" in m for m in greedy)
 
 
 def test_cli_report_subcommand(tmp_path, capsys):

@@ -1,11 +1,22 @@
 import itertools
+import logging
+import math
+import re
 
 import numpy as np
 import pytest
 
 import rsentropy as rs
 from rsentropy.errors import EmptyPool, MixedNu
-from util import IDENTITY, Z2, Z3, brute_force_max_separated
+from rsentropy.estimate import ladder_tree
+from util import (
+    IDENTITY,
+    Z2,
+    Z3,
+    brute_force_max_separated,
+    random_exact_map,
+    reference_greedy,
+)
 
 
 def corr(*maps, mults=None):
@@ -162,3 +173,111 @@ def test_sandwich_chain_holds():
         paths = _sandwich_pool(gens, eps, nu, n_starts, n_words, seed)
         res = rs.sandwich_counts(paths, eps, nu)
         assert res["N_nu"] <= res["M_nu"] <= res["N_ext"]
+
+
+# -- the grid-pruned greedy against the all-pairs oracle ------------------------
+
+ORACLE_EPS = (0.02, 0.05, 0.2, 0.45, 0.9)
+ORACLE_SEEDS = (None, 0, 7, 101)
+
+
+def assert_matches_oracle(pool, eps, seed):
+    # exact_cutoff 1 sends every block of two or more orbits to the greedy
+    fr = rs.count_separated(pool, eps, "friedland", seed=seed, exact_cutoff=1)
+    assert not fr.exact
+    assert fr.count == reference_greedy(pool, eps, seed)
+    groups = {}
+    for o in pool:
+        groups.setdefault(o.symbols, []).append(o)
+    ds = rs.count_separated(pool, eps, "dinh_sibony", seed=seed, exact_cutoff=1)
+    assert not ds.exact
+    assert ds.count == sum(reference_greedy(groups[w], eps, seed)
+                           for w in sorted(groups))
+
+
+def random_forward_pool(seed):
+    rng = np.random.default_rng(seed)
+    maps = [random_exact_map(rng), random_exact_map(rng)]
+    if maps[0] == maps[1]:
+        maps = [Z2, Z3]
+    return rs.forward_orbits(corr(*maps), rs.sample_points(40, seed), 2)
+
+
+def meridian_point(theta):
+    """The point whose Bloch vector is (sin theta, 0, cos theta)."""
+    return rs.normalize(math.cos(theta / 2), math.sin(theta / 2))
+
+
+def boundary_pool(eps):
+    """x_0 on Bloch-grid planes and on exact eps-chains, x_1 shared.
+
+    Bloch z-coordinates -1 + 2 eps j sit on cell boundaries of a 2 eps grid,
+    and the chain steps 2 arcsin(eps) put neighbours exactly eps apart.
+    """
+    shared = rs.point_at(0.5)
+    steps = int(1.0 / eps)
+    thetas = [math.acos(max(-1.0, min(1.0, -1.0 + 2 * eps * j)))
+              for j in range(steps + 1)]
+    step = 2 * math.asin(eps)
+    thetas += [step * j for j in range(int(math.pi / step) + 1)]
+    pool = []
+    for j, theta in enumerate(thetas):
+        word = (1 + j % 2,)
+        pool.append(rs.NuOrbit(points=(meridian_point(theta), shared), symbols=word))
+        # the same latitudes on the equator's plane, rotated off the meridian
+        x0 = meridian_point(theta)
+        rotated = rs.normalize(x0.h0, x0.h1 * 1j)
+        pool.append(rs.NuOrbit(points=(rotated, shared), symbols=word))
+    return pool
+
+
+@pytest.mark.parametrize("eps", ORACLE_EPS)
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+def test_greedy_matches_oracle_on_random_pools(eps, seed):
+    for pool_seed in (1, 2):
+        assert_matches_oracle(random_forward_pool(pool_seed), eps, seed)
+
+
+@pytest.mark.parametrize("eps", ORACLE_EPS)
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+def test_greedy_matches_oracle_with_poles_and_duplicates(eps, seed):
+    starts = [rs.point_at(0), rs.INFINITY] + rs.sample_points(30, 4)
+    pool = rs.forward_orbits(corr(Z2, Z3), starts, 2)
+    assert_matches_oracle(pool, eps, seed)
+    # every orbit twice: copies sit at distance 0 from each other
+    assert_matches_oracle(pool + pool[::-1], eps, seed)
+
+
+@pytest.mark.parametrize("eps", ORACLE_EPS)
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+def test_greedy_matches_oracle_on_cell_boundaries(eps, seed):
+    assert_matches_oracle(boundary_pool(eps), eps, seed)
+
+
+@pytest.fixture(scope="module")
+def readme_nu5_pool():
+    pool = ladder_tree(corr(Z2, Z3), 2, 5, 42, 20_000)[5]
+    assert len(pool) == 5 ** 5
+    return pool
+
+
+@pytest.mark.parametrize("eps", (0.02, 0.2))
+def test_greedy_matches_oracle_on_readme_tree(readme_nu5_pool, eps):
+    assert_matches_oracle(readme_nu5_pool, eps, 42)
+
+
+def test_greedy_blocks_log_at_info(caplog):
+    pool = rs.forward_orbits(corr(Z2, Z3), rs.sample_points(30, 9), 2)
+    with caplog.at_level(logging.INFO, logger="rsentropy"):
+        ds = rs.count_separated(pool, 0.1, "dinh_sibony", seed=3)
+        exact = rs.count_separated(pool[:10], 0.1, "friedland")
+    assert not ds.exact and exact.exact
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "rsentropy.separation" and r.levelno == logging.INFO]
+    # one line per greedy block (four words of 30 orbits), none for exact ones
+    assert len(lines) == 4
+    fields = [dict(re.findall(r"(\w+)=(\S+)", line)) for line in lines]
+    for f in fields:
+        assert (f["mode"], f["eps"], f["nu"], f["block"]) == ("dinh_sibony", "0.1", "2", "30")
+        assert 0 <= int(f["tested"])
+    assert sum(int(f["family"]) for f in fields) == ds.count

@@ -1,5 +1,7 @@
 """Shared fixtures-by-hand for the test modules."""
 
+import numpy as np
+
 import rsentropy as rs
 
 
@@ -63,3 +65,31 @@ def brute_force_max_separated(orbits, epsilon, symbols_count):
         if ok:
             best = max(best, bin(mask).count("1"))
     return best
+
+
+def reference_greedy(orbits, eps, seed):
+    """All-pairs seeded greedy family size, points only (the counting oracle).
+
+    Walks the seed's permutation of the pool (the pool order when seed is
+    None) and keeps an orbit when its sup chordal distance to every orbit
+    kept so far exceeds eps, testing it against all of them.
+    """
+    k = len(orbits)
+    h0 = np.array([[p.h0 for p in o.points] for o in orbits], dtype=np.complex128)
+    h1 = np.array([[p.h1 for p in o.points] for o in orbits], dtype=np.complex128)
+    order = np.arange(k)
+    if seed is not None:
+        order = np.random.default_rng(seed).permutation(k)
+    chosen = []
+    sel0 = np.empty_like(h0)
+    sel1 = np.empty_like(h1)
+    for idx in order:
+        if chosen:
+            s = len(chosen)
+            d = np.abs(h0[idx] * sel1[:s] - h1[idx] * sel0[:s]).max(axis=1)
+            if not (d > eps).all():
+                continue
+        sel0[len(chosen)] = h0[idx]
+        sel1[len(chosen)] = h1[idx]
+        chosen.append(int(idx))
+    return len(chosen)
