@@ -204,7 +204,13 @@ def parse_config(path) -> RunConfig:
     except OSError as exc:
         raise UnreadableFile(f"cannot read config {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"config is not valid JSON: {exc}", "") from exc
     return load_config(data)
+
+
+def _reject_constant(name):
+    # plain json.loads accepts NaN and +-Infinity, and every schema bound
+    # compares false against NaN
+    raise SchemaViolation(f"config is not valid JSON: non-finite number {name}", "")

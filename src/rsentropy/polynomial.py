@@ -17,7 +17,7 @@ import cmath
 import math
 
 from .errors import RootFindingFailure
-from .gaussian import GaussianRational, ZERO
+from .gaussian import GaussianRational, lift, unlift
 
 Form = tuple  # tuple[GaussianRational, ...]
 
@@ -35,27 +35,25 @@ def form_is_zero(form: Form) -> bool:
     return all(c.is_zero() for c in form)
 
 
-def form_scale(form: Form, s: GaussianRational) -> Form:
-    return tuple(c * s for c in form)
-
-
-def form_add(a: Form, b: Form) -> Form:
-    if len(a) != len(b):
-        raise ValueError("cannot add forms of different degree")
-    return tuple(x + y for x, y in zip(a, b))
+def pairs_mul(a: list, b: list) -> list:
+    """Convolution of Gaussian-integer forms given as (re, im) int pairs."""
+    re = [0] * (len(a) + len(b) - 1)
+    im = [0] * len(re)
+    nonzero_b = [(j, u, v) for j, (u, v) in enumerate(b) if u or v]
+    for i, (x, y) in enumerate(a):
+        if not (x or y):
+            continue
+        for j, u, v in nonzero_b:
+            re[i + j] += x * u - y * v
+            im[i + j] += x * v + y * u
+    return list(zip(re, im))
 
 
 def form_mul(a: Form, b: Form) -> Form:
-    """Convolution product; skips zero coefficients (forms are often sparse)."""
-    out = [ZERO] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca.is_zero():
-            continue
-        for j, cb in enumerate(b):
-            if cb.is_zero():
-                continue
-            out[i + j] = out[i + j] + ca * cb
-    return tuple(out)
+    """Convolution product: ints over each form's common denominator."""
+    pa, da = lift(a)
+    pb, db = lift(b)
+    return unlift(pairs_mul(pa, pb), da * db)
 
 
 def form_d0(form: Form) -> Form:

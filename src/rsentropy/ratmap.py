@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import (
     CommonFactor,
@@ -25,18 +24,16 @@ from .errors import (
     NotMobius,
     RootFindingFailure,
 )
-from .gaussian import GaussianRational, sqrt_exact
+from .gaussian import GaussianRational, lift, sqrt_exact, unlift
 from .polynomial import (
     aberth_roots,
-    form_add,
     form_d0,
     form_d1,
     form_eval_complex,
     form_eval_exact,
     form_is_zero,
-    form_mul,
-    form_scale,
     forms_coprime,
+    pairs_mul,
     strip_infinite_roots,
 )
 from .projective import INFINITY, ProjPoint, chordal_dist, normalize
@@ -78,17 +75,20 @@ def _coerce_coeffs(seq):
     return tuple(out), exact
 
 
-def _canonicalize(num, den):
-    for c in num + den:
-        if not c.is_zero():
-            inv = GaussianRational(1) / c
-            return form_scale(num, inv), form_scale(den, inv)
-    raise DegenerateMap("all coefficients vanish")
+def _build(pairs, exact):
+    """Canonical map from Gaussian-integer coefficients, num then den.
 
-
-def _build(num, den, exact):
-    num, den = _canonicalize(num, den)
-    d = len(num) - 1
+    Division by the first nonzero c0 = a0 + b0*i: times conj(c0) over |c0|^2.
+    """
+    for a0, b0 in pairs:
+        if a0 or b0:
+            break
+    else:
+        raise DegenerateMap("all coefficients vanish")
+    coeffs = unlift([(a * a0 + b * b0, b * a0 - a * b0) for a, b in pairs],
+                    a0 * a0 + b0 * b0)
+    d = len(coeffs) // 2 - 1
+    num, den = coeffs[:d + 1], coeffs[d + 1:]
     return RationalMap(
         num=num,
         den=den,
@@ -118,7 +118,7 @@ def make_map(num, den) -> RationalMap:
         raise DegenerateMap("one of the forms is identically zero")
     if not forms_coprime(num_c, den_c):
         raise CommonFactor("numerator and denominator share a polynomial factor")
-    return _build(num_c, den_c, exact_n and exact_d)
+    return _build(lift(num_c + den_c)[0], exact_n and exact_d)
 
 
 def from_affine(num_affine, den_affine) -> RationalMap:
@@ -164,29 +164,33 @@ def compose(f: RationalMap, g: RationalMap) -> RationalMap:
     still runs the gcd check as a safety net.
     """
     dn = f.degree
-    pg, qg = g.num, g.den
-    p_pows = [(GaussianRational(1),)]
-    q_pows = [(GaussianRational(1),)]
+    fc, _ = lift(f.num + f.den)
+    gc, _ = lift(g.num + g.den)
+    p_pows, q_pows = [[(1, 0)]], [[(1, 0)]]
     for _ in range(dn):
-        p_pows.append(form_mul(p_pows[-1], pg))
-        q_pows.append(form_mul(q_pows[-1], qg))
+        p_pows.append(pairs_mul(p_pows[-1], gc[:g.degree + 1]))
+        q_pows.append(pairs_mul(q_pows[-1], gc[g.degree + 1:]))
+    # the monomial z0^(dn-k) z1^k becomes P^(dn-k) Q^k, built once for
+    # both forms and only where f has a nonzero coefficient on it
+    monomials = [
+        pairs_mul(p_pows[dn - k], q_pows[k])
+        if any(fc[k]) or any(fc[dn + 1 + k]) else None
+        for k in range(dn + 1)
+    ]
 
     def substitute(form):
-        out = None
-        for k, c in enumerate(form):
-            if c.is_zero():
-                continue
-            term = form_scale(form_mul(p_pows[dn - k], q_pows[k]), c)
-            out = term if out is None else form_add(out, term)
-        if out is None:
-            raise DegenerateMap("zero form in composition")
+        out = [(0, 0)] * (dn * g.degree + 1)
+        for (a, b), mono in zip(form, monomials):
+            if a or b:
+                out = [(x + a * u - b * v, y + a * v + b * u)
+                       for (x, y), (u, v) in zip(out, mono)]
         return out
 
-    num = substitute(f.num)
-    den = substitute(f.den)
-    if not forms_coprime(num, den):
+    h = _build(substitute(fc[:dn + 1]) + substitute(fc[dn + 1:]),
+               f.exact_coeffs and g.exact_coeffs)
+    if not forms_coprime(h.num, h.den):
         raise CommonFactor("composition produced a common factor (unexpected)")
-    return _build(num, den, f.exact_coeffs and g.exact_coeffs)
+    return h
 
 
 def evaluate(f: RationalMap, p: ProjPoint) -> ProjPoint:
@@ -204,8 +208,8 @@ def evaluate(f: RationalMap, p: ProjPoint) -> ProjPoint:
         sum(abs(c) for c in f.den_float),
     )
     if math.hypot(abs(w0), abs(w1)) < 1e-8 * scale:
-        z0 = GaussianRational(Fraction(p.h0.real), Fraction(p.h0.imag))
-        z1 = GaussianRational(Fraction(p.h1.real), Fraction(p.h1.imag))
+        z0 = GaussianRational.from_value(p.h0)
+        z1 = GaussianRational.from_value(p.h1)
         w0 = complex(form_eval_exact(f.num, z0, z1))
         w1 = complex(form_eval_exact(f.den, z0, z1))
     return normalize(w0, w1)

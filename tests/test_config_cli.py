@@ -229,6 +229,20 @@ def test_cli_override_out_of_schema_bounds(tmp_path, capsys, args, pointer):
     assert (err["type"], err["pointer"]) == ("SchemaViolation", pointer)
 
 
+@pytest.mark.parametrize("command,section,key,value", [
+    ("estimate", "estimator", "epsilon_grid", [math.nan]),
+    ("coincidence", "tolerances", "recurrence", math.inf),
+    ("exact", "estimator", "nu_max", -math.inf),
+])
+def test_cli_rejects_non_finite_json_numbers(tmp_path, capsys, command, section, key, value):
+    # json.dumps writes NaN / Infinity / -Infinity, which plain json.loads reads
+    path = write_config(tmp_path, dict(Z23_CONFIG, **{section: {key: value}}))
+    assert cli.main([command, "--config", path]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "SchemaViolation"
+    assert "non-finite number" in err["message"]
+
+
 def _counting(monkeypatch, module, name):
     """Count calls of module.name, wherever a package module imported it."""
     calls = []

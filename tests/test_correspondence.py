@@ -102,6 +102,26 @@ def test_enumerate_words_examples():
     assert mult == 1 and len(words) == 1
 
 
+CHEBYSHEV_T2 = rs.make_map([2, 0, -1], [0, 0, 1])
+CHEBYSHEV_T3 = rs.make_map([4, 0, -3, 0], [0, 0, 0, 1])
+
+
+def test_chebyshev_maps_commute_exactly():
+    t6 = rs.make_map([32, 0, -48, 0, 18, 0, -1], [0, 0, 0, 0, 0, 0, 1])
+    t3_t2 = rs.compose(CHEBYSHEV_T3, CHEBYSHEV_T2)
+    assert t3_t2 == rs.compose(CHEBYSHEV_T2, CHEBYSHEV_T3) == t6
+    assert [c.literal() for c in t3_t2.num] == ["1", "0", "-3/2", "0", "9/16", "0", "-1/32"]
+    assert [c.literal() for c in t3_t2.den] == ["0"] * 6 + ["1/32"]
+
+
+def test_chebyshev_ledger_at_length_4():
+    # T_a o T_b = T_ab, so a word with k letters T3 composes to T_(2^(4-k) 3^k)
+    ledger = rs.enumerate_words(rs.GeneratorSet([CHEBYSHEV_T2, CHEBYSHEV_T3]), 4)
+    assert (ledger.total_words, ledger.distinct, ledger.relations) == (16, 5, 11)
+    profile = sorted((f.degree, mult) for f, (mult, _) in ledger.entries.items())
+    assert profile == [(16, 1), (24, 4), (36, 6), (54, 4), (81, 1)]
+
+
 def test_enumerate_words_total_is_power():
     ledger = rs.enumerate_words(rs.GeneratorSet([Z2, Z3]), 3)
     assert sum(m for m, _ in ledger.entries.values()) == 2 ** 3

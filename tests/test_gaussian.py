@@ -1,0 +1,196 @@
+"""The integer normal form of exact scalars, checked against a Fraction-pair
+oracle, and the integer convolution of forms against a schoolbook product."""
+
+import math
+import random
+import re
+from fractions import Fraction
+
+import pytest
+
+import rsentropy as rs
+from rsentropy.errors import BadScalarLiteral
+from rsentropy.polynomial import form_mul
+from util import ReferenceGaussian
+
+G = rs.GaussianRational
+
+
+def random_fraction(rnd):
+    """Zero, small, medium, huge or tiny rationals with mixed denominators."""
+    kind = rnd.randrange(6)
+    sign = rnd.choice((-1, 1))
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return Fraction(rnd.randint(-9, 9), rnd.randint(1, 9))
+    if kind == 2:
+        return Fraction(rnd.randint(-10 ** 6, 10 ** 6), rnd.choice((1, 2, 4, 243, 10 ** 6 + 3)))
+    if kind == 3:
+        return Fraction(sign * rnd.getrandbits(400), rnd.getrandbits(300) + 1)
+    if kind == 4:
+        return Fraction(sign * (rnd.getrandbits(1500) + 1), rnd.getrandbits(1450) + 1)
+    return Fraction(sign * rnd.randint(1, 3), 2 ** rnd.randint(1000, 1200))
+
+
+def random_pair(rnd):
+    re_part, im_part = random_fraction(rnd), random_fraction(rnd)
+    return G(re_part, im_part), ReferenceGaussian(re_part, im_part)
+
+
+def assert_matches(got, want):
+    a, b, d = got._abd
+    assert d > 0 and math.gcd(a, b, d) == 1
+    assert (got.re, got.im) == (want.re, want.im)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_arithmetic_matches_reference(seed):
+    rnd = random.Random(seed)
+    for _ in range(150):
+        (gx, rx), (gy, ry) = random_pair(rnd), random_pair(rnd)
+        assert_matches(gx + gy, rx + ry)
+        assert_matches(gx - gy, rx - ry)
+        assert_matches(gx * gy, rx * ry)
+        assert_matches(-gx, -rx)
+        assert_matches(gx.conjugate(), rx.conjugate())
+        assert gx.abs2() == rx.abs2()
+        assert gx.is_zero() == rx.is_zero()
+        if ry.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                gx / gy
+        else:
+            assert_matches(gx / gy, rx / ry)
+        k = rnd.randint(-5, 5)
+        assert_matches(gx + k, rx + ReferenceGaussian(k))
+        assert_matches(k - gx, ReferenceGaussian(k) - rx)
+        assert_matches(gx * Fraction(k, 7), rx * ReferenceGaussian(Fraction(k, 7)))
+
+
+def test_equality_and_hash_agree():
+    rnd = random.Random(11)
+    for _ in range(200):
+        (gx, rx), (gy, ry) = random_pair(rnd), random_pair(rnd)
+        same = G(rx.re, rx.im)
+        assert gx == same and hash(gx) == hash(same)
+        if not gy.is_zero():
+            # the same value reached through a product and a quotient
+            roundabout = (gx * gy) / gy
+            assert roundabout == gx and hash(roundabout) == hash(gx)
+        assert (gx == gy) == (rx == ry)
+        assert (gx != gy) == (rx != ry)
+    assert G(3) == 3 and G(Fraction(1, 2)) == Fraction(2, 4) and G(0, 1) == 1j
+    assert G(1) != "one" and len({G(1), G("2/2"), G(Fraction(3, 3), 0)}) == 1
+
+
+def test_sort_key_gives_the_reference_order():
+    rnd = random.Random(5)
+    pairs = [random_pair(rnd) for _ in range(300)]
+    pairs += pairs[:40]  # ties
+    pairs += [(G(f, 0), ReferenceGaussian(f)) for f in (Fraction(1, 3), Fraction(-1, 3))]
+    order = sorted(range(len(pairs)), key=lambda i: pairs[i][0].sort_key())
+    want = sorted(range(len(pairs)), key=lambda i: pairs[i][1].sort_key())
+    assert order == want
+    # keys inside tuples, as map keys hold them: equal keys defer to the next
+    rows = [(rnd.choice(pairs), rnd.choice(pairs)) for _ in range(300)]
+    rows += [((G(Fraction(1, k)), ReferenceGaussian(Fraction(1, k))), rows[k][1]) for k in (2, 3)]
+    order = sorted(range(len(rows)), key=lambda i: tuple(x[0].sort_key() for x in rows[i]))
+    want = sorted(range(len(rows)), key=lambda i: tuple(x[1].sort_key() for x in rows[i]))
+    assert order == want
+
+
+LITERAL = re.compile(r"^(-?\d+(?:/\d+)?)(?:([+-])(\d+(?:/\d+)?)i)?$")
+
+
+def test_literal_round_trips():
+    rnd = random.Random(3)
+    for _ in range(300):
+        g, r = random_pair(rnd)
+        text = g.literal()
+        assert text == r.literal()
+        re_text, sign, im_text = LITERAL.match(text).groups()
+        im_part = Fraction(im_text or 0) * (-1 if sign == "-" else 1)
+        assert G(Fraction(re_text), im_part) == g
+
+
+def test_complex_is_bit_identical_to_fraction_floats():
+    rnd = random.Random(17)
+    values = [random_pair(rnd) for _ in range(600)]
+    values += [(G(f, -f), ReferenceGaussian(f, -f)) for f in (
+        Fraction(10 ** 400 + 1, 3 ** 700),
+        Fraction(-(2 ** 1100) + 7, 2 ** 1076 - 1),
+        Fraction(1, 2 ** 1074 + 3),
+        Fraction(3, 2 ** 1075),
+        Fraction(2 ** 53 + 1),
+        Fraction(-(10 ** 308), 7),
+    )]
+    for g, r in values:
+        got, want = complex(g), complex(r)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+def test_complex_overflow_matches_fraction_floats():
+    huge = Fraction(2 ** 1100, 3)
+    with pytest.raises(OverflowError):
+        complex(ReferenceGaussian(huge))
+    with pytest.raises(OverflowError):
+        complex(G(huge))
+
+
+@pytest.mark.parametrize("value", [
+    float("nan"), float("inf"), -float("inf"),
+    complex(float("nan"), 0.0), complex(0.0, float("inf")),
+])
+def test_non_finite_scalars_raise_typed_errors(value):
+    with pytest.raises(BadScalarLiteral):
+        G.from_value(value)
+    with pytest.raises(BadScalarLiteral):
+        rs.make_map([1, value], [0, 1])
+    with pytest.raises(BadScalarLiteral):
+        rs.from_affine([value, 1], [1])
+    assert (G(1) == value) is False
+    assert (G(1) != value) is True
+    if isinstance(value, float):
+        with pytest.raises(BadScalarLiteral):
+            G(value)
+        with pytest.raises(BadScalarLiteral):
+            G(0, value)
+
+
+# -- form_mul ---------------------------------------------------------------------
+
+
+def random_form(rnd, length):
+    """A sparse form: about half its entries zero, sometimes all of them."""
+    if rnd.random() < 0.1:
+        return [ReferenceGaussian() for _ in range(length)]
+    out = []
+    for _ in range(length):
+        if rnd.random() < 0.5:
+            out.append(ReferenceGaussian())
+        else:
+            out.append(ReferenceGaussian(
+                Fraction(rnd.randint(-30, 30), rnd.choice((1, 2, 3, 7, 12, 2 ** 40 + 1))),
+                Fraction(rnd.randint(-30, 30), rnd.choice((1, 5, 9, 3 ** 20)))))
+    return out
+
+
+def schoolbook(a, b):
+    out = [ReferenceGaussian() for _ in range(len(a) + len(b) - 1)]
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_form_mul_matches_schoolbook(seed):
+    rnd = random.Random(seed)
+    for _ in range(60):
+        a = random_form(rnd, rnd.randint(1, 9))
+        b = random_form(rnd, rnd.randint(1, 9))
+        got = form_mul(tuple(G(c.re, c.im) for c in a), tuple(G(c.re, c.im) for c in b))
+        want = schoolbook(a, b)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_matches(g, w)

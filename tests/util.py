@@ -1,5 +1,7 @@
 """Shared fixtures-by-hand for the test modules."""
 
+from fractions import Fraction
+
 import numpy as np
 
 import rsentropy as rs
@@ -93,3 +95,68 @@ def reference_greedy(orbits, eps, seed):
         sel1[len(chosen)] = h1[idx]
         chosen.append(int(idx))
     return len(chosen)
+
+
+class ReferenceGaussian:
+    """Exact complex rational as a pair of Fractions (the scalar oracle).
+
+    The straightforward representation ``re + im*i`` with one Fraction per
+    part, kept to check the integer normal form of ``rs.GaussianRational``.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    def __add__(self, other):
+        return ReferenceGaussian(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return ReferenceGaussian(self.re - other.re, self.im - other.im)
+
+    def __neg__(self):
+        return ReferenceGaussian(-self.re, -self.im)
+
+    def __mul__(self, other):
+        return ReferenceGaussian(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    def __truediv__(self, other):
+        n = other.abs2()
+        if n == 0:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return ReferenceGaussian(
+            (self.re * other.re + self.im * other.im) / n,
+            (self.im * other.re - self.re * other.im) / n,
+        )
+
+    def conjugate(self):
+        return ReferenceGaussian(self.re, -self.im)
+
+    def abs2(self):
+        return self.re * self.re + self.im * self.im
+
+    def is_zero(self):
+        return self.re == 0 and self.im == 0
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+    def sort_key(self):
+        return (self.re, self.im)
+
+    def __eq__(self, other):
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def literal(self):
+        if self.im == 0:
+            return str(self.re)
+        sign = "+" if self.im >= 0 else "-"
+        return f"{self.re}{sign}{abs(self.im)}i"
