@@ -44,7 +44,7 @@ from .correspondence import (
     support_degree,
 )
 from .orbits import (
-    NuOrbit,
+    OrbitPool,
     TruncatedPath,
     delta_metric,
     forward_orbits,

@@ -16,6 +16,7 @@ destroy the lower bound, so equality at exact points is decided exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +30,7 @@ from .polynomial import (
     form_mul,
     poly_trim,
 )
-from .projective import ProjPoint, chordal_dist, normalize
+from .projective import NearPoints, ProjPoint, chordal_dist, normalize
 from .ratmap import RationalMap, evaluate
 
 RECURRENCE_TOL = 1e-9
@@ -228,32 +229,33 @@ def is_recurrent(c: Correspondence, x: ProjPoint, depth: int,
     """Breadth-first search of the forward sets for returns to x.
 
     Uses exact arithmetic when both the point and all component maps are
-    exact; otherwise matches within the chordal tolerance.
+    exact; otherwise matches within the chordal tolerance. A forward set
+    larger than node_budget raises BudgetExceeded as its first extra point
+    is found.
     """
     support = [f for f, _ in c.components]
     exact_mode = exact_point is not None and all(f.exact_coeffs for f in support)
+    message = "forward set exceeded the node budget"
     returns = []
     if exact_mode:
         frontier = {exact_point}
         for step in range(1, depth + 1):
-            frontier = {exact_eval(f, pt) for pt in frontier for f in support}
-            if len(frontier) > node_budget:
-                raise BudgetExceeded("forward set exceeded the node budget")
+            images = set()
+            for pt, f in itertools.product(frontier, support):
+                images.add(exact_eval(f, pt))
+                if len(images) > node_budget:
+                    raise BudgetExceeded(message)
+            frontier = images
             if exact_point in frontier:
                 returns.append(step)
     else:
         frontier = [x]
         for step in range(1, depth + 1):
-            images: list[ProjPoint] = []
-            for pt in frontier:
-                for f in support:
-                    img = evaluate(f, pt)
-                    if not any(chordal_dist(img, seen) <= tol for seen in images):
-                        images.append(img)
-            if len(images) > node_budget:
-                raise BudgetExceeded("forward set exceeded the node budget")
-            frontier = images
-            if any(chordal_dist(x, pt) <= tol for pt in frontier):
+            images = NearPoints(tol, node_budget, message)
+            for pt, f in itertools.product(frontier, support):
+                images.index_of(evaluate(f, pt))
+            frontier = images.points
+            if images.find(x) is not None:
                 returns.append(step)
     status = "recurrent" if returns else "not_found_within_depth"
     return RecurrenceCertificate(
@@ -348,8 +350,9 @@ def friedland_bounds(gens: GeneratorSet, depth: int = 12,
     coincidences = certified_coincidences(gens, depth, tol, node_budget)
     recurrent = [cp for cp, cert in coincidences if cert.status == "recurrent"]
 
-    nodes: list = []
-    keys: list = []  # exact coords or None, aligned with nodes
+    graph = NearPoints(tol, node_budget, "transition graph exceeded the node budget")
+    nodes = graph.points
+    keys: list = []  # exact mode: the exact coords of each node
     exact_ids: dict = {}  # exact coords -> node index
     edges: list = []
     cap_hit = False
@@ -357,18 +360,13 @@ def friedland_bounds(gens: GeneratorSet, depth: int = 12,
     # In exact mode every node has exact coords and equality decides; in
     # float mode none has and the chordal tolerance does.
     def node_id(point: ProjPoint, coords: ExactPoint | None) -> int:
-        if coords is not None:
-            idx = exact_ids.get(coords)
-            if idx is not None:
-                return idx
-            exact_ids[coords] = len(nodes)
-        else:
-            for idx, seen in enumerate(nodes):
-                if chordal_dist(point, seen) <= tol:
-                    return idx
-        nodes.append(point)
-        keys.append(coords)
-        return len(nodes) - 1
+        if coords is None:
+            return graph.index_of(point)
+        idx = exact_ids.get(coords)
+        if idx is None:
+            idx = exact_ids[coords] = graph.add(point)
+            keys.append(coords)
+        return idx
 
     exact_mode = gens.exact and all(cp.exact_coords is not None for cp in recurrent)
     frontier = []
@@ -381,20 +379,17 @@ def friedland_bounds(gens: GeneratorSet, depth: int = 12,
         for u in frontier:
             images: dict[int, int] = {}
             for f in gens.maps:
-                if exact_mode and keys[u] is not None:
+                if exact_mode:
                     coords = exact_eval(f, keys[u])
                     v = node_id(exact_to_proj(coords), coords)
                 else:
-                    img = evaluate(f, nodes[u])
-                    v = node_id(img, None)
+                    v = node_id(evaluate(f, nodes[u]), None)
                 images[v] = images.get(v, 0) + 1
             for v, m in sorted(images.items()):
                 if (u, v) not in seen_edges:
                     seen_edges.add((u, v))
                     edges.append((u, v, math.log(m)))
                     nxt.append(v)
-        if len(nodes) > node_budget:
-            raise BudgetExceeded("transition graph exceeded the node budget")
         frontier = sorted(set(nxt))
         if not frontier:
             break

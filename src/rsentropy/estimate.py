@@ -16,6 +16,7 @@ sup/limsup it approximates.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,10 +24,10 @@ import numpy as np
 
 from .correspondence import Correspondence, GeneratorSet, build_correspondence, d_top
 from .errors import InsufficientData
-from .orbits import NuOrbit, affordable_depth, preimage_tree_levels
+from .orbits import OrbitPool, affordable_depth, preimage_tree_levels
 from .projective import chordal_dist, ring_around, sample_points
 from .ratmap import evaluate, fs_jacobian
-from .separation import count_separated
+from .separation import _greedy_count, _word_blocks, count_separated
 
 EPSILON_GRID = (0.02, 0.05, 0.1, 0.2)
 NU_MIN, NU_MAX = 2, 12
@@ -103,7 +104,7 @@ def _ols_slope(xs, ys):
 
 
 def ladder_tree(c: Correspondence, nu_min: int, nu_max: int, seed: int,
-                tree_budget: int) -> dict[int, list[NuOrbit]]:
+                tree_budget: int) -> dict[int, OrbitPool]:
     """Backward tree levels for the nu ladder, from the seed's terminal point.
 
     The ladder is cut down from nu_max to the deepest affordable tree; at
@@ -134,10 +135,9 @@ def estimate_entropy(c: Correspondence, method: str,
         levels = ladder_tree(c, nu_min, nu_max, seed, tree_budget)
     rows = []
     for i_nu, nu in enumerate(range(nu_min, max(levels) + 1)):
-        pool = levels[nu]
         for i_eps, eps in enumerate(epsilon_grid):
             cell_seed = seed * 10007 + i_nu * 101 + i_eps
-            rows.append(count_separated(pool, eps, mode, seed=cell_seed))
+            rows.append(count_separated(levels[nu], eps, mode, seed=cell_seed))
     return entropy_fit(rows, method=mode, seed=seed), rows
 
 
@@ -148,7 +148,7 @@ def estimate_entropy(c: Correspondence, method: str,
 class MpFamily:
     """A verified separated family built from a pruned backward tree."""
 
-    family: tuple
+    family: OrbitPool
     epsilon: float
     count: int
     jacobian_bound: float
@@ -160,11 +160,7 @@ class MpFamily:
 def jacobian_bound(gens: GeneratorSet, seed: int, samples: int = 400) -> float:
     """Safe upper estimate of the largest Jacobian over all generators."""
     pts = sample_points(samples, seed)
-    peak = 0.0
-    for f in gens.maps:
-        for p in pts:
-            peak = max(peak, fs_jacobian(f, p))
-    return JAC_SAFETY * peak
+    return JAC_SAFETY * max([0.0] + [fs_jacobian(f, p) for f in gens.maps for p in pts])
 
 
 def injectivity_scale(f, center, cap: float = INJECTIVITY_CAP,
@@ -184,15 +180,8 @@ def injectivity_scale(f, center, cap: float = INJECTIVITY_CAP,
         pts = ring_around(center, r, ring)
         images = [evaluate(f, p) for p in pts]
         spacing = max(2.0 * math.pi * r * math.sqrt(max(jac, 1e-12)) / ring, 1e-12)
-        folded = False
-        for i in range(len(images)):
-            for j in range(i + 1, len(images)):
-                if chordal_dist(images[i], images[j]) < 0.05 * spacing:
-                    folded = True
-                    break
-            if folded:
-                break
-        if not folded:
+        if not any(chordal_dist(a, b) < 0.05 * spacing
+                   for a, b in itertools.combinations(images, 2)):
             return r
         r *= 0.5
     return floor
@@ -207,10 +196,10 @@ def mp_family(gens: GeneratorSet, beta: float, nu: int, seed: int,
     Jacobian bound L; steps whose preimages all stay above the floor branch
     fully, the rest collapse to one low-Jacobian branch. The separation
     radius is the smallest sampled injectivity scale over the high-Jacobian
-    regions, floored at 1e-4. The family is then verified pairwise within
-    each label word at that radius; violators are dropped (none are expected
-    for a generic terminal) so the returned family is separated by
-    construction, not by trust.
+    regions, floored at 1e-4. The family is then verified within each label
+    word at that radius by the greedy count in pool order; violators are
+    dropped (none are expected for a generic terminal) so the returned family
+    is separated by construction, not by trust.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
@@ -220,14 +209,9 @@ def mp_family(gens: GeneratorSet, beta: float, nu: int, seed: int,
     pts = sample_points(samples, seed + 17)
     eps = INJECTIVITY_CAP
     for f in gens.maps:
-        tested = 0
-        for p in pts:
-            if fs_jacobian(f, p) < floor:
-                continue
+        high = (p for p in pts if not fs_jacobian(f, p) < floor)
+        for p in itertools.islice(high, per_generator_scales):
             eps = min(eps, injectivity_scale(f, p))
-            tested += 1
-            if tested >= per_generator_scales:
-                break
     eps = max(eps, INJECTIVITY_FLOOR)
 
     corr = build_correspondence(gens)
@@ -235,36 +219,18 @@ def mp_family(gens: GeneratorSet, beta: float, nu: int, seed: int,
     tree = preimage_tree_levels(corr, terminal, nu, floor,
                                 budget=tree_budget)[nu]
 
-    groups: dict = {}
-    for orbit in tree:
-        groups.setdefault(orbit.symbols, []).append(orbit)
-    kept: list[NuOrbit] = []
-    dropped = 0
-    for word in sorted(groups):
-        verified: list[NuOrbit] = []
-        for orbit in groups[word]:
-            ok = True
-            for other in verified:
-                gap = max(
-                    chordal_dist(a, b)
-                    for a, b in zip(orbit.points, other.points)
-                )
-                if not gap > eps:
-                    ok = False
-                    break
-            if ok:
-                verified.append(orbit)
-            else:
-                dropped += 1
-        kept.extend(verified)
+    kept = []
+    for rows in _word_blocks(tree.symbols)[2]:
+        family, _ = _greedy_count(tree.h0[rows], tree.h1[rows], eps,
+                                  list(range(len(rows))))
+        kept.extend(rows[family].tolist())
 
-    full_size = d_top(corr) ** nu
     return MpFamily(
-        family=tuple(kept),
+        family=tree[kept],
         epsilon=eps,
         count=len(kept),
         jacobian_bound=bound,
         jacobian_floor=floor,
-        pruned=len(tree) < full_size,
-        dropped=dropped,
+        pruned=len(tree) < d_top(corr) ** nu,
+        dropped=len(tree) - len(kept),
     )

@@ -1,12 +1,14 @@
-"""Finite orbit structures: forward orbits, backward trees, shift, metric.
+"""Finite orbit structures: orbit pools, backward trees, shift, metric.
 
 An orbit of length nu records nu+1 points and the nu component labels that
 realized each step (labels index the multiplicity-expanded presentation of
 the correspondence, so a doubled component contributes two labels per step).
-Truncated paths reuse the same data viewed as the head of an infinite orbit;
-with the path metric's 2^-k weights, anything beyond depth ~24 contributes
-less than every separation radius used here, so finite storage is
-metrically invisible.
+A pool of orbits of one length is an ``OrbitPool``: one orbit per row of
+three arrays, the canonical homogeneous coordinates h0 and h1 of its points
+and its labels. Truncated paths reuse the same data viewed as the head of an
+infinite orbit; with the path metric's 2^-k weights, anything beyond depth
+~24 contributes less than every separation radius used here, so finite
+storage is metrically invisible.
 """
 
 from __future__ import annotations
@@ -15,11 +17,15 @@ import cmath
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .correspondence import Correspondence, d_top
 from .errors import (
     BudgetExceeded,
     DepthMismatch,
     EmptyPath,
+    EmptyPool,
+    MixedNu,
     NonGenericTerminal,
     RootFindingFailure,
 )
@@ -27,32 +33,8 @@ from .projective import ProjPoint, chordal_dist, normalize
 from .ratmap import evaluate, fs_jacobian, preimages
 
 ORBIT_BUDGET = 200_000
-ORBIT_STEP_TOL = 1e-9
 PERTURB_ATTEMPTS = 5
 PERTURB_SIZE = 1e-6
-
-
-@dataclass(frozen=True)
-class NuOrbit:
-    """(x_0, ..., x_nu; a_1, ..., a_nu)."""
-
-    points: tuple
-    symbols: tuple
-
-    @property
-    def nu(self) -> int:
-        return len(self.symbols)
-
-    def validate(self, c: Correspondence, tol: float = ORBIT_STEP_TOL) -> bool:
-        comps = c.primed()
-        for j, a in enumerate(self.symbols):
-            img = evaluate(comps[a - 1], self.points[j])
-            if chordal_dist(img, self.points[j + 1]) > tol:
-                return False
-        return True
-
-    def as_path(self) -> "TruncatedPath":
-        return TruncatedPath(points=self.points, symbols=self.symbols)
 
 
 @dataclass(frozen=True)
@@ -67,27 +49,81 @@ class TruncatedPath:
         return len(self.symbols)
 
 
+@dataclass(frozen=True, eq=False)
+class OrbitPool:
+    """k orbits (x_0, ..., x_nu; a_1, ..., a_nu), one per row.
+
+    h0 and h1 (complex128, k x (nu+1)) hold the points' coordinates, symbols
+    (int64, k x nu) the labels.
+    """
+
+    h0: np.ndarray
+    h1: np.ndarray
+    symbols: np.ndarray
+
+    def __len__(self) -> int:
+        return self.h0.shape[0]
+
+    @property
+    def nu(self) -> int:
+        return self.symbols.shape[1]
+
+    def __getitem__(self, rows) -> OrbitPool:
+        """The pool of the selected rows (a slice or an index sequence)."""
+        if isinstance(rows, (int, np.integer)):
+            raise TypeError("select pool rows with a slice or a sequence")
+        return OrbitPool(self.h0[rows], self.h1[rows], self.symbols[rows])
+
+    @classmethod
+    def from_paths(cls, paths) -> OrbitPool:
+        """The pool of equal-depth paths, whose points are taken as canonical."""
+        if not paths:
+            raise EmptyPool("cannot build a pool from no paths")
+        depth = paths[0].depth
+        if any(p.depth != depth for p in paths):
+            raise MixedNu("paths of different depths")
+        return _pool([p.points for p in paths], [p.symbols for p in paths], depth)
+
+    def paths(self) -> list[TruncatedPath]:
+        """Each row as a path of canonical points."""
+        return [TruncatedPath(tuple(map(ProjPoint, r0, r1)), tuple(s))
+                for r0, r1, s in zip(self.h0.tolist(), self.h1.tolist(),
+                                     self.symbols.tolist())]
+
+
+def _pool(points, symbols, nu: int) -> OrbitPool:
+    """A pool from rows of nu+1 points and rows of nu labels."""
+    k = len(points)
+    return OrbitPool(
+        np.array([[complex(x.h0) for x in row] for row in points],
+                 dtype=np.complex128).reshape(k, nu + 1),
+        np.array([[complex(x.h1) for x in row] for row in points],
+                 dtype=np.complex128).reshape(k, nu + 1),
+        np.array(symbols, dtype=np.int64).reshape(k, nu))
+
+
 def forward_orbits(c: Correspondence, starts, nu: int,
-                   budget: int = ORBIT_BUDGET) -> list[NuOrbit]:
+                   budget: int = ORBIT_BUDGET) -> OrbitPool:
     """The unique orbit for every start and every label word of length nu."""
     comps = c.primed()
     m = len(comps)
     total = len(starts) * m ** nu
     if total > budget:
         raise BudgetExceeded(f"{total} forward orbits exceed the budget {budget}")
-    out = []
+    words = list(itertools.product(range(1, m + 1), repeat=nu))
+    rows = []
     for x0 in starts:
-        for word in itertools.product(range(1, m + 1), repeat=nu):
+        for word in words:
             pts = [x0]
             for a in word:
                 pts.append(evaluate(comps[a - 1], pts[-1]))
-            out.append(NuOrbit(points=tuple(pts), symbols=word))
-    return out
+            rows.append(pts)
+    return _pool(rows, words * len(starts), nu)
 
 
 def preimage_tree(c: Correspondence, terminal: ProjPoint, nu: int,
                   jac_floor: float = 0.0,
-                  budget: int = ORBIT_BUDGET) -> list[NuOrbit]:
+                  budget: int = ORBIT_BUDGET) -> OrbitPool:
     """All nu-orbits ending at the terminal point, built backward.
 
     With jac_floor = 0 the full tree is returned: it has exactly d_top(c)^nu
@@ -105,12 +141,12 @@ def preimage_tree(c: Correspondence, terminal: ProjPoint, nu: int,
 
 def preimage_tree_levels(c: Correspondence, terminal: ProjPoint, nu: int,
                          jac_floor: float = 0.0,
-                         budget: int = ORBIT_BUDGET) -> dict[int, list[NuOrbit]]:
+                         budget: int = ORBIT_BUDGET) -> dict[int, OrbitPool]:
     """Backward tree with every intermediate depth retained.
 
     Level k holds all k-orbits ending at the terminal; level nu is what
-    preimage_tree returns. Orbits at level k extend orbits at level k-1 by
-    one more backward step, so one tree serves a whole ladder of depths.
+    preimage_tree returns. Each row of level k extends a row of level k-1
+    by one more backward step, so one tree serves a whole ladder of depths.
     """
     if affordable_depth(c, nu, budget) < nu:
         raise BudgetExceeded(
@@ -146,13 +182,16 @@ def _perturb(p: ProjPoint, attempt: int) -> ProjPoint:
 
 
 def _expand_tree(c, terminal, nu, jac_floor):
+    """Levels 0..nu; the rows of level k are ordered by parent row, then
+    label, then preimage order."""
     comps = c.primed()
     m = len(comps)
-    levels = {0: [NuOrbit(points=(terminal,), symbols=())]}
+    level = _pool([[terminal]], [()], 0)
+    levels = {0: level}
+    heads = [terminal]
     for depth in range(1, nu + 1):
-        nxt = []
-        for orbit in levels[depth - 1]:
-            head = orbit.points[0]
+        parents, labels, roots_out = [], [], []
+        for i, head in enumerate(heads):
             for a in range(1, m + 1):
                 roots = preimages(comps[a - 1], head)
                 if any(mult > 1 for _, mult in roots):
@@ -163,11 +202,15 @@ def _expand_tree(c, terminal, nu, jac_floor):
                     if low:
                         roots = [min(low, key=lambda rm: fs_jacobian(comps[a - 1], rm[0]))]
                 for root, _ in roots:
-                    nxt.append(NuOrbit(
-                        points=(root,) + orbit.points,
-                        symbols=(a,) + orbit.symbols,
-                    ))
-        levels[depth] = nxt
+                    parents.append(i)
+                    labels.append(a)
+                    roots_out.append(root)
+        heads = roots_out
+        level = levels[depth] = OrbitPool(*(
+            np.column_stack([np.array(head, dtype=old.dtype), old[parents]])
+            for head, old in (([r.h0 for r in heads], level.h0),
+                              ([r.h1 for r in heads], level.h1),
+                              (labels, level.symbols))))
     return levels
 
 

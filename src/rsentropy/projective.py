@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroVector
+from .errors import BudgetExceeded, ZeroVector
 
 #: default coordinatewise comparison tolerance for canonical representatives
 DEFAULT_TOL = 1e-12
@@ -88,39 +88,61 @@ def sample_points(count: int, seed: int) -> list[ProjPoint]:
     """Deterministic, approximately uniform sample of the sphere.
 
     Normalized complex Gaussian pairs are uniform for the rotation-invariant
-    measure. Pairs closer than 1e-10 in chordal distance are rejected and
-    redrawn (a vanishing-probability event kept for contract hygiene).
+    measure. A point within 1e-10 in chordal distance of an earlier one is
+    rejected and redrawn (a vanishing-probability event kept for contract
+    hygiene).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
-    points: list[ProjPoint] = []
-    grid: dict[tuple[int, int, int], list[int]] = {}
-    res = 1e-9
-
-    def grid_key(pt):
-        return (
-            int(pt.h0.real / res),
-            int(pt.h1.real / res),
-            int(pt.h1.imag / res),
-        )
-
-    while len(points) < count:
+    sample = NearPoints(1e-10, count, "unused")
+    while len(sample.points) < count:
         raw = rng.standard_normal(4)
         pt = normalize(complex(raw[0], raw[1]), complex(raw[2], raw[3]))
-        key = grid_key(pt)
-        collision = False
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    for idx in grid.get((key[0] + dx, key[1] + dy, key[2] + dz), ()):
-                        if chordal_dist(pt, points[idx]) < 1e-10:
-                            collision = True
-        if collision:
-            continue
-        grid.setdefault(key, []).append(len(points))
-        points.append(pt)
-    return points
+        sample.index_of(pt)
+    return sample.points
+
+
+class NearPoints:
+    """Points found up to the chordal tolerance through a grid on the sphere.
+
+    The chordal distance of two points is half the distance of their Bloch
+    vectors, so a point within tol of another lies within 2 tol of it in
+    every Bloch coordinate; with cells of that side, widened for rounding,
+    it lies in one of the 27 cells around the other. Adding point budget + 1
+    raises BudgetExceeded(message).
+    """
+
+    def __init__(self, tol: float, budget: int, message: str):
+        self.tol, self.budget, self.message = tol, budget, message
+        self.side = 2.0 * tol * (1.0 + 1e-9) + 1e-12
+        self.points: list[ProjPoint] = []
+        self.cells: dict[tuple, list[int]] = {}
+
+    def _cell(self, p: ProjPoint) -> tuple:
+        a0, a1 = abs(p.h0) ** 2, abs(p.h1) ** 2
+        cross = 2.0 * p.h0 * p.h1.conjugate()
+        return tuple(math.floor(v / (a0 + a1) / self.side)
+                     for v in (cross.real, cross.imag, a0 - a1))
+
+    def find(self, p: ProjPoint) -> int | None:
+        """The lowest index of a point within tol of p, or None."""
+        x, y, z = self._cell(p)
+        return min((i for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
+                    for i in self.cells.get((x + dx, y + dy, z + dz), ())
+                    if chordal_dist(p, self.points[i]) <= self.tol), default=None)
+
+    def index_of(self, p: ProjPoint) -> int:
+        """find(p), after adding p when no point lies within tol of it."""
+        idx = self.find(p)
+        return self.add(p) if idx is None else idx
+
+    def add(self, p: ProjPoint) -> int:
+        if len(self.points) >= self.budget:
+            raise BudgetExceeded(self.message)
+        self.cells.setdefault(self._cell(p), []).append(len(self.points))
+        self.points.append(p)
+        return len(self.points) - 1
 
 
 def random_unitary(rng) -> tuple[complex, complex]:

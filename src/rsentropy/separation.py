@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .errors import BudgetExceeded, DepthMismatch, EmptyPool, MixedNu
-from .orbits import NuOrbit, shifted_separation
+from .orbits import OrbitPool, shifted_separation
 
 EXACT_CUTOFF = 20
 JOINT_CUTOFF = 32
@@ -51,29 +51,24 @@ class SeparationCount:
     exact: bool
 
 
-def _pool_arrays(pool):
-    k = len(pool)
-    t = len(pool[0].points)
-    h0 = np.empty((k, t), dtype=np.complex128)
-    h1 = np.empty((k, t), dtype=np.complex128)
-    for i, orb in enumerate(pool):
-        h0[i] = [p.h0 for p in orb.points]
-        h1[i] = [p.h1 for p in orb.points]
-    return h0, h1
-
-
 def _check_pool(pool, epsilon):
-    if not pool:
+    if len(pool) == 0:
         raise EmptyPool("cannot count an empty pool")
-    nu = pool[0].nu
-    if any(o.nu != nu for o in pool):
-        raise MixedNu("pool mixes orbits of different lengths")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    return nu
 
 
-def count_separated(pool, epsilon: float, mode: str, word=None,
+def _word_blocks(symbols):
+    """(words, ids, blocks): the distinct label words in sorted order, each
+    row's index into them, and each word's rows in pool order."""
+    words, ids = np.unique(symbols, axis=0, return_inverse=True)
+    ids = ids.reshape(-1)
+    blocks = np.split(np.argsort(ids, kind="stable"),
+                      np.cumsum(np.bincount(ids))[:-1])
+    return [tuple(w) for w in words.tolist()], ids, blocks
+
+
+def count_separated(pool: OrbitPool, epsilon: float, mode: str, word=None,
                     seed: int | None = 0,
                     exact_cutoff: int = EXACT_CUTOFF) -> SeparationCount:
     """Size of a maximal separated family in the requested sense.
@@ -82,55 +77,46 @@ def count_separated(pool, epsilon: float, mode: str, word=None,
     orbits; otherwise a seeded greedy maximal family with ``exact=False``.
     ``word`` is required in per_word mode and ignored otherwise.
     """
-    nu = _check_pool(pool, epsilon)
+    _check_pool(pool, epsilon)
+    if mode not in ("per_word", "friedland", "dinh_sibony"):
+        raise ValueError(f"unknown mode {mode!r}")
+    label, blocks = mode, [slice(None)]
+    if mode != "friedland":
+        words, _, blocks = _word_blocks(pool.symbols)
     if mode == "per_word":
         if word is None:
             raise ValueError("per_word mode needs the word to filter on")
-        word = tuple(word)
-        sub = [o for o in pool if o.symbols == word]
-        if not sub:
+        word = tuple(int(a) for a in word)
+        if word not in words:
             raise EmptyPool(f"no orbits with word {word}")
-        label = "per_word" + repr(word)
-        cnt, exact = _count_points_only(sub, epsilon, seed, exact_cutoff, label)
-        return SeparationCount(epsilon, nu, label, cnt, len(pool), exact)
-    if mode == "friedland":
-        cnt, exact = _count_points_only(pool, epsilon, seed, exact_cutoff,
-                                        mode)
-        return SeparationCount(epsilon, nu, mode, cnt, len(pool), exact)
-    if mode == "dinh_sibony":
-        groups: dict = {}
-        for o in pool:
-            groups.setdefault(o.symbols, []).append(o)
-        total = 0
-        exact = True
-        for w in sorted(groups):
-            cnt, ex = _count_points_only(groups[w], epsilon, seed,
-                                         exact_cutoff, mode)
-            total += cnt
-            exact = exact and ex
-        return SeparationCount(epsilon, nu, mode, total, len(pool), exact)
-    raise ValueError(f"unknown mode {mode!r}")
+        label, blocks = "per_word" + repr(word), [blocks[words.index(word)]]
+    count, exact = 0, True
+    for rows in blocks:
+        cnt, ex = _count_points_only(pool.h0[rows], pool.h1[rows], epsilon,
+                                     seed, exact_cutoff, label)
+        count += cnt
+        exact = exact and ex
+    return SeparationCount(epsilon, pool.nu, label, count, len(pool), exact)
 
 
-def _count_points_only(orbits, epsilon, seed, exact_cutoff, mode):
-    k = len(orbits)
+def _count_points_only(h0, h1, epsilon, seed, exact_cutoff, mode):
+    k = h0.shape[0]
     if k == 1:
         return 1, True
-    h0, h1 = _pool_arrays(orbits)
     if k <= exact_cutoff:
-        adj = _conflict_masks(h0, h1, epsilon)
-        return _mis_exact(adj), True
+        return _mis_exact(_conflict_masks(h0, h1, epsilon)), True
     order = np.arange(k)
     if seed is not None:
         order = np.random.default_rng(seed).permutation(k)
-    count, tested = _greedy_count(h0, h1, epsilon, order.tolist())
+    kept, tested = _greedy_count(h0, h1, epsilon, order.tolist())
     log.info("greedy count: mode=%s eps=%g nu=%d block=%d family=%d tested=%d",
-             mode, epsilon, orbits[0].nu, k, count, tested)
-    return count, False
+             mode, epsilon, h0.shape[1] - 1, k, len(kept), tested)
+    return len(kept), False
 
 
 def _greedy_count(h0, h1, epsilon, order):
-    """Seeded greedy maximal family: (its size, candidate pairs tested).
+    """Seeded greedy maximal family: (its rows in the order they joined,
+    candidate pairs tested).
 
     Walking ``order``, an orbit joins the family when its sup distance to
     every member exceeds eps. Two exact prunings leave every decision as a
@@ -159,8 +145,8 @@ def _greedy_count(h0, h1, epsilon, order):
              for key in near}
     mid = h0.shape[1] // 2
     m0, m1 = h0[:, mid].copy(), h1[:, mid].copy()
-    count = tested = 0
-    pos = 0
+    kept = []
+    tested = pos = 0
     while pos < len(order):
         # the next batch, each orbit with the members near it
         batch, rows, members = [], [], []
@@ -198,8 +184,8 @@ def _greedy_count(h0, h1, epsilon, order):
             taken |= 1 << i
             for cell in reach[keys[idx]]:
                 near[cell].append(idx)
-            count += 1
-    return count, tested
+            kept.append(idx)
+    return kept, tested
 
 
 def _grid_cells(h0, h1, epsilon):
@@ -221,22 +207,19 @@ def _grid_cells(h0, h1, epsilon):
     return cells - (cells.min(axis=0) - 1)
 
 
-def _conflict_masks(h0, h1, epsilon, words=None):
+def _conflict_masks(h0, h1, epsilon, ids=None):
     """Bitmask adjacency of the NOT-separated graph.
 
-    With ``words`` (one label word per row), rows whose words differ always
+    With ``ids`` (one label word id per row), rows whose words differ always
     separate, as in the symbol-aware sense.
     """
     k = h0.shape[0]
-    if words is not None:
-        ids: dict = {}
-        wid = np.array([ids.setdefault(w, len(ids)) for w in words])
     adj = [0] * k
     for i in range(k):
         d = np.abs(h0[i] * h1[i + 1:] - h1[i] * h0[i + 1:]).max(axis=1)
         near = ~(d > epsilon)
-        if words is not None:
-            near &= wid[i + 1:] == wid[i]
+        if ids is not None:
+            near &= ids[i + 1:] == ids[i]
         for off in np.nonzero(near)[0]:
             j = i + 1 + int(off)
             adj[i] |= 1 << j
@@ -295,24 +278,18 @@ def sum_up_partition(pool, epsilon: float,
 
     Returns (per_word: dict word -> count, joint: int, equal: bool).
     """
-    nu = _check_pool(pool, epsilon)
-    del nu
+    _check_pool(pool, epsilon)
     if len(pool) > joint_cutoff:
         raise BudgetExceeded(
             f"joint exact count limited to pools of {joint_cutoff} orbits")
-    groups: dict = {}
-    for o in pool:
-        groups.setdefault(o.symbols, []).append(o)
+    words, ids, blocks = _word_blocks(pool.symbols)
     per_word = {}
-    for w in sorted(groups):
-        if len(groups[w]) > exact_cutoff:
+    for w, rows in zip(words, blocks):
+        if len(rows) > exact_cutoff:
             raise BudgetExceeded("per-word block too large for exact counting")
-        h0, h1 = _pool_arrays(groups[w])
-        per_word[w] = _mis_exact(_conflict_masks(h0, h1, epsilon))
-
-    h0, h1 = _pool_arrays(pool)
-    adj = _conflict_masks(h0, h1, epsilon, words=[o.symbols for o in pool])
-    joint = _mis_exact(adj)
+        per_word[w] = _mis_exact(_conflict_masks(pool.h0[rows], pool.h1[rows],
+                                                 epsilon))
+    joint = _mis_exact(_conflict_masks(pool.h0, pool.h1, epsilon, ids))
     return per_word, joint, joint == sum(per_word.values())
 
 
@@ -420,23 +397,20 @@ def sandwich_counts(paths, epsilon: float, nu: int):
     full-depth paths.
     """
     c = c_of_eps(epsilon)
-    depth = paths[0].depth
-    if depth != nu + c:
-        raise MixedNu(f"paths must have depth nu + C = {nu + c}, got {depth}")
-
-    prefixes = {}
-    for p in paths:
-        key = (p.symbols[:nu], tuple((pt.h0, pt.h1) for pt in p.points[:nu + 1]))
-        if key not in prefixes:
-            prefixes[key] = NuOrbit(points=p.points[:nu + 1], symbols=p.symbols[:nu])
-    n_nu = count_separated(list(prefixes.values()), epsilon, "dinh_sibony").count
-
+    pool = OrbitPool.from_paths(paths)
+    if pool.nu != nu + c:
+        raise MixedNu(f"paths must have depth nu + C = {nu + c}, got {pool.nu}")
+    n_nu, n_ext = (count_separated(_distinct_heads(pool, k), epsilon,
+                                   "dinh_sibony").count for k in (nu, nu + c))
     m_nu = bowen_orbit_count(paths, epsilon, nu)
-
-    full_orbits = {}
-    for p in paths:
-        key = (p.symbols, tuple((pt.h0, pt.h1) for pt in p.points))
-        if key not in full_orbits:
-            full_orbits[key] = NuOrbit(points=p.points, symbols=p.symbols)
-    n_ext = count_separated(list(full_orbits.values()), epsilon, "dinh_sibony").count
     return {"N_nu": n_nu, "M_nu": m_nu, "N_ext": n_ext, "C": c}
+
+
+def _distinct_heads(pool, nu):
+    """The distinct nu-orbit heads of the pool's rows, in first-seen order."""
+    pool = OrbitPool(pool.h0[:, :nu + 1], pool.h1[:, :nu + 1], pool.symbols[:, :nu])
+    first: dict = {}
+    for i, key in enumerate(zip(*(map(tuple, a.tolist())
+                                  for a in (pool.symbols, pool.h0, pool.h1)))):
+        first.setdefault(key, i)
+    return pool[list(first.values())]

@@ -14,7 +14,16 @@ import numpy as np
 
 import rsentropy as rs
 from rsentropy import cli
-from util import Z2, Z3, Z4, affine_translation, random_exact_map, scaling
+from util import (
+    Z2,
+    Z3,
+    Z4,
+    affine_translation,
+    group_by_word,
+    random_exact_map,
+    scaling,
+    steps_match,
+)
 
 LOG2 = math.log(2.0)
 LOG5 = math.log(5.0)
@@ -105,10 +114,7 @@ def test_criterion_05_single_map_estimator():
     fam = rs.mp_family(rs.GeneratorSet([Z2]), 0.9, 8, seed=1, samples=200)
     ok = ok and fam.count >= 2 ** math.floor(0.9 * 8)
     # re-verify the advertised separation directly
-    groups = {}
-    for orbit in fam.family:
-        groups.setdefault(orbit.symbols, []).append(orbit)
-    for orbits in groups.values():
+    for orbits in group_by_word(fam.family.paths()).values():
         for a, b in itertools.combinations(orbits, 2):
             gap = max(rs.chordal_dist(p, q) for p, q in zip(a.points, b.points))
             ok = ok and gap > fam.epsilon
@@ -157,9 +163,10 @@ def test_criterion_07_and_08_sandwich_and_sum_up():
         prefixes = {}
         for p in paths:
             key = (p.symbols[:nu], tuple((pt.h0, pt.h1) for pt in p.points[:nu + 1]))
-            prefixes.setdefault(key, rs.NuOrbit(points=p.points[:nu + 1],
-                                                symbols=p.symbols[:nu]))
-        per_word, joint, equal = rs.sum_up_partition(list(prefixes.values()), eps)
+            prefixes.setdefault(key, rs.TruncatedPath(points=p.points[:nu + 1],
+                                                      symbols=p.symbols[:nu]))
+        pool = rs.OrbitPool.from_paths(list(prefixes.values()))
+        per_word, joint, equal = rs.sum_up_partition(pool, eps)
         ok = ok and equal and joint == res["N_nu"]
         sum_up_checked += 1
     elapsed = time.monotonic() - start
@@ -249,7 +256,7 @@ def test_criterion_11_property_suites():
 
     # orbit-space invariants: shift lemma (10^3 pairs) plus tree consistency
     pair = rs.build_correspondence(rs.GeneratorSet([Z2, Z3]))
-    pool = [o.as_path() for o in rs.forward_orbits(pair, rs.sample_points(4, 1103), 6)]
+    pool = rs.forward_orbits(pair, rs.sample_points(4, 1103), 6).paths()
     for _ in range(1000):
         i, j = rng.integers(0, len(pool), size=2)
         p, q = pool[i], pool[j]
@@ -264,8 +271,8 @@ def test_criterion_11_property_suites():
     tree = rs.preimage_tree(pair, rs.sample_points(1, 1104)[0], 3)
     ok = ok and len(tree) == rs.d_top(pair) ** 3
     comps = pair.primed()
-    for orbit in tree:
-        ok = ok and orbit.validate(pair)
+    for orbit in tree.paths():
+        ok = ok and steps_match(pair, orbit, 1e-9)
         x = orbit.points[0]
         for j, a in enumerate(orbit.symbols):
             x = rs.evaluate(comps[a - 1], x)

@@ -1,11 +1,14 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 import rsentropy as rs
-from rsentropy.errors import InconsistentItinerary
-from util import Z2, Z3, Z4, affine_translation, scaling
+from rsentropy import coincidence
+from rsentropy.errors import BudgetExceeded, InconsistentItinerary
+from rsentropy.projective import NearPoints, ring_around
+from util import Z2, Z3, Z4, affine_translation, scaling, scan_return_depths
 
 
 def test_coincidence_translations():
@@ -194,6 +197,70 @@ def test_friedland_bounds_basilica_graph_exact_and_float():
     assert [b.details["exact"] for b in shallow] == [True, False]
     assert ({(b.details["graph_nodes"], b.details["graph_edges"]) for b in shallow}
             == {(10, 10)})
+    # deeper, orbit points merge within the tolerance
+    for depth, graph in ((6, (25, 31)), (8, (26, 40))):
+        fb = rs.friedland_bounds(floats, depth=depth)
+        assert (fb.details["graph_nodes"], fb.details["graph_edges"]) == graph
+
+
+@pytest.mark.parametrize("tol", (1e-9, 1e-3, 0.3))
+def test_near_points_match_a_scan(tol):
+    # clusters at distances on both sides of tol, poles included
+    centers = [rs.point_at(0), rs.INFINITY] + rs.sample_points(30, 5)
+    pts = list(centers)
+    for c in centers[:12]:
+        for r in (tol * (1 - 1e-9), tol, tol * (1 + 1e-9), 0.5 * tol, 2 * tol):
+            pts += ring_around(c, r, 4)
+    order = np.random.default_rng(3).permutation(len(pts))
+    grid = NearPoints(tol, len(pts), "unused")
+    kept = []
+    for i in order:
+        p = pts[i]
+        want = next((j for j, q in enumerate(kept) if rs.chordal_dist(p, q) <= tol), None)
+        assert grid.find(p) == want
+        if want is None:
+            assert grid.add(p) == len(kept)
+            kept.append(p)
+    assert grid.points == kept
+
+
+def test_recurrence_matches_scan_on_three_generators():
+    # nine inexact coincidence points and the exact point at infinity
+    q = rs.parse_scalar
+    gens = rs.GeneratorSet([
+        rs.make_map([q("1/3"), q({"re": "2/7", "im": "-5/3"}), 1],
+                    [0, q("3/4"), q({"re": "0", "im": "1/2"})]),
+        rs.make_map([2, 0, -1], [0, 0, 1]),  # Chebyshev T2
+        rs.make_map([q({"re": "1/2", "im": "1/2"}), q("-1/9")], [q("1/5"), 1]),
+    ])
+    corr = rs.build_correspondence(gens)
+    certs = coincidence.certified_coincidences(gens, 7)
+    assert [cp.exact for cp, _ in certs].count(False) == 9
+    for cp, cert in certs:
+        if cp.exact:
+            assert cert.return_depths == tuple(range(1, 8))
+        else:
+            assert cert.return_depths == scan_return_depths(corr, cp.point, 7, 1e-9)
+        assert cert.status == ("recurrent" if cert.return_depths else "not_found_within_depth")
+
+
+def test_forward_set_budget_raises_in_both_modes():
+    floats = rs.GeneratorSet([rs.make_map([1.0, 0, -1.0], [0, 0, 1.0]),
+                              rs.make_map([1.0, 0, 0, -1.0], [0, 0, 0, 1.0])])
+    exact = rs.GeneratorSet([rs.make_map([1, 0, -1], [0, 0, 1]),
+                             rs.make_map([1, 0, 0, -1], [0, 0, 0, 1])])
+    # the largest forward set to depth 8 has 14 (float) or 86 (exact)
+    # points, the transition graph 26 or 130 nodes; each budget admits
+    # exactly that many
+    for gens, largest_set, graph_nodes in ((floats, 14, 26), (exact, 86, 130)):
+        with pytest.raises(BudgetExceeded, match="forward set exceeded the node budget"):
+            coincidence.certified_coincidences(gens, 8, node_budget=largest_set - 1)
+        coincidence.certified_coincidences(gens, 8, node_budget=largest_set)
+        with pytest.raises(BudgetExceeded,
+                           match="transition graph exceeded the node budget"):
+            rs.friedland_bounds(gens, depth=8, node_budget=graph_nodes - 1)
+        fb = rs.friedland_bounds(gens, depth=8, node_budget=graph_nodes)
+        assert fb.details["graph_nodes"] == graph_nodes
 
 
 def test_karp_against_brute_force():

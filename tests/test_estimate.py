@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import rsentropy as rs
+from rsentropy import estimate
 from rsentropy.errors import BudgetExceeded, InsufficientData
-from util import IDENTITY, Z2, Z3
+from util import IDENTITY, Z2, Z3, group_by_word, reference_greedy
 
 
 def test_entropy_fit_exact_geometric():
@@ -97,11 +98,22 @@ def test_mp_family_two_generators():
     _assert_family_separated(fam)
 
 
+def test_mp_family_drops_violators_in_pool_order(monkeypatch):
+    # every tree orbit twice: the verification keeps the first copy of each
+    # in pool order, word by word in sorted order, and drops the second
+    gens = rs.GeneratorSet([Z2, Z3])
+    paths = rs.preimage_tree(rs.build_correspondence(gens), rs.sample_points(1, 4)[0], 2).paths()
+    doubled = rs.OrbitPool.from_paths(paths + paths)
+    monkeypatch.setattr(estimate, "preimage_tree_levels", lambda *args, **kw: {2: doubled})
+    fam = rs.mp_family(gens, 0.9, 2, seed=2, samples=100)
+    groups = group_by_word(paths)
+    assert all(reference_greedy(g, fam.epsilon, None) == len(g) for g in groups.values())
+    assert fam.family.paths() == [p for w in sorted(groups) for p in groups[w]]
+    assert (fam.count, fam.dropped) == (len(paths), len(paths))
+
+
 def _assert_family_separated(fam):
-    groups = {}
-    for orbit in fam.family:
-        groups.setdefault(orbit.symbols, []).append(orbit)
-    for word, orbits in groups.items():
+    for word, orbits in group_by_word(fam.family.paths()).items():
         for i in range(len(orbits)):
             for j in range(i + 1, len(orbits)):
                 gap = max(

@@ -14,6 +14,7 @@ from util import (
     Z2,
     Z3,
     brute_force_max_separated,
+    group_by_word,
     random_exact_map,
     reference_greedy,
 )
@@ -50,9 +51,11 @@ def test_exact_count_matches_brute_force():
     for eps in (0.3, 0.1):
         res = rs.count_separated(pool, eps, "dinh_sibony")
         assert res.exact
-        assert res.count == brute_force_max_separated(pool, eps, symbols_count=True)
+        assert res.count == brute_force_max_separated(pool.paths(), eps,
+                                                      symbols_count=True)
         fr = rs.count_separated(pool, eps, "friedland")
-        assert fr.count == brute_force_max_separated(pool, eps, symbols_count=False)
+        assert fr.count == brute_force_max_separated(pool.paths(), eps,
+                                                     symbols_count=False)
 
 
 def test_per_word_mode():
@@ -62,6 +65,10 @@ def test_per_word_mode():
     assert res.mode == "per_word(1, 2)"
     with pytest.raises(EmptyPool):
         rs.count_separated(pool, 0.2, "per_word", word=(9, 9))
+    # a word read off the pool's label array gives the same cell
+    word = pool.symbols[0]
+    label = rs.count_separated(pool, 0.2, "per_word", word=word).mode
+    assert label == "per_word" + repr(tuple(word.tolist()))
 
 
 def test_pool_validation():
@@ -69,7 +76,8 @@ def test_pool_validation():
     with pytest.raises(EmptyPool):
         rs.count_separated([], 0.2, "friedland")
     with pytest.raises(MixedNu):
-        rs.count_separated(pool + circle_orbits(3), 0.2, "friedland")
+        mixed = rs.OrbitPool.from_paths(pool.paths() + circle_orbits(3).paths())
+        rs.count_separated(mixed, 0.2, "friedland")
     with pytest.raises(ValueError):
         rs.count_separated(pool, 1.5, "friedland")
 
@@ -108,6 +116,8 @@ def test_sum_up_partition_identity():
     per_word, joint, ok = rs.sum_up_partition(pool, 0.2)
     assert ok and joint == sum(per_word.values())
     assert set(per_word) == set(itertools.product((1, 2), repeat=2))
+    assert list(per_word) == sorted(per_word)
+    assert all(type(a) is int for w in per_word for a in w)
 
 
 def test_sum_up_single_word():
@@ -125,18 +135,18 @@ def test_sum_up_symbol_only_separation():
 
 
 def test_spanning_examples():
-    single = [rs.forward_orbits(corr(Z2), rs.sample_points(1, 0), 3)[0].as_path()]
+    single = rs.forward_orbits(corr(Z2), rs.sample_points(1, 0), 3).paths()
     assert rs.spanning_number(single, 0.2, 3) == 1
 
     nu = 4
-    pool = [o.as_path() for o in rs.forward_orbits(corr(IDENTITY, mults=[2]), [rs.point_at(1)], nu)]
+    pool = rs.forward_orbits(corr(IDENTITY, mults=[2]), [rs.point_at(1)], nu).paths()
     assert rs.spanning_number(pool, 0.5, nu) == 2 ** nu
     assert rs.spanning_number(pool, 1.0, nu) == 1  # everything within diameter
 
 
 def test_spanning_greedy_matches_exact_on_classes():
     nu = 6
-    pool = [o.as_path() for o in rs.forward_orbits(corr(IDENTITY, mults=[2]), [rs.point_at(1)], nu)]
+    pool = rs.forward_orbits(corr(IDENTITY, mults=[2]), [rs.point_at(1)], nu).paths()
     count, exact = rs.spanning_number(pool, 0.5, nu, return_details=True)
     assert count == 2 ** nu and not exact  # greedy, but classes are disjoint
 
@@ -175,6 +185,11 @@ def test_sandwich_chain_holds():
         assert res["N_nu"] <= res["M_nu"] <= res["N_ext"]
 
 
+def test_sandwich_empty_pool():
+    with pytest.raises(EmptyPool):
+        rs.sandwich_counts([], 0.2, 2)
+
+
 # -- the grid-pruned greedy against the all-pairs oracle ------------------------
 
 ORACLE_EPS = (0.02, 0.05, 0.2, 0.45, 0.9)
@@ -185,10 +200,8 @@ def assert_matches_oracle(pool, eps, seed):
     # exact_cutoff 1 sends every block of two or more orbits to the greedy
     fr = rs.count_separated(pool, eps, "friedland", seed=seed, exact_cutoff=1)
     assert not fr.exact
-    assert fr.count == reference_greedy(pool, eps, seed)
-    groups = {}
-    for o in pool:
-        groups.setdefault(o.symbols, []).append(o)
+    assert fr.count == reference_greedy(pool.paths(), eps, seed)
+    groups = group_by_word(pool.paths())
     ds = rs.count_separated(pool, eps, "dinh_sibony", seed=seed, exact_cutoff=1)
     assert not ds.exact
     assert ds.count == sum(reference_greedy(groups[w], eps, seed)
@@ -220,15 +233,15 @@ def boundary_pool(eps):
               for j in range(steps + 1)]
     step = 2 * math.asin(eps)
     thetas += [step * j for j in range(int(math.pi / step) + 1)]
-    pool = []
+    paths = []
     for j, theta in enumerate(thetas):
         word = (1 + j % 2,)
-        pool.append(rs.NuOrbit(points=(meridian_point(theta), shared), symbols=word))
+        paths.append(rs.TruncatedPath(points=(meridian_point(theta), shared), symbols=word))
         # the same latitudes on the equator's plane, rotated off the meridian
         x0 = meridian_point(theta)
         rotated = rs.normalize(x0.h0, x0.h1 * 1j)
-        pool.append(rs.NuOrbit(points=(rotated, shared), symbols=word))
-    return pool
+        paths.append(rs.TruncatedPath(points=(rotated, shared), symbols=word))
+    return rs.OrbitPool.from_paths(paths)
 
 
 @pytest.mark.parametrize("eps", ORACLE_EPS)
@@ -245,7 +258,8 @@ def test_greedy_matches_oracle_with_poles_and_duplicates(eps, seed):
     pool = rs.forward_orbits(corr(Z2, Z3), starts, 2)
     assert_matches_oracle(pool, eps, seed)
     # every orbit twice: copies sit at distance 0 from each other
-    assert_matches_oracle(pool + pool[::-1], eps, seed)
+    doubled = rs.OrbitPool.from_paths(pool.paths() + pool.paths()[::-1])
+    assert_matches_oracle(doubled, eps, seed)
 
 
 @pytest.mark.parametrize("eps", ORACLE_EPS)

@@ -42,12 +42,12 @@ def random_exact_map(rng, max_degree=3, coeff_bound=3):
             continue
 
 
-def brute_force_max_separated(orbits, epsilon, symbols_count):
-    """Independent-set oracle: try every subset of the pool."""
-    k = len(orbits)
+def brute_force_max_separated(paths, epsilon, symbols_count):
+    """Independent-set oracle: try every subset of the paths."""
+    k = len(paths)
     best = 0
     for mask in range(1, 1 << k):
-        members = [orbits[i] for i in range(k) if mask >> i & 1]
+        members = [paths[i] for i in range(k) if mask >> i & 1]
         ok = True
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
@@ -69,16 +69,16 @@ def brute_force_max_separated(orbits, epsilon, symbols_count):
     return best
 
 
-def reference_greedy(orbits, eps, seed):
+def reference_greedy(paths, eps, seed):
     """All-pairs seeded greedy family size, points only (the counting oracle).
 
-    Walks the seed's permutation of the pool (the pool order when seed is
-    None) and keeps an orbit when its sup chordal distance to every orbit
-    kept so far exceeds eps, testing it against all of them.
+    Walks the seed's permutation of the paths (their order when seed is
+    None) and keeps a path when its sup chordal distance to every path kept
+    so far exceeds eps, testing it against all of them.
     """
-    k = len(orbits)
-    h0 = np.array([[p.h0 for p in o.points] for o in orbits], dtype=np.complex128)
-    h1 = np.array([[p.h1 for p in o.points] for o in orbits], dtype=np.complex128)
+    k = len(paths)
+    h0 = np.array([[p.h0 for p in o.points] for o in paths], dtype=np.complex128)
+    h1 = np.array([[p.h1 for p in o.points] for o in paths], dtype=np.complex128)
     order = np.arange(k)
     if seed is not None:
         order = np.random.default_rng(seed).permutation(k)
@@ -95,6 +95,40 @@ def reference_greedy(orbits, eps, seed):
         sel1[len(chosen)] = h1[idx]
         chosen.append(int(idx))
     return len(chosen)
+
+
+def group_by_word(paths):
+    """{label word: its paths in order}."""
+    groups = {}
+    for p in paths:
+        groups.setdefault(p.symbols, []).append(p)
+    return groups
+
+
+def steps_match(c, path, tol):
+    """Whether each step of the path is its label's map within tol."""
+    comps = c.primed()
+    return all(
+        rs.chordal_dist(rs.evaluate(comps[a - 1], path.points[j]), path.points[j + 1]) <= tol
+        for j, a in enumerate(path.symbols))
+
+
+def scan_return_depths(c, x, depth, tol):
+    """Return depths of the float forward search, deduplicating each forward
+    set by a scan over all points kept so far (the recurrence oracle)."""
+    support = [f for f, _ in c.components]
+    frontier, returns = [x], []
+    for step in range(1, depth + 1):
+        images = []
+        for pt in frontier:
+            for f in support:
+                img = rs.evaluate(f, pt)
+                if not any(rs.chordal_dist(img, seen) <= tol for seen in images):
+                    images.append(img)
+        frontier = images
+        if any(rs.chordal_dist(x, pt) <= tol for pt in frontier):
+            returns.append(step)
+    return tuple(returns)
 
 
 class ReferenceGaussian:
