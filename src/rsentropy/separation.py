@@ -14,9 +14,18 @@ exploits that: blocks at or below the exact cutoff get a branch-and-bound
 maximum independent set of the conflict graph, larger blocks fall back to a
 seeded greedy maximal family and report ``exact=False``. Greedy families are
 certified lower bounds, which is the useful direction when the counts feed a
-sup/limsup growth estimate. The greedy tests an orbit only against members
-near it on a grid over the sphere, which builds the same family as testing
-it against every member.
+sup/limsup growth estimate.
+
+Every count takes its conflict (not separated) pairs from one walk. Two
+orbits conflict iff their x_0 are within eps and their suffixes are equal
+or conflict, so the walk goes from x_nu down to x_0 and tests only sibling
+classes of equal suffixes and the children of the pairs that conflicted a
+step earlier (the dual-tree recursion of Gray and Moore, NIPS 2000). On a
+backward tree the classes are its nodes and a step costs its siblings and
+the children of its conflicts; a pool with no shared suffix, such as
+forward orbits, tests all k^2 pairs at x_nu. The greedy asks only for the
+pairs of orbits that may still join, so where a few members conflict with
+most orbits it lists about their pairs, not all k^2.
 """
 
 from __future__ import annotations
@@ -33,8 +42,6 @@ from .orbits import OrbitPool, shifted_separation
 
 EXACT_CUTOFF = 20
 JOINT_CUTOFF = 32
-GREEDY_BATCH = 64          # orbits settled by one vectorised test
-GREEDY_BATCH_PAIRS = 4096  # member candidates that close a batch early
 
 log = logging.getLogger(__name__)
 
@@ -80,150 +87,141 @@ def count_separated(pool: OrbitPool, epsilon: float, mode: str, word=None,
     _check_pool(pool, epsilon)
     if mode not in ("per_word", "friedland", "dinh_sibony"):
         raise ValueError(f"unknown mode {mode!r}")
-    label, blocks = mode, [slice(None)]
+    label, symbols = mode, None
+    ids, blocks = np.zeros(len(pool), dtype=np.intp), [np.arange(len(pool))]
     if mode != "friedland":
-        words, _, blocks = _word_blocks(pool.symbols)
+        symbols = pool.symbols
+        words, ids, blocks = _word_blocks(symbols)
+    counted = range(len(blocks))
     if mode == "per_word":
         if word is None:
             raise ValueError("per_word mode needs the word to filter on")
         word = tuple(int(a) for a in word)
         if word not in words:
             raise EmptyPool(f"no orbits with word {word}")
-        label, blocks = "per_word" + repr(word), [blocks[words.index(word)]]
-    count, exact = 0, True
-    for rows in blocks:
-        cnt, ex = _count_points_only(pool.h0[rows], pool.h1[rows], epsilon,
-                                     seed, exact_cutoff, label)
-        count += cnt
-        exact = exact and ex
-    return SeparationCount(epsilon, pool.nu, label, count, len(pool), exact)
+        label, counted = "per_word" + repr(word), [words.index(word)]
+    small = [b for b in counted if len(blocks[b]) <= max(exact_cutoff, 1)]
+    large = [b for b in counted if len(blocks[b]) > max(exact_cutoff, 1)]
+    count = 0
+    if small:
+        pairs = _split_pairs(*_conflict_pairs(pool.h0, pool.h1, epsilon, symbols,
+                                              np.isin(ids, small)), ids, blocks)
+        count += sum(_mis_exact(_masks(len(blocks[b]), *pairs[b])) for b in small)
+    if large:
+        # no pair crosses blocks, so one greedy walks every block's own order
+        order = np.concatenate([blocks[b] if seed is None else blocks[b][
+            np.random.default_rng(seed).permutation(len(blocks[b]))] for b in large])
+        kept, degrees = _greedy(pool.h0, pool.h1, epsilon, symbols, order)
+        family = np.bincount(ids[kept], minlength=len(blocks))
+        touched = np.bincount(ids[kept], weights=degrees, minlength=len(blocks))
+        for b in large:
+            log.info("greedy count: mode=%s eps=%g nu=%d block=%d family=%d pairs=%d",
+                     label, epsilon, pool.nu, len(blocks[b]), family[b], touched[b])
+        count += len(kept)
+    return SeparationCount(epsilon, pool.nu, label, count, len(pool), not large)
 
 
-def _count_points_only(h0, h1, epsilon, seed, exact_cutoff, mode):
-    k = h0.shape[0]
-    if k == 1:
-        return 1, True
-    if k <= exact_cutoff:
-        return _mis_exact(_conflict_masks(h0, h1, epsilon)), True
-    order = np.arange(k)
-    if seed is not None:
-        order = np.random.default_rng(seed).permutation(k)
-    kept, tested = _greedy_count(h0, h1, epsilon, order.tolist())
-    log.info("greedy count: mode=%s eps=%g nu=%d block=%d family=%d tested=%d",
-             mode, epsilon, h0.shape[1] - 1, k, len(kept), tested)
-    return len(kept), False
+def _conflict_pairs(h0, h1, epsilon, symbols=None, sources=None):
+    """(i, j): every row pair i < j, one of them in ``sources`` (a row mask,
+    all rows when None), whose test value |a0 b1 - a1 b0| with a row j is at
+    most eps in every column, and with ``symbols`` whose labels agree.
 
-
-def _greedy_count(h0, h1, epsilon, order):
-    """Seeded greedy maximal family: (its rows in the order they joined,
-    candidate pairs tested).
-
-    Walking ``order``, an orbit joins the family when its sup distance to
-    every member exceeds eps. Two exact prunings leave every decision as a
-    test against all members would make it:
-
-    * a conflict needs d(x_0, y_0) <= eps, so only members whose x_0 lies in
-      one of the 27 grid cells around the orbit's x_0 are candidates
-      (fixed-radius near neighbours, Bentley-Stanat-Williams 1977);
-    * a candidate whose middle point is more than eps away is separated, so
-      the full sup-metric test runs on the other candidates only.
-
-    Orbits are settled a batch at a time: one vectorised test covers each
-    batch orbit against the members, and the earlier batch orbits, near it;
-    a sequential pass then replays the greedy decisions from the results.
-    Every test evaluates |a0 b1 - a1 b0| with a the later orbit in ``order``.
-    """
-    cells = _grid_cells(h0[:, 0], h1[:, 0], epsilon)
-    base = int(cells.max()) + 2  # packed keys of cells and neighbours never alias
-    keys = [(x * base + y) * base + z for x, y, z in cells.tolist()]
-    offsets = [(dx * base + dy) * base + dz
-               for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)]
-    # near[cell]: the members in the 27 cells around it, kept only for cells
-    # that hold an orbit of the pool, as no other cell is ever looked up
-    near: dict[int, list[int]] = {key: [] for key in keys}
-    reach = {key: [key + off for off in offsets if key + off in near]
-             for key in near}
-    mid = h0.shape[1] // 2
-    m0, m1 = h0[:, mid].copy(), h1[:, mid].copy()
-    kept = []
-    tested = pos = 0
-    while pos < len(order):
-        # the next batch, each orbit with the members near it
-        batch, rows, members = [], [], []
-        while (pos < len(order) and len(batch) < GREEDY_BATCH
-               and len(members) < GREEDY_BATCH_PAIRS):
-            idx = order[pos]
-            pos += 1
-            cand = near[keys[idx]]
-            rows += [len(batch)] * len(cand)
-            members += cand
-            batch.append(idx)
-        # candidate pairs by batch position (later, earlier), n standing for
-        # a member: near members, then earlier batch orbits in the 27 cells
-        n = len(batch)
-        b = np.array(batch)
-        c = cells[b]
-        p, q = np.nonzero(np.tril(np.abs(c[:, None] - c[None]).max(axis=2) <= 1, -1))
-        later_pos = np.concatenate([np.array(rows, dtype=np.intp), p])
-        earlier_pos = np.concatenate([np.full(len(members), n, dtype=np.intp), q])
-        later = b[later_pos]
-        earlier = np.concatenate([np.array(members, dtype=np.intp), b[q]])
-        tested += len(later)
-        close = ~(np.abs(m0[later] * m1[earlier] - m1[later] * m0[earlier]) > epsilon)
-        later, earlier = later[close], earlier[close]
-        d = np.abs(h0[later] * h1[earlier] - h1[later] * h0[earlier]).max(axis=1)
-        close[close] = ~(d > epsilon)
-        # replay the greedy; bit n of ``taken`` stands for the members
-        conflicts = [0] * n
-        for i, j in zip(later_pos[close].tolist(), earlier_pos[close].tolist()):
-            conflicts[i] |= 1 << j
-        taken = 1 << n
-        for i, idx in enumerate(batch):
-            if conflicts[i] & taken:
-                continue
-            taken |= 1 << i
-            for cell in reach[keys[idx]]:
-                near[cell].append(idx)
-            kept.append(idx)
-    return kept, tested
-
-
-def _grid_cells(h0, h1, epsilon):
-    """Grid cells of points by Bloch vector, every coordinate >= 1.
-
-    For representatives h, h' the test value |h0 h1' - h1 h0'| equals
-    |h| |h'| |v - v'| / 2 with v the Bloch vector of h/|h|, so a value at
-    most eps puts v' within 2 eps / min|h|^2 of v in every coordinate. Cells
-    of at least that side keep every such pair in neighbouring cells; the
-    relative and absolute margins absorb rounding in v and in the test.
-    """
-    n2 = h0.real ** 2 + h0.imag ** 2 + h1.real ** 2 + h1.imag ** 2
-    cross = 2.0 * h0 * h1.conj()
-    bloch = np.stack([cross.real, cross.imag,
-                      h0.real ** 2 + h0.imag ** 2 - h1.real ** 2 - h1.imag ** 2],
-                     axis=1) / n2[:, None]
-    side = 2.0 * epsilon / n2.min() * (1.0 + 1e-9) + 1e-12
-    cells = np.floor(bloch / side).astype(np.int64)
-    return cells - (cells.min(axis=0) - 1)
-
-
-def _conflict_masks(h0, h1, epsilon, ids=None):
-    """Bitmask adjacency of the NOT-separated graph.
-
-    With ``ids`` (one label word id per row), rows whose words differ always
-    separate, as in the symbol-aware sense.
+    The keys run x_nu, a_nu, x_{nu-1}, ..., a_1, x_0 (labels only with
+    ``symbols``). A class of a key is a run of rows equal in it and in every
+    key before (the rows, at x_0), so it lies in one class of the key
+    before, its parent. Two classes conflict iff they pass the key's test
+    and their parents are one class or conflict: each key tests siblings
+    and the children of conflicting pairs, those with a source only. Equal
+    keys in different runs make classes that conflict, so row order does
+    not matter. Canonical rows have real h0, so each product, and the test
+    value, has the same bits whichever row is a.
     """
     k = h0.shape[0]
+    sources = np.ones(k, dtype=bool) if sources is None else sources
+    start = np.arange(k) == 0  # first rows of the previous key's classes
+    pa = pb = np.zeros(0, dtype=np.intp)  # and its conflicting class pairs
+    keys = [(c, False) for c in range(h0.shape[1] - 1, -1, -1)]
+    if symbols is not None:  # a_{c+1} splits a class of x_{c+1} before x_c
+        keys[1:] = [(c, label) for c, _ in keys[1:] for label in (True, False)]
+    for c, label in keys:
+        split = start.copy()
+        if label:
+            split[1:] |= symbols[1:, c] != symbols[:-1, c]
+        elif c:
+            split[1:] |= (h0[1:, c] != h0[:-1, c]) | (h1[1:, c] != h1[:-1, c])
+        else:
+            split[:] = True  # the last key's classes are the rows
+        first = np.flatnonzero(split)  # each class's first row
+        born = start[first]            # whether it is its parent's first child
+        heads = np.flatnonzero(born)
+        stops = np.append(heads[1:], len(first))  # end of each parent's children
+        # each class with its later siblings, and the children of each pair
+        x, y = _ranges(np.arange(1, len(first) + 1), stops[np.cumsum(born) - 1])
+        t, u = _ranges(heads[pa], stops[pa])
+        s, v = _ranges(heads[pb][t], stops[pb][t])
+        x, y = np.concatenate([x, u[s]]), np.concatenate([y, v])
+        wanted = np.logical_or.reduceat(sources, first)
+        x, y = x[wanted[x] | wanted[y]], y[wanted[x] | wanted[y]]
+        rx, ry = first[x], first[y]
+        if label:
+            close = symbols[rx, c] == symbols[ry, c]
+        else:
+            close = np.abs(h0[ry, c] * h1[rx, c] - h1[ry, c] * h0[rx, c]) <= epsilon
+        pa, pb, start = x[close], y[close], split
+    return pa, pb
+
+
+def _ranges(starts, stops):
+    """(t, n) for every n in starts[t]..stops[t]-1, t in turn."""
+    lengths = stops - starts
+    t = np.repeat(np.arange(len(starts)), lengths)
+    skip = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return t, starts[t] + np.arange(len(t)) - skip
+
+
+def _split_pairs(i, j, ids, blocks):
+    """Each block's pairs in the block's own row numbers (a block's rows
+    ascend, and no pair crosses blocks)."""
+    by = np.argsort(ids[i], kind="stable")
+    cuts = np.cumsum(np.bincount(ids[i], minlength=len(blocks)))[:-1]
+    return [(np.searchsorted(rows, i[s]), np.searchsorted(rows, j[s]))
+            for rows, s in zip(blocks, np.split(by, cuts))]
+
+
+def _greedy(h0, h1, epsilon, symbols, order):
+    """(family, degrees): the greedy maximal family in the order it joined,
+    and each member's number of conflict pairs.
+
+    Walking ``order`` (a row array), a row joins unless it conflicts with a
+    member. The rows that may still join are settled len(family) + 1 at a
+    time by one walk with them as sources, so a fast-growing family takes
+    few walks and a dense conflict graph lists little beyond its members'
+    pairs.
+    """
+    k = h0.shape[0]
+    blocked = np.zeros(k, dtype=bool)
+    kept, degrees = [], []
+    while len(order):
+        batch, order = order[:len(kept) + 1], order[len(kept) + 1:]
+        i, j = _conflict_pairs(h0, h1, epsilon, symbols, np.isin(np.arange(k), batch))
+        ends, near = np.concatenate([i, j]), np.concatenate([j, i])
+        near = near[np.argsort(ends, kind="stable")]
+        ptr = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=k))]).tolist()
+        for r in batch.tolist():
+            if not blocked[r]:
+                kept.append(r)
+                degrees.append(ptr[r + 1] - ptr[r])
+                blocked[near[ptr[r]:ptr[r + 1]]] = True
+        order = order[~blocked[order]]
+    return kept, degrees
+
+
+def _masks(k, i, j):
+    """Bitmask adjacency of the conflict graph with pairs (i, j)."""
     adj = [0] * k
-    for i in range(k):
-        d = np.abs(h0[i] * h1[i + 1:] - h1[i] * h0[i + 1:]).max(axis=1)
-        near = ~(d > epsilon)
-        if ids is not None:
-            near &= ids[i + 1:] == ids[i]
-        for off in np.nonzero(near)[0]:
-            j = i + 1 + int(off)
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
+    for x, y in zip(i.tolist(), j.tolist()):
+        adj[x] |= 1 << y
+        adj[y] |= 1 << x
     return adj
 
 
@@ -282,14 +280,15 @@ def sum_up_partition(pool, epsilon: float,
     if len(pool) > joint_cutoff:
         raise BudgetExceeded(
             f"joint exact count limited to pools of {joint_cutoff} orbits")
-    words, ids, blocks = _word_blocks(pool.symbols)
+    words, _, blocks = _word_blocks(pool.symbols)
     per_word = {}
     for w, rows in zip(words, blocks):
         if len(rows) > exact_cutoff:
             raise BudgetExceeded("per-word block too large for exact counting")
-        per_word[w] = _mis_exact(_conflict_masks(pool.h0[rows], pool.h1[rows],
-                                                 epsilon))
-    joint = _mis_exact(_conflict_masks(pool.h0, pool.h1, epsilon, ids))
+        per_word[w] = _mis_exact(_masks(len(rows), *_conflict_pairs(
+            pool.h0[rows], pool.h1[rows], epsilon)))
+    joint = _mis_exact(_masks(len(pool), *_conflict_pairs(
+        pool.h0, pool.h1, epsilon, pool.symbols)))
     return per_word, joint, joint == sum(per_word.values())
 
 

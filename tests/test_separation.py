@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import rsentropy as rs
+from rsentropy import estimate, separation
 from rsentropy.errors import EmptyPool, MixedNu
 from rsentropy.estimate import ladder_tree
+from rsentropy.separation import _conflict_pairs
 from util import (
     IDENTITY,
     Z2,
@@ -16,6 +18,7 @@ from util import (
     brute_force_max_separated,
     group_by_word,
     random_exact_map,
+    reference_conflict_pairs,
     reference_greedy,
 )
 
@@ -190,7 +193,7 @@ def test_sandwich_empty_pool():
         rs.sandwich_counts([], 0.2, 2)
 
 
-# -- the grid-pruned greedy against the all-pairs oracle ------------------------
+# -- the conflict-pair walk and its greedy against the all-pairs oracles --------
 
 ORACLE_EPS = (0.02, 0.05, 0.2, 0.45, 0.9)
 ORACLE_SEEDS = (None, 0, 7, 101)
@@ -280,6 +283,40 @@ def test_greedy_matches_oracle_on_readme_tree(readme_nu5_pool, eps):
     assert_matches_oracle(readme_nu5_pool, eps, 42)
 
 
+def dense_tree(nu):
+    # backward orbits of {2z, 3z} all crowd together: at eps 0.2 every pair
+    # of the 2^nu orbits conflicts
+    maps = [rs.make_map([2, 0], [0, 1]), rs.make_map([3, 0], [0, 1])]
+    return ladder_tree(corr(*maps), 2, nu, 0, 20_000)[nu]
+
+
+@pytest.mark.parametrize("eps", ORACLE_EPS)
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+def test_greedy_matches_oracle_on_dense_tree(eps, seed):
+    # (each label word holds one orbit of this tree, so only friedland mode
+    # reaches the greedy)
+    pool = dense_tree(8)
+    fr = rs.count_separated(pool, eps, "friedland", seed=seed, exact_cutoff=1)
+    assert fr.count == reference_greedy(pool.paths(), eps, seed)
+
+
+def test_greedy_lists_few_pairs_on_a_dense_tree(monkeypatch):
+    pool = dense_tree(10)
+    listed = []
+    real = separation._conflict_pairs
+
+    def spy(*args):
+        pairs = real(*args)
+        listed.append(len(pairs[0]))
+        return pairs
+
+    monkeypatch.setattr(separation, "_conflict_pairs", spy)
+    res = rs.count_separated(pool, 0.2, "friedland", seed=5)
+    # the first orbit conflicts with all 1,023 others, which all of 523,776
+    # pairs do; one walk from it settles the count
+    assert (res.count, listed) == (1, [len(pool) - 1])
+
+
 def test_greedy_blocks_log_at_info(caplog):
     pool = rs.forward_orbits(corr(Z2, Z3), rs.sample_points(30, 9), 2)
     with caplog.at_level(logging.INFO, logger="rsentropy"):
@@ -291,7 +328,101 @@ def test_greedy_blocks_log_at_info(caplog):
     # one line per greedy block (four words of 30 orbits), none for exact ones
     assert len(lines) == 4
     fields = [dict(re.findall(r"(\w+)=(\S+)", line)) for line in lines]
-    for f in fields:
+    groups = group_by_word(pool.paths())
+    for f, w in zip(fields, sorted(groups)):
         assert (f["mode"], f["eps"], f["nu"], f["block"]) == ("dinh_sibony", "0.1", "2", "30")
-        assert 0 <= int(f["tested"])
+        # pairs: the block's conflict pairs that hold a family member
+        ref = reference_conflict_pairs(rs.OrbitPool.from_paths(groups[w]), 0.1)
+        family = []
+        for r in np.random.default_rng(3).permutation(30).tolist():
+            if not any((min(r, m), max(r, m)) in ref for m in family):
+                family.append(r)
+        assert int(f["family"]) == len(family)
+        assert int(f["pairs"]) == sum(i in family or j in family for i, j in ref)
     assert sum(int(f["family"]) for f in fields) == ds.count
+    assert sum(int(f["pairs"]) for f in fields) > 0
+
+
+def walk_pairs(pool, eps, labels=False):
+    i, j = _conflict_pairs(pool.h0, pool.h1, eps, pool.symbols if labels else None)
+    pairs = list(zip(i.tolist(), j.tolist()))
+    assert len(pairs) == len(set(pairs)) and all(a < b for a, b in pairs)
+    return set(pairs)
+
+
+def assert_pairs_match(pool, eps):
+    for labels in (False, True):
+        assert walk_pairs(pool, eps, labels) == reference_conflict_pairs(pool, eps, labels)
+
+
+@pytest.mark.parametrize("eps", (0.02, 0.05, 0.1, 0.2))
+def test_pairs_match_oracle_on_readme_tree(readme_nu5_pool, eps):
+    # rows shuffled: the classes of equal suffixes are no longer runs
+    perm = np.random.default_rng(3).permutation(len(readme_nu5_pool))
+    for pool in (readme_nu5_pool, readme_nu5_pool[perm]):
+        ref = reference_conflict_pairs(pool, eps)
+        assert walk_pairs(pool, eps) == ref
+        assert walk_pairs(pool, eps, labels=True) == {
+            (i, j) for i, j in ref if (pool.symbols[i] == pool.symbols[j]).all()}
+
+
+def test_pairs_of_sources_match_oracle(readme_nu5_pool):
+    pool = readme_nu5_pool
+    sources = np.random.default_rng(4).random(len(pool)) < 0.1
+    i, j = _conflict_pairs(pool.h0, pool.h1, 0.2, None, sources)
+    ref = reference_conflict_pairs(pool, 0.2)
+    assert set(zip(i.tolist(), j.tolist())) == {
+        (a, b) for a, b in ref if sources[a] or sources[b]}
+    assert len(i) == len(set(zip(i.tolist(), j.tolist())))
+
+
+def test_pairs_match_oracle_on_dense_tree():
+    assert_pairs_match(dense_tree(8), 0.05)
+
+
+@pytest.mark.parametrize("eps", (0.05, 0.2, 0.45))
+def test_pairs_match_oracle_on_pruned_tree(monkeypatch, eps):
+    # the pruned tree of mp_family, where steps branch in varying numbers
+    trees = []
+    real = estimate.preimage_tree_levels
+
+    def spy(*args, **kwargs):
+        trees.append(real(*args, **kwargs))
+        return trees[-1]
+
+    monkeypatch.setattr(estimate, "preimage_tree_levels", spy)
+    fam = rs.mp_family(rs.GeneratorSet([Z2, Z3]), 0.1, 4, seed=2, samples=100)
+    tree = trees[0][4]
+    assert fam.pruned and len(tree) == 500
+    assert_pairs_match(tree, eps)
+
+
+@pytest.mark.parametrize("eps", (0.05, 0.2, 0.45))
+def test_pairs_match_oracle_off_trees(eps):
+    pool = random_forward_pool(1)
+    assert_pairs_match(pool, eps)
+    # every orbit twice, the copies far apart in row order
+    doubled = rs.OrbitPool.from_paths(pool.paths() + pool.paths()[::-1])
+    assert_pairs_match(doubled, eps)
+    k = len(doubled)
+    assert {(i, k - 1 - i) for i in range(k // 2)} <= walk_pairs(doubled, eps)
+
+
+def test_test_value_is_the_same_either_way(readme_nu5_pool):
+    # The walk tests each pair once; the greedy oracle tests the later orbit
+    # as a. Canonical rows have real h0, so every product in the test value
+    # commutes bit for bit, also where numpy fuses a complex product's
+    # multiply-add (for general complex rows it then need not).
+    starts = [rs.point_at(0), rs.INFINITY] + rs.sample_points(30, 4)
+    small = [rs.forward_orbits(corr(Z2, Z3), starts, 2)]
+    small += [boundary_pool(eps) for eps in ORACLE_EPS]  # values at eps
+    perm = np.random.default_rng(13).permutation(len(readme_nu5_pool))
+    cases = [(p, *np.triu_indices(len(p), 1)) for p in small]
+    cases += [(readme_nu5_pool, perm, np.roll(perm, 1)),
+              (readme_nu5_pool, np.arange(len(perm) - 1), np.arange(1, len(perm)))]
+    for pool, i, j in cases:
+        assert not pool.h0.imag.any()
+        a0, a1, b0, b1 = pool.h0[j], pool.h1[j], pool.h0[i], pool.h1[i]
+        one = np.abs(a0 * b1 - a1 * b0)
+        other = np.abs(b0 * a1 - b1 * a0)
+        assert np.array_equal(one.view(np.uint64), other.view(np.uint64))

@@ -97,6 +97,20 @@ def reference_greedy(paths, eps, seed):
     return len(chosen)
 
 
+def reference_conflict_pairs(pool, eps, labels=False):
+    """All row pairs (i, j), i < j, whose sup test value is at most eps by
+    the expression of reference_greedy, with row j as the later orbit; with
+    labels, every label must agree too (the pair oracle)."""
+    pairs = set()
+    for j in range(len(pool)):
+        d = np.abs(pool.h0[j] * pool.h1[:j] - pool.h1[j] * pool.h0[:j]).max(axis=1)
+        near = ~(d > eps)
+        if labels:
+            near &= (pool.symbols[:j] == pool.symbols[j]).all(axis=1)
+        pairs.update((int(i), j) for i in np.flatnonzero(near))
+    return pairs
+
+
 def group_by_word(paths):
     """{label word: its paths in order}."""
     groups = {}
