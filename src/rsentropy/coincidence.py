@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .correspondence import Correspondence, GeneratorSet, build_correspondence
-from .errors import BudgetExceeded, InconsistentItinerary, RootFindingFailure
+from .errors import InconsistentItinerary, RootFindingFailure
 from .gaussian import GaussianRational
 from .polynomial import (
     aberth_roots,
@@ -60,6 +60,18 @@ def exact_eval(f: RationalMap, pt: ExactPoint) -> ExactPoint:
 
 def exact_to_proj(pt: ExactPoint) -> ProjPoint:
     return normalize(complex(pt[0]), complex(pt[1]))
+
+
+class ExactPoints(NearPoints):
+    """Exact points found by equality (tol is unused): a point's cell is its
+    coordinates. Adding point budget + 1 raises BudgetExceeded(message)."""
+
+    def _cell(self, p: ExactPoint) -> ExactPoint:
+        return p
+
+    def find(self, p: ExactPoint) -> int | None:
+        hit = self.cells.get(p)
+        return hit[0] if hit else None
 
 
 def _snap_exact(z: complex) -> GaussianRational | None:
@@ -234,29 +246,18 @@ def is_recurrent(c: Correspondence, x: ProjPoint, depth: int,
     is found.
     """
     support = [f for f, _ in c.components]
-    exact_mode = exact_point is not None and all(f.exact_coeffs for f in support)
-    message = "forward set exceeded the node budget"
-    returns = []
-    if exact_mode:
-        frontier = {exact_point}
-        for step in range(1, depth + 1):
-            images = set()
-            for pt, f in itertools.product(frontier, support):
-                images.add(exact_eval(f, pt))
-                if len(images) > node_budget:
-                    raise BudgetExceeded(message)
-            frontier = images
-            if exact_point in frontier:
-                returns.append(step)
+    if exact_point is not None and all(f.exact_coeffs for f in support):
+        start, step, index = exact_point, exact_eval, ExactPoints
     else:
-        frontier = [x]
-        for step in range(1, depth + 1):
-            images = NearPoints(tol, node_budget, message)
-            for pt, f in itertools.product(frontier, support):
-                images.index_of(evaluate(f, pt))
-            frontier = images.points
-            if images.find(x) is not None:
-                returns.append(step)
+        start, step, index = x, evaluate, NearPoints
+    frontier, returns = [start], []
+    for n in range(1, depth + 1):
+        images = index(tol, node_budget, "forward set exceeded the node budget")
+        for pt, f in itertools.product(frontier, support):
+            images.index_of(step(f, pt))
+        frontier = images.points
+        if images.find(start) is not None:
+            returns.append(n)
     status = "recurrent" if returns else "not_found_within_depth"
     return RecurrenceCertificate(
         point=x, return_depths=tuple(returns), searched_depth=depth, status=status)
@@ -350,40 +351,23 @@ def friedland_bounds(gens: GeneratorSet, depth: int = 12,
     coincidences = certified_coincidences(gens, depth, tol, node_budget)
     recurrent = [cp for cp, cert in coincidences if cert.status == "recurrent"]
 
-    graph = NearPoints(tol, node_budget, "transition graph exceeded the node budget")
-    nodes = graph.points
-    keys: list = []  # exact mode: the exact coords of each node
-    exact_ids: dict = {}  # exact coords -> node index
-    edges: list = []
-    cap_hit = False
-
-    # In exact mode every node has exact coords and equality decides; in
-    # float mode none has and the chordal tolerance does.
-    def node_id(point: ProjPoint, coords: ExactPoint | None) -> int:
-        if coords is None:
-            return graph.index_of(point)
-        idx = exact_ids.get(coords)
-        if idx is None:
-            idx = exact_ids[coords] = graph.add(point)
-            keys.append(coords)
-        return idx
-
     exact_mode = gens.exact and all(cp.exact_coords is not None for cp in recurrent)
-    frontier = []
-    for cp in recurrent:
-        frontier.append(node_id(cp.point, cp.exact_coords if exact_mode else None))
-    frontier = sorted(set(frontier))
+    # exact nodes are equal or not; float nodes match within the tolerance
+    if exact_mode:
+        starts, step, index = [cp.exact_coords for cp in recurrent], exact_eval, ExactPoints
+    else:
+        starts, step, index = [cp.point for cp in recurrent], evaluate, NearPoints
+    graph = index(tol, node_budget, "transition graph exceeded the node budget")
+    frontier = sorted({graph.index_of(p) for p in starts})
+    edges: list = []
     seen_edges = set()
+    cap_hit = False
     for _ in range(depth):
         nxt = []
         for u in frontier:
             images: dict[int, int] = {}
             for f in gens.maps:
-                if exact_mode:
-                    coords = exact_eval(f, keys[u])
-                    v = node_id(exact_to_proj(coords), coords)
-                else:
-                    v = node_id(evaluate(f, nodes[u]), None)
+                v = graph.index_of(step(f, graph.points[u]))
                 images[v] = images.get(v, 0) + 1
             for v, m in sorted(images.items()):
                 if (u, v) not in seen_edges:
@@ -396,12 +380,12 @@ def friedland_bounds(gens: GeneratorSet, depth: int = 12,
     else:
         cap_hit = bool(frontier)
 
-    mean = karp_max_mean_cycle(len(nodes), edges)
+    mean = karp_max_mean_cycle(len(graph.points), edges)
     s_hat = max(mean, 0.0) if mean is not None else 0.0
     lower = max(upper - s_hat, 0.0)
     details = {
         "coincidences": coincidences,
-        "graph_nodes": len(nodes),
+        "graph_nodes": len(graph.points),
         "graph_edges": len(edges),
         "depth": depth,
         "depth_cap_hit": cap_hit,

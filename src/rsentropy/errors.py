@@ -73,6 +73,10 @@ class EmptyPool(RsentropyError):
     """A counting operation received no orbits."""
 
 
+class NonCanonicalPoint(RsentropyError):
+    """A pool holds a point whose h0 is not real and nonnegative."""
+
+
 class InsufficientData(RsentropyError):
     """A growth-rate fit needs at least three ladder points per epsilon."""
 

@@ -133,11 +133,6 @@ class GaussianRational:
         """Total order key (lexicographic on re, im); not a field order."""
         return _OrderKey(self._abd)
 
-    re_num = property(lambda self: self.re.numerator)
-    re_den = property(lambda self: self.re.denominator)
-    im_num = property(lambda self: self.im.numerator)
-    im_den = property(lambda self: self.im.denominator)
-
     def __eq__(self, other):
         if not isinstance(other, GaussianRational):
             try:

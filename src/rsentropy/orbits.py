@@ -26,6 +26,7 @@ from .errors import (
     EmptyPath,
     EmptyPool,
     MixedNu,
+    NonCanonicalPoint,
     NonGenericTerminal,
     RootFindingFailure,
 )
@@ -54,12 +55,18 @@ class OrbitPool:
     """k orbits (x_0, ..., x_nu; a_1, ..., a_nu), one per row.
 
     h0 and h1 (complex128, k x (nu+1)) hold the points' coordinates, symbols
-    (int64, k x nu) the labels.
+    (int64, k x nu) the labels. Every h0 is real and nonnegative, as in a
+    canonical point, so that a pair's chordal test value has the same bits
+    in either order; NonCanonicalPoint is raised otherwise.
     """
 
     h0: np.ndarray
     h1: np.ndarray
     symbols: np.ndarray
+
+    def __post_init__(self):
+        if (self.h0.imag != 0).any() or (self.h0.real < 0).any():
+            raise NonCanonicalPoint("pool points need a real, nonnegative h0")
 
     def __len__(self) -> int:
         return self.h0.shape[0]

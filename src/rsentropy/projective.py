@@ -30,7 +30,6 @@ class ProjPoint:
 
     h0: complex
     h1: complex
-    canonical: bool = True
 
     def affine(self) -> complex:
         """The chart value h0/h1; raises ZeroDivisionError at [1 : 0]."""
@@ -77,11 +76,7 @@ INFINITY = ProjPoint(complex(1.0, 0.0), complex(0.0, 0.0))
 
 def chordal_dist(p: ProjPoint, q: ProjPoint) -> float:
     """Chordal distance |p0 q1 - p1 q0| / (|p| |q|), in [0, 1]."""
-    d = abs(p.h0 * q.h1 - p.h1 * q.h0)
-    if not (p.canonical and q.canonical):
-        d /= math.hypot(p.h0.real, p.h0.imag, p.h1.real, p.h1.imag)
-        d /= math.hypot(q.h0.real, q.h0.imag, q.h1.real, q.h1.imag)
-    return min(d, 1.0)
+    return min(abs(p.h0 * q.h1 - p.h1 * q.h0), 1.0)
 
 
 def sample_points(count: int, seed: int) -> list[ProjPoint]:

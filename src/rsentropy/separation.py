@@ -26,6 +26,14 @@ the children of its conflicts; a pool with no shared suffix, such as
 forward orbits, tests all k^2 pairs at x_nu. The greedy asks only for the
 pairs of orbits that may still join, so where a few members conflict with
 most orbits it lists about their pairs, not all k^2.
+
+The spanning and shift-orbit counts take their pairs from the same walk,
+with a radius per column. To the horizon h the shifted metric weighs
+column k (x_k and a_{k+1}) by w_k = 2^-max(k-h, 0). As w_k is a power of
+two, d w_k <= eps holds iff d <= eps / w_k, so column k gets that radius;
+where w_k <= eps the column cannot separate (d <= 1), so it is not tested
+and its labels are not compared. The pairs are those of the shifted
+metric exactly.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ import math
 import numpy as np
 
 from .errors import BudgetExceeded, DepthMismatch, EmptyPool, MixedNu
-from .orbits import OrbitPool, shifted_separation
+from .orbits import OrbitPool
 
 EXACT_CUTOFF = 20
 JOINT_CUTOFF = 32
@@ -121,10 +129,12 @@ def count_separated(pool: OrbitPool, epsilon: float, mode: str, word=None,
     return SeparationCount(epsilon, pool.nu, label, count, len(pool), not large)
 
 
-def _conflict_pairs(h0, h1, epsilon, symbols=None, sources=None):
+def _conflict_pairs(h0, h1, radius, symbols=None, sources=None):
     """(i, j): every row pair i < j, one of them in ``sources`` (a row mask,
     all rows when None), whose test value |a0 b1 - a1 b0| with a row j is at
-    most eps in every column, and with ``symbols`` whose labels agree.
+    most the radius in every column, and with ``symbols`` whose labels
+    agree. ``radius`` is a number or one per column; a column of infinite
+    radius is not tested, and its labels are not compared.
 
     The keys run x_nu, a_nu, x_{nu-1}, ..., a_1, x_0 (labels only with
     ``symbols``). A class of a key is a run of rows equal in it and in every
@@ -138,6 +148,7 @@ def _conflict_pairs(h0, h1, epsilon, symbols=None, sources=None):
     """
     k = h0.shape[0]
     sources = np.ones(k, dtype=bool) if sources is None else sources
+    radius = np.broadcast_to(radius, h0.shape[1:])
     start = np.arange(k) == 0  # first rows of the previous key's classes
     pa = pb = np.zeros(0, dtype=np.intp)  # and its conflicting class pairs
     keys = [(c, False) for c in range(h0.shape[1] - 1, -1, -1)]
@@ -164,9 +175,9 @@ def _conflict_pairs(h0, h1, epsilon, symbols=None, sources=None):
         x, y = x[wanted[x] | wanted[y]], y[wanted[x] | wanted[y]]
         rx, ry = first[x], first[y]
         if label:
-            close = symbols[rx, c] == symbols[ry, c]
+            close = (symbols[rx, c] == symbols[ry, c]) | (radius[c] == np.inf)
         else:
-            close = np.abs(h0[ry, c] * h1[rx, c] - h1[ry, c] * h0[rx, c]) <= epsilon
+            close = np.abs(h0[ry, c] * h1[rx, c] - h1[ry, c] * h0[rx, c]) <= radius[c]
         pa, pb, start = x[close], y[close], split
     return pa, pb
 
@@ -304,23 +315,14 @@ def spanning_number(pool, epsilon: float, n: int,
     (j = 0..n-1). Minimum set cover is exact for pools up to the cutoff and
     greedy above it; pass return_details=True to receive (count, exact).
     """
-    if not pool:
-        raise EmptyPool("cannot span an empty pool")
+    rows = OrbitPool.from_paths(pool)
     if n < 1:
         raise ValueError("spanning horizon must be at least 1")
-    depth = pool[0].depth
-    if any(p.depth != depth for p in pool):
-        raise MixedNu("pool mixes path depths")
-    if depth < n:
-        raise DepthMismatch(f"pool depth {depth} below horizon {n}")
-    k = len(pool)
-    covers = []
-    for y in pool:
-        mask = 0
-        for i, x in enumerate(pool):
-            if shifted_separation(x, y, n - 1) <= epsilon:
-                mask |= 1 << i
-        covers.append(mask)
+    if rows.nu < n:
+        raise DepthMismatch(f"pool depth {rows.nu} below horizon {n}")
+    k = len(rows)
+    covers = [m | 1 << y for y, m in
+              enumerate(_masks(k, *_shift_pairs(rows, epsilon, n - 1)))]
     full = (1 << k) - 1
     if k <= exact_cutoff:
         count, exact = _min_cover_exact(covers, full), True
@@ -329,6 +331,16 @@ def spanning_number(pool, epsilon: float, n: int,
     if return_details:
         return count, exact
     return count
+
+
+def _shift_pairs(pool, epsilon, horizon):
+    """The conflict pairs of the shifted metric to the horizon: column k has
+    radius eps / w_k, and none where w_k = 2^-max(k - horizon, 0) <= eps."""
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError("epsilon must lie in (0, 1]")
+    w = 0.5 ** np.maximum(np.arange(pool.nu + 1) - horizon, 0)
+    return _conflict_pairs(pool.h0, pool.h1, np.where(w > epsilon, epsilon / w, np.inf),
+                           pool.symbols)
 
 
 def _min_cover_exact(covers, full):
@@ -365,16 +377,10 @@ def bowen_orbit_count(paths, epsilon: float, horizon: int) -> int:
     Separation is max over j = 0..horizon of the path distance between the
     j-fold shifts, evaluated in closed form on the truncated paths.
     """
-    if not paths:
-        raise EmptyPool("empty path pool")
-    k = len(paths)
-    adj = [0] * k
-    for i in range(k):
-        for j in range(i + 1, k):
-            if not shifted_separation(paths[i], paths[j], horizon) > epsilon:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return _mis_exact(adj)
+    pool = OrbitPool.from_paths(paths)
+    if horizon > pool.nu:
+        raise DepthMismatch(f"horizon {horizon} exceeds depth {pool.nu}")
+    return _mis_exact(_masks(len(pool), *_shift_pairs(pool, epsilon, horizon)))
 
 
 def c_of_eps(epsilon: float) -> int:
@@ -401,7 +407,7 @@ def sandwich_counts(paths, epsilon: float, nu: int):
         raise MixedNu(f"paths must have depth nu + C = {nu + c}, got {pool.nu}")
     n_nu, n_ext = (count_separated(_distinct_heads(pool, k), epsilon,
                                    "dinh_sibony").count for k in (nu, nu + c))
-    m_nu = bowen_orbit_count(paths, epsilon, nu)
+    m_nu = _mis_exact(_masks(len(pool), *_shift_pairs(pool, epsilon, nu)))
     return {"N_nu": n_nu, "M_nu": m_nu, "N_ext": n_ext, "C": c}
 
 

@@ -263,6 +263,20 @@ def test_forward_set_budget_raises_in_both_modes():
         assert fb.details["graph_nodes"] == graph_nodes
 
 
+def test_exact_points_match_by_equality_within_the_budget():
+    def point(z):
+        return coincidence.exact_normalize(rs.GaussianRational.from_value(z),
+                                           rs.GaussianRational(1))
+
+    index = coincidence.ExactPoints(0.5, 2, "too many exact points")
+    # the tolerance plays no part: 0 and 10^-12 are two points
+    assert [index.index_of(point(z)) for z in (0, "1/1000000000000", 0)] == [0, 1, 0]
+    assert index.points == [point(0), point("1/1000000000000")]
+    assert index.find(point(2)) is None
+    with pytest.raises(BudgetExceeded, match="too many exact points"):
+        index.index_of(point(2))
+
+
 def test_karp_against_brute_force():
     edges = [
         (0, 1, 1.0), (1, 0, 0.0),         # cycle mean 0.5

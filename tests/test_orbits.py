@@ -226,3 +226,17 @@ def test_pool_from_paths_rejects_empty_and_mixed():
     paths = rs.forward_orbits(corr(Z2), rs.sample_points(2, 0), 2).paths()
     with pytest.raises(rs.errors.MixedNu):
         rs.OrbitPool.from_paths(paths + [rs.shift(paths[0])])
+
+
+def test_pool_rejects_non_canonical_points(readme_levels):
+    path = rs.forward_orbits(corr(Z2), rs.sample_points(1, 0), 1).paths()[0]
+    for x0 in (rs.ProjPoint(1j, 0), rs.ProjPoint(-0.6, 0.8)):
+        with pytest.raises(rs.errors.NonCanonicalPoint):
+            rs.OrbitPool.from_paths([path, rs.TruncatedPath((x0, path.points[1]),
+                                                            path.symbols)])
+    # canonical h0 is real and nonnegative, [0 : 1] included
+    pool = rs.forward_orbits(corr(Z2, Z3), [rs.point_at(0), rs.INFINITY], 2)
+    assert (pool.h0.real >= 0).all() and not pool.h0.imag.any()
+    assert rs.OrbitPool.from_paths(pool.paths()).h0.tobytes() == pool.h0.tobytes()
+    level = readme_levels[5]
+    assert (level.h0.real >= 0).all() and not level.h0.imag.any()

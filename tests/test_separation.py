@@ -8,18 +8,20 @@ import pytest
 
 import rsentropy as rs
 from rsentropy import estimate, separation
-from rsentropy.errors import EmptyPool, MixedNu
+from rsentropy.errors import DepthMismatch, EmptyPool, MixedNu, NonCanonicalPoint
 from rsentropy.estimate import ladder_tree
-from rsentropy.separation import _conflict_pairs
+from rsentropy.separation import _conflict_pairs, _shift_pairs
 from util import (
     IDENTITY,
     Z2,
     Z3,
+    affine_translation,
     brute_force_max_separated,
     group_by_word,
     random_exact_map,
     reference_conflict_pairs,
     reference_greedy,
+    reference_shift_pairs,
 )
 
 
@@ -152,6 +154,30 @@ def test_spanning_greedy_matches_exact_on_classes():
     pool = rs.forward_orbits(corr(IDENTITY, mults=[2]), [rs.point_at(1)], nu).paths()
     count, exact = rs.spanning_number(pool, 0.5, nu, return_details=True)
     assert count == 2 ** nu and not exact  # greedy, but classes are disjoint
+
+
+def test_shift_counts_raise_typed_errors():
+    paths = rs.forward_orbits(corr(Z2, Z3), rs.sample_points(2, 0), 3).paths()
+    tilted = rs.TruncatedPath((rs.ProjPoint(1j, 0),) + paths[0].points[1:], paths[0].symbols)
+    for count in (rs.spanning_number, rs.bowen_orbit_count):
+        with pytest.raises(EmptyPool):
+            count([], 0.2, 2)
+        with pytest.raises(MixedNu):
+            count(paths + [rs.shift(paths[0])], 0.2, 2)
+        with pytest.raises(NonCanonicalPoint):
+            count(paths + [tilted], 0.2, 2)
+        with pytest.raises(DepthMismatch):
+            count(paths, 0.2, 4)  # beyond the depth 3
+        for eps in (0.0, -0.1, 1.5, math.nan):
+            with pytest.raises(ValueError):
+                count(paths, eps, 2)
+        assert count(paths, 1.0, 3) == 1
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            rs.spanning_number(paths, 0.2, n)
+    # the horizon n - 1 = 2 fits the depth 3 for spanning, not n = 3
+    with pytest.raises(DepthMismatch):
+        rs.spanning_number([rs.shift(p) for p in paths], 0.2, 3)
 
 
 def test_c_of_eps_edges():
@@ -426,3 +452,70 @@ def test_test_value_is_the_same_either_way(readme_nu5_pool):
         one = np.abs(a0 * b1 - a1 * b0)
         other = np.abs(b0 * a1 - b1 * a0)
         assert np.array_equal(one.view(np.uint64), other.view(np.uint64))
+
+
+# -- shift-orbit pairs: the walk with a radius per column against the metric ----
+
+SHIFT_EPS = (0.02, 0.05, 0.1, 0.2, 0.25, 0.5, 0.75, 1.0)  # 1/4, 1/2, 1 are weights
+
+
+def shift_pools():
+    z23 = corr(Z2, Z3)
+    big = rs.preimage_tree(z23, rs.sample_points(1, 5)[0], 4)
+    starts = [rs.point_at(0), rs.INFINITY] + rs.sample_points(2, 3)
+    return {
+        "forward": rs.forward_orbits(z23, starts, 3),
+        "tree": rs.preimage_tree(z23, rs.sample_points(1, 9)[0], 3),
+        # translations: the backward orbits crowd towards infinity
+        "translations": rs.preimage_tree(
+            corr(affine_translation(1), affine_translation(1j)), rs.point_at(0.5), 5),
+        "shuffled": big[np.random.default_rng(3).permutation(len(big))[:80]],
+    }
+
+
+@pytest.mark.parametrize("name", ("forward", "tree", "translations", "shuffled"))
+def test_shift_pairs_match_shifted_metric(name):
+    pool = shift_pools()[name]
+    paths, nu = pool.paths(), pool.nu
+    seen = set()
+    for horizon in sorted({0, 1, nu // 2, nu - 1, nu}):
+        for eps in SHIFT_EPS:
+            i, j = _shift_pairs(pool, eps, horizon)
+            pairs = set(zip(i.tolist(), j.tolist()))
+            assert len(pairs) == len(i) and all(a < b for a, b in pairs)
+            assert pairs == reference_shift_pairs(paths, eps, horizon)
+            seen.add(len(pairs))
+    assert len(seen) > 3  # the cases do not all list the same pairs
+
+
+def test_shift_counts_match_brute_force():
+    # 8 orbits each: every subset is tried for the maximum separated family
+    # and the minimum spanning set under the shifted metric
+    translations = corr(affine_translation(1), affine_translation(1j))
+    scalings = corr(rs.make_map([2, 0], [0, 1]), rs.make_map([3, 0], [0, 1]))
+    for c in (translations, scalings):
+        paths = rs.preimage_tree(c, rs.point_at(0.5), 3).paths()
+        k = len(paths)
+        for horizon in range(4):
+            for eps in (0.05, 0.2, 0.3, 0.5, 0.75):
+                near = reference_shift_pairs(paths, eps, horizon)
+                separated = [m for m in range(1 << k) if not any(
+                    m >> i & 1 and m >> j & 1 for i, j in near)]
+                assert rs.bowen_orbit_count(paths, eps, horizon) == max(
+                    bin(m).count("1") for m in separated)
+                if horizon == 3:
+                    continue  # spanning for n = 4 steps needs depth 4
+                covers = [1 << y | sum(1 << x for x in range(k)
+                                       if (min(x, y), max(x, y)) in near)
+                          for y in range(k)]
+                spanning = min(bin(m).count("1") for m in range(1, 1 << k)
+                               if _union(covers, m) == (1 << k) - 1)
+                assert rs.spanning_number(paths, eps, horizon + 1) == spanning
+
+
+def _union(covers, m):
+    out = 0
+    for y, c in enumerate(covers):
+        if m >> y & 1:
+            out |= c
+    return out

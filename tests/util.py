@@ -111,6 +111,13 @@ def reference_conflict_pairs(pool, eps, labels=False):
     return pairs
 
 
+def reference_shift_pairs(paths, eps, horizon):
+    """All index pairs (i, j), i < j, whose shifted separation to the
+    horizon is at most eps (the shift-pair oracle)."""
+    return {(i, j) for j in range(len(paths)) for i in range(j)
+            if rs.shifted_separation(paths[i], paths[j], horizon) <= eps}
+
+
 def group_by_word(paths):
     """{label word: its paths in order}."""
     groups = {}
