@@ -43,7 +43,8 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = check_override("seed", args.seed)
         if args.word_length is not None:
-            check_override("relations_word_length", args.word_length)
+            cfg.relations_word_length = check_override(
+                "relations_word_length", args.word_length)
         started = time.monotonic()
         payload, rows = _dispatch(args, cfg)
         provenance = {
@@ -129,12 +130,12 @@ def _dispatch(args, cfg: RunConfig):
         payload["coincidence"] = _coincidence_section(cfg, with_bounds=False)
         return payload, rows
     if args.command == "relations":
-        payload["relations"] = _relations_section(cfg, args.word_length)
+        payload["relations"] = _relations_section(cfg)
         return payload, rows
     # report: everything
     payload["estimates"], rows = _estimate_section(cfg, "both")
     payload["coincidence"] = _coincidence_section(cfg, with_bounds=True)
-    payload["relations"] = _relations_section(cfg, None)
+    payload["relations"] = _relations_section(cfg)
     return payload, rows
 
 
@@ -254,11 +255,10 @@ def _coincidence_section(cfg: RunConfig, with_bounds: bool) -> dict:
     return section
 
 
-def _relations_section(cfg: RunConfig, word_length) -> dict:
+def _relations_section(cfg: RunConfig) -> dict:
     gens = cfg.generator_set()
-    length = cfg.relations_word_length if word_length is None else word_length
     ledger = enumerate_words(
-        gens, length,
+        gens, cfg.relations_word_length,
         word_budget=cfg.budgets["word_budget"],
         degree_budget=cfg.budgets["degree_budget"])
     section = {

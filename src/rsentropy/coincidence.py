@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+
+import numpy as np
 
 from .correspondence import Correspondence, GeneratorSet, build_correspondence
 from .errors import InconsistentItinerary, RootFindingFailure
@@ -35,6 +37,7 @@ from .ratmap import RationalMap, evaluate
 
 RECURRENCE_TOL = 1e-9
 NODE_BUDGET = 20_000
+RECURRENCE_DEPTH = 12
 SNAP_DENOMINATOR = 10 ** 6
 
 ExactPoint = tuple  # (GaussianRational, GaussianRational), normalized
@@ -107,26 +110,7 @@ def coincidence_set(gens: GeneratorSet) -> list[CoincidencePoint]:
     n = len(gens)
     if n < 2:
         return []
-    found: list[dict] = []
-
-    def record(point, exact_coords, pair):
-        for entry in found:
-            if exact_coords is not None and entry["exact_coords"] is not None:
-                if exact_coords == entry["exact_coords"]:
-                    entry["witnesses"].add(pair)
-                    return
-            elif chordal_dist(point, entry["point"]) <= RECURRENCE_TOL:
-                entry["witnesses"].add(pair)
-                if exact_coords is not None and entry["exact_coords"] is None:
-                    entry["exact_coords"] = exact_coords
-                    entry["point"] = point
-                return
-        found.append({
-            "point": point,
-            "exact_coords": exact_coords,
-            "witnesses": {pair},
-        })
-
+    found: list[CoincidencePoint] = []
     for i in range(n):
         for j in range(i + 1, n):
             fi, fj = gens.maps[i], gens.maps[j]
@@ -136,19 +120,21 @@ def coincidence_set(gens: GeneratorSet) -> list[CoincidencePoint]:
             )
             exact_ok = fi.exact_coeffs and fj.exact_coeffs
             for pt, coords in _cross_roots(cross, exact_ok):
-                record(pt, coords, (i + 1, j + 1))
+                pair = (i + 1, j + 1)
+                for k, e in enumerate(found):
+                    # exact coordinates are equal or not; others match within tol
+                    if (coords == e.exact_coords if None not in (coords, e.exact_coords)
+                            else chordal_dist(pt, e.point) <= RECURRENCE_TOL):
+                        if coords is not None and e.exact_coords is None:
+                            e = CoincidencePoint(pt, e.witnesses, True, coords)
+                        found[k] = replace(e, witnesses=e.witnesses | {pair})
+                        break
+                else:
+                    found.append(CoincidencePoint(
+                        pt, frozenset({pair}), coords is not None, coords))
 
-    out = [
-        CoincidencePoint(
-            point=e["point"],
-            witnesses=frozenset(e["witnesses"]),
-            exact=e["exact_coords"] is not None,
-            exact_coords=e["exact_coords"],
-        )
-        for e in found
-    ]
-    out.sort(key=lambda cp: (cp.point.h0.real, cp.point.h1.real, cp.point.h1.imag))
-    return out
+    found.sort(key=lambda cp: (cp.point.h0.real, cp.point.h1.real, cp.point.h1.imag))
+    return found
 
 
 def _cross_roots(cross, exact_ok):
@@ -230,7 +216,6 @@ def _exact_deflate(asc, root):
 class RecurrenceCertificate:
     point: ProjPoint
     return_depths: tuple
-    searched_depth: int
     status: str  # "recurrent" | "not_found_within_depth"
 
 
@@ -260,7 +245,7 @@ def is_recurrent(c: Correspondence, x: ProjPoint, depth: int,
             returns.append(n)
     status = "recurrent" if returns else "not_found_within_depth"
     return RecurrenceCertificate(
-        point=x, return_depths=tuple(returns), searched_depth=depth, status=status)
+        point=x, return_depths=tuple(returns), status=status)
 
 
 def certified_coincidences(gens: GeneratorSet, depth: int,
@@ -334,7 +319,7 @@ class FriedlandBounds:
     details: dict
 
 
-def friedland_bounds(gens: GeneratorSet, depth: int = 12,
+def friedland_bounds(gens: GeneratorSet, depth: int = RECURRENCE_DEPTH,
                      tol: float = RECURRENCE_TOL,
                      node_budget: int = NODE_BUDGET) -> FriedlandBounds:
     """Two-sided bounds on the itinerary entropy for one generator set.
@@ -358,27 +343,24 @@ def friedland_bounds(gens: GeneratorSet, depth: int = 12,
     else:
         starts, step, index = [cp.point for cp in recurrent], evaluate, NearPoints
     graph = index(tol, node_budget, "transition graph exceeded the node budget")
-    frontier = sorted({graph.index_of(p) for p in starts})
+    for p in starts:
+        graph.index_of(p)
+    # each step expands the nodes the step before added, so each node once;
+    # the cap is hit when the last step still had nodes to expand
     edges: list = []
-    seen_edges = set()
-    cap_hit = False
+    known, frontier = 0, range(0)
     for _ in range(depth):
-        nxt = []
+        frontier = range(known, len(graph.points))
+        if not frontier:
+            break
+        known = len(graph.points)
         for u in frontier:
             images: dict[int, int] = {}
             for f in gens.maps:
                 v = graph.index_of(step(f, graph.points[u]))
                 images[v] = images.get(v, 0) + 1
-            for v, m in sorted(images.items()):
-                if (u, v) not in seen_edges:
-                    seen_edges.add((u, v))
-                    edges.append((u, v, math.log(m)))
-                    nxt.append(v)
-        frontier = sorted(set(nxt))
-        if not frontier:
-            break
-    else:
-        cap_hit = bool(frontier)
+            edges.extend((u, v, math.log(m)) for v, m in sorted(images.items()))
+    cap_hit = bool(frontier)
 
     mean = karp_max_mean_cycle(len(graph.points), edges)
     s_hat = max(mean, 0.0) if mean is not None else 0.0
@@ -387,7 +369,6 @@ def friedland_bounds(gens: GeneratorSet, depth: int = 12,
         "coincidences": coincidences,
         "graph_nodes": len(graph.points),
         "graph_edges": len(edges),
-        "depth": depth,
         "depth_cap_hit": cap_hit,
         "exact": exact_mode,
     }
@@ -397,33 +378,33 @@ def friedland_bounds(gens: GeneratorSet, depth: int = 12,
 def karp_max_mean_cycle(num_nodes: int, edges) -> float | None:
     """Karp's maximum mean cycle weight; None when the graph is acyclic.
 
-    F[k][v] = best weight of a k-edge walk ending at v (walks may start
+    F_k[v] = best weight of a k-edge walk ending at v (walks may start
     anywhere); the answer is max over v of min over k of
-    (F[n][v] - F[k][v]) / (n - k).
+    (F_n[v] - F_k[v]) / (n - k). The rows are generated twice, once to
+    reach F_n and once to fold the minimum, so no n x n table is held.
     """
     if num_nodes == 0 or not edges:
         return None
     n = num_nodes
-    neg = float("-inf")
-    table = [[neg] * n for _ in range(n + 1)]
-    for v in range(n):
-        table[0][v] = 0.0
-    for k in range(1, n + 1):
-        row, prev = table[k], table[k - 1]
-        for u, v, w in edges:
-            if prev[u] > neg and prev[u] + w > row[v]:
-                row[v] = prev[u] + w
-    best = None
-    for v in range(n):
-        if table[n][v] == neg:
-            continue
-        worst = None
-        for k in range(n):
-            if table[k][v] == neg:
-                continue
-            ratio = (table[n][v] - table[k][v]) / (n - k)
-            if worst is None or ratio < worst:
-                worst = ratio
-        if worst is not None and (best is None or worst > best):
-            best = worst
-    return best
+    u, v, w = map(np.array, zip(*edges))
+    order = np.argsort(v, kind="stable")  # F_k[t] is a max over t's run of edges
+    u, v, w = u[order], v[order], w[order]
+    heads = np.flatnonzero(np.append(True, v[1:] != v[:-1]))
+
+    def rows():  # F_0, F_1, ..., F_n
+        row = np.zeros(n)
+        for _ in range(n):
+            yield row
+            row, prev = np.full(n, -np.inf), row
+            row[v[heads]] = np.maximum.reduceat(prev[u] + w, heads)
+        yield row
+
+    for last in rows():
+        pass
+    worst = np.full(n, np.inf)
+    # where no n-edge walk ends, -inf - -inf is nan; those nodes are dropped
+    with np.errstate(invalid="ignore"):
+        for k, row in zip(range(n), rows()):
+            worst = np.minimum(worst, (last - row) / (n - k))
+    reached = last > -np.inf
+    return float(worst[reached].max()) if reached.any() else None

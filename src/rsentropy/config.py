@@ -14,13 +14,15 @@ from importlib import resources
 
 import jsonschema
 
-from .correspondence import GeneratorSet
+from .coincidence import NODE_BUDGET, RECURRENCE_DEPTH, RECURRENCE_TOL
+from .correspondence import DEGREE_BUDGET, WORD_BUDGET, GeneratorSet
 from .errors import (
     BadScalarLiteral,
     RsentropyError,
     SchemaViolation,
     UnreadableFile,
 )
+from .estimate import EPSILON_GRID, NU_MAX, NU_MIN, TREE_BUDGET
 from .gaussian import GaussianRational
 from .ratmap import make_map
 
@@ -30,21 +32,21 @@ DEFAULTS = {
     "multiplicities": None,  # all ones
     "seed": 0,
     "estimator": {
-        "epsilon_grid": [0.02, 0.05, 0.1, 0.2],
-        "nu_min": 2,
-        "nu_max": 12,
-        "tree_budget": 20000,
+        "epsilon_grid": list(EPSILON_GRID),
+        "nu_min": NU_MIN,
+        "nu_max": NU_MAX,
+        "tree_budget": TREE_BUDGET,
     },
     "budgets": {
-        "word_budget": 10 ** 6,
-        "degree_budget": 10 ** 4,
-        "node_budget": 20_000,
+        "word_budget": WORD_BUDGET,
+        "degree_budget": DEGREE_BUDGET,
+        "node_budget": NODE_BUDGET,
     },
     "tolerances": {
-        "recurrence": 1e-9,
+        "recurrence": RECURRENCE_TOL,
     },
     "relations_word_length": 2,
-    "recurrence_depth": 12,
+    "recurrence_depth": RECURRENCE_DEPTH,
     "output": {"report_path": None, "csv_path": None},
 }
 

@@ -258,6 +258,20 @@ def _mis_exact(adj) -> int:
         if residual == 0:
             memo[mask] = picked
             return picked
+        # a disjoint union's maximum is the sum of its parts': split off the
+        # component of the lowest residual vertex
+        part, grow = 0, residual & -residual
+        while grow:
+            part |= grow
+            m, grow = grow, 0
+            while m:
+                grow |= adj[(m & -m).bit_length() - 1]
+                m &= m - 1
+            grow &= residual & ~part
+        if part != residual:
+            out = picked + best(part) + best(residual & ~part)
+            memo[mask] = out
+            return out
         # branch on a maximum-degree vertex of the residual graph
         v_best, deg_best, mm = -1, -1, residual
         while mm:
@@ -399,16 +413,20 @@ def sandwich_counts(paths, epsilon: float, nu: int):
     count N(eps, nu), the shift-orbit count M(eps, nu), the extended count
     N(eps, nu + C), and C itself; the chain N <= M <= N_ext holds whenever
     the pool is closed under extension, i.e. always for pools presented as
-    full-depth paths.
+    full-depth paths. A word block above the exact cutoff would leave a
+    greedy lower bound in N or N_ext, so it raises BudgetExceeded.
     """
     c = c_of_eps(epsilon)
     pool = OrbitPool.from_paths(paths)
     if pool.nu != nu + c:
         raise MixedNu(f"paths must have depth nu + C = {nu + c}, got {pool.nu}")
-    n_nu, n_ext = (count_separated(_distinct_heads(pool, k), epsilon,
-                                   "dinh_sibony").count for k in (nu, nu + c))
+    n_nu, n_ext = (count_separated(_distinct_heads(pool, k), epsilon, "dinh_sibony")
+                   for k in (nu, nu + c))
+    if not (n_nu.exact and n_ext.exact):
+        raise BudgetExceeded(
+            f"sandwich counts need exact maxima: word blocks above {EXACT_CUTOFF} orbits")
     m_nu = _mis_exact(_masks(len(pool), *_shift_pairs(pool, epsilon, nu)))
-    return {"N_nu": n_nu, "M_nu": m_nu, "N_ext": n_ext, "C": c}
+    return {"N_nu": n_nu.count, "M_nu": m_nu, "N_ext": n_ext.count, "C": c}
 
 
 def _distinct_heads(pool, nu):

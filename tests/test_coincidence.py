@@ -1,5 +1,7 @@
+import collections
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,18 @@ import rsentropy as rs
 from rsentropy import coincidence
 from rsentropy.errors import BudgetExceeded, InconsistentItinerary
 from rsentropy.projective import NearPoints, ring_around
-from util import Z2, Z3, Z4, affine_translation, scaling, scan_return_depths
+from util import (
+    Z2,
+    Z3,
+    Z4,
+    affine_translation,
+    reference_karp,
+    scaling,
+    scan_return_depths,
+)
+
+BASILICA = rs.GeneratorSet([rs.make_map([1, 0, -1], [0, 0, 1]),
+                            rs.make_map([1, 0, 0, -1], [0, 0, 0, 1])])
 
 
 def test_coincidence_translations():
@@ -307,3 +320,71 @@ def _brute_max_mean_cycle(n, edges):
     for s in range(n):
         walk(s, s, 0.0, 0, {s})
     return best
+
+
+def _basilica_graph(depth):
+    """(num_nodes, edges) as friedland_bounds hands them to Karp."""
+    graphs = []
+    karp = coincidence.karp_max_mean_cycle
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coincidence, "karp_max_mean_cycle",
+                   lambda n, edges: graphs.append((n, edges)) or karp(n, edges))
+        rs.friedland_bounds(BASILICA, depth=depth)
+    return graphs[0]
+
+
+def _random_graphs(count, seed):
+    rng = np.random.default_rng(seed)
+    weights = (0.0, math.log(2), math.log(3))
+    for _ in range(count):
+        n = int(rng.integers(1, 13))
+        edges = []
+        for _ in range(int(rng.integers(0, 31))):
+            u = int(rng.integers(n))
+            v = u if rng.random() < 0.2 else int(rng.integers(n))  # self-loops
+            w = (weights[int(rng.integers(3))] if rng.random() < 0.5
+                 else float(rng.normal()))
+            edges.append((u, v, w))
+        if rng.random() < 0.2:  # forward edges only: acyclic
+            edges = [e for e in edges if e[0] < e[1]]
+        yield n, edges
+
+
+def test_karp_equals_the_table_oracle_on_random_graphs():
+    signs = collections.Counter()
+    for n, edges in _random_graphs(400, 5):
+        got, want = rs.karp_max_mean_cycle(n, edges), reference_karp(n, edges)
+        assert got == want and type(got) is type(want)
+        signs[None if got is None else (got > 0) - (got < 0)] += 1
+    assert set(signs) == {None, -1, 0, 1}  # acyclic, negative, zero, positive
+
+
+def test_karp_equals_the_table_oracle_on_basilica():
+    n, edges = _basilica_graph(10)
+    assert (n, len(edges)) == (514, 514)
+    assert rs.karp_max_mean_cycle(n, edges) == reference_karp(n, edges)
+
+
+def test_karp_memory_is_linear_in_the_graph():
+    # the (n + 1) x n table of floats took 8.5 MB on this graph
+    n, edges = _basilica_graph(10)
+    tracemalloc.start()
+    try:
+        rs.karp_max_mean_cycle(n, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_transition_graph_steps_each_node_once(monkeypatch):
+    certs = coincidence.certified_coincidences(BASILICA, 10)
+    monkeypatch.setattr(coincidence, "certified_coincidences", lambda *a, **k: certs)
+    stepped = collections.Counter()
+    step = coincidence.exact_eval
+    monkeypatch.setattr(coincidence, "exact_eval",
+                        lambda f, pt: stepped.update([pt]) or step(f, pt))
+    fb = rs.friedland_bounds(BASILICA, depth=10)
+    assert fb.details["exact"] and fb.details["graph_nodes"] == 514
+    # every node added before the last step is stepped once by each generator
+    assert len(stepped) == 258 and set(stepped.values()) == {2}

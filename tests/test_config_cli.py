@@ -119,6 +119,18 @@ def test_cli_relations(tmp_path, capsys):
     assert rel["relation_witnesses"] == [[[1, 2], [2, 1]]]
 
 
+def test_cli_word_length_is_applied_and_echoed(tmp_path, capsys):
+    cfg = dict(Z23_CONFIG, recurrence_depth=4,
+               estimator={"nu_min": 2, "nu_max": 4, "epsilon_grid": [0.2]})
+    path = write_config(tmp_path, cfg)
+    for command in ("relations", "report"):
+        assert cli.main([command, "--config", path, "--word-length", "3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"]["relations_word_length"] == 3
+        assert report["relations"]["word_length"] == 3
+        assert report["relations"]["total_words"] == 8
+
+
 def test_cli_estimate_deterministic_csv(tmp_path):
     cfg = dict(Z23_CONFIG)
     cfg["estimator"] = {"nu_min": 2, "nu_max": 4, "epsilon_grid": [0.1, 0.2]}

@@ -8,7 +8,13 @@ import pytest
 
 import rsentropy as rs
 from rsentropy import estimate, separation
-from rsentropy.errors import DepthMismatch, EmptyPool, MixedNu, NonCanonicalPoint
+from rsentropy.errors import (
+    BudgetExceeded,
+    DepthMismatch,
+    EmptyPool,
+    MixedNu,
+    NonCanonicalPoint,
+)
 from rsentropy.estimate import ladder_tree
 from rsentropy.separation import _conflict_pairs, _shift_pairs
 from util import (
@@ -212,6 +218,15 @@ def test_sandwich_chain_holds():
         paths = _sandwich_pool(gens, eps, nu, n_starts, n_words, seed)
         res = rs.sandwich_counts(paths, eps, nu)
         assert res["N_nu"] <= res["M_nu"] <= res["N_ext"]
+
+
+def test_sandwich_refuses_greedy_counts():
+    # 25 starts make word blocks of 25 orbits at nu 1, above the exact cutoff
+    pool = rs.forward_orbits(corr(Z2, Z3), rs.sample_points(25, 1), 3)
+    assert not rs.count_separated(separation._distinct_heads(pool, 1), 0.2,
+                                  "dinh_sibony").exact
+    with pytest.raises(BudgetExceeded, match="exact maxima"):
+        rs.sandwich_counts(pool.paths(), 0.2, 1)
 
 
 def test_sandwich_empty_pool():
@@ -519,3 +534,44 @@ def _union(covers, m):
         if m >> y & 1:
             out |= c
     return out
+
+
+# -- exact maximum independent sets: components solved apart --------------------
+
+
+def _brute_mis(adj):
+    """The largest independent vertex set, by trying every subset."""
+    n = len(adj)
+    masks = np.arange(1 << n)
+    members = [(masks >> v & 1).astype(bool) for v in range(n)]
+    independent = np.ones(1 << n, dtype=bool)
+    for v in range(n):
+        independent &= ~(members[v] & (masks & adj[v] != 0))
+    return int(np.sum(members, axis=0)[independent].max())
+
+
+def test_mis_exact_matches_brute_force_on_disconnected_graphs():
+    rng = np.random.default_rng(21)
+    for _ in range(1500):
+        sizes = rng.integers(1, 5, size=int(rng.integers(2, 5)))
+        order = rng.permutation(int(sizes.sum()))  # interleave the parts
+        adj = [0] * len(order)
+        start = 0
+        for size in sizes.tolist():
+            part = order[start:start + size].tolist()
+            start += size
+            density = rng.random()
+            for a, b in itertools.combinations(range(size), 2):
+                # a path through the part keeps it connected
+                if b == a + 1 or rng.random() < density:
+                    adj[part[a]] |= 1 << part[b]
+                    adj[part[b]] |= 1 << part[a]
+        assert separation._mis_exact(adj) == _brute_mis(adj)
+
+
+def test_bowen_count_splits_the_conflict_graph():
+    # the doubled identity's 64 label-only orbits: at horizon 1 and eps 0.2
+    # the conflict graph is 16 disjoint 4-cliques
+    doubled = rs.forward_orbits(corr(IDENTITY, mults=(2,)), [rs.point_at(0.3)], 6)
+    for horizon, eps in ((1, 0.2), (3, 0.5)):
+        assert rs.bowen_orbit_count(doubled.paths(), eps, horizon) == 16

@@ -118,6 +118,38 @@ def reference_shift_pairs(paths, eps, horizon):
             if rs.shifted_separation(paths[i], paths[j], horizon) <= eps}
 
 
+def reference_karp(num_nodes, edges):
+    """Karp's maximum mean cycle weight over the full (n + 1) x n table of
+    F[k][v], the best weight of a k-edge walk ending at v; None when the
+    graph is acyclic (the cycle-mean oracle)."""
+    if num_nodes == 0 or not edges:
+        return None
+    n = num_nodes
+    neg = float("-inf")
+    table = [[neg] * n for _ in range(n + 1)]
+    for v in range(n):
+        table[0][v] = 0.0
+    for k in range(1, n + 1):
+        row, prev = table[k], table[k - 1]
+        for u, v, w in edges:
+            if prev[u] > neg and prev[u] + w > row[v]:
+                row[v] = prev[u] + w
+    best = None
+    for v in range(n):
+        if table[n][v] == neg:
+            continue
+        worst = None
+        for k in range(n):
+            if table[k][v] == neg:
+                continue
+            ratio = (table[n][v] - table[k][v]) / (n - k)
+            if worst is None or ratio < worst:
+                worst = ratio
+        if worst is not None and (best is None or worst > best):
+            best = worst
+    return best
+
+
 def group_by_word(paths):
     """{label word: its paths in order}."""
     groups = {}
