@@ -18,7 +18,7 @@ import sys
 import time
 
 from .coincidence import certified_coincidences, friedland_bounds
-from .config import RunConfig, check_override, parse_config
+from .config import RunConfig, parse_config
 from .correspondence import (
     build_correspondence,
     d_top,
@@ -39,12 +39,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = parse_config(args.config)
-        if args.seed is not None:
-            cfg.seed = check_override("seed", args.seed)
-        if args.word_length is not None:
-            cfg.relations_word_length = check_override(
-                "relations_word_length", args.word_length)
+        cfg = parse_config(args.config, {
+            "seed": args.seed, "relations_word_length": args.word_length})
         started = time.monotonic()
         payload, rows = _dispatch(args, cfg)
         provenance = {

@@ -30,6 +30,8 @@ from .polynomial import (
     aberth_roots,
     form_eval_exact,
     form_mul,
+    poly_divmod,
+    poly_gcd,
     poly_trim,
 )
 from .projective import NearPoints, ProjPoint, chordal_dist, normalize
@@ -163,6 +165,9 @@ def _cross_roots(cross, exact_ok):
     if len(asc) <= 1:
         return roots
     if exact_ok:
+        # Aberth splits a multiple root at ~1e-8, too coarse to snap: keep p / gcd(p, p')
+        deriv = [c * k for k, c in enumerate(asc)][1:]
+        asc = poly_divmod(asc, poly_gcd(asc, deriv))[0]
         asc, rational_roots = _deflate_rational_roots(asc)
         for r in rational_roots:
             pt = exact_normalize(r, GaussianRational(1))
@@ -191,22 +196,12 @@ def _deflate_rational_roots(asc):
                 value = value * cand + c
             if value.is_zero():
                 rational.append(cand)
-                asc = _exact_deflate(asc, cand)
+                asc = poly_divmod(asc, [-cand, GaussianRational(1)])[0]
                 progress = True
                 break
         if not progress:
             break
     return asc, rational
-
-
-def _exact_deflate(asc, root):
-    """Synthetic division of an ascending-coefficient polynomial by (z - root)."""
-    out = [GaussianRational(0)] * (len(asc) - 1)
-    carry = GaussianRational(0)
-    for k in range(len(asc) - 1, 0, -1):
-        carry = asc[k] + carry * root
-        out[k - 1] = carry
-    return out
 
 
 # -- recurrence --------------------------------------------------------------------
@@ -273,8 +268,7 @@ class FiberEntropyValue:
     value: float
 
 
-def fiber_entropy(gens: GeneratorSet, cycle, preperiod=(),
-                  tol: float = RECURRENCE_TOL) -> FiberEntropyValue:
+def fiber_entropy(gens: GeneratorSet, cycle, preperiod=()) -> FiberEntropyValue:
     """Entropy of the shift relative to the decorations of one itinerary.
 
     For a fixed eventually periodic itinerary the fiber consists of its
@@ -291,7 +285,7 @@ def fiber_entropy(gens: GeneratorSet, cycle, preperiod=(),
         raise InconsistentItinerary("cycle must be nonempty")
 
     def step_mult(a: ProjPoint, b: ProjPoint) -> int:
-        m = sum(1 for f in gens.maps if chordal_dist(evaluate(f, a), b) <= tol)
+        m = sum(1 for f in gens.maps if chordal_dist(evaluate(f, a), b) <= RECURRENCE_TOL)
         if m == 0:
             raise InconsistentItinerary("a step is realized by no generator")
         return m

@@ -8,8 +8,9 @@ back into the report.
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 
 import jsonschema
@@ -22,8 +23,9 @@ from .errors import (
     SchemaViolation,
     UnreadableFile,
 )
-from .estimate import EPSILON_GRID, NU_MAX, NU_MIN, TREE_BUDGET
+from .estimate import EPSILON_GRID, NU_MAX, NU_MIN
 from .gaussian import GaussianRational
+from .orbits import TREE_BUDGET
 from .ratmap import make_map
 
 DEFAULTS = {
@@ -54,15 +56,6 @@ DEFAULTS = {
 def config_schema() -> dict:
     text = resources.files("rsentropy").joinpath("config_schema.json").read_text()
     return json.loads(text)
-
-
-def check_override(key: str, value):
-    """A command-line override of a top-level config key, checked by its schema."""
-    try:
-        jsonschema.validate(value, config_schema()["properties"][key])
-    except jsonschema.ValidationError as exc:
-        raise SchemaViolation(f"override: {exc.message}", "/" + key) from exc
-    return value
 
 
 def parse_scalar(raw) -> GaussianRational:
@@ -101,38 +94,22 @@ class RunConfig:
         return GeneratorSet(self.generators)
 
     def echo(self) -> dict:
-        """The resolved configuration as written into reports."""
-        return {
-            "space": self.space,
-            "n": self.n,
-            "generators": [
-                {
-                    "num": [c.literal() for c in g.num],
-                    "den": [c.literal() for c in g.den],
-                    "degree": g.degree,
-                    "exact": g.exact_coeffs,
-                }
-                for g in self.generators
-            ],
-            "degrees": list(self.degrees),
-            "multiplicities": list(self.multiplicities),
-            "seed": self.seed,
-            "estimator": dict(self.estimator),
-            "budgets": dict(self.budgets),
-            "tolerances": dict(self.tolerances),
-            "relations_word_length": self.relations_word_length,
-            "recurrence_depth": self.recurrence_depth,
-            "output": dict(self.output),
-        }
+        """The resolved configuration as written into reports, one key per field."""
+        echo = {f.name: copy.copy(getattr(self, f.name)) for f in fields(self)}
+        echo.update(generators=[
+            {"num": [c.literal() for c in g.num], "den": [c.literal() for c in g.den],
+             "degree": g.degree, "exact": g.exact_coeffs}
+            for g in self.generators
+        ], degrees=list(self.degrees), multiplicities=list(self.multiplicities))
+        return echo
 
 
 def _merged(defaults: dict, given: dict) -> dict:
-    out = dict(defaults)
-    for key, value in given.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merged(out[key], value)
-        else:
-            out[key] = value
+    """given over defaults, merged key by key inside nested dicts, each a new dict."""
+    out = dict(defaults, **given)
+    for key, value in defaults.items():
+        if isinstance(value, dict):
+            out[key] = _merged(value, given.get(key, {}))
     return out
 
 
@@ -147,11 +124,10 @@ def load_config(data: dict) -> RunConfig:
         pointer = "/" + "/".join(str(p) for p in path)
         raise SchemaViolation(exc.message, pointer) from exc
 
-    space = data.get("space", DEFAULTS["space"])
-    n = data.get("n", DEFAULTS["n"])
-    if space == "P1" and n != 1:
+    merged = _merged(DEFAULTS, data)
+    if merged["space"] == "P1" and merged["n"] != 1:
         raise SchemaViolation("P1 runs require n = 1", "/n")
-    if space == "Pn" and "degrees" not in data and "generators" not in data:
+    if merged["space"] == "Pn" and "degrees" not in data and "generators" not in data:
         raise SchemaViolation("Pn runs need a degrees list", "/degrees")
 
     generators = []
@@ -171,7 +147,7 @@ def load_config(data: dict) -> RunConfig:
     if not degrees:
         raise SchemaViolation("no generators and no degrees", "/generators")
 
-    mults = data.get("multiplicities")
+    mults = merged["multiplicities"]
     if mults is None:
         mults = (1,) * len(degrees)
     mults = tuple(mults)
@@ -180,26 +156,15 @@ def load_config(data: dict) -> RunConfig:
             f"{len(mults)} multiplicities for {len(degrees)} generators",
             "/multiplicities")
 
-    return RunConfig(
-        space=space,
-        n=n,
-        generators=generators,
-        degrees=degrees,
-        multiplicities=mults,
-        seed=data.get("seed", DEFAULTS["seed"]),
-        estimator=_merged(DEFAULTS["estimator"], data.get("estimator", {})),
-        budgets=_merged(DEFAULTS["budgets"], data.get("budgets", {})),
-        tolerances=_merged(DEFAULTS["tolerances"], data.get("tolerances", {})),
-        relations_word_length=data.get(
-            "relations_word_length", DEFAULTS["relations_word_length"]),
-        recurrence_depth=data.get(
-            "recurrence_depth", DEFAULTS["recurrence_depth"]),
-        output=_merged(DEFAULTS["output"], data.get("output", {})),
-    )
+    resolved = {f.name: merged[f.name] for f in fields(RunConfig)
+                if f.name not in ("generators", "degrees", "multiplicities")}
+    return RunConfig(generators=generators, degrees=degrees, multiplicities=mults,
+                     **resolved)
 
 
-def parse_config(path) -> RunConfig:
-    """Load, validate and resolve a JSON config file."""
+def parse_config(path, overrides: dict | None = None) -> RunConfig:
+    """Load, validate and resolve a JSON config file. The non-None overrides
+    replace its top-level keys before validation, like an edit of the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -209,6 +174,8 @@ def parse_config(path) -> RunConfig:
         data = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"config is not valid JSON: {exc}", "") from exc
+    if isinstance(data, dict):  # any other top level fails the schema as it is
+        data.update((k, v) for k, v in (overrides or {}).items() if v is not None)
     return load_config(data)
 
 

@@ -24,18 +24,18 @@ import numpy as np
 
 from .correspondence import Correspondence, GeneratorSet, build_correspondence, d_top
 from .errors import InsufficientData
-from .orbits import OrbitPool, affordable_depth, preimage_tree_levels
+from .orbits import TREE_BUDGET, OrbitPool, affordable_depth, preimage_tree_levels
 from .projective import chordal_dist, ring_around, sample_points
 from .ratmap import evaluate, fs_jacobian
 from .separation import _greedy, _word_blocks, count_separated
 
 EPSILON_GRID = (0.02, 0.05, 0.1, 0.2)
 NU_MIN, NU_MAX = 2, 12
-TREE_BUDGET = 20_000
 
 INJECTIVITY_CAP = 0.2
 INJECTIVITY_FLOOR = 1e-4
 RING_SAMPLES = 12
+SCALES_PER_GENERATOR = 40
 JAC_SAFETY = 1.05
 
 
@@ -163,33 +163,30 @@ def jacobian_bound(gens: GeneratorSet, seed: int, samples: int = 400) -> float:
     return JAC_SAFETY * max([0.0] + [fs_jacobian(f, p) for f in gens.maps for p in pts])
 
 
-def injectivity_scale(f, center, cap: float = INJECTIVITY_CAP,
-                      floor: float = INJECTIVITY_FLOOR,
-                      ring: int = RING_SAMPLES) -> float:
+def injectivity_scale(f, center) -> float:
     """Largest tested radius at which f looks injective on the chordal ball.
 
     Proxy: images of a ring sample must not fold onto each other, i.e. the
     minimum pairwise image distance must stay comparable to the expected
-    conformal spacing. Halves the radius until the proxy passes; never
-    returns below the floor. Downstream separation never trusts this value:
-    families are re-verified pairwise at the returned scale.
+    conformal spacing. Halves the radius from INJECTIVITY_CAP until the
+    proxy passes, down to INJECTIVITY_FLOOR. Downstream separation never
+    trusts this value: families are re-verified pairwise at the returned scale.
     """
     jac = fs_jacobian(f, center)
-    r = cap
-    while r > floor:
-        pts = ring_around(center, r, ring)
+    r = INJECTIVITY_CAP
+    while r > INJECTIVITY_FLOOR:
+        pts = ring_around(center, r, RING_SAMPLES)
         images = [evaluate(f, p) for p in pts]
-        spacing = max(2.0 * math.pi * r * math.sqrt(max(jac, 1e-12)) / ring, 1e-12)
+        spacing = max(2.0 * math.pi * r * math.sqrt(max(jac, 1e-12)) / RING_SAMPLES, 1e-12)
         if not any(chordal_dist(a, b) < 0.05 * spacing
                    for a, b in itertools.combinations(images, 2)):
             return r
         r *= 0.5
-    return floor
+    return INJECTIVITY_FLOOR
 
 
 def mp_family(gens: GeneratorSet, beta: float, nu: int, seed: int,
-              samples: int = 400, per_generator_scales: int = 40,
-              tree_budget: int = TREE_BUDGET) -> MpFamily:
+              samples: int = 400, tree_budget: int = TREE_BUDGET) -> MpFamily:
     """Separated family from the low-Jacobian-pruned backward tree.
 
     The pruning floor is delta(beta) = L^(-beta/(1-beta)) for a sampled
@@ -210,7 +207,7 @@ def mp_family(gens: GeneratorSet, beta: float, nu: int, seed: int,
     eps = INJECTIVITY_CAP
     for f in gens.maps:
         high = (p for p in pts if not fs_jacobian(f, p) < floor)
-        for p in itertools.islice(high, per_generator_scales):
+        for p in itertools.islice(high, SCALES_PER_GENERATOR):
             eps = min(eps, injectivity_scale(f, p))
     eps = max(eps, INJECTIVITY_FLOOR)
 

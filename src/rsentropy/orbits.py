@@ -34,6 +34,7 @@ from .projective import ProjPoint, chordal_dist, normalize
 from .ratmap import evaluate, fs_jacobian, preimages
 
 ORBIT_BUDGET = 200_000
+TREE_BUDGET = 20_000
 PERTURB_ATTEMPTS = 5
 PERTURB_SIZE = 1e-6
 
@@ -130,7 +131,7 @@ def forward_orbits(c: Correspondence, starts, nu: int,
 
 def preimage_tree(c: Correspondence, terminal: ProjPoint, nu: int,
                   jac_floor: float = 0.0,
-                  budget: int = ORBIT_BUDGET) -> OrbitPool:
+                  budget: int = TREE_BUDGET) -> OrbitPool:
     """All nu-orbits ending at the terminal point, built backward.
 
     With jac_floor = 0 the full tree is returned: it has exactly d_top(c)^nu
@@ -148,7 +149,7 @@ def preimage_tree(c: Correspondence, terminal: ProjPoint, nu: int,
 
 def preimage_tree_levels(c: Correspondence, terminal: ProjPoint, nu: int,
                          jac_floor: float = 0.0,
-                         budget: int = ORBIT_BUDGET) -> dict[int, OrbitPool]:
+                         budget: int = TREE_BUDGET) -> dict[int, OrbitPool]:
     """Backward tree with every intermediate depth retained.
 
     Level k holds all k-orbits ending at the terminal; level nu is what

@@ -108,25 +108,28 @@ def poly_gcd(a: list, b: list) -> list:
     a = poly_trim(a)
     b = poly_trim(b)
     while b:
-        a, b = b, _poly_mod(a, b)
+        a, b = b, poly_divmod(a, b)[1]
     if not a:
         return []
     lead = a[-1]
     return [c / lead for c in a]
 
 
-def _poly_mod(a: list, b: list) -> list:
+def poly_divmod(a: list, b: list) -> tuple[list, list]:
+    """(quotient, trimmed remainder) of ascending coefficient lists, b trimmed."""
     r = list(a)
     db, lead = len(b) - 1, b[-1]
+    q = [GaussianRational(0)] * max(len(a) - db, 0)
     while len(r) - 1 >= db and r:
         factor = r[-1] / lead
         shift = len(r) - 1 - db
+        q[shift] = factor
         for i in range(db + 1):
             r[shift + i] = r[shift + i] - factor * b[i]
         r.pop()
         while r and r[-1].is_zero():
             r.pop()
-    return r
+    return q, r
 
 
 def forms_coprime(p: Form, q: Form) -> bool:
@@ -144,13 +147,12 @@ def forms_coprime(p: Form, q: Form) -> bool:
 # -- numeric root finding --------------------------------------------------------
 
 
-def aberth_roots(coeffs_ascending, tol: float = ABERTH_TOL,
-                 max_sweeps: int = ABERTH_MAX_SWEEPS) -> list[complex]:
+def aberth_roots(coeffs_ascending) -> list[complex]:
     """All complex roots of an ascending-coefficient polynomial.
 
     Simultaneous third-order iteration from a deterministic circle of start
-    values; stops when every residual |p(z_k)| falls below tol relative to
-    sum_k |c_k| |z|^k, then applies one Newton polish per root.
+    values; stops when every residual |p(z_k)| falls below ABERTH_TOL
+    relative to sum_k |c_k| |z|^k, then applies one Newton polish per root.
     """
     coeffs = [complex(c) for c in coeffs_ascending]
     while coeffs and coeffs[-1] == 0:
@@ -192,9 +194,9 @@ def aberth_roots(coeffs_ascending, tol: float = ABERTH_TOL,
         for c in coeffs:
             scale += abs(c) * zp
             zp *= az
-        return abs(p_of(z)) <= tol * max(scale, 1e-300)
+        return abs(p_of(z)) <= ABERTH_TOL * max(scale, 1e-300)
 
-    for _ in range(max_sweeps):
+    for _ in range(ABERTH_MAX_SWEEPS):
         moved = 0.0
         for i in range(m):
             z = roots[i]
@@ -236,18 +238,18 @@ def aberth_roots(coeffs_ascending, tol: float = ABERTH_TOL,
     return polished
 
 
-def strip_infinite_roots(coeffs_descending, rel_tol: float = 1e-13):
+def strip_infinite_roots(coeffs_descending):
     """Split a possibly degree-deficient form into (finite part, inf count).
 
     Input is a complex coefficient list in descending z0 order; leading
-    entries negligible relative to the largest coefficient are treated as
-    exact zeros, each contributing one root at [1 : 0].
+    entries at most 1e-13 of the largest coefficient are treated as exact
+    zeros, each contributing one root at [1 : 0].
     """
     biggest = max(abs(c) for c in coeffs_descending)
     if biggest == 0.0:
         raise RootFindingFailure("zero form has no well-defined roots")
     idx = 0
-    while idx < len(coeffs_descending) - 1 and abs(coeffs_descending[idx]) <= rel_tol * biggest:
+    while idx < len(coeffs_descending) - 1 and abs(coeffs_descending[idx]) <= 1e-13 * biggest:
         idx += 1
     finite = list(coeffs_descending[idx:])
     return finite, idx

@@ -35,8 +35,8 @@ class ProjPoint:
         """The chart value h0/h1; raises ZeroDivisionError at [1 : 0]."""
         return self.h0 / self.h1
 
-    def is_infinity(self, tol: float = DEFAULT_TOL) -> bool:
-        return abs(self.h1) <= tol * abs(self.h0)
+    def is_infinity(self) -> bool:
+        return abs(self.h1) <= DEFAULT_TOL * abs(self.h0)
 
     def __repr__(self):
         return f"ProjPoint([{self.h0:.6g} : {self.h1:.6g}])"

@@ -230,10 +230,7 @@ def preimages(f: RationalMap, q: ProjPoint) -> list[tuple[ProjPoint, int]]:
 
     points: list[ProjPoint] = []
     if len(finite_desc) > 1:
-        if len(finite_desc) == 2:
-            roots = [-finite_desc[1] / finite_desc[0]]
-        else:
-            roots = aberth_roots(list(reversed(finite_desc)))
+        roots = aberth_roots(list(reversed(finite_desc)))
         points.extend(normalize(z, 1.0) for z in roots)
     points.extend([INFINITY] * inf_mult)
 
@@ -272,13 +269,10 @@ def fs_jacobian(f: RationalMap, p: ProjPoint) -> float:
     p1 = tuple(complex(c) for c in form_d1(f.num))
     q0 = tuple(complex(c) for c in form_d0(f.den))
     q1 = tuple(complex(c) for c in form_d1(f.den))
-    if d == 1:
-        w = p0[0] * q1[0] - p1[0] * q0[0]
-    else:
-        w = (
-            form_eval_complex(p0, p.h0, p.h1) * form_eval_complex(q1, p.h0, p.h1)
-            - form_eval_complex(p1, p.h0, p.h1) * form_eval_complex(q0, p.h0, p.h1)
-        )
+    w = (
+        form_eval_complex(p0, p.h0, p.h1) * form_eval_complex(q1, p.h0, p.h1)
+        - form_eval_complex(p1, p.h0, p.h1) * form_eval_complex(q0, p.h0, p.h1)
+    )
     val0 = form_eval_complex(f.num_float, p.h0, p.h1)
     val1 = form_eval_complex(f.den_float, p.h0, p.h1)
     denom = (abs(val0) ** 2 + abs(val1) ** 2) ** 2 * d * d

@@ -289,9 +289,7 @@ def _mis_exact(adj) -> int:
     return best((1 << n) - 1)
 
 
-def sum_up_partition(pool, epsilon: float,
-                     exact_cutoff: int = EXACT_CUTOFF,
-                     joint_cutoff: int = JOINT_CUTOFF):
+def sum_up_partition(pool, epsilon: float):
     """Exact per-word maxima and the exact joint maximum, independently.
 
     The joint count deliberately runs a monolithic branch and bound over the
@@ -302,13 +300,13 @@ def sum_up_partition(pool, epsilon: float,
     Returns (per_word: dict word -> count, joint: int, equal: bool).
     """
     _check_pool(pool, epsilon)
-    if len(pool) > joint_cutoff:
+    if len(pool) > JOINT_CUTOFF:
         raise BudgetExceeded(
-            f"joint exact count limited to pools of {joint_cutoff} orbits")
+            f"joint exact count limited to pools of {JOINT_CUTOFF} orbits")
     words, _, blocks = _word_blocks(pool.symbols)
     per_word = {}
     for w, rows in zip(words, blocks):
-        if len(rows) > exact_cutoff:
+        if len(rows) > EXACT_CUTOFF:
             raise BudgetExceeded("per-word block too large for exact counting")
         per_word[w] = _mis_exact(_masks(len(rows), *_conflict_pairs(
             pool.h0[rows], pool.h1[rows], epsilon)))
@@ -320,13 +318,11 @@ def sum_up_partition(pool, epsilon: float,
 # -- spanning numbers and shift-orbit counts ------------------------------------
 
 
-def spanning_number(pool, epsilon: float, n: int,
-                    exact_cutoff: int = EXACT_CUTOFF,
-                    return_details: bool = False):
+def spanning_number(pool, epsilon: float, n: int, return_details: bool = False):
     """Minimum pool subset whose shift orbits eps-shadow the whole pool.
 
     y spans x when the shifted path distance stays at most eps for n steps
-    (j = 0..n-1). Minimum set cover is exact for pools up to the cutoff and
+    (j = 0..n-1). Minimum set cover is exact for pools up to EXACT_CUTOFF and
     greedy above it; pass return_details=True to receive (count, exact).
     """
     rows = OrbitPool.from_paths(pool)
@@ -338,7 +334,7 @@ def spanning_number(pool, epsilon: float, n: int,
     covers = [m | 1 << y for y, m in
               enumerate(_masks(k, *_shift_pairs(rows, epsilon, n - 1)))]
     full = (1 << k) - 1
-    if k <= exact_cutoff:
+    if k <= EXACT_CUTOFF:
         count, exact = _min_cover_exact(covers, full), True
     else:
         count, exact = _min_cover_greedy(covers, full), False

@@ -193,6 +193,21 @@ def test_friedland_bounds_z2_z3():
     assert not fb.details["depth_cap_hit"]
 
 
+def test_tangential_coincidence_is_one_exact_point():
+    # the cross form of {z^2, 2z - 1} is z1 (z0 - z1)^2: both maps fix 1 and
+    # are tangent there, so Aberth alone splits 1 into two inexact copies
+    gens = rs.GeneratorSet([Z2, rs.make_map([2, -1], [0, 1])])
+    pts = rs.coincidence_set(gens)
+    assert [cp.exact_coords for cp in pts] == [
+        (rs.GaussianRational(1), rs.GaussianRational(1)),
+        (rs.GaussianRational(1), rs.GaussianRational(0))]
+    for depth in (1, 5, 12):
+        certs = coincidence.certified_coincidences(gens, depth)
+        assert all(cert.return_depths == tuple(range(1, depth + 1)) for _, cert in certs)
+    fb = rs.friedland_bounds(gens, 12)
+    assert fb.details["exact"]
+
+
 def test_friedland_bounds_basilica_graph_exact_and_float():
     # 0 -> -1 -> 0 under z^2 - 1 is a recurrent coincidence point of
     # {z^2 - 1, z^3 - 1}; exact nodes are keyed by their coordinates

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import math
@@ -8,6 +9,7 @@ import pytest
 
 import rsentropy as rs
 from rsentropy import cli, coincidence, orbits
+from rsentropy.config import config_schema
 from rsentropy.errors import BadScalarLiteral, SchemaViolation, UnreadableFile
 from util import Z2, Z3
 
@@ -239,6 +241,43 @@ def test_cli_override_out_of_schema_bounds(tmp_path, capsys, args, pointer):
     assert cli.main(list(args) + ["--config", path]) == 1
     err = json.loads(capsys.readouterr().out)["error"]
     assert (err["type"], err["pointer"]) == ("SchemaViolation", pointer)
+
+
+@pytest.mark.parametrize("command,flag,key,value", [
+    ("exact", "--seed", "seed", -1),
+    ("relations", "--word-length", "relations_word_length", 0),
+])
+def test_cli_override_fails_like_the_config_key(tmp_path, capsys, command, flag, key, value):
+    in_file = write_config(tmp_path, dict(Z23_CONFIG, **{key: value}), "bad.json")
+    assert cli.main([command, "--config", in_file]) == 1
+    from_file = json.loads(capsys.readouterr().out)
+    path = write_config(tmp_path, Z23_CONFIG)
+    assert cli.main([command, "--config", path, flag, str(value)]) == 1
+    assert json.loads(capsys.readouterr().out) == from_file
+
+
+@pytest.mark.parametrize("args", [(), ("--seed", "3")])
+def test_cli_rejects_a_config_that_is_not_an_object(tmp_path, capsys, args):
+    assert cli.main(["exact", "--config", write_config(tmp_path, []), *args]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert (err["type"], err["pointer"]) == ("SchemaViolation", "/")
+
+
+def test_echo_holds_every_field_as_set(tmp_path):
+    data = dict(
+        Z23_CONFIG, n=1, degrees=[2, 3], multiplicities=[2, 1], seed=5,
+        estimator={"epsilon_grid": [0.1, 0.3], "nu_min": 3, "nu_max": 6,
+                   "tree_budget": 999},
+        budgets={"word_budget": 11, "degree_budget": 12, "node_budget": 13},
+        tolerances={"recurrence": 1e-7},
+        relations_word_length=4, recurrence_depth=7,
+        output={"report_path": "r.json", "csv_path": "c.csv"})
+    assert set(data) == set(config_schema()["properties"])
+    echo = rs.parse_config(write_config(tmp_path, data)).echo()
+    assert list(echo) == [f.name for f in dataclasses.fields(rs.RunConfig)]
+    assert [{"num": g["num"], "den": g["den"]} for g in echo.pop("generators")] == \
+        data.pop("generators")
+    assert echo == data
 
 
 @pytest.mark.parametrize("command,section,key,value", [

@@ -34,6 +34,11 @@ def test_forward_orbit_budget():
 def test_preimage_tree_budget():
     with pytest.raises(BudgetExceeded):
         rs.preimage_tree(corr(Z2, Z3), rs.sample_points(1, 2)[0], 8, budget=1000)
+    # with no budget passed, the default is the CLI's TREE_BUDGET: 5^7 = 78,125
+    # orbits exceed it, where the forward-orbit budget would admit them
+    for build in (rs.preimage_tree, rs.preimage_tree_levels):
+        with pytest.raises(BudgetExceeded):
+            build(corr(Z2, Z3), rs.sample_points(1, 2)[0], 7)
 
 
 def test_preimage_tree_examples():

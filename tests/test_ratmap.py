@@ -5,6 +5,8 @@ import pytest
 
 import rsentropy as rs
 from rsentropy.errors import CommonFactor, DegreeMismatch, NotMobius
+from rsentropy.polynomial import form_d0, form_d1, form_eval_complex, strip_infinite_roots
+from rsentropy.projective import normalize
 from util import IDENTITY, Z2, Z3, monomial, random_exact_map, scaling
 
 
@@ -160,6 +162,35 @@ def test_fs_jacobian_finite_difference():
         if checked >= 50:
             break
     assert checked >= 50
+
+
+def test_degree_one_maps_take_the_general_path():
+    # preimages and fs_jacobian once special-cased degree 1; the general path
+    # gives the same bits as the closed forms they used
+    rng = np.random.default_rng(17)
+
+    def scalar():
+        return rs.GaussianRational(int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
+
+    checked = 0
+    while checked < 300:
+        try:
+            f = rs.make_map([scalar(), scalar()], [scalar(), scalar()])
+        except rs.errors.RsentropyError:
+            continue
+        q = rs.sample_points(1, int(rng.integers(0, 10_000)))[0]
+        cross = [q.h1 * f.num_float[k] - q.h0 * f.den_float[k] for k in range(2)]
+        finite_desc, inf_mult = strip_infinite_roots(cross)
+        assert inf_mult == 0
+        assert rs.preimages(f, q) == [(normalize(-finite_desc[1] / finite_desc[0], 1.0), 1)]
+
+        p0, p1, q0, q1 = (tuple(complex(c) for c in d(form)) for d, form in (
+            (form_d0, f.num), (form_d1, f.num), (form_d0, f.den), (form_d1, f.den)))
+        w = p0[0] * q1[0] - p1[0] * q0[0]
+        val0 = form_eval_complex(f.num_float, q.h0, q.h1)
+        val1 = form_eval_complex(f.den_float, q.h0, q.h1)
+        assert rs.fs_jacobian(f, q) == abs(w) ** 2 / (abs(val0) ** 2 + abs(val1) ** 2) ** 2
+        checked += 1
 
 
 def test_degree_multiplicativity_random():
