@@ -16,7 +16,6 @@ destroy the lower bound, so equality at exact points is decided exactly.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -25,11 +24,11 @@ import numpy as np
 
 from .correspondence import Correspondence, GeneratorSet, build_correspondence
 from .errors import InconsistentItinerary, RootFindingFailure
-from .gaussian import GaussianRational
+from .gaussian import GaussianRational, lift, unlift
 from .polynomial import (
     aberth_roots,
-    form_eval_exact,
     form_mul,
+    pairs_eval,
     poly_divmod,
     poly_gcd,
     poly_trim,
@@ -43,6 +42,7 @@ RECURRENCE_DEPTH = 12
 SNAP_DENOMINATOR = 10 ** 6
 
 ExactPoint = tuple  # (GaussianRational, GaussianRational), normalized
+_ONE = GaussianRational(1)
 
 
 # -- exact projective helpers ----------------------------------------------------
@@ -58,9 +58,24 @@ def exact_normalize(h0: GaussianRational, h1: GaussianRational) -> ExactPoint:
 
 
 def exact_eval(f: RationalMap, pt: ExactPoint) -> ExactPoint:
-    w0 = form_eval_exact(f.num, pt[0], pt[1])
-    w1 = form_eval_exact(f.den, pt[0], pt[1])
-    return exact_normalize(w0, w1)
+    """f(pt), normalized, from one Horner pass per form on Gaussian integers.
+
+    With num(pt) = W0/(dn e^d) and den(pt) = W1/(dd e^d) the image is
+    [1 : W1 dn conj(W0) / (|W0|^2 dd)], reduced once, or [0 : 1] when W0 = 0.
+    A real W0 = a divides directly, sign(a) W1 dn / (|a| dd), so the one
+    gcd runs on integers of half the size.
+    """
+    (num, dn), (den, dd) = f.lifted
+    (p0, p1), _ = lift(pt)
+    a, b = pairs_eval(num, p0, p1)
+    p, q = pairs_eval(den, p0, p1)
+    if b:
+        p, q, a = p * a + q * b, q * a - p * b, a * a + b * b
+    elif a < 0:
+        p, q, a = -p, -q, -a
+    elif not a:
+        return exact_normalize(GaussianRational(0), GaussianRational(p, q))
+    return (_ONE, unlift([(p * dn, q * dn)], a * dd)[0])
 
 
 def exact_to_proj(pt: ExactPoint) -> ProjPoint:
@@ -214,27 +229,50 @@ class RecurrenceCertificate:
     status: str  # "recurrent" | "not_found_within_depth"
 
 
+def _stepper(steps: dict, step, f: RationalMap, node_budget: int):
+    """pt -> step(f, pt) through the call's step table, so that each point
+    is stepped by f once however many searches reach it.
+
+    Both steps are pure. A row keeps at most node_budget images, so the
+    table holds no more points than the graph and searches it serves.
+    """
+    row = steps.setdefault((step, f), {})
+
+    def image(pt):
+        hit = row.get(pt)
+        if hit is None:
+            hit = step(f, pt)
+            if len(row) < node_budget:
+                row[pt] = hit
+        return hit
+    return image
+
+
 def is_recurrent(c: Correspondence, x: ProjPoint, depth: int,
                  tol: float = RECURRENCE_TOL,
                  exact_point: ExactPoint | None = None,
-                 node_budget: int = NODE_BUDGET) -> RecurrenceCertificate:
+                 node_budget: int = NODE_BUDGET,
+                 *, _steps: dict | None = None) -> RecurrenceCertificate:
     """Breadth-first search of the forward sets for returns to x.
 
     Uses exact arithmetic when both the point and all component maps are
     exact; otherwise matches within the chordal tolerance. A forward set
     larger than node_budget raises BudgetExceeded as its first extra point
-    is found.
+    is found. _steps is the step table of the enclosing call, if any.
     """
     support = [f for f, _ in c.components]
     if exact_point is not None and all(f.exact_coeffs for f in support):
         start, step, index = exact_point, exact_eval, ExactPoints
     else:
         start, step, index = x, evaluate, NearPoints
+    steps = {} if _steps is None else _steps
+    steppers = [_stepper(steps, step, f, node_budget) for f in support]
     frontier, returns = [start], []
     for n in range(1, depth + 1):
         images = index(tol, node_budget, "forward set exceeded the node budget")
-        for pt, f in itertools.product(frontier, support):
-            images.index_of(step(f, pt))
+        for pt in frontier:
+            for image in steppers:
+                images.index_of(image(pt))
         frontier = images.points
         if images.find(start) is not None:
             returns.append(n)
@@ -245,12 +283,18 @@ def is_recurrent(c: Correspondence, x: ProjPoint, depth: int,
 
 def certified_coincidences(gens: GeneratorSet, depth: int,
                            tol: float = RECURRENCE_TOL,
-                           node_budget: int = NODE_BUDGET) -> list[tuple]:
-    """Each coincidence point paired with its recurrence certificate."""
+                           node_budget: int = NODE_BUDGET,
+                           *, _steps: dict | None = None) -> list[tuple]:
+    """Each coincidence point paired with its recurrence certificate.
+
+    The searches share one step table (_steps when the enclosing call
+    passes its own), so a point they revisit is stepped once.
+    """
     corr = build_correspondence(gens)
+    steps = {} if _steps is None else _steps
     return [
-        (cp, is_recurrent(corr, cp.point, depth, tol,
-                          exact_point=cp.exact_coords, node_budget=node_budget))
+        (cp, is_recurrent(corr, cp.point, depth, tol, exact_point=cp.exact_coords,
+                          node_budget=node_budget, _steps=steps))
         for cp in coincidence_set(gens)
     ]
 
@@ -327,7 +371,9 @@ def friedland_bounds(gens: GeneratorSet, depth: int = RECURRENCE_DEPTH,
     whether the cap was hit, in which case S is certified only to that depth.
     """
     upper = math.log(sum(gens.degrees))
-    coincidences = certified_coincidences(gens, depth, tol, node_budget)
+    # one step table for the call: the graph reuses the searches' steps
+    steps: dict = {}
+    coincidences = certified_coincidences(gens, depth, tol, node_budget, _steps=steps)
     recurrent = [cp for cp, cert in coincidences if cert.status == "recurrent"]
 
     exact_mode = gens.exact and all(cp.exact_coords is not None for cp in recurrent)
@@ -336,6 +382,7 @@ def friedland_bounds(gens: GeneratorSet, depth: int = RECURRENCE_DEPTH,
         starts, step, index = [cp.exact_coords for cp in recurrent], exact_eval, ExactPoints
     else:
         starts, step, index = [cp.point for cp in recurrent], evaluate, NearPoints
+    steppers = [_stepper(steps, step, f, node_budget) for f in gens.maps]
     graph = index(tol, node_budget, "transition graph exceeded the node budget")
     for p in starts:
         graph.index_of(p)
@@ -350,8 +397,8 @@ def friedland_bounds(gens: GeneratorSet, depth: int = RECURRENCE_DEPTH,
         known = len(graph.points)
         for u in frontier:
             images: dict[int, int] = {}
-            for f in gens.maps:
-                v = graph.index_of(step(f, graph.points[u]))
+            for image in steppers:
+                v = graph.index_of(image(graph.points[u]))
                 images[v] = images.get(v, 0) + 1
             edges.extend((u, v, math.log(m)) for v, m in sorted(images.items()))
     cap_hit = bool(frontier)

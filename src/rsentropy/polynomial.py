@@ -68,13 +68,30 @@ def form_d1(form: Form) -> Form:
     return tuple(form[k] * k for k in range(1, d + 1))
 
 
+def pairs_eval(pairs: list, z0: tuple, z1: tuple) -> tuple:
+    """Horner value of a Gaussian-integer form at Gaussian-integer (z0, z1),
+    all given as (re, im) int pairs."""
+    x0, y0 = z0
+    x1, y1 = z1
+    re, im = pairs[0]
+    pr, pi = 1, 0  # z1^k
+    for cr, ci in pairs[1:]:
+        pr, pi = pr * x1 - pi * y1, pr * y1 + pi * x1
+        re, im = (re * x0 - im * y0 + cr * pr - ci * pi,
+                  re * y0 + im * x0 + cr * pi + ci * pr)
+    return re, im
+
+
 def form_eval_exact(form: Form, z0: GaussianRational, z1: GaussianRational) -> GaussianRational:
-    acc = form[0]
-    zp = GaussianRational(1)
-    for k in range(1, len(form)):
-        zp = zp * z1
-        acc = acc * z0 + form[k] * zp
-    return acc
+    """The form's value at (z0, z1): Horner on the Gaussian-integer
+    numerators of the form and of the point, reduced once.
+
+    With c_k = C_k/D and z_j = Z_j/e the value is sum C_k Z0^(d-k) Z1^k
+    over D e^d.
+    """
+    pairs, den = lift(form)
+    (p0, p1), e = lift((z0, z1))
+    return unlift([pairs_eval(pairs, p0, p1)], den * e ** form_degree(form))[0]
 
 
 def form_eval_complex(coeffs, z0: complex, z1: complex) -> complex:

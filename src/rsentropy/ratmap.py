@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     CommonFactor,
@@ -58,6 +59,12 @@ class RationalMap:
 
     def __repr__(self):
         return f"RationalMap(degree={self.degree})"
+
+    @cached_property
+    def lifted(self) -> tuple:
+        """``lift`` of num and of den: each form as Gaussian-integer pairs
+        over its denominator, computed on first use."""
+        return lift(self.num), lift(self.den)
 
     def sort_key(self):
         coeffs = tuple(c.sort_key() for c in self.num + self.den)

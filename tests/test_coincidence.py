@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from util import (
     Z3,
     Z4,
     affine_translation,
+    reference_exact_eval,
     reference_karp,
     scaling,
     scan_return_depths,
@@ -403,3 +405,57 @@ def test_transition_graph_steps_each_node_once(monkeypatch):
     assert fb.details["exact"] and fb.details["graph_nodes"] == 514
     # every node added before the last step is stepped once by each generator
     assert len(stepped) == 258 and set(stepped.values()) == {2}
+
+
+def test_friedland_bounds_steps_each_pair_once_per_call(monkeypatch):
+    stepped = collections.Counter()
+    step = coincidence.exact_eval
+    monkeypatch.setattr(coincidence, "exact_eval",
+                        lambda f, pt: stepped.update([(f, pt)]) or step(f, pt))
+    fb = rs.friedland_bounds(BASILICA, depth=10)
+    assert fb.details["exact"] and fb.details["graph_nodes"] == 514
+    # the three searches and the graph share one step table
+    assert len(stepped) == 518 and set(stepped.values()) == {1}
+    # and it lives for one call: the next call steps every pair again
+    rs.friedland_bounds(BASILICA, depth=10)
+    assert len(stepped) == 518 and set(stepped.values()) == {2}
+
+
+def _random_gaussian(rng, real):
+    re = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 13)))
+    im = 0 if real else Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 13)))
+    return rs.GaussianRational(re, im)
+
+
+def _vanishing_at(rng, pt, degree, real):
+    """A random form of the degree with a root at the exact point pt."""
+    cofactor = tuple(_random_gaussian(rng, real) for _ in range(degree))
+    return rs.polynomial.form_mul((pt[1], -pt[0]), cofactor)  # h1 z0 - h0 z1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_eval_matches_the_operation_oracle(seed):
+    rng = np.random.default_rng(seed)
+    zero, one = rs.GaussianRational(0), rs.GaussianRational(1)
+    checked = 0
+    while checked < 40:
+        degree = int(rng.integers(1, 5))
+        # 1: pt is a zero of num, 2: a pole; real maps at real points
+        # give real values of either sign
+        kind, real = checked % 3, checked // 3 % 2 == 1
+        pt = (one, _random_gaussian(rng, real))
+        num, den = (tuple(_random_gaussian(rng, real) for _ in range(degree + 1))
+                    for _ in range(2))
+        if kind == 1:
+            num = _vanishing_at(rng, pt, degree, real)
+        elif kind == 2:
+            den = _vanishing_at(rng, pt, degree, real)
+        try:
+            f = rs.make_map(num, den)
+        except rs.errors.RsentropyError:
+            continue
+        for p in (pt, (one, zero), (zero, one), (one, _random_gaussian(rng, real))):
+            assert coincidence.exact_eval(f, p) == reference_exact_eval(f, p)
+        if kind:
+            assert coincidence.exact_eval(f, pt) == [(zero, one), (one, zero)][kind - 1]
+        checked += 1

@@ -1,5 +1,6 @@
 """The integer normal form of exact scalars, checked against a Fraction-pair
-oracle, and the integer convolution of forms against a schoolbook product."""
+oracle, and the integer convolution and evaluation of forms against a
+schoolbook product and a reduce-every-operation Horner."""
 
 import math
 import random
@@ -10,8 +11,8 @@ import pytest
 
 import rsentropy as rs
 from rsentropy.errors import BadScalarLiteral
-from rsentropy.polynomial import form_mul
-from util import ReferenceGaussian
+from rsentropy.polynomial import form_eval_exact, form_mul
+from util import ReferenceGaussian, reference_form_eval_exact
 
 G = rs.GaussianRational
 
@@ -194,3 +195,12 @@ def test_form_mul_matches_schoolbook(seed):
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert_matches(g, w)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_form_eval_exact_matches_the_operation_loop(seed):
+    rnd = random.Random(seed)
+    for _ in range(60):
+        form = tuple(G(c.re, c.im) for c in random_form(rnd, rnd.randint(1, 6)))
+        z0, z1 = random_pair(rnd)[0], random_pair(rnd)[0]
+        assert form_eval_exact(form, z0, z1) == reference_form_eval_exact(form, z0, z1)

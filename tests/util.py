@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 
 import rsentropy as rs
+from rsentropy import coincidence
 
 
 def monomial(power):
@@ -148,6 +149,25 @@ def reference_karp(num_nodes, edges):
         if worst is not None and (best is None or worst > best):
             best = worst
     return best
+
+
+def reference_form_eval_exact(form, z0, z1):
+    """Horner value of an exact form at (z0, z1), reduced after every
+    operation (the form evaluation oracle)."""
+    acc = form[0]
+    zp = rs.GaussianRational(1)
+    for k in range(1, len(form)):
+        zp = zp * z1
+        acc = acc * z0 + form[k] * zp
+    return acc
+
+
+def reference_exact_eval(f, pt):
+    """The normalized image of an exact point, each form evaluated by
+    reference_form_eval_exact (the exact step oracle)."""
+    w0 = reference_form_eval_exact(f.num, pt[0], pt[1])
+    w1 = reference_form_eval_exact(f.den, pt[0], pt[1])
+    return coincidence.exact_normalize(w0, w1)
 
 
 def group_by_word(paths):
