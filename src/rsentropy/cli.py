@@ -220,14 +220,13 @@ def _point_label(point) -> str:
 
 def _coincidence_section(cfg: RunConfig, with_bounds: bool) -> dict:
     gens = cfg.generator_set()
-    tol = cfg.tolerances["recurrence"]
     depth = cfg.recurrence_depth
     budget = cfg.budgets["node_budget"]
     if with_bounds:
-        fb = friedland_bounds(gens, depth, tol, node_budget=budget)
+        fb = friedland_bounds(gens, depth, node_budget=budget)
         pairs = fb.details["coincidences"]
     else:
-        pairs = certified_coincidences(gens, depth, tol, node_budget=budget)
+        pairs = certified_coincidences(gens, depth, node_budget=budget)
     entries = []
     for cp, cert in pairs:
         entries.append({

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -139,7 +140,7 @@ def coincidence_set(gens: GeneratorSet) -> list[CoincidencePoint]:
             for pt, coords in _cross_roots(cross, exact_ok):
                 pair = (i + 1, j + 1)
                 for k, e in enumerate(found):
-                    # exact coordinates are equal or not; others match within tol
+                    # exact coordinates are equal or not, others within RECURRENCE_TOL
                     if (coords == e.exact_coords if None not in (coords, e.exact_coords)
                             else chordal_dist(pt, e.point) <= RECURRENCE_TOL):
                         if coords is not None and e.exact_coords is None:
@@ -179,10 +180,12 @@ def _cross_roots(cross, exact_ok):
     asc = poly_trim(list(reversed(core)))
     if len(asc) <= 1:
         return roots
+    # Aberth splits a multiple root at ~1e-8, too coarse to snap or to match
+    # within RECURRENCE_TOL: keep p / gcd(p, p'), exact also for float maps,
+    # whose coefficients are stored as exact dyadic rationals
+    deriv = [c * k for k, c in enumerate(asc)][1:]
+    asc = poly_divmod(asc, poly_gcd(asc, deriv))[0]
     if exact_ok:
-        # Aberth splits a multiple root at ~1e-8, too coarse to snap: keep p / gcd(p, p')
-        deriv = [c * k for k, c in enumerate(asc)][1:]
-        asc = poly_divmod(asc, poly_gcd(asc, deriv))[0]
         asc, rational_roots = _deflate_rational_roots(asc)
         for r in rational_roots:
             pt = exact_normalize(r, GaussianRational(1))
@@ -229,19 +232,19 @@ class RecurrenceCertificate:
     status: str  # "recurrent" | "not_found_within_depth"
 
 
-def _stepper(steps: dict, step, f: RationalMap, node_budget: int):
-    """pt -> step(f, pt) through the call's step table, so that each point
-    is stepped by f once however many searches reach it.
+def _stepper(steps: dict, f: RationalMap, node_budget: int):
+    """pt -> exact_eval(f, pt) through the call's step table, so that each
+    exact point is stepped by f once however many searches reach it.
 
-    Both steps are pure. A row keeps at most node_budget images, so the
-    table holds no more points than the graph and searches it serves.
+    The step is pure. A row keeps at most node_budget images, so the table
+    holds no more points than the graph and searches it serves.
     """
-    row = steps.setdefault((step, f), {})
+    row = steps.setdefault(f, {})
 
     def image(pt):
         hit = row.get(pt)
         if hit is None:
-            hit = step(f, pt)
+            hit = exact_eval(f, pt)
             if len(row) < node_budget:
                 row[pt] = hit
         return hit
@@ -249,27 +252,29 @@ def _stepper(steps: dict, step, f: RationalMap, node_budget: int):
 
 
 def is_recurrent(c: Correspondence, x: ProjPoint, depth: int,
-                 tol: float = RECURRENCE_TOL,
                  exact_point: ExactPoint | None = None,
                  node_budget: int = NODE_BUDGET,
                  *, _steps: dict | None = None) -> RecurrenceCertificate:
     """Breadth-first search of the forward sets for returns to x.
 
     Uses exact arithmetic when both the point and all component maps are
-    exact; otherwise matches within the chordal tolerance. A forward set
+    exact; otherwise matches within RECURRENCE_TOL chordal. A forward set
     larger than node_budget raises BudgetExceeded as its first extra point
-    is found. _steps is the step table of the enclosing call, if any.
+    is found. _steps is the step table of the enclosing call, if any; only
+    exact steps go through it.
     """
     support = [f for f, _ in c.components]
     if exact_point is not None and all(f.exact_coeffs for f in support):
-        start, step, index = exact_point, exact_eval, ExactPoints
+        steps = {} if _steps is None else _steps
+        start, index = exact_point, ExactPoints
+        steppers = [_stepper(steps, f, node_budget) for f in support]
     else:
-        start, step, index = x, evaluate, NearPoints
-    steps = {} if _steps is None else _steps
-    steppers = [_stepper(steps, step, f, node_budget) for f in support]
+        start, index = x, NearPoints
+        steppers = [partial(evaluate, f) for f in support]
     frontier, returns = [start], []
     for n in range(1, depth + 1):
-        images = index(tol, node_budget, "forward set exceeded the node budget")
+        images = index(RECURRENCE_TOL, node_budget,
+                       "forward set exceeded the node budget")
         for pt in frontier:
             for image in steppers:
                 images.index_of(image(pt))
@@ -282,7 +287,6 @@ def is_recurrent(c: Correspondence, x: ProjPoint, depth: int,
 
 
 def certified_coincidences(gens: GeneratorSet, depth: int,
-                           tol: float = RECURRENCE_TOL,
                            node_budget: int = NODE_BUDGET,
                            *, _steps: dict | None = None) -> list[tuple]:
     """Each coincidence point paired with its recurrence certificate.
@@ -293,7 +297,7 @@ def certified_coincidences(gens: GeneratorSet, depth: int,
     corr = build_correspondence(gens)
     steps = {} if _steps is None else _steps
     return [
-        (cp, is_recurrent(corr, cp.point, depth, tol, exact_point=cp.exact_coords,
+        (cp, is_recurrent(corr, cp.point, depth, exact_point=cp.exact_coords,
                           node_budget=node_budget, _steps=steps))
         for cp in coincidence_set(gens)
     ]
@@ -351,14 +355,13 @@ def fiber_entropy(gens: GeneratorSet, cycle, preperiod=()) -> FiberEntropyValue:
 
 @dataclass(frozen=True)
 class FriedlandBounds:
-    lower: float
+    lower: float | None
     upper: float
-    s_hat: float
+    s_hat: float | None
     details: dict
 
 
 def friedland_bounds(gens: GeneratorSet, depth: int = RECURRENCE_DEPTH,
-                     tol: float = RECURRENCE_TOL,
                      node_budget: int = NODE_BUDGET) -> FriedlandBounds:
     """Two-sided bounds on the itinerary entropy for one generator set.
 
@@ -369,23 +372,27 @@ def friedland_bounds(gens: GeneratorSet, depth: int = RECURRENCE_DEPTH,
     occur on edges leaving coincidence points, so any positive-mean cycle
     passes through one. The exploration is depth-capped; the details record
     whether the cap was hit, in which case S is certified only to that depth.
+
+    The graph is built only when every generator and every recurrent point
+    is exact, so that its nodes are equal or not. Float orbits can merge
+    distinct points or drift past a true return, so their S is no bound:
+    otherwise lower and s_hat are None and the graph is empty.
     """
     upper = math.log(sum(gens.degrees))
     # one step table for the call: the graph reuses the searches' steps
     steps: dict = {}
-    coincidences = certified_coincidences(gens, depth, tol, node_budget, _steps=steps)
+    coincidences = certified_coincidences(gens, depth, node_budget, _steps=steps)
     recurrent = [cp for cp, cert in coincidences if cert.status == "recurrent"]
+    details = {"coincidences": coincidences, "graph_nodes": 0, "graph_edges": 0,
+               "depth_cap_hit": False, "exact": False}
+    if not (gens.exact and all(cp.exact_coords is not None for cp in recurrent)):
+        return FriedlandBounds(lower=None, upper=upper, s_hat=None, details=details)
 
-    exact_mode = gens.exact and all(cp.exact_coords is not None for cp in recurrent)
-    # exact nodes are equal or not; float nodes match within the tolerance
-    if exact_mode:
-        starts, step, index = [cp.exact_coords for cp in recurrent], exact_eval, ExactPoints
-    else:
-        starts, step, index = [cp.point for cp in recurrent], evaluate, NearPoints
-    steppers = [_stepper(steps, step, f, node_budget) for f in gens.maps]
-    graph = index(tol, node_budget, "transition graph exceeded the node budget")
-    for p in starts:
-        graph.index_of(p)
+    steppers = [_stepper(steps, f, node_budget) for f in gens.maps]
+    graph = ExactPoints(RECURRENCE_TOL, node_budget,
+                        "transition graph exceeded the node budget")
+    for cp in recurrent:
+        graph.index_of(cp.exact_coords)
     # each step expands the nodes the step before added, so each node once;
     # the cap is hit when the last step still had nodes to expand
     edges: list = []
@@ -401,19 +408,13 @@ def friedland_bounds(gens: GeneratorSet, depth: int = RECURRENCE_DEPTH,
                 v = graph.index_of(image(graph.points[u]))
                 images[v] = images.get(v, 0) + 1
             edges.extend((u, v, math.log(m)) for v, m in sorted(images.items()))
-    cap_hit = bool(frontier)
 
     mean = karp_max_mean_cycle(len(graph.points), edges)
     s_hat = max(mean, 0.0) if mean is not None else 0.0
-    lower = max(upper - s_hat, 0.0)
-    details = {
-        "coincidences": coincidences,
-        "graph_nodes": len(graph.points),
-        "graph_edges": len(edges),
-        "depth_cap_hit": cap_hit,
-        "exact": exact_mode,
-    }
-    return FriedlandBounds(lower=lower, upper=upper, s_hat=s_hat, details=details)
+    details.update(graph_nodes=len(graph.points), graph_edges=len(edges),
+                   depth_cap_hit=bool(frontier), exact=True)
+    return FriedlandBounds(lower=max(upper - s_hat, 0.0), upper=upper, s_hat=s_hat,
+                           details=details)
 
 
 def karp_max_mean_cycle(num_nodes: int, edges) -> float | None:

@@ -15,7 +15,7 @@ from importlib import resources
 
 import jsonschema
 
-from .coincidence import NODE_BUDGET, RECURRENCE_DEPTH, RECURRENCE_TOL
+from .coincidence import NODE_BUDGET, RECURRENCE_DEPTH
 from .correspondence import DEGREE_BUDGET, WORD_BUDGET, GeneratorSet
 from .errors import (
     BadScalarLiteral,
@@ -43,9 +43,6 @@ DEFAULTS = {
         "word_budget": WORD_BUDGET,
         "degree_budget": DEGREE_BUDGET,
         "node_budget": NODE_BUDGET,
-    },
-    "tolerances": {
-        "recurrence": RECURRENCE_TOL,
     },
     "relations_word_length": 2,
     "recurrence_depth": RECURRENCE_DEPTH,
@@ -83,7 +80,6 @@ class RunConfig:
     seed: int
     estimator: dict
     budgets: dict
-    tolerances: dict
     relations_word_length: int
     recurrence_depth: int
     output: dict

@@ -24,6 +24,21 @@ from util import (
 
 BASILICA = rs.GeneratorSet([rs.make_map([1, 0, -1], [0, 0, 1]),
                             rs.make_map([1, 0, 0, -1], [0, 0, 0, 1])])
+FLOAT_BASILICA = rs.GeneratorSet([rs.make_map([1.0, 0, -1.0], [0, 0, 1.0]),
+                                  rs.make_map([1.0, 0, 0, -1.0], [0, 0, 0, 1.0])])
+_q = rs.parse_scalar
+# nine inexact coincidence points and the exact point at infinity
+THREE_GENERATORS = rs.GeneratorSet([
+    rs.make_map([_q("1/3"), _q({"re": "2/7", "im": "-5/3"}), 1],
+                [0, _q("3/4"), _q({"re": "0", "im": "1/2"})]),
+    rs.make_map([2, 0, -1], [0, 0, 1]),  # Chebyshev T2
+    rs.make_map([_q({"re": "1/2", "im": "1/2"}), _q("-1/9")], [_q("1/5"), 1]),
+])
+WITHHELD = {"graph_nodes": 0, "graph_edges": 0, "depth_cap_hit": False, "exact": False}
+
+
+def _graph_details(fb):
+    return {key: fb.details[key] for key in WITHHELD}
 
 
 def test_coincidence_translations():
@@ -210,27 +225,57 @@ def test_tangential_coincidence_is_one_exact_point():
     assert fb.details["exact"]
 
 
+def test_float_tangential_coincidence_is_one_point():
+    # the same tangency with float coefficients: the squarefree part of the
+    # cross form is exact too, so Aberth sees the simple root 1 only
+    gens = rs.GeneratorSet([rs.make_map([1.0, 0, 0], [0, 0, 1.0]),
+                            rs.make_map([2.0, -1.0], [0, 1.0])])
+    pts = rs.coincidence_set(gens)
+    assert [cp.exact for cp in pts] == [False, False]
+    assert rs.chordal_dist(pts[0].point, rs.point_at(1)) <= 1e-15
+    assert pts[1].point.is_infinity()
+    for depth in range(1, 13):
+        certs = coincidence.certified_coincidences(gens, depth)
+        assert all(cert.return_depths == tuple(range(1, depth + 1)) for _, cert in certs)
+
+
 def test_friedland_bounds_basilica_graph_exact_and_float():
     # 0 -> -1 -> 0 under z^2 - 1 is a recurrent coincidence point of
     # {z^2 - 1, z^3 - 1}; exact nodes are keyed by their coordinates
-    exact = rs.GeneratorSet([rs.make_map([1, 0, -1], [0, 0, 1]),
-                             rs.make_map([1, 0, 0, -1], [0, 0, 0, 1])])
-    fb = rs.friedland_bounds(exact, depth=8)
+    fb = rs.friedland_bounds(BASILICA, depth=8)
     assert fb.details["exact"]
     assert (fb.details["graph_nodes"], fb.details["graph_edges"]) == (130, 130)
     assert fb.s_hat == pytest.approx(math.log(2))
-    # the same maps with float coefficients take the chordal-tolerance path,
-    # which builds the same graph while no two orbit points come close
-    floats = rs.GeneratorSet([rs.make_map([1.0, 0, -1.0], [0, 0, 1.0]),
-                              rs.make_map([1.0, 0, 0, -1.0], [0, 0, 0, 1.0])])
-    shallow = [rs.friedland_bounds(g, depth=4) for g in (exact, floats)]
-    assert [b.details["exact"] for b in shallow] == [True, False]
-    assert ({(b.details["graph_nodes"], b.details["graph_edges"]) for b in shallow}
-            == {(10, 10)})
-    # deeper, orbit points merge within the tolerance
-    for depth, graph in ((6, (25, 31)), (8, (26, 40))):
-        fb = rs.friedland_bounds(floats, depth=depth)
-        assert (fb.details["graph_nodes"], fb.details["graph_edges"]) == graph
+    # the same maps with float coefficients: float nodes within the tolerance
+    # would merge distinct escaping points, so no graph is built and no
+    # lower bound is claimed
+    for depth in (4, 6, 8):
+        fb = rs.friedland_bounds(FLOAT_BASILICA, depth=depth)
+        assert (fb.lower, fb.s_hat, fb.upper) == (None, None, math.log(5))
+        assert _graph_details(fb) == WITHHELD
+        # the points are still certified: 0 and infinity return, 1 does not
+        statuses = [cert.status for _, cert in fb.details["coincidences"]]
+        assert statuses.count("recurrent") == 2
+    # so a node budget far below the exact graph's 130 nodes trips nothing
+    fb = rs.friedland_bounds(FLOAT_BASILICA, depth=8, node_budget=25)
+    assert _graph_details(fb) == WITHHELD
+
+
+def test_friedland_bounds_withheld_at_inexact_recurrent_points():
+    # {z^2 - 2, 2z^2 + z - 3} is exact, but it meets at 1, infinity and
+    # (-1 +- sqrt 5)/2, which z^2 - 2 swaps: a recurrent pair of inexact points
+    gens = rs.GeneratorSet([rs.make_map([1, 0, -2], [0, 0, 1]),
+                            rs.make_map([2, 1, -3], [0, 0, 1])])
+    fb = rs.friedland_bounds(gens, depth=8)
+    inexact = [(cp, cert) for cp, cert in fb.details["coincidences"] if not cp.exact]
+    assert len(inexact) == 2
+    square = gens.maps[0]
+    for cp, cert in inexact:
+        twice = rs.evaluate(square, rs.evaluate(square, cp.point))
+        assert rs.chordal_dist(twice, cp.point) <= 1e-12
+        assert cert.return_depths == (2, 4, 6, 8)
+    assert (fb.lower, fb.s_hat, fb.upper) == (None, None, math.log(4))
+    assert _graph_details(fb) == WITHHELD
 
 
 @pytest.mark.parametrize("tol", (1e-9, 1e-3, 0.3))
@@ -255,14 +300,7 @@ def test_near_points_match_a_scan(tol):
 
 
 def test_recurrence_matches_scan_on_three_generators():
-    # nine inexact coincidence points and the exact point at infinity
-    q = rs.parse_scalar
-    gens = rs.GeneratorSet([
-        rs.make_map([q("1/3"), q({"re": "2/7", "im": "-5/3"}), 1],
-                    [0, q("3/4"), q({"re": "0", "im": "1/2"})]),
-        rs.make_map([2, 0, -1], [0, 0, 1]),  # Chebyshev T2
-        rs.make_map([q({"re": "1/2", "im": "1/2"}), q("-1/9")], [q("1/5"), 1]),
-    ])
+    gens = THREE_GENERATORS
     corr = rs.build_correspondence(gens)
     certs = coincidence.certified_coincidences(gens, 7)
     assert [cp.exact for cp, _ in certs].count(False) == 9
@@ -274,23 +312,32 @@ def test_recurrence_matches_scan_on_three_generators():
         assert cert.status == ("recurrent" if cert.return_depths else "not_found_within_depth")
 
 
+def test_step_table_holds_exact_rows_only():
+    # the nine inexact searches step by evaluate and leave no row behind;
+    # the exact search from infinity fills one row per map
+    steps: dict = {}
+    coincidence.certified_coincidences(THREE_GENERATORS, 7, _steps=steps)
+    assert set(steps) == set(THREE_GENERATORS.maps)
+    for row in steps.values():
+        assert row
+        for pt, image in row.items():
+            for coords in (pt, image):
+                assert len(coords) == 2
+                assert all(isinstance(c, rs.GaussianRational) for c in coords)
+
+
 def test_forward_set_budget_raises_in_both_modes():
-    floats = rs.GeneratorSet([rs.make_map([1.0, 0, -1.0], [0, 0, 1.0]),
-                              rs.make_map([1.0, 0, 0, -1.0], [0, 0, 0, 1.0])])
-    exact = rs.GeneratorSet([rs.make_map([1, 0, -1], [0, 0, 1]),
-                             rs.make_map([1, 0, 0, -1], [0, 0, 0, 1])])
     # the largest forward set to depth 8 has 14 (float) or 86 (exact)
-    # points, the transition graph 26 or 130 nodes; each budget admits
-    # exactly that many
-    for gens, largest_set, graph_nodes in ((floats, 14, 26), (exact, 86, 130)):
+    # points; each budget admits exactly that many
+    for gens, largest_set in ((FLOAT_BASILICA, 14), (BASILICA, 86)):
         with pytest.raises(BudgetExceeded, match="forward set exceeded the node budget"):
             coincidence.certified_coincidences(gens, 8, node_budget=largest_set - 1)
         coincidence.certified_coincidences(gens, 8, node_budget=largest_set)
-        with pytest.raises(BudgetExceeded,
-                           match="transition graph exceeded the node budget"):
-            rs.friedland_bounds(gens, depth=8, node_budget=graph_nodes - 1)
-        fb = rs.friedland_bounds(gens, depth=8, node_budget=graph_nodes)
-        assert fb.details["graph_nodes"] == graph_nodes
+    # only exact maps build a transition graph: 130 nodes at depth 8
+    with pytest.raises(BudgetExceeded, match="transition graph exceeded the node budget"):
+        rs.friedland_bounds(BASILICA, depth=8, node_budget=129)
+    fb = rs.friedland_bounds(BASILICA, depth=8, node_budget=130)
+    assert fb.details["graph_nodes"] == 130
 
 
 def test_exact_points_match_by_equality_within_the_budget():

@@ -216,19 +216,37 @@ def test_cli_coincidence_section(tmp_path, capsys):
     assert [p["point"] for p in report["coincidence"]["points"]] == ["inf"]
 
 
+def test_cli_bounds_withheld_without_an_exact_graph(tmp_path, capsys):
+    # configs hold exact scalars only; {z^2 - 2, 2z^2 + z - 3} meets at the
+    # inexact 2-cycle (-1 +- sqrt 5)/2 of z^2 - 2, so no exact graph is built
+    cfg = {"generators": [
+        {"num": ["1", "0", "-2"], "den": ["0", "0", "1"]},
+        {"num": ["2", "1", "-3"], "den": ["0", "0", "1"]},
+    ], "recurrence_depth": 8}
+    assert cli.main(["friedland-bounds", "--config", write_config(tmp_path, cfg)]) == 0
+    section = json.loads(capsys.readouterr().out)["coincidence"]
+    assert [p["recurrent"] for p in section["points"]] == [True, True, True]
+    assert section["friedland_bounds"] == {
+        "lower": None, "upper": math.log(4), "s_hat": None, "graph_nodes": 0,
+        "graph_edges": 0, "depth_cap_hit": False, "exact": False}
+
+
 @pytest.mark.parametrize("section,key,value", [
     ("estimator", "start_pool", 200),
     ("estimator", "mp_beta", 0.9),
     ("budgets", "orbit_budget", 200000),
     ("tolerances", "compare", 1e-12),
     ("tolerances", "residual", 1e-9),
+    ("tolerances", "recurrence", 1e-9),
 ])
 def test_cli_rejects_deleted_knobs(tmp_path, capsys, section, key, value):
     cfg = dict(Z23_CONFIG, **{section: {key: value}})
     assert cli.main(["exact", "--config", write_config(tmp_path, cfg)]) == 1
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "SchemaViolation"
-    assert err["pointer"] == f"/{section}/{key}"
+    # the whole tolerances section is gone: every float match uses 1e-9
+    assert err["pointer"] == ("/tolerances" if section == "tolerances"
+                              else f"/{section}/{key}")
 
 
 @pytest.mark.parametrize("args,pointer", [
@@ -269,7 +287,6 @@ def test_echo_holds_every_field_as_set(tmp_path):
         estimator={"epsilon_grid": [0.1, 0.3], "nu_min": 3, "nu_max": 6,
                    "tree_budget": 999},
         budgets={"word_budget": 11, "degree_budget": 12, "node_budget": 13},
-        tolerances={"recurrence": 1e-7},
         relations_word_length=4, recurrence_depth=7,
         output={"report_path": "r.json", "csv_path": "c.csv"})
     assert set(data) == set(config_schema()["properties"])
@@ -282,7 +299,7 @@ def test_echo_holds_every_field_as_set(tmp_path):
 
 @pytest.mark.parametrize("command,section,key,value", [
     ("estimate", "estimator", "epsilon_grid", [math.nan]),
-    ("coincidence", "tolerances", "recurrence", math.inf),
+    ("coincidence", "budgets", "node_budget", math.inf),
     ("exact", "estimator", "nu_max", -math.inf),
 ])
 def test_cli_rejects_non_finite_json_numbers(tmp_path, capsys, command, section, key, value):
