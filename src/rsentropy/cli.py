@@ -17,7 +17,7 @@ import os
 import sys
 import time
 
-from .coincidence import certified_coincidences, friedland_bounds
+from .coincidence import certified_coincidences, exact_to_proj, friedland_bounds
 from .config import RunConfig, parse_config
 from .correspondence import (
     build_correspondence,
@@ -246,6 +246,10 @@ def _coincidence_section(cfg: RunConfig, with_bounds: bool) -> dict:
             "graph_edges": fb.details["graph_edges"],
             "depth_cap_hit": fb.details["depth_cap_hit"],
             "exact": fb.details["exact"],
+            "cycle_points": [_point_label(exact_to_proj(pt))
+                             for pt in fb.details["cycle_points"]],
+            "cycle_profile": list(fb.details["cycle_profile"]),
+            "cycle_length": fb.details["cycle_length"],
         }
     return section
 

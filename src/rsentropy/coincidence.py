@@ -7,7 +7,8 @@ so the gap between the symbol-aware entropy log(sum of degrees) and the
 itinerary entropy is controlled by the largest average branching along
 cycles through such points. That average is a maximum mean cycle weight in
 the forward transition graph with edges weighted log(number of generators
-realizing the step), computed here with Karp's algorithm.
+realizing the step), computed here with Karp's algorithm on the graph's
+strongly connected components that hold a cycle.
 
 Exact arithmetic is used whenever the generators and points are exact
 Gaussian-rational data: a false recurrence would inflate the cycle bound and
@@ -232,6 +233,32 @@ class RecurrenceCertificate:
     status: str  # "recurrent" | "not_found_within_depth"
 
 
+def _escape_test(maps):
+    """A predicate on exact points: true where |z|^2 > B when every map is a
+    polynomial of degree >= 2, false everywhere for any other set. Such a
+    point lies on no cycle, and neither do its images.
+
+    With f = sum a_k z^k of degree d and A+ = sum_{k<d} |Re a_k| + |Im a_k|,
+    which bounds sum_{k<d} |a_k|, a point with |z| > 1 has
+    |f(z)| >= |z|^(d-1) (|a_d| |z| - A+). So |z|^2 > B, where B is the
+    largest max(1, (1 + A+)^2 / |a_d|^2) over the set, gives
+    |f(z)| > |z|^(d-1) >= |z| under every generator: the escape radius
+    (Milnor, Dynamics in One Complex Variable, 3rd ed., section 9), taken
+    over the semigroup as in Hinkkanen & Martin, Proc. LMS 73 (1996). The
+    point [1 : w] is z = 1/w, so the test is w != 0 and |w|^2 B < 1.
+    """
+    bound = Fraction(1)
+    for f in maps:
+        if f.degree < 2 or not all(c.is_zero() for c in f.den[:-1]):
+            return lambda pt: False
+        lead = f.den[-1]  # f(z) = num(z) / lead, num[0] the z^d coefficient
+        a = [c / lead for c in f.num]
+        spread = 1 + sum(abs(c.re) + abs(c.im) for c in a[1:])
+        bound = max(bound, spread * spread / a[0].abs2())
+    return lambda pt: (pt[0] == _ONE and not pt[1].is_zero()
+                       and pt[1].abs2() * bound < 1)
+
+
 def _stepper(steps: dict, f: RationalMap, node_budget: int):
     """pt -> exact_eval(f, pt) through the call's step table, so that each
     exact point is stepped by f once however many searches reach it.
@@ -261,15 +288,17 @@ def is_recurrent(c: Correspondence, x: ProjPoint, depth: int,
     exact; otherwise matches within RECURRENCE_TOL chordal. A forward set
     larger than node_budget raises BudgetExceeded as its first extra point
     is found. _steps is the step table of the enclosing call, if any; only
-    exact steps go through it.
+    exact steps go through it. Exact searches under polynomials leave out
+    the escaping points of _escape_test: they never return, and neither do
+    their images, so the return depths are those of the full search.
     """
     support = [f for f, _ in c.components]
     if exact_point is not None and all(f.exact_coeffs for f in support):
         steps = {} if _steps is None else _steps
-        start, index = exact_point, ExactPoints
+        start, index, escapes = exact_point, ExactPoints, _escape_test(support)
         steppers = [_stepper(steps, f, node_budget) for f in support]
     else:
-        start, index = x, NearPoints
+        start, index, escapes = x, NearPoints, lambda pt: False
         steppers = [partial(evaluate, f) for f in support]
     frontier, returns = [start], []
     for n in range(1, depth + 1):
@@ -277,7 +306,8 @@ def is_recurrent(c: Correspondence, x: ProjPoint, depth: int,
                        "forward set exceeded the node budget")
         for pt in frontier:
             for image in steppers:
-                images.index_of(image(pt))
+                if not escapes(y := image(pt)):
+                    images.index_of(y)
         frontier = images.points
         if images.find(start) is not None:
             returns.append(n)
@@ -372,6 +402,12 @@ def friedland_bounds(gens: GeneratorSet, depth: int = RECURRENCE_DEPTH,
     occur on edges leaving coincidence points, so any positive-mean cycle
     passes through one. The exploration is depth-capped; the details record
     whether the cap was hit, in which case S is certified only to that depth.
+    Under polynomials of degree >= 2 the graph leaves out the escaping
+    points of _escape_test, which lie on no cycle, so it often closes
+    before the cap and S holds at every depth.
+
+    S is log(P) / L for one optimal cycle, with P the product of its
+    multiplicities (its profile) and L its length; the details name it.
 
     The graph is built only when every generator and every recurrent point
     is exact, so that its nodes are equal or not. Float orbits can merge
@@ -384,18 +420,20 @@ def friedland_bounds(gens: GeneratorSet, depth: int = RECURRENCE_DEPTH,
     coincidences = certified_coincidences(gens, depth, node_budget, _steps=steps)
     recurrent = [cp for cp, cert in coincidences if cert.status == "recurrent"]
     details = {"coincidences": coincidences, "graph_nodes": 0, "graph_edges": 0,
-               "depth_cap_hit": False, "exact": False}
+               "depth_cap_hit": False, "exact": False, "cycle_points": (),
+               "cycle_profile": (), "cycle_length": 0}
     if not (gens.exact and all(cp.exact_coords is not None for cp in recurrent)):
         return FriedlandBounds(lower=None, upper=upper, s_hat=None, details=details)
 
     steppers = [_stepper(steps, f, node_budget) for f in gens.maps]
+    escapes = _escape_test(gens.maps)
     graph = ExactPoints(RECURRENCE_TOL, node_budget,
                         "transition graph exceeded the node budget")
     for cp in recurrent:
         graph.index_of(cp.exact_coords)
     # each step expands the nodes the step before added, so each node once;
     # the cap is hit when the last step still had nodes to expand
-    edges: list = []
+    edges: list = []  # (u, v, number of generators stepping u to v)
     known, frontier = 0, range(0)
     for _ in range(depth):
         frontier = range(known, len(graph.points))
@@ -405,43 +443,130 @@ def friedland_bounds(gens: GeneratorSet, depth: int = RECURRENCE_DEPTH,
         for u in frontier:
             images: dict[int, int] = {}
             for image in steppers:
-                v = graph.index_of(image(graph.points[u]))
-                images[v] = images.get(v, 0) + 1
-            edges.extend((u, v, math.log(m)) for v, m in sorted(images.items()))
+                if not escapes(y := image(graph.points[u])):
+                    v = graph.index_of(y)
+                    images[v] = images.get(v, 0) + 1
+            edges.extend((u, v, m) for v, m in sorted(images.items()))
 
-    mean = karp_max_mean_cycle(len(graph.points), edges)
-    s_hat = max(mean, 0.0) if mean is not None else 0.0
+    cycle = _optimal_cycle(len(graph.points), edges)
+    profile = tuple(edges[e][2] for e in cycle)
+    s_hat = math.log(math.prod(profile)) / len(cycle) if cycle else 0.0
     details.update(graph_nodes=len(graph.points), graph_edges=len(edges),
-                   depth_cap_hit=bool(frontier), exact=True)
+                   depth_cap_hit=bool(frontier), exact=True,
+                   cycle_points=tuple(graph.points[edges[e][0]] for e in cycle),
+                   cycle_profile=profile, cycle_length=len(cycle))
     return FriedlandBounds(lower=max(upper - s_hat, 0.0), upper=upper, s_hat=s_hat,
                            details=details)
 
 
-def karp_max_mean_cycle(num_nodes: int, edges) -> float | None:
+def _optimal_cycle(num_nodes: int, edges) -> list:
+    """Edge indices, in walk order from its lowest node, of one cycle of
+    maximum mean log multiplicity over edges (u, v, m); [] when acyclic.
+
+    Karp runs on each strongly connected component that holds a cycle. Two
+    components' cycles compare exactly, profile products P1^L2 against
+    P2^L1; a tie keeps the shorter cycle, then the one found first.
+    """
+    best, best_p = [], 1
+    for nodes, inner in _cyclic_components(num_nodes, edges):
+        local = {node: i for i, node in enumerate(nodes)}
+        _, cycle = karp_max_mean_cycle(
+            len(nodes), [(local[edges[e][0]], local[edges[e][1]], math.log(edges[e][2]))
+                         for e in inner], return_cycle=True)
+        cycle = [inner[e] for e in cycle]
+        p = math.prod(edges[e][2] for e in cycle)
+        if not best or (p ** len(best), len(best)) > (best_p ** len(cycle), len(cycle)):
+            best, best_p = cycle, p
+    if best:
+        start = min(range(len(best)), key=lambda k: edges[best[k]][0])
+        best = best[start:] + best[:start]
+    return best
+
+
+def _cyclic_components(num_nodes: int, edges) -> list:
+    """Tarjan's strongly connected components (1972), iteratively in
+    O(n + E): (sorted nodes, indices of the edges inside) of each component
+    that holds a cycle, that is two or more nodes or a self-loop."""
+    succ: list = [[] for _ in range(num_nodes)]
+    for u, v, _ in edges:
+        succ[u].append(v)
+    index, low = [-1] * num_nodes, [0] * num_nodes
+    on_stack, stack, work, comp_of, found = [False] * num_nodes, [], [], {}, []
+
+    def visit(v):
+        index[v] = low[v] = len(comp_of) + len(stack)  # nodes visited so far
+        stack.append(v)
+        on_stack[v] = True
+        work.append((v, iter(succ[v])))
+
+    for root in range(num_nodes):
+        if index[root] < 0:
+            visit(root)
+        while work:
+            v, children = work[-1]
+            for w in children:
+                if index[w] < 0:
+                    visit(w)
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == index[v]:
+                    nodes = []
+                    while not nodes or nodes[-1] != v:
+                        nodes.append(stack.pop())
+                        on_stack[nodes[-1]] = False
+                        comp_of[nodes[-1]] = len(found)
+                    found.append(sorted(nodes))
+    inner: list = [[] for _ in found]
+    for e, (u, v, _) in enumerate(edges):
+        if comp_of[u] == comp_of[v]:
+            inner[comp_of[u]].append(e)
+    return [(nodes, es) for nodes, es in zip(found, inner)
+            if len(nodes) > 1 or es]
+
+
+def karp_max_mean_cycle(num_nodes: int, edges, *, return_cycle: bool = False):
     """Karp's maximum mean cycle weight; None when the graph is acyclic.
 
     F_k[v] = best weight of a k-edge walk ending at v (walks may start
     anywhere); the answer is max over v of min over k of
     (F_n[v] - F_k[v]) / (n - k). The rows are generated twice, once to
     reach F_n and once to fold the minimum, so no n x n table is held.
+
+    With return_cycle, returns (mean, cycle): cycle lists the indices into
+    edges of one cycle of that mean in walk order (None when acyclic). It is
+    the first cycle closed on the best n-edge walk into the maximizing node,
+    read back through an n x n table of predecessor edges: every cycle on
+    that walk has the maximum mean (Karp 1978).
     """
     if num_nodes == 0 or not edges:
-        return None
+        return (None, None) if return_cycle else None
     n = num_nodes
     u, v, w = map(np.array, zip(*edges))
     order = np.argsort(v, kind="stable")  # F_k[t] is a max over t's run of edges
     u, v, w = u[order], v[order], w[order]
-    heads = np.flatnonzero(np.append(True, v[1:] != v[:-1]))
+    starts = np.append(True, v[1:] != v[:-1])
+    heads, runs = np.flatnonzero(starts), np.cumsum(starts) - 1  # each edge's run
+    preds: list = []  # preds[k][t]: last edge of a best (k + 1)-edge walk to t
 
-    def rows():  # F_0, F_1, ..., F_n
+    def rows(record=False):  # F_0, F_1, ..., F_n
         row = np.zeros(n)
         for _ in range(n):
             yield row
             row, prev = np.full(n, -np.inf), row
-            row[v[heads]] = np.maximum.reduceat(prev[u] + w, heads)
+            walks = prev[u] + w
+            row[v[heads]] = best = np.maximum.reduceat(walks, heads)
+            if record:
+                last = np.where(walks == best[runs], np.arange(len(v)), len(v))
+                preds.append(np.full(n, -1))
+                preds[-1][v[heads]] = np.minimum.reduceat(last, heads)
         yield row
 
-    for last in rows():
+    for last in rows(record=return_cycle):
         pass
     worst = np.full(n, np.inf)
     # where no n-edge walk ends, -inf - -inf is nan; those nodes are dropped
@@ -449,4 +574,17 @@ def karp_max_mean_cycle(num_nodes: int, edges) -> float | None:
         for k, row in zip(range(n), rows()):
             worst = np.minimum(worst, (last - row) / (n - k))
     reached = last > -np.inf
-    return float(worst[reached].max()) if reached.any() else None
+    mean = float(worst[reached].max()) if reached.any() else None
+    if not return_cycle:
+        return mean
+    if mean is None:
+        return None, None
+    node = int(np.flatnonzero(reached)[np.argmax(worst[reached])])
+    walk, seen = [], {node: 0}
+    for k in range(n - 1, -1, -1):  # n + 1 nodes on the walk, so one repeats
+        walk.append(int(preds[k][node]))
+        node = int(u[walk[-1]])
+        if node in seen:
+            return mean, [int(order[e]) for e in reversed(walk[seen[node]:])]
+        seen[node] = len(walk)
+    raise AssertionError("an n-edge walk over n nodes closes a cycle")

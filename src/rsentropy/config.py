@@ -11,9 +11,11 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass, fields
+from functools import cache
 from importlib import resources
 
-import jsonschema
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from .coincidence import NODE_BUDGET, RECURRENCE_DEPTH
 from .correspondence import DEGREE_BUDGET, WORD_BUDGET, GeneratorSet
@@ -53,6 +55,15 @@ DEFAULTS = {
 def config_schema() -> dict:
     text = resources.files("rsentropy").joinpath("config_schema.json").read_text()
     return json.loads(text)
+
+
+@cache
+def _validator():
+    """The schema's validator, built once per process. Unlike
+    jsonschema.validate it does not check the schema itself on every call;
+    the tests check it against its metaschema."""
+    schema = config_schema()
+    return validator_for(schema)(schema)
 
 
 def parse_scalar(raw) -> GaussianRational:
@@ -111,14 +122,13 @@ def _merged(defaults: dict, given: dict) -> dict:
 
 def load_config(data: dict) -> RunConfig:
     """Validate a config dict and resolve it to a RunConfig."""
-    try:
-        jsonschema.validate(data, config_schema())
-    except jsonschema.ValidationError as exc:
-        path = list(exc.absolute_path)
-        if exc.validator == "additionalProperties":  # point at the first unknown key
-            path += sorted(set(exc.instance) - set(exc.schema["properties"]))[:1]
+    error = best_match(_validator().iter_errors(data))  # as jsonschema.validate
+    if error is not None:
+        path = list(error.absolute_path)
+        if error.validator == "additionalProperties":  # point at the first unknown key
+            path += sorted(set(error.instance) - set(error.schema["properties"]))[:1]
         pointer = "/" + "/".join(str(p) for p in path)
-        raise SchemaViolation(exc.message, pointer) from exc
+        raise SchemaViolation(error.message, pointer) from error
 
     merged = _merged(DEFAULTS, data)
     if merged["space"] == "P1" and merged["n"] != 1:

@@ -24,6 +24,10 @@ from util import (
 
 BASILICA = rs.GeneratorSet([rs.make_map([1, 0, -1], [0, 0, 1]),
                             rs.make_map([1, 0, 0, -1], [0, 0, 0, 1])])
+# conjugated by z -> 1/z: {z^2/(1 - z^2), z^3/(1 - z^3)} is not polynomial,
+# so its graph does not close; it is the basilica graph with 0 and infinity swapped
+CONJUGATE_BASILICA = rs.GeneratorSet([rs.make_map([1, 0, 0], [-1, 0, 1]),
+                                      rs.make_map([1, 0, 0, 0], [-1, 0, 0, 1])])
 FLOAT_BASILICA = rs.GeneratorSet([rs.make_map([1.0, 0, -1.0], [0, 0, 1.0]),
                                   rs.make_map([1.0, 0, 0, -1.0], [0, 0, 0, 1.0])])
 _q = rs.parse_scalar
@@ -34,7 +38,8 @@ THREE_GENERATORS = rs.GeneratorSet([
     rs.make_map([2, 0, -1], [0, 0, 1]),  # Chebyshev T2
     rs.make_map([_q({"re": "1/2", "im": "1/2"}), _q("-1/9")], [_q("1/5"), 1]),
 ])
-WITHHELD = {"graph_nodes": 0, "graph_edges": 0, "depth_cap_hit": False, "exact": False}
+WITHHELD = {"graph_nodes": 0, "graph_edges": 0, "depth_cap_hit": False, "exact": False,
+            "cycle_points": (), "cycle_profile": (), "cycle_length": 0}
 
 
 def _graph_details(fb):
@@ -240,10 +245,10 @@ def test_float_tangential_coincidence_is_one_point():
 
 
 def test_friedland_bounds_basilica_graph_exact_and_float():
-    # 0 -> -1 -> 0 under z^2 - 1 is a recurrent coincidence point of
-    # {z^2 - 1, z^3 - 1}; exact nodes are keyed by their coordinates
-    fb = rs.friedland_bounds(BASILICA, depth=8)
-    assert fb.details["exact"]
+    # infinity -> -1 -> infinity under the conjugate of z^2 - 1 is a
+    # recurrent coincidence point; exact nodes are keyed by their coordinates
+    fb = rs.friedland_bounds(CONJUGATE_BASILICA, depth=8)
+    assert fb.details["exact"] and fb.details["depth_cap_hit"]
     assert (fb.details["graph_nodes"], fb.details["graph_edges"]) == (130, 130)
     assert fb.s_hat == pytest.approx(math.log(2))
     # the same maps with float coefficients: float nodes within the tolerance
@@ -329,14 +334,14 @@ def test_step_table_holds_exact_rows_only():
 def test_forward_set_budget_raises_in_both_modes():
     # the largest forward set to depth 8 has 14 (float) or 86 (exact)
     # points; each budget admits exactly that many
-    for gens, largest_set in ((FLOAT_BASILICA, 14), (BASILICA, 86)):
+    for gens, largest_set in ((FLOAT_BASILICA, 14), (CONJUGATE_BASILICA, 86)):
         with pytest.raises(BudgetExceeded, match="forward set exceeded the node budget"):
             coincidence.certified_coincidences(gens, 8, node_budget=largest_set - 1)
         coincidence.certified_coincidences(gens, 8, node_budget=largest_set)
     # only exact maps build a transition graph: 130 nodes at depth 8
     with pytest.raises(BudgetExceeded, match="transition graph exceeded the node budget"):
-        rs.friedland_bounds(BASILICA, depth=8, node_budget=129)
-    fb = rs.friedland_bounds(BASILICA, depth=8, node_budget=130)
+        rs.friedland_bounds(CONJUGATE_BASILICA, depth=8, node_budget=129)
+    fb = rs.friedland_bounds(CONJUGATE_BASILICA, depth=8, node_budget=130)
     assert fb.details["graph_nodes"] == 130
 
 
@@ -386,15 +391,16 @@ def _brute_max_mean_cycle(n, edges):
     return best
 
 
-def _basilica_graph(depth):
-    """(num_nodes, edges) as friedland_bounds hands them to Karp."""
+def _graph(gens, depth):
+    """(num_nodes, edges) of friedland_bounds' whole graph, weighted for Karp."""
     graphs = []
-    karp = coincidence.karp_max_mean_cycle
+    search = coincidence._optimal_cycle
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(coincidence, "karp_max_mean_cycle",
-                   lambda n, edges: graphs.append((n, edges)) or karp(n, edges))
-        rs.friedland_bounds(BASILICA, depth=depth)
-    return graphs[0]
+        mp.setattr(coincidence, "_optimal_cycle",
+                   lambda n, edges: graphs.append((n, edges)) or search(n, edges))
+        rs.friedland_bounds(gens, depth=depth)
+    n, edges = graphs[0]
+    return n, [(u, v, math.log(m)) for u, v, m in edges]
 
 
 def _random_graphs(count, seed):
@@ -424,14 +430,14 @@ def test_karp_equals_the_table_oracle_on_random_graphs():
 
 
 def test_karp_equals_the_table_oracle_on_basilica():
-    n, edges = _basilica_graph(10)
+    n, edges = _graph(CONJUGATE_BASILICA, 10)
     assert (n, len(edges)) == (514, 514)
     assert rs.karp_max_mean_cycle(n, edges) == reference_karp(n, edges)
 
 
 def test_karp_memory_is_linear_in_the_graph():
     # the (n + 1) x n table of floats took 8.5 MB on this graph
-    n, edges = _basilica_graph(10)
+    n, edges = _graph(CONJUGATE_BASILICA, 10)
     tracemalloc.start()
     try:
         rs.karp_max_mean_cycle(n, edges)
@@ -442,13 +448,13 @@ def test_karp_memory_is_linear_in_the_graph():
 
 
 def test_transition_graph_steps_each_node_once(monkeypatch):
-    certs = coincidence.certified_coincidences(BASILICA, 10)
+    certs = coincidence.certified_coincidences(CONJUGATE_BASILICA, 10)
     monkeypatch.setattr(coincidence, "certified_coincidences", lambda *a, **k: certs)
     stepped = collections.Counter()
     step = coincidence.exact_eval
     monkeypatch.setattr(coincidence, "exact_eval",
                         lambda f, pt: stepped.update([pt]) or step(f, pt))
-    fb = rs.friedland_bounds(BASILICA, depth=10)
+    fb = rs.friedland_bounds(CONJUGATE_BASILICA, depth=10)
     assert fb.details["exact"] and fb.details["graph_nodes"] == 514
     # every node added before the last step is stepped once by each generator
     assert len(stepped) == 258 and set(stepped.values()) == {2}
@@ -459,13 +465,186 @@ def test_friedland_bounds_steps_each_pair_once_per_call(monkeypatch):
     step = coincidence.exact_eval
     monkeypatch.setattr(coincidence, "exact_eval",
                         lambda f, pt: stepped.update([(f, pt)]) or step(f, pt))
-    fb = rs.friedland_bounds(BASILICA, depth=10)
+    fb = rs.friedland_bounds(CONJUGATE_BASILICA, depth=10)
     assert fb.details["exact"] and fb.details["graph_nodes"] == 514
     # the three searches and the graph share one step table
     assert len(stepped) == 518 and set(stepped.values()) == {1}
     # and it lives for one call: the next call steps every pair again
-    rs.friedland_bounds(BASILICA, depth=10)
+    rs.friedland_bounds(CONJUGATE_BASILICA, depth=10)
     assert len(stepped) == 518 and set(stepped.values()) == {2}
+
+
+def _inverted(pt):
+    """The exact point under z -> 1/z, which swaps the coordinates."""
+    return coincidence.exact_normalize(pt[1], pt[0])
+
+
+@pytest.mark.parametrize("depth", (8, 12, 40))
+def test_basilica_graph_closes_at_the_escape_radius(depth):
+    # orbits of {z^2 - 1, z^3 - 1} leaving |z|^2 > 4 grow forever: the graph
+    # is infinity -> infinity (both maps), 0 -> -1 (both), -1 -> 0, -1 -> -2
+    fb = rs.friedland_bounds(BASILICA, depth=depth)
+    d = fb.details
+    assert (d["exact"], d["graph_nodes"], d["graph_edges"], d["depth_cap_hit"]) == (
+        True, 4, 4, False)
+    assert fb.s_hat == math.log(2) and fb.lower == math.log(5) - math.log(2)
+    assert d["cycle_points"] == ((rs.GaussianRational(1), rs.GaussianRational(0)),)
+    assert (d["cycle_profile"], d["cycle_length"]) == ((2,), 1)
+    two = math.log(2)
+    assert _graph(BASILICA, depth) == (4, [(0, 2, two), (1, 1, two), (2, 0, 0.0),
+                                           (2, 3, 0.0)])
+
+
+def test_basilica_return_depths_match_the_conjugate():
+    # the closure drops only points that never return
+    certs = coincidence.certified_coincidences(BASILICA, 10)
+    conjugate = {cp.exact_coords: cert.return_depths for cp, cert in
+                 coincidence.certified_coincidences(CONJUGATE_BASILICA, 10)}
+    assert {_inverted(cp.exact_coords): cert.return_depths
+            for cp, cert in certs} == conjugate
+    assert [cert.return_depths for _, cert in certs] == [
+        (2, 4, 6, 8, 10), (), tuple(range(1, 11))]  # 0, 1, infinity
+
+
+def test_points_beyond_the_escape_radius_grow():
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(40):
+        maps = []
+        for _ in range(int(rng.integers(1, 4))):
+            d = int(rng.integers(2, 5))
+            num = [_random_gaussian(rng, False) for _ in range(d + 1)]
+            if num[0].is_zero():
+                num[0] = rs.GaussianRational(1)
+            lead = _random_gaussian(rng, False)
+            den = [0] * d + [lead if not lead.is_zero() else 3]
+            maps.append(rs.make_map(num, den))
+        escapes = coincidence._escape_test(maps)
+        # |z| on a ladder through the radius, in random directions
+        found = [False, False]
+        for k in range(-20, 60):
+            z = _random_gaussian(rng, False)
+            if z.is_zero():
+                continue
+            z = z * rs.GaussianRational(Fraction(11, 10) ** k / (1 + math.isqrt(
+                int(z.abs2()))))
+            pt = coincidence.exact_normalize(z, rs.GaussianRational(1))
+            found[escapes(pt)] = True
+            if escapes(pt):
+                for f in maps:
+                    image = coincidence.exact_eval(f, pt)
+                    assert image[0] == rs.GaussianRational(1)
+                    assert image[1].abs2() < pt[1].abs2()  # |f(z)| > |z|
+                checked += 1
+        assert found == [True, True]
+    assert checked > 500
+    # infinity and 0 are kept, and a set with a non-polynomial or a degree-1
+    # generator never closes
+    escapes = coincidence._escape_test(BASILICA.maps)
+    for pt in ((rs.GaussianRational(1), rs.GaussianRational(0)),
+               (rs.GaussianRational(0), rs.GaussianRational(1))):
+        assert not escapes(pt)
+    far = coincidence.exact_normalize(rs.GaussianRational(10 ** 9), rs.GaussianRational(1))
+    assert escapes(far)
+    for maps in (CONJUGATE_BASILICA.maps, MIXED.maps,
+                 [BASILICA.maps[0], rs.make_map([2, -1], [0, 1])]):
+        assert not coincidence._escape_test(maps)(far)
+
+
+# z^2 - 1 with (z^2 - 1)/(z + 2): one polynomial generator is not enough
+MIXED = rs.GeneratorSet([rs.make_map([1, 0, -1], [0, 0, 1]),
+                         rs.make_map([1, 0, -1], [0, 1, 2])])
+
+
+def test_mixed_set_keeps_the_unclosed_graph():
+    # the values of the full depth-capped exploration
+    fb = rs.friedland_bounds(MIXED, depth=8)
+    d = fb.details
+    assert (d["graph_nodes"], d["graph_edges"], d["depth_cap_hit"]) == (67, 68, True)
+    assert [cert.return_depths for _, cert in d["coincidences"]] == [
+        (2, 4, 6, 8), (), tuple(range(1, 9))]  # -1, 1, infinity
+    assert fb.s_hat == math.log(2)  # Karp's float mean read 0.6931471805599452
+
+
+def _random_multigraphs(count, seed):
+    rng = np.random.default_rng(seed)
+    for n, edges in _random_graphs(count, seed):
+        yield n, [(u, v, int(rng.integers(1, 4))) for u, v, _ in edges]
+
+
+def _is_cycle(edges, cycle):
+    """cycle lists the edges of a simple closed walk, in walk order."""
+    return (len({edges[e][0] for e in cycle}) == len(cycle)
+            and all(edges[e][1] == edges[f][0]
+                    for e, f in zip(cycle, cycle[1:] + cycle[:1])))
+
+
+def test_component_search_equals_whole_graph_karp():
+    lengths = collections.Counter()
+    for n, edges in _random_multigraphs(400, 9):
+        weighted = [(u, v, math.log(m)) for u, v, m in edges]
+        want = reference_karp(n, weighted)
+        cycle = coincidence._optimal_cycle(n, edges)
+        if want is None:
+            assert cycle == []
+            continue
+        assert _is_cycle(edges, cycle)
+        assert edges[cycle[0]][0] == min(edges[e][0] for e in cycle)
+        mean = math.log(math.prod(edges[e][2] for e in cycle)) / len(cycle)
+        assert mean == pytest.approx(want, abs=1e-12)
+        lengths[len(cycle)] += 1
+        # Karp's own cycle: a cycle of its mean, whatever the weights
+    assert len(lengths) >= 3
+    # Karp's own cycle has its mean, whatever the weights
+    for n, edges in _random_graphs(400, 6):
+        got, cycle = rs.karp_max_mean_cycle(n, edges, return_cycle=True)
+        assert got == reference_karp(n, edges)
+        if got is None:
+            assert cycle is None
+        else:
+            assert _is_cycle(edges, cycle)
+            assert sum(edges[e][2] for e in cycle) / len(cycle) == pytest.approx(
+                got, abs=1e-12)
+
+
+def test_components_compare_exactly():
+    # a 2-cycle of profile (2, 2) found first, then a self-loop of
+    # multiplicity 2: the same mean, so the shorter cycle is kept
+    edges = [(0, 1, 2), (1, 0, 2), (2, 2, 2)]
+    assert coincidence._optimal_cycle(3, edges) == [2]
+    # equal lengths and means: the cycle found first is kept
+    assert coincidence._optimal_cycle(2, [(0, 0, 3), (1, 1, 3)]) == [0]
+    # profile (3, 1) loses to a loop of 2 by 3 < 2^2; (3, 3, 1) wins by 9 > 2^3
+    assert coincidence._optimal_cycle(3, [(0, 1, 3), (1, 0, 1), (2, 2, 2)]) == [2]
+    assert coincidence._optimal_cycle(4, [(0, 1, 3), (1, 2, 3), (2, 0, 1),
+                                          (3, 3, 2)]) == [0, 1, 2]
+    assert coincidence._optimal_cycle(4, [(0, 1, 3), (1, 0, 3), (1, 2, 1),
+                                          (2, 3, 9), (3, 3, 1)]) == [0, 1]
+
+
+RECIPROCAL = rs.GeneratorSet([rs.make_map([1, 0, -1], [0, 0, 1]),
+                              rs.make_map([0, 0, 1], [1, 0, -1])])  # 1/(z^2 - 1)
+
+
+@pytest.mark.parametrize("gens,profile", [
+    (BASILICA, (2,)), (CONJUGATE_BASILICA, (2,)), (MIXED, (2,)),
+    (RECIPROCAL, (2, 1)), (rs.GeneratorSet([Z2, Z3]), (2,)),
+    (rs.GeneratorSet([affine_translation(1), affine_translation(2)]), (2,)),
+    # 1/z and (z + 1)/z: 0 -> infinity by both, infinity -> 0 by 1/z
+    (rs.GeneratorSet([rs.make_map([0, 1], [1, 0]), rs.make_map([1, 1], [1, 0])]), (2, 1)),
+], ids=["basilica", "conjugate", "mixed", "reciprocal", "z2-z3", "translations",
+        "inverse-shift"])
+def test_optimal_cycle_matches_fiber_entropy(gens, profile):
+    fb = rs.friedland_bounds(gens, depth=8)
+    d = fb.details
+    assert d["cycle_profile"] == profile and d["cycle_length"] == len(profile)
+    assert len(d["cycle_points"]) == len(profile)
+    points = [coincidence.exact_to_proj(pt) for pt in d["cycle_points"]]
+    value = rs.fiber_entropy(gens, points)
+    assert value.profile == d["cycle_profile"]
+    assert fb.s_hat == pytest.approx(value.value, abs=1e-15)
+    assert fb.s_hat == math.log(math.prod(d["cycle_profile"])) / d["cycle_length"]
+    assert fb.s_hat == pytest.approx(reference_karp(*_graph(gens, 8)), abs=1e-12)
 
 
 def _random_gaussian(rng, real):

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 import rsentropy as rs
-from rsentropy import cli, coincidence, orbits
+import jsonschema
+from rsentropy import cli, coincidence, config, orbits
 from rsentropy.config import config_schema
 from rsentropy.errors import BadScalarLiteral, SchemaViolation, UnreadableFile
 from util import Z2, Z3
@@ -61,6 +62,34 @@ def test_config_schema_pointer(tmp_path):
     with pytest.raises(SchemaViolation) as err:
         rs.parse_config(write_config(tmp_path, bad))
     assert err.value.pointer == "/seed"
+
+
+def test_config_schema_is_valid_against_its_metaschema():
+    # load_config validates with a validator built once, without this check
+    schema = config_schema()
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+    assert config._validator() is config._validator()
+
+
+@pytest.mark.parametrize("bad", [
+    {"generators": [{"num": ["1", "0"], "den": ["0", "1"]}], "seed": -3},
+    {"generators": [{"num": ["1", "0"]}]},
+    {"generators": "z^2"},
+    {"space": "P3", "n": 0, "seed": "x"},
+    {"estimator": {"epsilon_grid": [], "nu_min": 0, "tree_budget": 1.5}},
+    {"budgets": {"node_budget": 0, "word_budget": -1}},
+    {"degrees": [2], "recurrence_depth": -1, "output": {"csv_path": 3}},
+    {"unknown": 1, "seed": 2},
+    [],
+])
+def test_config_errors_match_jsonschema_validate(bad):
+    # the same error as jsonschema.validate, which checks the schema first
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(bad, config_schema())
+    with pytest.raises(SchemaViolation) as got:
+        config.load_config(bad)
+    assert got.value.__cause__.message == want.value.message
+    assert list(got.value.__cause__.absolute_path) == list(want.value.absolute_path)
 
 
 def test_config_exact_scalar_objects(tmp_path):
@@ -228,7 +257,24 @@ def test_cli_bounds_withheld_without_an_exact_graph(tmp_path, capsys):
     assert [p["recurrent"] for p in section["points"]] == [True, True, True]
     assert section["friedland_bounds"] == {
         "lower": None, "upper": math.log(4), "s_hat": None, "graph_nodes": 0,
-        "graph_edges": 0, "depth_cap_hit": False, "exact": False}
+        "graph_edges": 0, "depth_cap_hit": False, "exact": False,
+        "cycle_points": [], "cycle_profile": [], "cycle_length": 0}
+
+
+@pytest.mark.parametrize("depth", (10, 12, 40))
+def test_cli_basilica_bounds_name_the_cycle(tmp_path, capsys, depth):
+    # {z^2 - 1, z^3 - 1} closes at its escape radius: the fixed point at
+    # infinity, reached by both maps, is the optimal cycle at every depth
+    cfg = {"generators": [
+        {"num": ["1", "0", "-1"], "den": ["0", "0", "1"]},
+        {"num": ["1", "0", "0", "-1"], "den": ["0", "0", "0", "1"]},
+    ], "recurrence_depth": depth}
+    assert cli.main(["friedland-bounds", "--config", write_config(tmp_path, cfg)]) == 0
+    section = json.loads(capsys.readouterr().out)["coincidence"]
+    assert section["friedland_bounds"] == {
+        "lower": math.log(5) - math.log(2), "upper": math.log(5), "s_hat": math.log(2),
+        "graph_nodes": 4, "graph_edges": 4, "depth_cap_hit": False, "exact": True,
+        "cycle_points": ["inf"], "cycle_profile": [2], "cycle_length": 1}
 
 
 @pytest.mark.parametrize("section,key,value", [
