@@ -16,6 +16,7 @@ import logging
 import os
 import sys
 import time
+from functools import cache
 
 from .coincidence import certified_coincidences, exact_to_proj, friedland_bounds
 from .config import RunConfig, parse_config
@@ -36,8 +37,7 @@ log = logging.getLogger("rsentropy")
 
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("RSENTROPY_LOG", "WARNING").upper())
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config, {
             "seed": args.seed, "relations_word_length": args.word_length})
@@ -88,6 +88,7 @@ def main(argv=None) -> int:
     return 0
 
 
+@cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="rsentropy",

@@ -22,8 +22,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 
-import numpy as np
-
 from .correspondence import Correspondence, GeneratorSet, build_correspondence
 from .errors import InconsistentItinerary, RootFindingFailure
 from .gaussian import GaussianRational, lift, unlift
@@ -113,8 +111,11 @@ class CoincidencePoint:
 
     point: ProjPoint
     witnesses: frozenset  # unordered (i, j) generator index pairs, 1-based
-    exact: bool
     exact_coords: ExactPoint | None = None
+
+    @property
+    def exact(self) -> bool:
+        return self.exact_coords is not None
 
 
 def coincidence_set(gens: GeneratorSet) -> list[CoincidencePoint]:
@@ -145,12 +146,11 @@ def coincidence_set(gens: GeneratorSet) -> list[CoincidencePoint]:
                     if (coords == e.exact_coords if None not in (coords, e.exact_coords)
                             else chordal_dist(pt, e.point) <= RECURRENCE_TOL):
                         if coords is not None and e.exact_coords is None:
-                            e = CoincidencePoint(pt, e.witnesses, True, coords)
+                            e = CoincidencePoint(pt, e.witnesses, coords)
                         found[k] = replace(e, witnesses=e.witnesses | {pair})
                         break
                 else:
-                    found.append(CoincidencePoint(
-                        pt, frozenset({pair}), coords is not None, coords))
+                    found.append(CoincidencePoint(pt, frozenset({pair}), coords))
 
     found.sort(key=lambda cp: (cp.point.h0.real, cp.point.h1.real, cp.point.h1.imag))
     return found
@@ -230,7 +230,10 @@ def _deflate_rational_roots(asc):
 class RecurrenceCertificate:
     point: ProjPoint
     return_depths: tuple
-    status: str  # "recurrent" | "not_found_within_depth"
+
+    @property
+    def status(self) -> str:
+        return "recurrent" if self.return_depths else "not_found_within_depth"
 
 
 def _escape_test(maps):
@@ -311,9 +314,7 @@ def is_recurrent(c: Correspondence, x: ProjPoint, depth: int,
         frontier = images.points
         if images.find(start) is not None:
             returns.append(n)
-    status = "recurrent" if returns else "not_found_within_depth"
-    return RecurrenceCertificate(
-        point=x, return_depths=tuple(returns), status=status)
+    return RecurrenceCertificate(point=x, return_depths=tuple(returns))
 
 
 def certified_coincidences(gens: GeneratorSet, depth: int,
@@ -472,7 +473,7 @@ def _optimal_cycle(num_nodes: int, edges) -> list:
         local = {node: i for i, node in enumerate(nodes)}
         _, cycle = karp_max_mean_cycle(
             len(nodes), [(local[edges[e][0]], local[edges[e][1]], math.log(edges[e][2]))
-                         for e in inner], return_cycle=True)
+                         for e in inner])
         cycle = [inner[e] for e in cycle]
         p = math.prod(edges[e][2] for e in cycle)
         if not best or (p ** len(best), len(best)) > (best_p ** len(cycle), len(cycle)):
@@ -529,62 +530,41 @@ def _cyclic_components(num_nodes: int, edges) -> list:
             if len(nodes) > 1 or es]
 
 
-def karp_max_mean_cycle(num_nodes: int, edges, *, return_cycle: bool = False):
-    """Karp's maximum mean cycle weight; None when the graph is acyclic.
+def karp_max_mean_cycle(num_nodes: int, edges):
+    """Karp's maximum mean cycle weight (Karp 1978) and one cycle of that
+    mean: (mean, indices into edges in walk order), (None, None) when the
+    graph is acyclic.
 
     F_k[v] = best weight of a k-edge walk ending at v (walks may start
-    anywhere); the answer is max over v of min over k of
-    (F_n[v] - F_k[v]) / (n - k). The rows are generated twice, once to
-    reach F_n and once to fold the minimum, so no n x n table is held.
-
-    With return_cycle, returns (mean, cycle): cycle lists the indices into
-    edges of one cycle of that mean in walk order (None when acyclic). It is
-    the first cycle closed on the best n-edge walk into the maximizing node,
-    read back through an n x n table of predecessor edges: every cycle on
-    that walk has the maximum mean (Karp 1978).
+    anywhere); the mean is max over v of min over k of
+    (F_n[v] - F_k[v]) / (n - k), at the first node that reaches it. The
+    cycle is the first one closed on the best n-edge walk into that node,
+    read back through the (n + 1) x n rows and n x n predecessor edges;
+    every cycle on that walk has the maximum mean. A row keeps the first
+    edge, in input order, of the walks of its best weight.
     """
-    if num_nodes == 0 or not edges:
-        return (None, None) if return_cycle else None
-    n = num_nodes
-    u, v, w = map(np.array, zip(*edges))
-    order = np.argsort(v, kind="stable")  # F_k[t] is a max over t's run of edges
-    u, v, w = u[order], v[order], w[order]
-    starts = np.append(True, v[1:] != v[:-1])
-    heads, runs = np.flatnonzero(starts), np.cumsum(starts) - 1  # each edge's run
-    preds: list = []  # preds[k][t]: last edge of a best (k + 1)-edge walk to t
-
-    def rows(record=False):  # F_0, F_1, ..., F_n
-        row = np.zeros(n)
-        for _ in range(n):
-            yield row
-            row, prev = np.full(n, -np.inf), row
-            walks = prev[u] + w
-            row[v[heads]] = best = np.maximum.reduceat(walks, heads)
-            if record:
-                last = np.where(walks == best[runs], np.arange(len(v)), len(v))
-                preds.append(np.full(n, -1))
-                preds[-1][v[heads]] = np.minimum.reduceat(last, heads)
-        yield row
-
-    for last in rows(record=return_cycle):
-        pass
-    worst = np.full(n, np.inf)
-    # where no n-edge walk ends, -inf - -inf is nan; those nodes are dropped
-    with np.errstate(invalid="ignore"):
-        for k, row in zip(range(n), rows()):
-            worst = np.minimum(worst, (last - row) / (n - k))
-    reached = last > -np.inf
-    mean = float(worst[reached].max()) if reached.any() else None
-    if not return_cycle:
-        return mean
+    n, neg = num_nodes, float("-inf")
+    rows, preds = [[0.0] * n], []  # preds[k][t]: last edge of a best (k + 1)-edge walk to t
+    for _ in range(n):
+        prev, row, pred = rows[-1], [neg] * n, [-1] * n
+        for e, (u, v, w) in enumerate(edges):
+            if prev[u] + w > row[v]:
+                row[v], pred[v] = prev[u] + w, e
+        rows.append(row)
+        preds.append(pred)
+    mean = node = None
+    for v in range(n):
+        if rows[n][v] > neg:
+            worst = min((rows[n][v] - rows[k][v]) / (n - k) for k in range(n))
+            if mean is None or worst > mean:
+                mean, node = worst, v
     if mean is None:
         return None, None
-    node = int(np.flatnonzero(reached)[np.argmax(worst[reached])])
     walk, seen = [], {node: 0}
     for k in range(n - 1, -1, -1):  # n + 1 nodes on the walk, so one repeats
-        walk.append(int(preds[k][node]))
-        node = int(u[walk[-1]])
+        walk.append(preds[k][node])
+        node = edges[walk[-1]][0]
         if node in seen:
-            return mean, [int(order[e]) for e in reversed(walk[seen[node]:])]
+            return mean, walk[seen[node]:][::-1]
         seen[node] = len(walk)
     raise AssertionError("an n-edge walk over n nodes closes a cycle")

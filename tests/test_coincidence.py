@@ -365,10 +365,11 @@ def test_karp_against_brute_force():
         (1, 2, 0.2), (2, 2, 0.4),         # self-loop mean 0.4
         (2, 0, 0.1),
     ]
-    karp = rs.karp_max_mean_cycle(3, edges)
+    karp, cycle = rs.karp_max_mean_cycle(3, edges)
     brute = _brute_max_mean_cycle(3, edges)
     assert karp == pytest.approx(brute) == pytest.approx(0.5)
-    assert rs.karp_max_mean_cycle(3, [(0, 1, 1.0), (1, 2, 1.0)]) is None
+    assert cycle == [1, 0]
+    assert rs.karp_max_mean_cycle(3, [(0, 1, 1.0), (1, 2, 1.0)]) == (None, None)
 
 
 def _brute_max_mean_cycle(n, edges):
@@ -423,7 +424,7 @@ def _random_graphs(count, seed):
 def test_karp_equals_the_table_oracle_on_random_graphs():
     signs = collections.Counter()
     for n, edges in _random_graphs(400, 5):
-        got, want = rs.karp_max_mean_cycle(n, edges), reference_karp(n, edges)
+        got, want = rs.karp_max_mean_cycle(n, edges)[0], reference_karp(n, edges)
         assert got == want and type(got) is type(want)
         signs[None if got is None else (got > 0) - (got < 0)] += 1
     assert set(signs) == {None, -1, 0, 1}  # acyclic, negative, zero, positive
@@ -432,15 +433,17 @@ def test_karp_equals_the_table_oracle_on_random_graphs():
 def test_karp_equals_the_table_oracle_on_basilica():
     n, edges = _graph(CONJUGATE_BASILICA, 10)
     assert (n, len(edges)) == (514, 514)
-    assert rs.karp_max_mean_cycle(n, edges) == reference_karp(n, edges)
+    assert rs.karp_max_mean_cycle(n, edges)[0] == reference_karp(n, edges)
 
 
-def test_karp_memory_is_linear_in_the_graph():
-    # the (n + 1) x n table of floats took 8.5 MB on this graph
+def test_cycle_search_memory_is_linear_in_the_graph():
+    # Karp's (n + 1) x n rows on the whole graph peak at 14.3 MB; its
+    # components that hold a cycle have 1 and 2 nodes
     n, edges = _graph(CONJUGATE_BASILICA, 10)
+    edges = [(u, v, round(math.exp(w))) for u, v, w in edges]
     tracemalloc.start()
     try:
-        rs.karp_max_mean_cycle(n, edges)
+        coincidence._optimal_cycle(n, edges)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -597,7 +600,7 @@ def test_component_search_equals_whole_graph_karp():
     assert len(lengths) >= 3
     # Karp's own cycle has its mean, whatever the weights
     for n, edges in _random_graphs(400, 6):
-        got, cycle = rs.karp_max_mean_cycle(n, edges, return_cycle=True)
+        got, cycle = rs.karp_max_mean_cycle(n, edges)
         assert got == reference_karp(n, edges)
         if got is None:
             assert cycle is None
@@ -620,6 +623,26 @@ def test_components_compare_exactly():
                                           (3, 3, 2)]) == [0, 1, 2]
     assert coincidence._optimal_cycle(4, [(0, 1, 3), (1, 0, 3), (1, 2, 1),
                                           (2, 3, 9), (3, 3, 1)]) == [0, 1]
+
+
+
+L2 = math.log(2)
+
+
+@pytest.mark.parametrize("n,edges,mean,cycle", [
+    # a loop of log 2 at each node beside a 2-cycle of mean 0: the loop at
+    # node 0, the first node of the best mean, in either edge order
+    (2, [(0, 1, 0), (1, 0, 0), (0, 0, L2), (1, 1, L2)], L2, [2]),
+    (2, [(1, 1, L2), (0, 0, L2), (0, 1, 0), (1, 0, 0)], L2, [1]),
+    # every cycle has mean log 2: Karp's first, not the shorter one
+    (2, [(0, 1, L2), (1, 0, L2), (0, 0, L2), (1, 1, L2)], L2, [0, 1]),
+    (3, [(0, 1, L2), (1, 2, L2), (2, 0, L2), (0, 0, L2)], 0.6931471805599452,
+     [0, 1, 2]),
+])
+def test_karp_ties_inside_a_component(n, edges, mean, cycle):
+    assert rs.karp_max_mean_cycle(n, edges) == (mean, cycle)
+    assert coincidence._optimal_cycle(
+        n, [(u, v, round(math.exp(w))) for u, v, w in edges]) == cycle
 
 
 RECIPROCAL = rs.GeneratorSet([rs.make_map([1, 0, -1], [0, 0, 1]),
