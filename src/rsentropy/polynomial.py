@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import cache
 
 from .errors import RootFindingFailure
 from .gaussian import GaussianRational, lift, unlift
@@ -164,6 +165,12 @@ def forms_coprime(p: Form, q: Form) -> bool:
 # -- numeric root finding --------------------------------------------------------
 
 
+@cache
+def _start_circle(m: int) -> tuple:
+    """The unit-circle offsets of the m start values, one per degree."""
+    return tuple(cmath.exp(2j * math.pi * (k + 0.35) / m) for k in range(m))
+
+
 def aberth_roots(coeffs_ascending) -> list[complex]:
     """All complex roots of an ascending-coefficient polynomial.
 
@@ -183,10 +190,7 @@ def aberth_roots(coeffs_ascending) -> list[complex]:
     lead = coeffs[-1]
     radius = 1.0 + max(abs(c / lead) for c in coeffs[:-1])
     center = -coeffs[-2] / (m * lead)
-    roots = [
-        center + 0.9 * radius * cmath.exp(2j * math.pi * (k + 0.35) / m)
-        for k in range(m)
-    ]
+    roots = [center + 0.9 * radius * e for e in _start_circle(m)]
     deriv = [coeffs[k] * k for k in range(1, m + 1)]
 
     def p_of(z):
@@ -201,6 +205,8 @@ def aberth_roots(coeffs_ascending) -> list[complex]:
             acc = acc * z + c
         return acc
 
+    sizes = [abs(c) for c in coeffs]
+
     def residual_ok(z):
         # backward-error scale max(1, |z|)^k keeps the test meaningful at
         # roots near 0 (e.g. the monomial z^m, where sum |c_k| |z|^k would
@@ -208,11 +214,12 @@ def aberth_roots(coeffs_ascending) -> list[complex]:
         scale = 0.0
         zp = 1.0
         az = max(abs(z), 1.0)
-        for c in coeffs:
-            scale += abs(c) * zp
+        for a in sizes:
+            scale += a * zp
             zp *= az
         return abs(p_of(z)) <= ABERTH_TOL * max(scale, 1e-300)
 
+    converged = False
     for _ in range(ABERTH_MAX_SWEEPS):
         moved = 0.0
         for i in range(m):
@@ -239,10 +246,11 @@ def aberth_roots(coeffs_ascending) -> list[complex]:
         # root the residual passes while the iterates still straddle it at
         # ~tol^(1/mult), which would defeat the downstream cluster merge
         if moved <= 1e-9 * (1.0 + radius) and all(residual_ok(z) for z in roots):
+            converged = True
             break
         if moved <= 1e-15 * (1.0 + radius):
             break  # stagnated; the residual check below decides
-    if not all(residual_ok(z) for z in roots):
+    if not converged and not all(residual_ok(z) for z in roots):
         raise RootFindingFailure(
             f"simultaneous iteration did not converge for degree {m}")
 

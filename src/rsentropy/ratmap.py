@@ -66,6 +66,12 @@ class RationalMap:
         over its denominator, computed on first use."""
         return lift(self.num), lift(self.den)
 
+    @cached_property
+    def float_scale(self) -> float:
+        """The larger of sum |c| over num_float and over den_float."""
+        return max(sum(abs(c) for c in self.num_float),
+                   sum(abs(c) for c in self.den_float))
+
     def sort_key(self):
         coeffs = tuple(c.sort_key() for c in self.num + self.den)
         return (self.degree, coeffs)
@@ -210,11 +216,7 @@ def evaluate(f: RationalMap, p: ProjPoint) -> ProjPoint:
     """
     w0 = form_eval_complex(f.num_float, p.h0, p.h1)
     w1 = form_eval_complex(f.den_float, p.h0, p.h1)
-    scale = max(
-        sum(abs(c) for c in f.num_float),
-        sum(abs(c) for c in f.den_float),
-    )
-    if math.hypot(abs(w0), abs(w1)) < 1e-8 * scale:
+    if math.hypot(abs(w0), abs(w1)) < 1e-8 * f.float_scale:
         z0 = GaussianRational.from_value(p.h0)
         z1 = GaussianRational.from_value(p.h1)
         w0 = complex(form_eval_exact(f.num, z0, z1))

@@ -23,9 +23,11 @@ classes of equal suffixes and the children of the pairs that conflicted a
 step earlier (the dual-tree recursion of Gray and Moore, NIPS 2000). On a
 backward tree the classes are its nodes and a step costs its siblings and
 the children of its conflicts; a pool with no shared suffix, such as
-forward orbits, tests all k^2 pairs at x_nu. The greedy asks only for the
-pairs of orbits that may still join, so where a few members conflict with
-most orbits it lists about their pairs, not all k^2.
+forward orbits, tests all k^2 pairs at x_nu. The classes and their sibling
+pairs depend on the rows only, so a count builds them once (a plan) and
+each greedy batch only re-walks the conflict pairs. The greedy asks only
+for the pairs of orbits that may still join, so where a few members
+conflict with most orbits it lists about their pairs, not all k^2.
 
 The spanning and shift-orbit counts take their pairs from the same walk,
 with a radius per column. To the horizon h the shifted metric weighs
@@ -110,16 +112,17 @@ def count_separated(pool: OrbitPool, epsilon: float, mode: str, word=None,
         label, counted = "per_word" + repr(word), [words.index(word)]
     small = [b for b in counted if len(blocks[b]) <= max(exact_cutoff, 1)]
     large = [b for b in counted if len(blocks[b]) > max(exact_cutoff, 1)]
+    plan = _walk_plan(pool.h0, pool.h1, symbols)  # shared by every walk below
     count = 0
     if small:
         pairs = _split_pairs(*_conflict_pairs(pool.h0, pool.h1, epsilon, symbols,
-                                              np.isin(ids, small)), ids, blocks)
+                                              np.isin(ids, small), plan), ids, blocks)
         count += sum(_mis_exact(_masks(len(blocks[b]), *pairs[b])) for b in small)
     if large:
         # no pair crosses blocks, so one greedy walks every block's own order
         order = np.concatenate([blocks[b] if seed is None else blocks[b][
             np.random.default_rng(seed).permutation(len(blocks[b]))] for b in large])
-        kept, degrees = _greedy(pool.h0, pool.h1, epsilon, symbols, order)
+        kept, degrees = _greedy(pool.h0, pool.h1, epsilon, symbols, order, plan)
         family = np.bincount(ids[kept], minlength=len(blocks))
         touched = np.bincount(ids[kept], weights=degrees, minlength=len(blocks))
         for b in large:
@@ -129,12 +132,14 @@ def count_separated(pool: OrbitPool, epsilon: float, mode: str, word=None,
     return SeparationCount(epsilon, pool.nu, label, count, len(pool), not large)
 
 
-def _conflict_pairs(h0, h1, radius, symbols=None, sources=None):
+def _conflict_pairs(h0, h1, radius, symbols=None, sources=None, plan=None):
     """(i, j): every row pair i < j, one of them in ``sources`` (a row mask,
     all rows when None), whose test value |a0 b1 - a1 b0| with a row j is at
     most the radius in every column, and with ``symbols`` whose labels
     agree. ``radius`` is a number or one per column; a column of infinite
-    radius is not tested, and its labels are not compared.
+    radius is not tested, and its labels are not compared. ``plan`` is
+    ``_walk_plan(h0, h1, symbols)``, built here when None; walks over the
+    same rows can share it.
 
     The keys run x_nu, a_nu, x_{nu-1}, ..., a_1, x_0 (labels only with
     ``symbols``). A class of a key is a run of rows equal in it and in every
@@ -146,14 +151,38 @@ def _conflict_pairs(h0, h1, radius, symbols=None, sources=None):
     not matter. Canonical rows have real h0, so each product, and the test
     value, has the same bits whichever row is a.
     """
-    k = h0.shape[0]
-    sources = np.ones(k, dtype=bool) if sources is None else sources
+    plan = _walk_plan(h0, h1, symbols) if plan is None else plan
     radius = np.broadcast_to(radius, h0.shape[1:])
+    pa = pb = np.zeros(0, dtype=np.intp)  # the previous key's conflicting class pairs
+    for c, label, first, heads, stops, (sx, sy), values in plan:
+        # the siblings, and the children of each conflicting pair
+        t, u = _ranges(heads[pa], stops[pa])
+        s, v = _ranges(heads[pb][t], stops[pb][t])
+        x, y = np.concatenate([sx, u[s]]), np.concatenate([sy, v])
+        if sources is not None:
+            wanted = np.logical_or.reduceat(sources, first)
+            x, y = x[wanted[x] | wanted[y]], y[wanted[x] | wanted[y]]
+        if label:
+            close = (values[x] == values[y]) | (radius[c] == np.inf)
+        else:
+            v0, v1 = values
+            close = np.abs(v0[y] * v1[x] - v1[y] * v0[x]) <= radius[c]
+        pa, pb = x[close], y[close]
+    return pa, pb
+
+
+def _walk_plan(h0, h1, symbols=None):
+    """The classes of each key of ``_conflict_pairs``, which depend on the
+    rows only: per key its column c, whether it is a label, each class's
+    first row, the first class (head) and the end (stop) of each parent's
+    children, the pairs of each class with its later siblings, and each
+    class's value in the key (its label, or its h0 and h1)."""
+    k = h0.shape[0]
     start = np.arange(k) == 0  # first rows of the previous key's classes
-    pa = pb = np.zeros(0, dtype=np.intp)  # and its conflicting class pairs
     keys = [(c, False) for c in range(h0.shape[1] - 1, -1, -1)]
     if symbols is not None:  # a_{c+1} splits a class of x_{c+1} before x_c
         keys[1:] = [(c, label) for c, _ in keys[1:] for label in (True, False)]
+    plan = []
     for c, label in keys:
         split = start.copy()
         if label:
@@ -166,20 +195,12 @@ def _conflict_pairs(h0, h1, radius, symbols=None, sources=None):
         born = start[first]            # whether it is its parent's first child
         heads = np.flatnonzero(born)
         stops = np.append(heads[1:], len(first))  # end of each parent's children
-        # each class with its later siblings, and the children of each pair
-        x, y = _ranges(np.arange(1, len(first) + 1), stops[np.cumsum(born) - 1])
-        t, u = _ranges(heads[pa], stops[pa])
-        s, v = _ranges(heads[pb][t], stops[pb][t])
-        x, y = np.concatenate([x, u[s]]), np.concatenate([y, v])
-        wanted = np.logical_or.reduceat(sources, first)
-        x, y = x[wanted[x] | wanted[y]], y[wanted[x] | wanted[y]]
-        rx, ry = first[x], first[y]
-        if label:
-            close = (symbols[rx, c] == symbols[ry, c]) | (radius[c] == np.inf)
-        else:
-            close = np.abs(h0[ry, c] * h1[rx, c] - h1[ry, c] * h0[rx, c]) <= radius[c]
-        pa, pb, start = x[close], y[close], split
-    return pa, pb
+        # each class with its later siblings
+        siblings = _ranges(np.arange(1, len(first) + 1), stops[np.cumsum(born) - 1])
+        values = symbols[first, c] if label else (h0[first, c], h1[first, c])
+        plan.append((c, label, first, heads, stops, siblings, values))
+        start = split
+    return plan
 
 
 def _ranges(starts, stops):
@@ -199,22 +220,25 @@ def _split_pairs(i, j, ids, blocks):
             for rows, s in zip(blocks, np.split(by, cuts))]
 
 
-def _greedy(h0, h1, epsilon, symbols, order):
+def _greedy(h0, h1, epsilon, symbols, order, plan=None):
     """(family, degrees): the greedy maximal family in the order it joined,
     and each member's number of conflict pairs.
 
     Walking ``order`` (a row array), a row joins unless it conflicts with a
     member. The rows that may still join are settled len(family) + 1 at a
-    time by one walk with them as sources, so a fast-growing family takes
-    few walks and a dense conflict graph lists little beyond its members'
-    pairs.
+    time by one walk of ``plan`` (built here when None) with them as
+    sources, so a fast-growing family takes few walks and a dense conflict
+    graph lists little beyond its members' pairs.
     """
     k = h0.shape[0]
+    plan = _walk_plan(h0, h1, symbols) if plan is None else plan
     blocked = np.zeros(k, dtype=bool)
     kept, degrees = [], []
     while len(order):
         batch, order = order[:len(kept) + 1], order[len(kept) + 1:]
-        i, j = _conflict_pairs(h0, h1, epsilon, symbols, np.isin(np.arange(k), batch))
+        mask = np.zeros(k, dtype=bool)
+        mask[batch] = True
+        i, j = _conflict_pairs(h0, h1, epsilon, symbols, mask, plan)
         ends, near = np.concatenate([i, j]), np.concatenate([j, i])
         near = near[np.argsort(ends, kind="stable")]
         ptr = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=k))]).tolist()

@@ -417,6 +417,37 @@ def test_pairs_of_sources_match_oracle(readme_nu5_pool):
     assert len(i) == len(set(zip(i.tolist(), j.tolist())))
 
 
+@pytest.mark.parametrize("case", ("readme", "poles", "dense"))
+def test_a_shared_plan_walks_like_a_fresh_one(readme_nu5_pool, case):
+    # one plan of the rows serves every walk over them, as in the greedy:
+    # each source mask, radius and label setting gives the pairs, in the
+    # same order, of a walk that builds its own plan, and the oracle's
+    if case == "readme":  # 1,000 orbits shuffled, so the classes are not runs
+        pool = readme_nu5_pool[np.random.default_rng(3).permutation(len(readme_nu5_pool))[:1000]]
+    elif case == "poles":  # every orbit twice, the copies far apart
+        starts = [rs.point_at(0), rs.INFINITY] + rs.sample_points(30, 4)
+        paths = rs.forward_orbits(corr(Z2, Z3), starts, 2).paths()
+        pool = rs.OrbitPool.from_paths(paths + paths[::-1])
+    else:
+        pool = dense_tree(8)
+    k, rng = len(pool), np.random.default_rng(6)
+    masks = [None, rng.random(k) < 0.02, rng.random(k) < 0.3, np.arange(k) == k - 1]
+    # radii that double with the column, none in the last two, as in the
+    # shifted metric (so that the trees hold pairs with labels too)
+    radii = [0.1, np.append(0.1 * 2.0 ** np.arange(pool.nu - 1), [np.inf, np.inf])]
+    for labels in (False, True):
+        symbols = pool.symbols if labels else None
+        plan = separation._walk_plan(pool.h0, pool.h1, symbols)
+        for radius in radii:
+            ref = reference_conflict_pairs(pool, radius, labels)
+            for sources in masks:
+                shared = _conflict_pairs(pool.h0, pool.h1, radius, symbols, sources, plan)
+                fresh = _conflict_pairs(pool.h0, pool.h1, radius, symbols, sources)
+                assert all(np.array_equal(a, b) for a, b in zip(shared, fresh))
+                assert set(zip(*(a.tolist() for a in shared))) == {
+                    (i, j) for i, j in ref if sources is None or sources[i] or sources[j]}
+
+
 def test_pairs_match_oracle_on_dense_tree():
     assert_pairs_match(dense_tree(8), 0.05)
 

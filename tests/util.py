@@ -99,15 +99,19 @@ def reference_greedy(paths, eps, seed):
 
 
 def reference_conflict_pairs(pool, eps, labels=False):
-    """All row pairs (i, j), i < j, whose sup test value is at most eps by
-    the expression of reference_greedy, with row j as the later orbit; with
-    labels, every label must agree too (the pair oracle)."""
+    """All row pairs (i, j), i < j, whose test value is at most eps in every
+    column by the expression of reference_greedy, with row j as the later
+    orbit; with labels, every label must agree too (the pair oracle). eps is
+    a number or one radius per column; a column of infinite radius is not
+    tested, and its label (a_{c+1} goes with column c) is not compared."""
+    radius = np.broadcast_to(eps, pool.h0.shape[1:])
     pairs = set()
     for j in range(len(pool)):
-        d = np.abs(pool.h0[j] * pool.h1[:j] - pool.h1[j] * pool.h0[:j]).max(axis=1)
-        near = ~(d > eps)
+        d = np.abs(pool.h0[j] * pool.h1[:j] - pool.h1[j] * pool.h0[:j])
+        near = ~(d > radius).any(axis=1)
         if labels:
-            near &= (pool.symbols[:j] == pool.symbols[j]).all(axis=1)
+            near &= ((pool.symbols[:j] == pool.symbols[j])
+                     | (radius[:-1] == np.inf)).all(axis=1)
         pairs.update((int(i), j) for i in np.flatnonzero(near))
     return pairs
 
