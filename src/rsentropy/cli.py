@@ -2,8 +2,9 @@
 
 Subcommands: exact, estimate, friedland-bounds, coincidence, relations,
 report. All take --config pointing at a JSON run configuration; results are
-written as canonical JSON (and optionally CSV count rows). Module errors
-exit 1 with a machine-readable error object on stdout; --strict escalates
+written as canonical JSON (and optionally CSV count rows). Module errors,
+an unwritable output path and an unknown log level exit 1 with only a
+machine-readable error object on stdout; --strict escalates
 bound-violation flags to exit code 2. Log verbosity comes from the
 RSENTROPY_LOG environment variable only.
 """
@@ -26,7 +27,7 @@ from .correspondence import (
     enumerate_words,
     support_degree,
 )
-from .errors import BudgetExceeded, RsentropyError
+from .errors import BudgetExceeded, RsentropyError, UnknownLogLevel, UnwritableFile
 from .estimate import estimate_entropy, ladder_tree
 from .formulas import exact_record
 from .report import build_report, counts_to_csv
@@ -36,9 +37,13 @@ log = logging.getLogger("rsentropy")
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("RSENTROPY_LOG", "WARNING").upper())
     args = _build_parser().parse_args(argv)
     try:
+        level = os.environ.get("RSENTROPY_LOG", "WARNING")
+        # basicConfig checks the level only when the root logger has no handler
+        if not isinstance(logging.getLevelName(level.upper()), int):
+            raise UnknownLogLevel(f"RSENTROPY_LOG={level!r} names no logging level")
+        logging.basicConfig(level=level.upper())
         cfg = parse_config(args.config, {
             "seed": args.seed, "relations_word_length": args.word_length})
         started = time.monotonic()
@@ -58,6 +63,14 @@ def main(argv=None) -> int:
             relations=payload.get("relations"),
             provenance=provenance,
         )
+        # files first, so a failed write prints only the error object
+        text = report.to_json()
+        report_path = args.report or cfg.output.get("report_path")
+        if report_path:
+            _write(report_path, text)
+        csv_path = args.csv or cfg.output.get("csv_path")
+        if csv_path and rows is not None:
+            _write(csv_path, counts_to_csv(rows))
     except RsentropyError as exc:
         error = {
             "error": {
@@ -69,23 +82,20 @@ def main(argv=None) -> int:
         print(json.dumps(error, sort_keys=True))
         return 1
 
-    text = report.to_json()
-    report_path = args.report or cfg.output.get("report_path")
-    if report_path:
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if not report_path:
         print(text, end="")
-
-    csv_path = args.csv or cfg.output.get("csv_path")
-    if csv_path and rows is not None:
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write(counts_to_csv(rows))
-
     if args.strict and report.payload["flags"]:
         log.warning("strict mode: flags %s", report.payload["flags"])
         return 2
     return 0
+
+
+def _write(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UnwritableFile(f"cannot write {path}: {exc}") from exc
 
 
 @cache

@@ -95,6 +95,14 @@ class UnreadableFile(RsentropyError):
     """Config file missing or unreadable."""
 
 
+class UnwritableFile(RsentropyError):
+    """A report or CSV output path cannot be written."""
+
+
+class UnknownLogLevel(RsentropyError):
+    """RSENTROPY_LOG names no logging level."""
+
+
 class SchemaViolation(RsentropyError):
     """Config failed validation; `pointer` locates the offending field."""
 

@@ -27,7 +27,7 @@ from .errors import InsufficientData
 from .orbits import TREE_BUDGET, OrbitPool, affordable_depth, preimage_tree_levels
 from .projective import chordal_dist, ring_around, sample_points
 from .ratmap import evaluate, fs_jacobian
-from .separation import _greedy, _word_blocks, count_separated
+from .separation import _greedy, _walk_plan, _word_blocks, count_separated
 
 EPSILON_GRID = (0.02, 0.05, 0.1, 0.2)
 NU_MIN, NU_MAX = 2, 12
@@ -217,8 +217,8 @@ def mp_family(gens: GeneratorSet, beta: float, nu: int, seed: int,
                                 budget=tree_budget)[nu]
 
     # no pair crosses words, so one pass in pool order runs each word's greedy
-    kept = np.array(_greedy(tree.h0, tree.h1, eps, tree.symbols,
-                            np.arange(len(tree)))[0], dtype=np.intp)
+    kept = np.array(_greedy(_walk_plan(tree, True), eps, np.arange(len(tree)))[0],
+                    dtype=np.intp)
     kept = kept[np.argsort(_word_blocks(tree.symbols)[1][kept], kind="stable")]
 
     return MpFamily(

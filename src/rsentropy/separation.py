@@ -14,7 +14,10 @@ exploits that: blocks at or below the exact cutoff get a branch-and-bound
 maximum independent set of the conflict graph, larger blocks fall back to a
 seeded greedy maximal family and report ``exact=False``. Greedy families are
 certified lower bounds, which is the useful direction when the counts feed a
-sup/limsup growth estimate.
+sup/limsup growth estimate. The branch and bound refuses, with
+BudgetExceeded, to branch on a connected component of more than
+JOINT_CUTOFF orbits. Every count takes an ``OrbitPool`` and raises EmptyPool
+on an empty one.
 
 Every count takes its conflict (not separated) pairs from one walk. Two
 orbits conflict iff their x_0 are within eps and their suffixes are equal
@@ -24,10 +27,11 @@ step earlier (the dual-tree recursion of Gray and Moore, NIPS 2000). On a
 backward tree the classes are its nodes and a step costs its siblings and
 the children of its conflicts; a pool with no shared suffix, such as
 forward orbits, tests all k^2 pairs at x_nu. The classes and their sibling
-pairs depend on the rows only, so a count builds them once (a plan) and
-each greedy batch only re-walks the conflict pairs. The greedy asks only
-for the pairs of orbits that may still join, so where a few members
-conflict with most orbits it lists about their pairs, not all k^2.
+pairs depend on the rows only, so a count builds them once from its pool
+(a plan, the walk's only input) and each greedy batch only re-walks the
+conflict pairs. The greedy asks only for the pairs of orbits that may
+still join, so where a few members conflict with most orbits it lists
+about their pairs, not all k^2.
 
 The spanning and shift-orbit counts take their pairs from the same walk,
 with a radius per column. To the horizon h the shifted metric weighs
@@ -68,11 +72,12 @@ class SeparationCount:
     exact: bool
 
 
-def _check_pool(pool, epsilon):
+def _check_pool(pool, epsilon, closed=False):
+    """EmptyPool, or ValueError unless 0 < eps < 1 (eps <= 1 when closed)."""
     if len(pool) == 0:
         raise EmptyPool("cannot count an empty pool")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
+    if not (0.0 < epsilon < 1.0 or closed and epsilon == 1.0):
+        raise ValueError("epsilon must lie in " + ("(0, 1]" if closed else "(0, 1)"))
 
 
 def _word_blocks(symbols):
@@ -97,11 +102,10 @@ def count_separated(pool: OrbitPool, epsilon: float, mode: str, word=None,
     _check_pool(pool, epsilon)
     if mode not in ("per_word", "friedland", "dinh_sibony"):
         raise ValueError(f"unknown mode {mode!r}")
-    label, symbols = mode, None
+    label = mode
     ids, blocks = np.zeros(len(pool), dtype=np.intp), [np.arange(len(pool))]
     if mode != "friedland":
-        symbols = pool.symbols
-        words, ids, blocks = _word_blocks(symbols)
+        words, ids, blocks = _word_blocks(pool.symbols)
     counted = range(len(blocks))
     if mode == "per_word":
         if word is None:
@@ -112,17 +116,17 @@ def count_separated(pool: OrbitPool, epsilon: float, mode: str, word=None,
         label, counted = "per_word" + repr(word), [words.index(word)]
     small = [b for b in counted if len(blocks[b]) <= max(exact_cutoff, 1)]
     large = [b for b in counted if len(blocks[b]) > max(exact_cutoff, 1)]
-    plan = _walk_plan(pool.h0, pool.h1, symbols)  # shared by every walk below
+    plan = _walk_plan(pool, mode != "friedland")  # shared by every walk below
     count = 0
     if small:
-        pairs = _split_pairs(*_conflict_pairs(pool.h0, pool.h1, epsilon, symbols,
-                                              np.isin(ids, small), plan), ids, blocks)
+        pairs = _split_pairs(*_conflict_pairs(plan, epsilon, np.isin(ids, small)),
+                             ids, blocks)
         count += sum(_mis_exact(_masks(len(blocks[b]), *pairs[b])) for b in small)
     if large:
         # no pair crosses blocks, so one greedy walks every block's own order
         order = np.concatenate([blocks[b] if seed is None else blocks[b][
             np.random.default_rng(seed).permutation(len(blocks[b]))] for b in large])
-        kept, degrees = _greedy(pool.h0, pool.h1, epsilon, symbols, order, plan)
+        kept, degrees = _greedy(plan, epsilon, order)
         family = np.bincount(ids[kept], minlength=len(blocks))
         touched = np.bincount(ids[kept], weights=degrees, minlength=len(blocks))
         for b in large:
@@ -132,17 +136,17 @@ def count_separated(pool: OrbitPool, epsilon: float, mode: str, word=None,
     return SeparationCount(epsilon, pool.nu, label, count, len(pool), not large)
 
 
-def _conflict_pairs(h0, h1, radius, symbols=None, sources=None, plan=None):
-    """(i, j): every row pair i < j, one of them in ``sources`` (a row mask,
-    all rows when None), whose test value |a0 b1 - a1 b0| with a row j is at
-    most the radius in every column, and with ``symbols`` whose labels
-    agree. ``radius`` is a number or one per column; a column of infinite
-    radius is not tested, and its labels are not compared. ``plan`` is
-    ``_walk_plan(h0, h1, symbols)``, built here when None; walks over the
-    same rows can share it.
+def _conflict_pairs(plan, radius, sources=None):
+    """(i, j): every row pair i < j of the plan's pool, one of them in
+    ``sources`` (a row mask, all rows when None), whose test value
+    |a0 b1 - a1 b0| with a row j is at most the radius in every column, and
+    in a plan with labels whose labels agree. ``plan`` is
+    ``_walk_plan(pool, labels)``; walks over the same rows share it.
+    ``radius`` is a number or one per column; a column of infinite radius
+    is not tested, and its labels are not compared.
 
-    The keys run x_nu, a_nu, x_{nu-1}, ..., a_1, x_0 (labels only with
-    ``symbols``). A class of a key is a run of rows equal in it and in every
+    The keys run x_nu, a_nu, x_{nu-1}, ..., a_1, x_0 (labels only in a plan
+    with labels). A class of a key is a run of rows equal in it and in every
     key before (the rows, at x_0), so it lies in one class of the key
     before, its parent. Two classes conflict iff they pass the key's test
     and their parents are one class or conflict: each key tests siblings
@@ -151,8 +155,7 @@ def _conflict_pairs(h0, h1, radius, symbols=None, sources=None, plan=None):
     not matter. Canonical rows have real h0, so each product, and the test
     value, has the same bits whichever row is a.
     """
-    plan = _walk_plan(h0, h1, symbols) if plan is None else plan
-    radius = np.broadcast_to(radius, h0.shape[1:])
+    radius = np.broadcast_to(radius, plan[0][0] + 1)  # the first key is x_nu
     pa = pb = np.zeros(0, dtype=np.intp)  # the previous key's conflicting class pairs
     for c, label, first, heads, stops, (sx, sy), values in plan:
         # the siblings, and the children of each conflicting pair
@@ -171,16 +174,17 @@ def _conflict_pairs(h0, h1, radius, symbols=None, sources=None, plan=None):
     return pa, pb
 
 
-def _walk_plan(h0, h1, symbols=None):
-    """The classes of each key of ``_conflict_pairs``, which depend on the
-    rows only: per key its column c, whether it is a label, each class's
-    first row, the first class (head) and the end (stop) of each parent's
-    children, the pairs of each class with its later siblings, and each
-    class's value in the key (its label, or its h0 and h1)."""
-    k = h0.shape[0]
-    start = np.arange(k) == 0  # first rows of the previous key's classes
-    keys = [(c, False) for c in range(h0.shape[1] - 1, -1, -1)]
-    if symbols is not None:  # a_{c+1} splits a class of x_{c+1} before x_c
+def _walk_plan(pool, labels):
+    """The classes of each key of ``_conflict_pairs`` over the pool's rows,
+    with the label keys when ``labels``: per key its column c, whether it
+    is a label, each class's first row, the first class (head) and the end
+    (stop) of each parent's children, the pairs of each class with its
+    later siblings, and each class's value in the key (its label, or its h0
+    and h1). The last key's classes are the rows."""
+    h0, h1, symbols = pool.h0, pool.h1, pool.symbols
+    start = np.arange(len(pool)) == 0  # first rows of the previous key's classes
+    keys = [(c, False) for c in range(pool.nu, -1, -1)]
+    if labels:  # a_{c+1} splits a class of x_{c+1} before x_c
         keys[1:] = [(c, label) for c, _ in keys[1:] for label in (True, False)]
     plan = []
     for c, label in keys:
@@ -220,25 +224,24 @@ def _split_pairs(i, j, ids, blocks):
             for rows, s in zip(blocks, np.split(by, cuts))]
 
 
-def _greedy(h0, h1, epsilon, symbols, order, plan=None):
+def _greedy(plan, epsilon, order):
     """(family, degrees): the greedy maximal family in the order it joined,
     and each member's number of conflict pairs.
 
     Walking ``order`` (a row array), a row joins unless it conflicts with a
     member. The rows that may still join are settled len(family) + 1 at a
-    time by one walk of ``plan`` (built here when None) with them as
-    sources, so a fast-growing family takes few walks and a dense conflict
-    graph lists little beyond its members' pairs.
+    time by one walk of ``plan`` with them as sources, so a fast-growing
+    family takes few walks and a dense conflict graph lists little beyond
+    its members' pairs.
     """
-    k = h0.shape[0]
-    plan = _walk_plan(h0, h1, symbols) if plan is None else plan
+    k = len(plan[-1][2])  # the last key's classes are the rows
     blocked = np.zeros(k, dtype=bool)
     kept, degrees = [], []
     while len(order):
         batch, order = order[:len(kept) + 1], order[len(kept) + 1:]
         mask = np.zeros(k, dtype=bool)
         mask[batch] = True
-        i, j = _conflict_pairs(h0, h1, epsilon, symbols, mask, plan)
+        i, j = _conflict_pairs(plan, epsilon, mask)
         ends, near = np.concatenate([i, j]), np.concatenate([j, i])
         near = near[np.argsort(ends, kind="stable")]
         ptr = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=k))]).tolist()
@@ -261,7 +264,10 @@ def _masks(k, i, j):
 
 
 def _mis_exact(adj) -> int:
-    """Maximum independent set size by branch and bound with memoization."""
+    """Maximum independent set size by branch and bound with memoization.
+
+    Raises BudgetExceeded rather than branch on a connected component of
+    more than JOINT_CUTOFF vertices."""
     n = len(adj)
     memo: dict[int, int] = {}
 
@@ -296,6 +302,9 @@ def _mis_exact(adj) -> int:
             out = picked + best(part) + best(residual & ~part)
             memo[mask] = out
             return out
+        if bin(residual).count("1") > JOINT_CUTOFF:
+            raise BudgetExceeded(
+                f"exact maximum limited to conflict components of {JOINT_CUTOFF} orbits")
         # branch on a maximum-degree vertex of the residual graph
         v_best, deg_best, mm = -1, -1, residual
         while mm:
@@ -333,48 +342,42 @@ def sum_up_partition(pool, epsilon: float):
         if len(rows) > EXACT_CUTOFF:
             raise BudgetExceeded("per-word block too large for exact counting")
         per_word[w] = _mis_exact(_masks(len(rows), *_conflict_pairs(
-            pool.h0[rows], pool.h1[rows], epsilon)))
+            _walk_plan(pool[rows], False), epsilon)))
     joint = _mis_exact(_masks(len(pool), *_conflict_pairs(
-        pool.h0, pool.h1, epsilon, pool.symbols)))
+        _walk_plan(pool, True), epsilon)))
     return per_word, joint, joint == sum(per_word.values())
 
 
 # -- spanning numbers and shift-orbit counts ------------------------------------
 
 
-def spanning_number(pool, epsilon: float, n: int, return_details: bool = False):
-    """Minimum pool subset whose shift orbits eps-shadow the whole pool.
+def spanning_number(pool: OrbitPool, epsilon: float, n: int) -> tuple[int, bool]:
+    """(count, exact): the size of a minimum eps-spanning subset of the pool.
 
     y spans x when the shifted path distance stays at most eps for n steps
     (j = 0..n-1). Minimum set cover is exact for pools up to EXACT_CUTOFF and
-    greedy above it; pass return_details=True to receive (count, exact).
+    greedy, with exact False, above it.
     """
-    rows = OrbitPool.from_paths(pool)
+    _check_pool(pool, epsilon, closed=True)
     if n < 1:
         raise ValueError("spanning horizon must be at least 1")
-    if rows.nu < n:
-        raise DepthMismatch(f"pool depth {rows.nu} below horizon {n}")
-    k = len(rows)
+    if pool.nu < n:
+        raise DepthMismatch(f"pool depth {pool.nu} below horizon {n}")
+    k = len(pool)
     covers = [m | 1 << y for y, m in
-              enumerate(_masks(k, *_shift_pairs(rows, epsilon, n - 1)))]
+              enumerate(_masks(k, *_shift_pairs(pool, epsilon, n - 1)))]
     full = (1 << k) - 1
     if k <= EXACT_CUTOFF:
-        count, exact = _min_cover_exact(covers, full), True
-    else:
-        count, exact = _min_cover_greedy(covers, full), False
-    if return_details:
-        return count, exact
-    return count
+        return _min_cover_exact(covers, full), True
+    return _min_cover_greedy(covers, full), False
 
 
 def _shift_pairs(pool, epsilon, horizon):
     """The conflict pairs of the shifted metric to the horizon: column k has
     radius eps / w_k, and none where w_k = 2^-max(k - horizon, 0) <= eps."""
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError("epsilon must lie in (0, 1]")
     w = 0.5 ** np.maximum(np.arange(pool.nu + 1) - horizon, 0)
-    return _conflict_pairs(pool.h0, pool.h1, np.where(w > epsilon, epsilon / w, np.inf),
-                           pool.symbols)
+    return _conflict_pairs(_walk_plan(pool, True),
+                           np.where(w > epsilon, epsilon / w, np.inf))
 
 
 def _min_cover_exact(covers, full):
@@ -405,13 +408,14 @@ def _min_cover_greedy(covers, full):
     return picked
 
 
-def bowen_orbit_count(paths, epsilon: float, horizon: int) -> int:
+def bowen_orbit_count(pool: OrbitPool, epsilon: float, horizon: int) -> int:
     """Exact maximum eps-separated set of shift orbits of the given duration.
 
     Separation is max over j = 0..horizon of the path distance between the
-    j-fold shifts, evaluated in closed form on the truncated paths.
+    j-fold shifts, evaluated in closed form on the pool's rows. A connected
+    conflict component above JOINT_CUTOFF orbits raises BudgetExceeded.
     """
-    pool = OrbitPool.from_paths(paths)
+    _check_pool(pool, epsilon, closed=True)
     if horizon > pool.nu:
         raise DepthMismatch(f"horizon {horizon} exceeds depth {pool.nu}")
     return _mis_exact(_masks(len(pool), *_shift_pairs(pool, epsilon, horizon)))
@@ -426,26 +430,27 @@ def c_of_eps(epsilon: float) -> int:
     return math.floor(level)
 
 
-def sandwich_counts(paths, epsilon: float, nu: int):
+def sandwich_counts(pool: OrbitPool, epsilon: float, nu: int):
     """The three exact counts tying orbit separation to shift separation.
 
-    ``paths`` must have depth nu + C(eps). Returns a dict with the prefix
+    ``pool`` must have depth nu + C(eps). Returns a dict with the prefix
     count N(eps, nu), the shift-orbit count M(eps, nu), the extended count
     N(eps, nu + C), and C itself; the chain N <= M <= N_ext holds whenever
-    the pool is closed under extension, i.e. always for pools presented as
-    full-depth paths. A word block above the exact cutoff would leave a
-    greedy lower bound in N or N_ext, so it raises BudgetExceeded.
+    the pool is closed under extension, i.e. always for a pool of full-depth
+    orbits. A word block above the exact cutoff would leave a greedy lower
+    bound in N or N_ext, so it raises BudgetExceeded, as M does for a
+    conflict component above JOINT_CUTOFF orbits.
     """
+    _check_pool(pool, epsilon)
     c = c_of_eps(epsilon)
-    pool = OrbitPool.from_paths(paths)
     if pool.nu != nu + c:
-        raise MixedNu(f"paths must have depth nu + C = {nu + c}, got {pool.nu}")
+        raise MixedNu(f"pool must have depth nu + C = {nu + c}, got {pool.nu}")
     n_nu, n_ext = (count_separated(_distinct_heads(pool, k), epsilon, "dinh_sibony")
                    for k in (nu, nu + c))
     if not (n_nu.exact and n_ext.exact):
         raise BudgetExceeded(
             f"sandwich counts need exact maxima: word blocks above {EXACT_CUTOFF} orbits")
-    m_nu = _mis_exact(_masks(len(pool), *_shift_pairs(pool, epsilon, nu)))
+    m_nu = bowen_orbit_count(pool, epsilon, nu)
     return {"N_nu": n_nu.count, "M_nu": m_nu, "N_ext": n_ext.count, "C": c}
 
 

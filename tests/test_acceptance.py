@@ -157,7 +157,7 @@ def test_criterion_07_and_08_sandwich_and_sum_up():
     ok = len(cases) == 20
     sum_up_checked = 0
     for paths, eps, nu in cases:
-        res = rs.sandwich_counts(paths, eps, nu)
+        res = rs.sandwich_counts(rs.OrbitPool.from_paths(paths), eps, nu)
         ok = ok and res["N_nu"] <= res["M_nu"] <= res["N_ext"]
         # criterion 8 on the same instances: prefix orbits, exact counts
         prefixes = {}

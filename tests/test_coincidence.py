@@ -135,8 +135,8 @@ def test_fiber_entropy_spanning_cross_check():
     gens = rs.GeneratorSet([inv, shifted])
     target = 0.5 * math.log(2)
     for depth in (6, 8, 10, 12):
-        pool = _fiber_pool(gens, [rs.point_at(0), rs.INFINITY], depth)
-        count = rs.spanning_number(pool, 0.5, depth)
+        paths = _fiber_pool(gens, [rs.point_at(0), rs.INFINITY], depth)
+        count, _ = rs.spanning_number(rs.OrbitPool.from_paths(paths), 0.5, depth)
         rate = math.log(count) / depth
         if depth == 12:
             assert abs(rate - target) < 0.05

@@ -135,6 +135,33 @@ def test_cli_error_json(tmp_path, capsys):
     assert err["error"]["pointer"] == "/generators/0"
 
 
+@pytest.mark.parametrize("flag,key", [
+    ("--report", None), ("--csv", None), (None, "report_path"), (None, "csv_path")])
+def test_cli_unwritable_output_prints_only_the_error(tmp_path, capsys, flag, key):
+    target = str(tmp_path / "missing" / "out")
+    cfg = dict(Z23_CONFIG, estimator={"nu_min": 2, "nu_max": 4, "epsilon_grid": [0.2]})
+    if key:
+        cfg["output"] = {key: target}
+    argv = ["estimate", "--config", write_config(tmp_path, cfg), "--method", "ds"]
+    assert cli.main(argv + ([flag, target] if flag else [])) == 1
+    # stdout holds the error object alone, not the report before it
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "UnwritableFile" and target in err["message"]
+
+
+@pytest.mark.parametrize("level,code", [("bogus", 1), ("10", 1), ("info", 0)])
+def test_cli_unknown_log_level_is_an_error_object(tmp_path, capsys, monkeypatch,
+                                                  level, code):
+    monkeypatch.setenv("RSENTROPY_LOG", level)
+    assert cli.main(["exact", "--config", write_config(tmp_path, Z23_CONFIG)]) == code
+    out = json.loads(capsys.readouterr().out)
+    if code:
+        assert out["error"]["type"] == "UnknownLogLevel"
+        assert repr(level) in out["error"]["message"]
+    else:
+        assert out["exact"]["h_top_exact"] == math.log(5)
+
+
 def test_cli_relations(tmp_path, capsys):
     z24 = {
         "generators": [

@@ -146,44 +146,47 @@ def test_sum_up_symbol_only_separation():
 
 
 def test_spanning_examples():
-    single = rs.forward_orbits(corr(Z2), rs.sample_points(1, 0), 3).paths()
-    assert rs.spanning_number(single, 0.2, 3) == 1
+    single = rs.forward_orbits(corr(Z2), rs.sample_points(1, 0), 3)
+    assert rs.spanning_number(single, 0.2, 3) == (1, True)
 
     nu = 4
-    pool = rs.forward_orbits(corr(IDENTITY, mults=[2]), [rs.point_at(1)], nu).paths()
-    assert rs.spanning_number(pool, 0.5, nu) == 2 ** nu
-    assert rs.spanning_number(pool, 1.0, nu) == 1  # everything within diameter
+    pool = rs.forward_orbits(corr(IDENTITY, mults=[2]), [rs.point_at(1)], nu)
+    assert rs.spanning_number(pool, 0.5, nu) == (2 ** nu, True)
+    assert rs.spanning_number(pool, 1.0, nu) == (1, True)  # everything within diameter
 
 
 def test_spanning_greedy_matches_exact_on_classes():
     nu = 6
-    pool = rs.forward_orbits(corr(IDENTITY, mults=[2]), [rs.point_at(1)], nu).paths()
-    count, exact = rs.spanning_number(pool, 0.5, nu, return_details=True)
+    pool = rs.forward_orbits(corr(IDENTITY, mults=[2]), [rs.point_at(1)], nu)
+    count, exact = rs.spanning_number(pool, 0.5, nu)
     assert count == 2 ** nu and not exact  # greedy, but classes are disjoint
 
 
 def test_shift_counts_raise_typed_errors():
-    paths = rs.forward_orbits(corr(Z2, Z3), rs.sample_points(2, 0), 3).paths()
+    pool = rs.forward_orbits(corr(Z2, Z3), rs.sample_points(2, 0), 3)
+    paths = pool.paths()
     tilted = rs.TruncatedPath((rs.ProjPoint(1j, 0),) + paths[0].points[1:], paths[0].symbols)
-    for count in (rs.spanning_number, rs.bowen_orbit_count):
+    # a pool is built before a count runs: the path errors come from building it
+    with pytest.raises(MixedNu):
+        rs.OrbitPool.from_paths(paths + [rs.shift(paths[0])])
+    with pytest.raises(NonCanonicalPoint):
+        rs.OrbitPool.from_paths(paths + [tilted])
+    spanning = lambda *args: rs.spanning_number(*args)[0]
+    for count in (spanning, rs.bowen_orbit_count):
         with pytest.raises(EmptyPool):
-            count([], 0.2, 2)
-        with pytest.raises(MixedNu):
-            count(paths + [rs.shift(paths[0])], 0.2, 2)
-        with pytest.raises(NonCanonicalPoint):
-            count(paths + [tilted], 0.2, 2)
+            count(pool[:0], 0.2, 2)
         with pytest.raises(DepthMismatch):
-            count(paths, 0.2, 4)  # beyond the depth 3
+            count(pool, 0.2, 4)  # beyond the depth 3
         for eps in (0.0, -0.1, 1.5, math.nan):
             with pytest.raises(ValueError):
-                count(paths, eps, 2)
-        assert count(paths, 1.0, 3) == 1
+                count(pool, eps, 2)
+        assert count(pool, 1.0, 3) == 1
     for n in (0, -1):
         with pytest.raises(ValueError):
-            rs.spanning_number(paths, 0.2, n)
+            rs.spanning_number(pool, 0.2, n)
     # the horizon n - 1 = 2 fits the depth 3 for spanning, not n = 3
     with pytest.raises(DepthMismatch):
-        rs.spanning_number([rs.shift(p) for p in paths], 0.2, 3)
+        rs.spanning_number(rs.OrbitPool.from_paths([rs.shift(p) for p in paths]), 0.2, 3)
 
 
 def test_c_of_eps_edges():
@@ -208,15 +211,15 @@ def _sandwich_pool(gens, eps, nu, n_starts, n_words, seed):
             for a in w:
                 pts.append(rs.evaluate(gens.maps[a - 1], pts[-1]))
             paths.append(rs.TruncatedPath(points=tuple(pts), symbols=w))
-    return paths
+    return rs.OrbitPool.from_paths(paths)
 
 
 def test_sandwich_chain_holds():
     gens = rs.GeneratorSet([Z2, Z3])
     cases = [(0.2, 2, 2, 6, 11), (0.1, 2, 3, 5, 12), (0.05, 2, 1, 15, 13)]
     for eps, nu, n_starts, n_words, seed in cases:
-        paths = _sandwich_pool(gens, eps, nu, n_starts, n_words, seed)
-        res = rs.sandwich_counts(paths, eps, nu)
+        pool = _sandwich_pool(gens, eps, nu, n_starts, n_words, seed)
+        res = rs.sandwich_counts(pool, eps, nu)
         assert res["N_nu"] <= res["M_nu"] <= res["N_ext"]
 
 
@@ -226,12 +229,24 @@ def test_sandwich_refuses_greedy_counts():
     assert not rs.count_separated(separation._distinct_heads(pool, 1), 0.2,
                                   "dinh_sibony").exact
     with pytest.raises(BudgetExceeded, match="exact maxima"):
-        rs.sandwich_counts(pool.paths(), 0.2, 1)
+        rs.sandwich_counts(pool, 0.2, 1)
 
 
 def test_sandwich_empty_pool():
-    with pytest.raises(EmptyPool):
-        rs.sandwich_counts([], 0.2, 2)
+    # depth 4 is nu + C(0.2); an empty pool of another depth is empty first
+    for depth in (3, 4):
+        empty = rs.forward_orbits(corr(Z2, Z3), rs.sample_points(2, 0), depth)[:0]
+        with pytest.raises(EmptyPool):
+            rs.sandwich_counts(empty, 0.2, 2)
+
+
+def test_sandwich_checks_epsilon_first():
+    # before C(eps), the greatest integer below log2(1 / eps), is taken: eps 0
+    # raised ZeroDivisionError there, and eps 1 a depth mismatch
+    pool = rs.forward_orbits(corr(Z2, Z3), rs.sample_points(2, 0), 4)
+    for eps in (0.0, -0.1, 1.0, math.nan):
+        with pytest.raises(ValueError, match="epsilon"):
+            rs.sandwich_counts(pool, eps, 2)
 
 
 # -- the conflict-pair walk and its greedy against the all-pairs oracles --------
@@ -385,7 +400,7 @@ def test_greedy_blocks_log_at_info(caplog):
 
 
 def walk_pairs(pool, eps, labels=False):
-    i, j = _conflict_pairs(pool.h0, pool.h1, eps, pool.symbols if labels else None)
+    i, j = _conflict_pairs(separation._walk_plan(pool, labels), eps)
     pairs = list(zip(i.tolist(), j.tolist()))
     assert len(pairs) == len(set(pairs)) and all(a < b for a, b in pairs)
     return set(pairs)
@@ -410,7 +425,7 @@ def test_pairs_match_oracle_on_readme_tree(readme_nu5_pool, eps):
 def test_pairs_of_sources_match_oracle(readme_nu5_pool):
     pool = readme_nu5_pool
     sources = np.random.default_rng(4).random(len(pool)) < 0.1
-    i, j = _conflict_pairs(pool.h0, pool.h1, 0.2, None, sources)
+    i, j = _conflict_pairs(separation._walk_plan(pool, False), 0.2, sources)
     ref = reference_conflict_pairs(pool, 0.2)
     assert set(zip(i.tolist(), j.tolist())) == {
         (a, b) for a, b in ref if sources[a] or sources[b]}
@@ -436,13 +451,12 @@ def test_a_shared_plan_walks_like_a_fresh_one(readme_nu5_pool, case):
     # shifted metric (so that the trees hold pairs with labels too)
     radii = [0.1, np.append(0.1 * 2.0 ** np.arange(pool.nu - 1), [np.inf, np.inf])]
     for labels in (False, True):
-        symbols = pool.symbols if labels else None
-        plan = separation._walk_plan(pool.h0, pool.h1, symbols)
+        plan = separation._walk_plan(pool, labels)
         for radius in radii:
             ref = reference_conflict_pairs(pool, radius, labels)
             for sources in masks:
-                shared = _conflict_pairs(pool.h0, pool.h1, radius, symbols, sources, plan)
-                fresh = _conflict_pairs(pool.h0, pool.h1, radius, symbols, sources)
+                shared = _conflict_pairs(plan, radius, sources)
+                fresh = _conflict_pairs(separation._walk_plan(pool, labels), radius, sources)
                 assert all(np.array_equal(a, b) for a, b in zip(shared, fresh))
                 assert set(zip(*(a.tolist() for a in shared))) == {
                     (i, j) for i, j in ref if sources is None or sources[i] or sources[j]}
@@ -540,14 +554,14 @@ def test_shift_counts_match_brute_force():
     translations = corr(affine_translation(1), affine_translation(1j))
     scalings = corr(rs.make_map([2, 0], [0, 1]), rs.make_map([3, 0], [0, 1]))
     for c in (translations, scalings):
-        paths = rs.preimage_tree(c, rs.point_at(0.5), 3).paths()
-        k = len(paths)
+        pool = rs.preimage_tree(c, rs.point_at(0.5), 3)
+        paths, k = pool.paths(), len(pool)
         for horizon in range(4):
             for eps in (0.05, 0.2, 0.3, 0.5, 0.75):
                 near = reference_shift_pairs(paths, eps, horizon)
                 separated = [m for m in range(1 << k) if not any(
                     m >> i & 1 and m >> j & 1 for i, j in near)]
-                assert rs.bowen_orbit_count(paths, eps, horizon) == max(
+                assert rs.bowen_orbit_count(pool, eps, horizon) == max(
                     bin(m).count("1") for m in separated)
                 if horizon == 3:
                     continue  # spanning for n = 4 steps needs depth 4
@@ -556,7 +570,7 @@ def test_shift_counts_match_brute_force():
                           for y in range(k)]
                 spanning = min(bin(m).count("1") for m in range(1, 1 << k)
                                if _union(covers, m) == (1 << k) - 1)
-                assert rs.spanning_number(paths, eps, horizon + 1) == spanning
+                assert rs.spanning_number(pool, eps, horizon + 1) == (spanning, True)
 
 
 def _union(covers, m):
@@ -605,4 +619,14 @@ def test_bowen_count_splits_the_conflict_graph():
     # the conflict graph is 16 disjoint 4-cliques
     doubled = rs.forward_orbits(corr(IDENTITY, mults=(2,)), [rs.point_at(0.3)], 6)
     for horizon, eps in ((1, 0.2), (3, 0.5)):
-        assert rs.bowen_orbit_count(doubled.paths(), eps, horizon) == 16
+        assert rs.bowen_orbit_count(doubled, eps, horizon) == 16
+
+
+def test_exact_maximum_refuses_a_large_component():
+    # 48 starts times 8 words: at eps 0.4 and horizon 0 the conflict graph
+    # has a connected component above JOINT_CUTOFF, where branch and bound
+    # took seconds at 384 orbits and over half a minute at 512
+    pool = rs.forward_orbits(corr(Z2, Z3), rs.sample_points(48, 3), 3)
+    assert len(pool) == 384
+    with pytest.raises(BudgetExceeded, match="conflict components"):
+        rs.bowen_orbit_count(pool, 0.4, 0)
