@@ -39,11 +39,14 @@ log = logging.getLogger("rsentropy")
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        level = os.environ.get("RSENTROPY_LOG", "WARNING")
-        # basicConfig checks the level only when the root logger has no handler
-        if not isinstance(logging.getLevelName(level.upper()), int):
-            raise UnknownLogLevel(f"RSENTROPY_LOG={level!r} names no logging level")
-        logging.basicConfig(level=level.upper())
+        level = os.environ.get("RSENTROPY_LOG")
+        # basicConfig checks and sets the level only when the root logger has
+        # no handler, so a level that is given also goes on our own logger
+        if level is not None:
+            if not isinstance(logging.getLevelName(level.upper()), int):
+                raise UnknownLogLevel(f"RSENTROPY_LOG={level!r} names no logging level")
+            log.setLevel(level.upper())
+        logging.basicConfig(level=(level or "WARNING").upper())
         cfg = parse_config(args.config, {
             "seed": args.seed, "relations_word_length": args.word_length})
         started = time.monotonic()

@@ -27,7 +27,7 @@ from .errors import InsufficientData
 from .orbits import TREE_BUDGET, OrbitPool, affordable_depth, preimage_tree_levels
 from .projective import chordal_dist, ring_around, sample_points
 from .ratmap import evaluate, fs_jacobian
-from .separation import _greedy, _walk_plan, _word_blocks, count_separated
+from .separation import _count_classes, _greedy, _walk_plan, _word_blocks, count_separated
 
 EPSILON_GRID = (0.02, 0.05, 0.1, 0.2)
 NU_MIN, NU_MAX = 2, 12
@@ -135,9 +135,14 @@ def estimate_entropy(c: Correspondence, method: str,
         levels = ladder_tree(c, nu_min, nu_max, seed, tree_budget)
     rows = []
     for i_nu, nu in enumerate(range(nu_min, max(levels) + 1)):
+        # the plan and word blocks do not depend on eps; each level's go
+        # before the next level's are built
+        classes = _count_classes(levels[nu], mode)
         for i_eps, eps in enumerate(epsilon_grid):
             cell_seed = seed * 10007 + i_nu * 101 + i_eps
-            rows.append(count_separated(levels[nu], eps, mode, seed=cell_seed))
+            rows.append(count_separated(levels[nu], eps, mode, seed=cell_seed,
+                                        classes=classes))
+        del classes
     return entropy_fit(rows, method=mode, seed=seed), rows
 
 

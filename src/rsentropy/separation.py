@@ -27,11 +27,14 @@ step earlier (the dual-tree recursion of Gray and Moore, NIPS 2000). On a
 backward tree the classes are its nodes and a step costs its siblings and
 the children of its conflicts; a pool with no shared suffix, such as
 forward orbits, tests all k^2 pairs at x_nu. The classes and their sibling
-pairs depend on the rows only, so a count builds them once from its pool
-(a plan, the walk's only input) and each greedy batch only re-walks the
-conflict pairs. The greedy asks only for the pairs of orbits that may
-still join, so where a few members conflict with most orbits it lists
-about their pairs, not all k^2.
+pairs depend on the rows only: they make a plan, the walk's only input,
+which ``_count_classes`` builds once per pool and mode together with the
+pool's word blocks, so that the counts of an eps grid share them; a walk
+then only re-walks the conflict pairs. The greedy asks only for the pairs
+of orbits that may still join. Its first walk starts from one row, so
+where a few members conflict with most orbits it lists about their pairs,
+not all k^2; each later walk takes as many rows as the last walk's pairs
+per row allow within WALK_PAIRS pairs, so a count takes about two walks.
 
 The spanning and shift-orbit counts take their pairs from the same walk,
 with a radius per column. To the horizon h the shifted metric weighs
@@ -56,6 +59,8 @@ from .orbits import OrbitPool
 
 EXACT_CUTOFF = 20
 JOINT_CUTOFF = 32
+WALK_PAIRS = 4096  # about how many conflict pairs a greedy walk lists
+TEST_SLICE = 4096  # candidate pairs per slice of a walk's point test
 
 log = logging.getLogger(__name__)
 
@@ -76,6 +81,10 @@ def _check_pool(pool, epsilon, closed=False):
     """EmptyPool, or ValueError unless 0 < eps < 1 (eps <= 1 when closed)."""
     if len(pool) == 0:
         raise EmptyPool("cannot count an empty pool")
+    _check_epsilon(epsilon, closed)
+
+
+def _check_epsilon(epsilon, closed=False):
     if not (0.0 < epsilon < 1.0 or closed and epsilon == 1.0):
         raise ValueError("epsilon must lie in " + ("(0, 1]" if closed else "(0, 1)"))
 
@@ -90,22 +99,33 @@ def _word_blocks(symbols):
     return [tuple(w) for w in words.tolist()], ids, blocks
 
 
+def _count_classes(pool: OrbitPool, mode: str):
+    """(plan, words, ids, blocks): what the counts of the pool in the mode
+    share at every eps. The walk plan has labels unless in friedland mode,
+    where the words are None and every row is in one block; otherwise they
+    are ``_word_blocks(pool.symbols)``."""
+    if mode not in ("per_word", "friedland", "dinh_sibony"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "friedland":
+        return (_walk_plan(pool, False), None, np.zeros(len(pool), dtype=np.intp),
+                [np.arange(len(pool))])
+    return (_walk_plan(pool, True), *_word_blocks(pool.symbols))
+
+
 def count_separated(pool: OrbitPool, epsilon: float, mode: str, word=None,
-                    seed: int | None = 0,
-                    exact_cutoff: int = EXACT_CUTOFF) -> SeparationCount:
+                    seed: int | None = 0, exact_cutoff: int = EXACT_CUTOFF,
+                    classes=None) -> SeparationCount:
     """Size of a maximal separated family in the requested sense.
 
     Exact (maximum) when every counted block is at most ``exact_cutoff``
     orbits; otherwise a seeded greedy maximal family with ``exact=False``.
     ``word`` is required in per_word mode and ignored otherwise.
+    ``classes`` is ``_count_classes(pool, mode)``, built here when None;
+    the counts of one pool in one mode at several eps can share it.
     """
     _check_pool(pool, epsilon)
-    if mode not in ("per_word", "friedland", "dinh_sibony"):
-        raise ValueError(f"unknown mode {mode!r}")
+    plan, words, ids, blocks = _count_classes(pool, mode) if classes is None else classes
     label = mode
-    ids, blocks = np.zeros(len(pool), dtype=np.intp), [np.arange(len(pool))]
-    if mode != "friedland":
-        words, ids, blocks = _word_blocks(pool.symbols)
     counted = range(len(blocks))
     if mode == "per_word":
         if word is None:
@@ -116,7 +136,6 @@ def count_separated(pool: OrbitPool, epsilon: float, mode: str, word=None,
         label, counted = "per_word" + repr(word), [words.index(word)]
     small = [b for b in counted if len(blocks[b]) <= max(exact_cutoff, 1)]
     large = [b for b in counted if len(blocks[b]) > max(exact_cutoff, 1)]
-    plan = _walk_plan(pool, mode != "friedland")  # shared by every walk below
     count = 0
     if small:
         pairs = _split_pairs(*_conflict_pairs(plan, epsilon, np.isin(ids, small)),
@@ -162,14 +181,19 @@ def _conflict_pairs(plan, radius, sources=None):
         t, u = _ranges(heads[pa], stops[pa])
         s, v = _ranges(heads[pb][t], stops[pb][t])
         x, y = np.concatenate([sx, u[s]]), np.concatenate([sy, v])
+        del t, u, s, v  # freed before the test, where a walk peaks
         if sources is not None:
             wanted = np.logical_or.reduceat(sources, first)
             x, y = x[wanted[x] | wanted[y]], y[wanted[x] | wanted[y]]
         if label:
             close = (values[x] == values[y]) | (radius[c] == np.inf)
         else:
+            # a slice at a time: the complex temporaries are a walk's largest
             v0, v1 = values
-            close = np.abs(v0[y] * v1[x] - v1[y] * v0[x]) <= radius[c]
+            close = np.empty(len(x), dtype=bool)
+            for n in range(0, len(x), TEST_SLICE):
+                a, b = x[n:n + TEST_SLICE], y[n:n + TEST_SLICE]
+                close[n:n + TEST_SLICE] = np.abs(v0[b] * v1[a] - v1[b] * v0[a]) <= radius[c]
         pa, pb = x[close], y[close]
     return pa, pb
 
@@ -229,16 +253,20 @@ def _greedy(plan, epsilon, order):
     and each member's number of conflict pairs.
 
     Walking ``order`` (a row array), a row joins unless it conflicts with a
-    member. The rows that may still join are settled len(family) + 1 at a
-    time by one walk of ``plan`` with them as sources, so a fast-growing
-    family takes few walks and a dense conflict graph lists little beyond
-    its members' pairs.
+    member. The rows that may still join are settled a batch at a time by
+    one walk of ``plan`` with them as sources. A member is a source of the
+    walk that settles it, so it blocks all its neighbours, and any batch
+    gives the same family. The first batch is one row, so a dense conflict
+    graph lists little beyond its members' pairs; each later batch takes
+    as many rows as the last walk's pairs per source allow within
+    WALK_PAIRS pairs, and at least len(family) + 1. (Rows that conflict
+    more than the last batch's make a walk list more than WALK_PAIRS.)
     """
     k = len(plan[-1][2])  # the last key's classes are the rows
     blocked = np.zeros(k, dtype=bool)
-    kept, degrees = [], []
+    kept, degrees, size = [], [], 1
     while len(order):
-        batch, order = order[:len(kept) + 1], order[len(kept) + 1:]
+        batch, order = order[:size], order[size:]
         mask = np.zeros(k, dtype=bool)
         mask[batch] = True
         i, j = _conflict_pairs(plan, epsilon, mask)
@@ -251,6 +279,7 @@ def _greedy(plan, epsilon, order):
                 degrees.append(ptr[r + 1] - ptr[r])
                 blocked[near[ptr[r]:ptr[r + 1]]] = True
         order = order[~blocked[order]]
+        size = max(len(kept) + 1, WALK_PAIRS * len(batch) // max(len(i), 1))
     return kept, degrees
 
 
@@ -422,7 +451,10 @@ def bowen_orbit_count(pool: OrbitPool, epsilon: float, horizon: int) -> int:
 
 
 def c_of_eps(epsilon: float) -> int:
-    """Greatest integer strictly below log2(1/eps) (unit-diameter space)."""
+    """Greatest integer strictly below log2(1/eps) (unit-diameter space).
+
+    ValueError unless 0 < eps < 1, as for the counts."""
+    _check_epsilon(epsilon)
     level = math.log2(1.0 / epsilon)
     nearest = round(level)
     if abs(level - nearest) < 1e-9:

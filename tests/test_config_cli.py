@@ -23,6 +23,15 @@ Z23_CONFIG = {
 }
 
 
+@pytest.fixture(autouse=True)
+def keep_log_level():
+    # cli.main sets the rsentropy logger's level from RSENTROPY_LOG
+    logger = logging.getLogger("rsentropy")
+    level = logger.level
+    yield
+    logger.setLevel(level)
+
+
 def write_config(tmp_path, data, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -233,6 +242,51 @@ def test_info_logging_leaves_report_unchanged(tmp_path, caplog):
     # the nu = 4 Friedland pool (625 orbits) is counted greedily at both eps
     assert any("mode=friedland eps=0.1 nu=4 block=625" in m for m in greedy)
     assert any("mode=friedland eps=0.2 nu=4 block=625" in m for m in greedy)
+
+
+def test_log_level_applies_under_a_root_handler(tmp_path, capsys, caplog, monkeypatch):
+    # pytest's capture handler sits on the root logger, so basicConfig sets
+    # no level here; RSENTROPY_LOG must still reach the rsentropy logger
+    monkeypatch.setenv("RSENTROPY_LOG", "INFO")
+    cfg = dict(Z23_CONFIG, estimator={"nu_min": 2, "nu_max": 4, "epsilon_grid": [0.2]})
+    argv = ["estimate", "--config", write_config(tmp_path, cfg), "--method", "friedland"]
+    assert cli.main(argv) == 0
+    greedy = [r for r in caplog.records if r.getMessage().startswith("greedy count:")]
+    assert any("nu=4 block=625" in r.getMessage() for r in greedy)
+    assert all(r.levelno == logging.INFO for r in greedy)
+
+
+# (mode, nu, epsilon, count, exact, pool_size) of every count row of the
+# report on the benchmark's README config: tree_budget 5000, seed 42
+README_REPORT_COUNTS = [
+    ("dinh_sibony", 2, 0.02, 25, True, 25), ("dinh_sibony", 2, 0.05, 25, True, 25),
+    ("dinh_sibony", 2, 0.1, 25, True, 25), ("dinh_sibony", 2, 0.2, 25, True, 25),
+    ("dinh_sibony", 3, 0.02, 125, False, 125), ("dinh_sibony", 3, 0.05, 125, False, 125),
+    ("dinh_sibony", 3, 0.1, 125, False, 125), ("dinh_sibony", 3, 0.2, 125, False, 125),
+    ("dinh_sibony", 4, 0.02, 625, False, 625), ("dinh_sibony", 4, 0.05, 625, False, 625),
+    ("dinh_sibony", 4, 0.1, 625, False, 625), ("dinh_sibony", 4, 0.2, 625, False, 625),
+    ("dinh_sibony", 5, 0.02, 3125, False, 3125), ("dinh_sibony", 5, 0.05, 3125, False, 3125),
+    ("dinh_sibony", 5, 0.1, 3125, False, 3125), ("dinh_sibony", 5, 0.2, 3125, False, 3125),
+    ("friedland", 2, 0.02, 25, False, 25), ("friedland", 2, 0.05, 25, False, 25),
+    ("friedland", 2, 0.1, 23, False, 25), ("friedland", 2, 0.2, 17, False, 25),
+    ("friedland", 3, 0.02, 124, False, 125), ("friedland", 3, 0.05, 120, False, 125),
+    ("friedland", 3, 0.1, 107, False, 125), ("friedland", 3, 0.2, 74, False, 125),
+    ("friedland", 4, 0.02, 610, False, 625), ("friedland", 4, 0.05, 580, False, 625),
+    ("friedland", 4, 0.1, 501, False, 625), ("friedland", 4, 0.2, 315, False, 625),
+    ("friedland", 5, 0.02, 3013, False, 3125), ("friedland", 5, 0.05, 2813, False, 3125),
+    ("friedland", 5, 0.1, 2338, False, 3125), ("friedland", 5, 0.2, 1355, False, 3125),
+]
+
+
+def test_report_counts_are_pinned(tmp_path, capsys):
+    cfg = dict(Z23_CONFIG, seed=42, estimator={
+        "epsilon_grid": [0.02, 0.05, 0.1, 0.2], "nu_min": 2, "nu_max": 8,
+        "tree_budget": 5000})
+    assert cli.main(["report", "--config", write_config(tmp_path, cfg)]) == 0
+    estimates = json.loads(capsys.readouterr().out)["estimates"]
+    rows = [(mode, c["nu"], c["epsilon"], c["count"], c["exact"], c["pool_size"])
+            for mode in ("dinh_sibony", "friedland") for c in estimates[mode]["counts"]]
+    assert rows == README_REPORT_COUNTS
 
 
 def test_cli_report_subcommand(tmp_path, capsys):

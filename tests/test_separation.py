@@ -196,6 +196,10 @@ def test_c_of_eps_edges():
     assert rs.c_of_eps(0.05) == 4
     assert rs.c_of_eps(0.02) == 5
     assert rs.c_of_eps(0.5) == 0
+    # the counts' epsilon check: 0 < eps < 1
+    for eps in (0.0, -0.1, 1.0, 1.5):
+        with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\)"):
+            rs.c_of_eps(eps)
 
 
 def _sandwich_pool(gens, eps, nu, n_starts, n_words, seed):
@@ -371,6 +375,55 @@ def test_greedy_lists_few_pairs_on_a_dense_tree(monkeypatch):
     # the first orbit conflicts with all 1,023 others, which all of 523,776
     # pairs do; one walk from it settles the count
     assert (res.count, listed) == (1, [len(pool) - 1])
+
+
+def test_greedy_settles_a_count_in_few_walks(readme_nu5_pool, monkeypatch):
+    walks = []
+    real_pairs, real_greedy = separation._conflict_pairs, separation._greedy
+
+    def pairs(*args):
+        walks[-1] += 1
+        return real_pairs(*args)
+
+    def greedy(*args):
+        walks.append(0)
+        monkeypatch.setattr(separation, "_conflict_pairs", pairs)
+        try:
+            return real_greedy(*args)
+        finally:
+            monkeypatch.setattr(separation, "_conflict_pairs", real_pairs)
+
+    monkeypatch.setattr(separation, "_greedy", greedy)
+    for mode in ("dinh_sibony", "friedland"):
+        for eps in (0.02, 0.05, 0.1, 0.2):
+            rs.count_separated(readme_nu5_pool, eps, mode, seed=42)
+    # each count is one greedy (every nu-5 word block holds 32 or more orbits)
+    assert len(walks) == 8 and max(walks) <= 3
+
+
+def test_plans_and_word_blocks_are_built_once_per_level(monkeypatch):
+    built = {"plan": 0, "blocks": 0}
+    real_plan, real_blocks = separation._walk_plan, separation._word_blocks
+
+    def plan(*args):
+        built["plan"] += 1
+        return real_plan(*args)
+
+    def blocks(*args):
+        built["blocks"] += 1
+        return real_blocks(*args)
+
+    monkeypatch.setattr(separation, "_walk_plan", plan)
+    monkeypatch.setattr(separation, "_word_blocks", blocks)
+    c = corr(Z2, Z3)
+    levels = ladder_tree(c, 2, 5, 42, 5000)
+    grid = (0.02, 0.05, 0.1, 0.2)
+    for method, words in (("ds", 4), ("friedland", 0)):
+        built.update(plan=0, blocks=0)
+        _, rows = estimate.estimate_entropy(c, method, grid, 2, 5, 42, levels=levels)
+        # four levels (nu 2..5), each counted at four eps
+        assert len(rows) == 16
+        assert built == {"plan": 4, "blocks": words}
 
 
 def test_greedy_blocks_log_at_info(caplog):
