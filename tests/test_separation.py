@@ -379,26 +379,20 @@ def test_greedy_lists_few_pairs_on_a_dense_tree(monkeypatch):
 
 def test_greedy_settles_a_count_in_few_walks(readme_nu5_pool, monkeypatch):
     walks = []
-    real_pairs, real_greedy = separation._conflict_pairs, separation._greedy
+    real = separation._conflict_pairs
 
-    def pairs(*args):
+    def spy(*args):
         walks[-1] += 1
-        return real_pairs(*args)
+        return real(*args)
 
-    def greedy(*args):
-        walks.append(0)
-        monkeypatch.setattr(separation, "_conflict_pairs", pairs)
-        try:
-            return real_greedy(*args)
-        finally:
-            monkeypatch.setattr(separation, "_conflict_pairs", real_pairs)
-
-    monkeypatch.setattr(separation, "_greedy", greedy)
+    monkeypatch.setattr(separation, "_conflict_pairs", spy)
     for mode in ("dinh_sibony", "friedland"):
         for eps in (0.02, 0.05, 0.1, 0.2):
-            rs.count_separated(readme_nu5_pool, eps, mode, seed=42)
-    # each count is one greedy (every nu-5 word block holds 32 or more orbits)
-    assert len(walks) == 8 and max(walks) <= 3
+            walks.append(0)
+            # every nu-5 word block holds 32 or more orbits, so only the
+            # greedy walks
+            assert not rs.count_separated(readme_nu5_pool, eps, mode, seed=42).exact
+    assert max(walks) <= 3
 
 
 def test_plans_and_word_blocks_are_built_once_per_level(monkeypatch):
