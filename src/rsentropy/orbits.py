@@ -193,26 +193,26 @@ def _expand_tree(c, terminal, nu, jac_floor):
     """Levels 0..nu; the rows of level k are ordered by parent row, then
     label, then preimage order."""
     comps = c.primed()
-    m = len(comps)
     level = _pool([[terminal]], [()], 0)
     levels = {0: level}
     heads = [terminal]
     for depth in range(1, nu + 1):
         parents, labels, roots_out = [], [], []
         for i, head in enumerate(heads):
-            for a in range(1, m + 1):
-                roots = preimages(comps[a - 1], head)
-                if any(mult > 1 for _, mult in roots):
+            for a, f in enumerate(comps, 1):
+                roots = preimages(f, head)
+                # the multiplicities sum to the degree, so a shortfall of
+                # points is a multiple root
+                if len(roots) < f.degree:
                     raise _CriticalValueHit(f"critical value at depth {depth}")
                 if jac_floor > 0.0:
-                    low = [(r, mult) for r, mult in roots
-                           if fs_jacobian(comps[a - 1], r) < jac_floor]
+                    jacs = [fs_jacobian(f, r) for r, _ in roots]
+                    low = [k for k, jac in enumerate(jacs) if jac < jac_floor]
                     if low:
-                        roots = [min(low, key=lambda rm: fs_jacobian(comps[a - 1], rm[0]))]
-                for root, _ in roots:
-                    parents.append(i)
-                    labels.append(a)
-                    roots_out.append(root)
+                        roots = [roots[min(low, key=jacs.__getitem__)]]
+                parents += [i] * len(roots)
+                labels += [a] * len(roots)
+                roots_out += [r for r, _ in roots]
         heads = roots_out
         level = levels[depth] = OrbitPool(*(
             np.column_stack([np.array(head, dtype=old.dtype), old[parents]])

@@ -171,12 +171,24 @@ def _start_circle(m: int) -> tuple:
     return tuple(cmath.exp(2j * math.pi * (k + 0.35) / m) for k in range(m))
 
 
-def aberth_roots(coeffs_ascending) -> list[complex]:
-    """All complex roots of an ascending-coefficient polynomial.
+@cache
+def _partners(m: int) -> tuple:
+    """For each of m roots, the indices of the other m - 1 in ascending order."""
+    return tuple(tuple(j for j in range(m) if j != i) for i in range(m))
 
-    Simultaneous third-order iteration from a deterministic circle of start
-    values; stops when every residual |p(z_k)| falls below ABERTH_TOL
-    relative to sum_k |c_k| |z|^k, then applies one Newton polish per root.
+
+def aberth_roots(coeffs_ascending) -> list[complex]:
+    """All complex roots of an ascending-coefficient polynomial, repeated by
+    multiplicity.
+
+    Trailing zero coefficients are dropped: a constant has no roots, and
+    degree 1 is solved in closed form. Otherwise a simultaneous third-order
+    iteration, one root after another, runs from a deterministic circle of
+    start values until no root moves by more than 1e-9 (1 + R), R the start
+    radius, and every residual |p(z_k)| is at most ABERTH_TOL
+    sum_k |c_k| max(1, |z|)^k; then each root gets one Newton polish.
+    RootFindingFailure is raised when, after ABERTH_MAX_SWEEPS sweeps or
+    once the iteration stagnates, a residual is still too large.
     """
     coeffs = [complex(c) for c in coeffs_ascending]
     while coeffs and coeffs[-1] == 0:
@@ -188,79 +200,94 @@ def aberth_roots(coeffs_ascending) -> list[complex]:
         return [-coeffs[0] / coeffs[1]]
 
     lead = coeffs[-1]
-    radius = 1.0 + max(abs(c / lead) for c in coeffs[:-1])
+    radius = 1.0 + max([abs(c / lead) for c in coeffs[:-1]])
     center = -coeffs[-2] / (m * lead)
-    roots = [center + 0.9 * radius * e for e in _start_circle(m)]
-    deriv = [coeffs[k] * k for k in range(1, m + 1)]
-
-    def p_of(z):
-        acc = 0j
-        for c in reversed(coeffs):
-            acc = acc * z + c
-        return acc
-
-    def dp_of(z):
-        acc = 0j
-        for c in reversed(deriv):
-            acc = acc * z + c
-        return acc
-
-    sizes = [abs(c) for c in coeffs]
-
-    def residual_ok(z):
-        # backward-error scale max(1, |z|)^k keeps the test meaningful at
-        # roots near 0 (e.g. the monomial z^m, where sum |c_k| |z|^k would
-        # equal |p(z)| identically and certify nothing)
-        scale = 0.0
-        zp = 1.0
-        az = max(abs(z), 1.0)
-        for a in sizes:
-            scale += a * zp
-            zp *= az
-        return abs(p_of(z)) <= ABERTH_TOL * max(scale, 1e-300)
+    spread = 0.9 * radius
+    roots = [center + spread * e for e in _start_circle(m)]
+    # Horner runs from the highest degree down
+    desc = coeffs[::-1]
+    deriv_desc = [coeffs[k] * k for k in range(m, 0, -1)]
+    sizes = list(map(abs, coeffs))
+    partners = _partners(m)
+    moved_tol, stagnant_tol = 1e-9 * (1.0 + radius), 1e-15 * (1.0 + radius)
 
     converged = False
     for _ in range(ABERTH_MAX_SWEEPS):
         moved = 0.0
         for i in range(m):
             z = roots[i]
-            pz = p_of(z)
-            dz = dp_of(z)
-            if dz == 0:
+            pz = dz = 0j
+            for c in desc:
+                pz = pz * z + c
+            for c in deriv_desc:
+                dz = dz * z + c
+            if not dz:
                 roots[i] = z + 1e-8 * (1.0 + abs(z))
                 moved = math.inf
                 continue
             w = pz / dz
             s = 0j
-            for j in range(m):
-                if j != i:
-                    diff = z - roots[j]
-                    if diff == 0:
-                        diff = 1e-14 * (1.0 + abs(z))
-                    s += 1.0 / diff
+            for j in partners[i]:
+                diff = z - roots[j]
+                if not diff:
+                    diff = 1e-14 * (1.0 + abs(z))
+                s += 1.0 / diff
             denom = 1.0 - w * s
-            step = w if denom == 0 else w / denom
+            step = w if not denom else w / denom
             roots[i] = z - step
-            moved = max(moved, abs(step))
+            step = abs(step)
+            if step > moved:
+                moved = step
         # require localization as well as small residuals: at a multiple
         # root the residual passes while the iterates still straddle it at
         # ~tol^(1/mult), which would defeat the downstream cluster merge
-        if moved <= 1e-9 * (1.0 + radius) and all(residual_ok(z) for z in roots):
+        if moved <= moved_tol and _residuals_ok(roots, desc, sizes):
             converged = True
             break
-        if moved <= 1e-15 * (1.0 + radius):
+        if moved <= stagnant_tol:
             break  # stagnated; the residual check below decides
-    if not converged and not all(residual_ok(z) for z in roots):
+    if not converged and not _residuals_ok(roots, desc, sizes):
         raise RootFindingFailure(
             f"simultaneous iteration did not converge for degree {m}")
 
     polished = []
     for z in roots:
-        dz = dp_of(z)
-        if dz != 0:
-            z = z - p_of(z) / dz
+        dz = 0j
+        for c in deriv_desc:
+            dz = dz * z + c
+        if dz:
+            pz = 0j
+            for c in desc:
+                pz = pz * z + c
+            z = z - pz / dz
         polished.append(z)
     return polished
+
+
+def _residuals_ok(roots, desc, sizes) -> bool:
+    """Whether every |p(z)| is at most ABERTH_TOL sum_k |c_k| max(1, |z|)^k.
+
+    The backward-error scale max(1, |z|)^k keeps the test meaningful at
+    roots near 0 (e.g. the monomial z^m, where sum |c_k| |z|^k would equal
+    |p(z)| identically and certify nothing). ``desc`` holds the
+    coefficients from the highest degree down, ``sizes`` their moduli from
+    the lowest up.
+    """
+    for z in roots:
+        pz = 0j
+        for c in desc:
+            pz = pz * z + c
+        scale = 0.0
+        zp = 1.0
+        az = abs(z)
+        if az < 1.0:
+            az = 1.0
+        for a in sizes:
+            scale += a * zp
+            zp *= az
+        if not abs(pz) <= ABERTH_TOL * max(scale, 1e-300):
+            return False
+    return True
 
 
 def strip_infinite_roots(coeffs_descending):
@@ -270,7 +297,7 @@ def strip_infinite_roots(coeffs_descending):
     entries at most 1e-13 of the largest coefficient are treated as exact
     zeros, each contributing one root at [1 : 0].
     """
-    biggest = max(abs(c) for c in coeffs_descending)
+    biggest = max(map(abs, coeffs_descending))
     if biggest == 0.0:
         raise RootFindingFailure("zero form has no well-defined roots")
     idx = 0

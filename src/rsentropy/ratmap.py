@@ -224,6 +224,18 @@ def evaluate(f: RationalMap, p: ProjPoint) -> ProjPoint:
     return normalize(w0, w1)
 
 
+def _root_order(p: ProjPoint) -> tuple:
+    """The order in which numeric roots meet their clusters."""
+    return (p.h0.real, p.h1.real, p.h1.imag)
+
+
+def _preimage_order(pm: tuple) -> tuple:
+    """The order of (point, multiplicity): multiplicity descending, then as
+    ``_root_order``."""
+    p, mult = pm
+    return (-mult, p.h0.real, p.h1.real, p.h1.imag)
+
+
 def preimages(f: RationalMap, q: ProjPoint) -> list[tuple[ProjPoint, int]]:
     """All solutions of f(x) = q with multiplicities summing to deg(f).
 
@@ -231,36 +243,31 @@ def preimages(f: RationalMap, q: ProjPoint) -> list[tuple[ProjPoint, int]]:
     roots at [1 : 0], the rest come from the simultaneous iteration on the
     dehomogenized polynomial. Roots within chordal distance 1e-7 merge into
     one cluster with summed multiplicity; every representative is verified
-    to map back onto q within 1e-9.
+    to map back onto q within 1e-9. The result is sorted by multiplicity,
+    highest first, then by the point's coordinates.
     """
-    d = f.degree
-    cross = [q.h1 * f.num_float[k] - q.h0 * f.den_float[k] for k in range(d + 1)]
-    finite_desc, inf_mult = strip_infinite_roots(cross)
+    h0, h1 = q.h0, q.h1
+    finite_desc, inf_mult = strip_infinite_roots(
+        [h1 * a - h0 * b for a, b in zip(f.num_float, f.den_float)])
+    points = ([normalize(z, 1.0) for z in aberth_roots(finite_desc[::-1])]
+              if len(finite_desc) > 1 else [])
+    points += [INFINITY] * inf_mult
 
-    points: list[ProjPoint] = []
-    if len(finite_desc) > 1:
-        roots = aberth_roots(list(reversed(finite_desc)))
-        points.extend(normalize(z, 1.0) for z in roots)
-    points.extend([INFINITY] * inf_mult)
-
-    clusters: list[list[ProjPoint]] = []
-    for pt in sorted(points, key=lambda r: (r.h0.real, r.h1.real, r.h1.imag)):
+    clusters: list[list] = []  # [first point, multiplicity]
+    for pt in sorted(points, key=_root_order):
         for cluster in clusters:
             if chordal_dist(cluster[0], pt) <= ROOT_CLUSTER_TOL:
-                cluster.append(pt)
+                cluster[1] += 1
                 break
         else:
-            clusters.append([pt])
+            clusters.append([pt, 1])
 
-    out = []
-    for cluster in clusters:
-        rep = cluster[0]
+    for rep, _ in clusters:
         if chordal_dist(evaluate(f, rep), q) > PREIMAGE_RESIDUAL_TOL:
             raise RootFindingFailure(
                 "preimage residual check failed; target may be ill-conditioned")
-        out.append((rep, len(cluster)))
-    out.sort(key=lambda rm: (-rm[1], rm[0].h0.real, rm[0].h1.real, rm[0].h1.imag))
-    if sum(m for _, m in out) != d:
+    out = sorted(map(tuple, clusters), key=_preimage_order)
+    if sum(m for _, m in out) != f.degree:
         raise RootFindingFailure("preimage multiplicities do not sum to the degree")
     return out
 

@@ -271,13 +271,23 @@ def _greedy(plan, epsilon, order):
         mask[batch] = True
         i, j = _conflict_pairs(plan, epsilon, mask)
         ends, near = np.concatenate([i, j]), np.concatenate([j, i])
-        near = near[np.argsort(ends, kind="stable")]
-        ptr = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=k))]).tolist()
-        for r in batch.tolist():
-            if not blocked[r]:
-                kept.append(r)
-                degrees.append(ptr[r + 1] - ptr[r])
-                blocked[near[ptr[r]:ptr[r + 1]]] = True
+        near = near[np.argsort(ends, kind="stable")].tolist()
+        ptr = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=k))])
+        lo, hi = ptr[batch], ptr[batch + 1]
+        # blocked rows left the order, and a row the walk paired with nothing
+        # conflicts with no row: it joins and blocks nothing. A paired row
+        # joins unless a member before it in the batch blocks it.
+        joins = lo == hi
+        paired = np.flatnonzero(~joins)
+        hit = set()
+        for n, r, a, b in zip(paired.tolist(), batch[paired].tolist(),
+                              lo[paired].tolist(), hi[paired].tolist()):
+            if r not in hit:
+                joins[n] = True
+                hit.update(near[a:b])
+        blocked[list(hit)] = True
+        kept += batch[joins].tolist()
+        degrees += (hi - lo)[joins].tolist()
         order = order[~blocked[order]]
         size = max(len(kept) + 1, WALK_PAIRS * len(batch) // max(len(i), 1))
     return kept, degrees

@@ -12,6 +12,7 @@ from rsentropy import coincidence
 from rsentropy.errors import BudgetExceeded, InconsistentItinerary
 from rsentropy.projective import NearPoints, ring_around
 from util import (
+    THREE_GENERATORS,
     Z2,
     Z3,
     Z4,
@@ -30,14 +31,6 @@ CONJUGATE_BASILICA = rs.GeneratorSet([rs.make_map([1, 0, 0], [-1, 0, 1]),
                                       rs.make_map([1, 0, 0, 0], [-1, 0, 0, 1])])
 FLOAT_BASILICA = rs.GeneratorSet([rs.make_map([1.0, 0, -1.0], [0, 0, 1.0]),
                                   rs.make_map([1.0, 0, 0, -1.0], [0, 0, 0, 1.0])])
-_q = rs.parse_scalar
-# nine inexact coincidence points and the exact point at infinity
-THREE_GENERATORS = rs.GeneratorSet([
-    rs.make_map([_q("1/3"), _q({"re": "2/7", "im": "-5/3"}), 1],
-                [0, _q("3/4"), _q({"re": "0", "im": "1/2"})]),
-    rs.make_map([2, 0, -1], [0, 0, 1]),  # Chebyshev T2
-    rs.make_map([_q({"re": "1/2", "im": "1/2"}), _q("-1/9")], [_q("1/5"), 1]),
-])
 WITHHELD = {"graph_nodes": 0, "graph_edges": 0, "depth_cap_hit": False, "exact": False,
             "cycle_points": (), "cycle_profile": (), "cycle_length": 0}
 

@@ -4,7 +4,7 @@ import pytest
 import rsentropy as rs
 from rsentropy.errors import BudgetExceeded, DepthMismatch, EmptyPath
 from rsentropy.estimate import ladder_tree
-from util import IDENTITY, Z2, Z3, steps_match
+from util import IDENTITY, QUAD5, Z2, Z3, reference_tree_levels, steps_match
 
 
 def corr(*maps, mults=None):
@@ -81,6 +81,28 @@ def test_preimage_tree_perturbs_critical_terminal():
     # terminal 0 is a critical value of z^2; automatic perturbation kicks in
     tree = rs.preimage_tree(corr(Z2), rs.point_at(0), 2)
     assert len(tree) == 4
+
+
+README_TERMINAL = rs.sample_points(1, 42 + 9001)[0]  # ladder_tree's at seed 42
+
+
+@pytest.mark.parametrize("maps, terminal, nu, jac_floor", (
+    ([Z2, Z3], README_TERMINAL, 5, 0.0),
+    (QUAD5, README_TERMINAL, 3, 0.0),
+    (QUAD5, README_TERMINAL, 3, 1.0),   # prunes 150 of 1,000 orbits
+    ([Z2], rs.point_at(0), 4, 0.0),     # a critical value: perturbed
+), ids=("readme", "quad5", "quad5-pruned", "z2-critical"))
+def test_tree_levels_match_the_reference_step_loop(maps, terminal, nu, jac_floor):
+    levels = rs.preimage_tree_levels(corr(*maps), terminal, nu, jac_floor)
+    want = reference_tree_levels(corr(*maps), terminal, nu, jac_floor)
+    assert sorted(levels) == sorted(want) == list(range(nu + 1))
+    for k, (h0, h1, symbols) in want.items():
+        for got, ref in zip((levels[k].h0, levels[k].h1, levels[k].symbols), (h0, h1, symbols)):
+            assert np.array_equal(got, ref) and got.tobytes() == ref.tobytes()
+    if jac_floor:
+        assert len(levels[nu]) < rs.d_top(corr(*maps)) ** nu
+    if terminal == rs.point_at(0):
+        assert levels[0].h0[0, 0] != 0.0
 
 
 def test_preimage_tree_jacobian_floor_prunes():

@@ -1,11 +1,14 @@
 """Shared fixtures-by-hand for the test modules."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 import rsentropy as rs
-from rsentropy import coincidence
+from rsentropy import coincidence, orbits, polynomial, ratmap
+from rsentropy.errors import RootFindingFailure
+from rsentropy.projective import INFINITY, chordal_dist, normalize
 
 
 def monomial(power):
@@ -29,6 +32,19 @@ def affine_translation(a):
 def scaling(a):
     """z -> a z."""
     return rs.make_map([rs.GaussianRational.from_value(a), 0], [0, 1])
+
+
+_q = rs.parse_scalar
+# z^2 + c for the five c of the quad5 benchmark config
+QUAD5 = [rs.make_map([1, 0, _q(c)], [0, 0, 1])
+         for c in ("0", "1/4", "-1", {"re": "0", "im": "1"}, {"re": "-1/2", "im": "1/2"})]
+# nine inexact coincidence points and the exact point at infinity
+THREE_GENERATORS = rs.GeneratorSet([
+    rs.make_map([_q("1/3"), _q({"re": "2/7", "im": "-5/3"}), 1],
+                [0, _q("3/4"), _q({"re": "0", "im": "1/2"})]),
+    rs.make_map([2, 0, -1], [0, 0, 1]),  # Chebyshev T2
+    rs.make_map([_q({"re": "1/2", "im": "1/2"}), _q("-1/9")], [_q("1/5"), 1]),
+])
 
 
 def random_exact_map(rng, max_degree=3, coeff_bound=3):
@@ -271,3 +287,202 @@ class ReferenceGaussian:
             return str(self.re)
         sign = "+" if self.im >= 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
+
+
+# -- the root finder as first written, with closures and no shortcuts: the
+# oracles of the bit-exact tests -----------------------------------------------
+
+
+def reference_aberth_roots(coeffs_ascending) -> list[complex]:
+    """All complex roots of an ascending-coefficient polynomial.
+
+    Simultaneous third-order iteration from a deterministic circle of start
+    values; stops when every residual |p(z_k)| falls below ABERTH_TOL
+    relative to sum_k |c_k| |z|^k, then applies one Newton polish per root.
+    """
+    coeffs = [complex(c) for c in coeffs_ascending]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    m = len(coeffs) - 1
+    if m <= 0:
+        return []
+    if m == 1:
+        return [-coeffs[0] / coeffs[1]]
+
+    lead = coeffs[-1]
+    radius = 1.0 + max(abs(c / lead) for c in coeffs[:-1])
+    center = -coeffs[-2] / (m * lead)
+    roots = [center + 0.9 * radius * e for e in polynomial._start_circle(m)]
+    deriv = [coeffs[k] * k for k in range(1, m + 1)]
+
+    def p_of(z):
+        acc = 0j
+        for c in reversed(coeffs):
+            acc = acc * z + c
+        return acc
+
+    def dp_of(z):
+        acc = 0j
+        for c in reversed(deriv):
+            acc = acc * z + c
+        return acc
+
+    sizes = [abs(c) for c in coeffs]
+
+    def residual_ok(z):
+        # backward-error scale max(1, |z|)^k keeps the test meaningful at
+        # roots near 0 (e.g. the monomial z^m, where sum |c_k| |z|^k would
+        # equal |p(z)| identically and certify nothing)
+        scale = 0.0
+        zp = 1.0
+        az = max(abs(z), 1.0)
+        for a in sizes:
+            scale += a * zp
+            zp *= az
+        return abs(p_of(z)) <= polynomial.ABERTH_TOL * max(scale, 1e-300)
+
+    converged = False
+    for _ in range(polynomial.ABERTH_MAX_SWEEPS):
+        moved = 0.0
+        for i in range(m):
+            z = roots[i]
+            pz = p_of(z)
+            dz = dp_of(z)
+            if dz == 0:
+                roots[i] = z + 1e-8 * (1.0 + abs(z))
+                moved = math.inf
+                continue
+            w = pz / dz
+            s = 0j
+            for j in range(m):
+                if j != i:
+                    diff = z - roots[j]
+                    if diff == 0:
+                        diff = 1e-14 * (1.0 + abs(z))
+                    s += 1.0 / diff
+            denom = 1.0 - w * s
+            step = w if denom == 0 else w / denom
+            roots[i] = z - step
+            moved = max(moved, abs(step))
+        # require localization as well as small residuals: at a multiple
+        # root the residual passes while the iterates still straddle it at
+        # ~tol^(1/mult), which would defeat the downstream cluster merge
+        if moved <= 1e-9 * (1.0 + radius) and all(residual_ok(z) for z in roots):
+            converged = True
+            break
+        if moved <= 1e-15 * (1.0 + radius):
+            break  # stagnated; the residual check below decides
+    if not converged and not all(residual_ok(z) for z in roots):
+        raise RootFindingFailure(
+            f"simultaneous iteration did not converge for degree {m}")
+
+    polished = []
+    for z in roots:
+        dz = dp_of(z)
+        if dz != 0:
+            z = z - p_of(z) / dz
+        polished.append(z)
+    return polished
+
+
+def reference_strip_infinite_roots(coeffs_descending):
+    """Split a possibly degree-deficient form into (finite part, inf count).
+
+    Input is a complex coefficient list in descending z0 order; leading
+    entries at most 1e-13 of the largest coefficient are treated as exact
+    zeros, each contributing one root at [1 : 0].
+    """
+    biggest = max(abs(c) for c in coeffs_descending)
+    if biggest == 0.0:
+        raise RootFindingFailure("zero form has no well-defined roots")
+    idx = 0
+    while idx < len(coeffs_descending) - 1 and abs(coeffs_descending[idx]) <= 1e-13 * biggest:
+        idx += 1
+    finite = list(coeffs_descending[idx:])
+    return finite, idx
+
+
+def reference_preimages(f, q):
+    """All solutions of f(x) = q with multiplicities summing to deg(f).
+
+    Solves the degree-d form q1 P - q0 Q: degree deficiency contributes
+    roots at [1 : 0], the rest come from the simultaneous iteration on the
+    dehomogenized polynomial. Roots within chordal distance 1e-7 merge into
+    one cluster with summed multiplicity; every representative is verified
+    to map back onto q within 1e-9.
+    """
+    d = f.degree
+    cross = [q.h1 * f.num_float[k] - q.h0 * f.den_float[k] for k in range(d + 1)]
+    finite_desc, inf_mult = reference_strip_infinite_roots(cross)
+
+    points = []
+    if len(finite_desc) > 1:
+        roots = reference_aberth_roots(list(reversed(finite_desc)))
+        points.extend(normalize(z, 1.0) for z in roots)
+    points.extend([INFINITY] * inf_mult)
+
+    clusters = []
+    for pt in sorted(points, key=lambda r: (r.h0.real, r.h1.real, r.h1.imag)):
+        for cluster in clusters:
+            if chordal_dist(cluster[0], pt) <= ratmap.ROOT_CLUSTER_TOL:
+                cluster.append(pt)
+                break
+        else:
+            clusters.append([pt])
+
+    out = []
+    for cluster in clusters:
+        rep = cluster[0]
+        if chordal_dist(ratmap.evaluate(f, rep), q) > ratmap.PREIMAGE_RESIDUAL_TOL:
+            raise RootFindingFailure(
+                "preimage residual check failed; target may be ill-conditioned")
+        out.append((rep, len(cluster)))
+    out.sort(key=lambda rm: (-rm[1], rm[0].h0.real, rm[0].h1.real, rm[0].h1.imag))
+    if sum(m for _, m in out) != d:
+        raise RootFindingFailure("preimage multiplicities do not sum to the degree")
+    return out
+
+
+def reference_tree_levels(c, terminal, nu, jac_floor=0.0):
+    """Levels 0..nu of the backward tree as (h0, h1, symbols) arrays, one
+    step at a time through reference_preimages: a multiple root or a
+    RootFindingFailure restarts from the next perturbed terminal, and with
+    jac_floor > 0 a step keeps only its lowest-Jacobian root when some root
+    falls below the floor (the tree oracle)."""
+    comps = c.primed()
+    point = terminal
+    for attempt in range(orbits.PERTURB_ATTEMPTS + 1):
+        rows = [([point.h0], [point.h1], [])]
+        levels = {0: rows}
+        try:
+            for depth in range(1, nu + 1):
+                grown = []
+                for h0, h1, labels in rows:
+                    head = rs.ProjPoint(h0[0], h1[0])
+                    for a, f in enumerate(comps, 1):
+                        roots = reference_preimages(f, head)
+                        if any(mult > 1 for _, mult in roots):
+                            raise RootFindingFailure("critical value")
+                        if jac_floor > 0.0:
+                            low = [(r, mult) for r, mult in roots
+                                   if rs.fs_jacobian(f, r) < jac_floor]
+                            if low:
+                                roots = [min(low, key=lambda rm: rs.fs_jacobian(f, rm[0]))]
+                        grown += [([r.h0] + h0, [r.h1] + h1, [a] + labels)
+                                  for r, _ in roots]
+                rows = levels[depth] = grown
+        except RootFindingFailure:
+            point = orbits._perturb(terminal, attempt)
+            continue
+        return {k: (np.array([r[0] for r in level], dtype=np.complex128),
+                    np.array([r[1] for r in level], dtype=np.complex128),
+                    np.array([r[2] for r in level], dtype=np.int64).reshape(len(level), k))
+                for k, level in levels.items()}
+    raise RootFindingFailure("no generic terminal")
+
+
+def same_bits(a, b) -> bool:
+    """Whether two complex results hold the same float64 bytes (so -0.0 and
+    0.0 differ): complex numbers, sequences of them, or arrays."""
+    a, b = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
