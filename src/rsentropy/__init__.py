@@ -43,16 +43,7 @@ from .correspondence import (
     enumerate_words,
     support_degree,
 )
-from .orbits import (
-    OrbitPool,
-    TruncatedPath,
-    delta_metric,
-    forward_orbits,
-    preimage_tree,
-    preimage_tree_levels,
-    shift,
-    shifted_separation,
-)
+from .orbits import OrbitPool, forward_orbits, preimage_tree, preimage_tree_levels
 from .separation import (
     SeparationCount,
     bowen_orbit_count,

@@ -55,18 +55,15 @@ class NonGenericTerminal(RsentropyError):
     """A backward orbit tree hit a critical value even after perturbation."""
 
 
-class EmptyPath(RsentropyError):
-    """Shift applied to a depth-0 path."""
-
-
 class DepthMismatch(RsentropyError):
-    """Path metric evaluated on paths of different depths."""
+    """A shift-orbit count asked for a horizon beyond its pool's depth."""
 
 
 # -- counting and estimation --------------------------------------------------
 
 class MixedNu(RsentropyError):
-    """A pool mixes orbits of different lengths."""
+    """A pool's arrays disagree on its orbit count or length, or a pool has
+    another length than the count asks for."""
 
 
 class EmptyPool(RsentropyError):

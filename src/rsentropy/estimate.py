@@ -130,7 +130,9 @@ def estimate_entropy(c: Correspondence, method: str,
     Counts run over ladder_tree(c, nu_min, nu_max, seed, tree_budget), or
     over the given levels of that same tree when the caller already has it.
     """
-    mode = {"ds": "dinh_sibony", "friedland": "friedland"}[method]
+    mode = {"ds": "dinh_sibony", "friedland": "friedland"}.get(method)
+    if mode is None:
+        raise ValueError(f"unknown method {method!r}")
     if levels is None:
         levels = ladder_tree(c, nu_min, nu_max, seed, tree_budget)
     rows = []

@@ -1,14 +1,11 @@
-"""Finite orbit structures: orbit pools, backward trees, shift, metric.
+"""Finite orbit structures: orbit pools, forward orbits, backward trees.
 
 An orbit of length nu records nu+1 points and the nu component labels that
 realized each step (labels index the multiplicity-expanded presentation of
 the correspondence, so a doubled component contributes two labels per step).
 A pool of orbits of one length is an ``OrbitPool``: one orbit per row of
 three arrays, the canonical homogeneous coordinates h0 and h1 of its points
-and its labels. Truncated paths reuse the same data viewed as the head of an
-infinite orbit; with the path metric's 2^-k weights, anything beyond depth
-~24 contributes less than every separation radius used here, so finite
-storage is metrically invisible.
+and its labels.
 """
 
 from __future__ import annotations
@@ -22,15 +19,12 @@ import numpy as np
 from .correspondence import Correspondence, d_top
 from .errors import (
     BudgetExceeded,
-    DepthMismatch,
-    EmptyPath,
-    EmptyPool,
     MixedNu,
     NonCanonicalPoint,
     NonGenericTerminal,
     RootFindingFailure,
 )
-from .projective import ProjPoint, chordal_dist, normalize
+from .projective import ProjPoint, normalize
 from .ratmap import evaluate, fs_jacobian, preimages
 
 ORBIT_BUDGET = 200_000
@@ -39,26 +33,15 @@ PERTURB_ATTEMPTS = 5
 PERTURB_SIZE = 1e-6
 
 
-@dataclass(frozen=True)
-class TruncatedPath:
-    """The first depth+1 coordinates of an infinite orbit."""
-
-    points: tuple
-    symbols: tuple
-
-    @property
-    def depth(self) -> int:
-        return len(self.symbols)
-
-
 @dataclass(frozen=True, eq=False)
 class OrbitPool:
     """k orbits (x_0, ..., x_nu; a_1, ..., a_nu), one per row.
 
     h0 and h1 (complex128, k x (nu+1)) hold the points' coordinates, symbols
-    (int64, k x nu) the labels. Every h0 is real and nonnegative, as in a
-    canonical point, so that a pair's chordal test value has the same bits
-    in either order; NonCanonicalPoint is raised otherwise.
+    (int64, k x nu) the labels; arrays that disagree on k or nu raise
+    MixedNu. Every h0 is real and nonnegative, as in a canonical point, so
+    that a pair's chordal test value has the same bits in either order;
+    NonCanonicalPoint is raised otherwise.
     """
 
     h0: np.ndarray
@@ -66,6 +49,11 @@ class OrbitPool:
     symbols: np.ndarray
 
     def __post_init__(self):
+        shape = self.h0.shape
+        if (len(shape) != 2 or self.h1.shape != shape
+                or self.symbols.shape != (shape[0], shape[1] - 1)):
+            raise MixedNu(f"pool arrays of shapes h0 {shape}, h1 {self.h1.shape} "
+                          f"and symbols {self.symbols.shape} disagree on k or nu")
         if (self.h0.imag != 0).any() or (self.h0.real < 0).any():
             raise NonCanonicalPoint("pool points need a real, nonnegative h0")
 
@@ -81,22 +69,6 @@ class OrbitPool:
         if isinstance(rows, (int, np.integer)):
             raise TypeError("select pool rows with a slice or a sequence")
         return OrbitPool(self.h0[rows], self.h1[rows], self.symbols[rows])
-
-    @classmethod
-    def from_paths(cls, paths) -> OrbitPool:
-        """The pool of equal-depth paths, whose points are taken as canonical."""
-        if not paths:
-            raise EmptyPool("cannot build a pool from no paths")
-        depth = paths[0].depth
-        if any(p.depth != depth for p in paths):
-            raise MixedNu("paths of different depths")
-        return _pool([p.points for p in paths], [p.symbols for p in paths], depth)
-
-    def paths(self) -> list[TruncatedPath]:
-        """Each row as a path of canonical points."""
-        return [TruncatedPath(tuple(map(ProjPoint, r0, r1)), tuple(s))
-                for r0, r1, s in zip(self.h0.tolist(), self.h1.tolist(),
-                                     self.symbols.tolist())]
 
 
 def _pool(points, symbols, nu: int) -> OrbitPool:
@@ -220,54 +192,3 @@ def _expand_tree(c, terminal, nu, jac_floor):
                               ([r.h1 for r in heads], level.h1),
                               (labels, level.symbols))))
     return levels
-
-
-def shift(p: TruncatedPath) -> TruncatedPath:
-    """Drop x_0 and the first label; depth decreases by one."""
-    if p.depth < 1:
-        raise EmptyPath("cannot shift a depth-0 path")
-    return TruncatedPath(points=p.points[1:], symbols=p.symbols[1:])
-
-
-def delta_metric(p: TruncatedPath, q: TruncatedPath) -> float:
-    """Product metric max(sup d(x_k, y_k)/2^k, sup delta(a_{k+1}, b_{k+1})/2^k).
-
-    The symbol mismatch indicator uses the 0-1 metric, so a first-label
-    mismatch alone already gives distance 1.
-    """
-    if p.depth != q.depth:
-        raise DepthMismatch(f"depths {p.depth} and {q.depth} differ")
-    best = 0.0
-    w = 1.0
-    for a, b in zip(p.points, q.points):
-        best = max(best, chordal_dist(a, b) * w)
-        w *= 0.5
-    w = 1.0
-    for a, b in zip(p.symbols, q.symbols):
-        if a != b:
-            best = max(best, w)
-            break  # later mismatches only have smaller weight
-        w *= 0.5
-    return best
-
-
-def shifted_separation(p: TruncatedPath, q: TruncatedPath, horizon: int) -> float:
-    """max over 0 <= j <= horizon of delta_metric(shift^j p, shift^j q).
-
-    Evaluated in closed form: the j-maximum turns the 2^-k weights into
-    2^-(k - horizon)+ weights on both points and symbols, exactly as the
-    left-shift lemma for product metrics states.
-    """
-    if p.depth != q.depth:
-        raise DepthMismatch(f"depths {p.depth} and {q.depth} differ")
-    if horizon > p.depth:
-        raise DepthMismatch(f"horizon {horizon} exceeds depth {p.depth}")
-    best = 0.0
-    for k in range(len(p.points)):
-        w = 1.0 if k <= horizon else 0.5 ** (k - horizon)
-        best = max(best, chordal_dist(p.points[k], q.points[k]) * w)
-    for k in range(len(p.symbols)):
-        if p.symbols[k] != q.symbols[k]:
-            w = 1.0 if k <= horizon else 0.5 ** (k - horizon)
-            best = max(best, w)
-    return best

@@ -13,15 +13,19 @@ import time
 import numpy as np
 
 import rsentropy as rs
-from rsentropy import cli
+from rsentropy import cli, separation
 from util import (
     Z2,
     Z3,
     Z4,
     affine_translation,
+    delta_metric,
     group_by_word,
+    pool_paths,
     random_exact_map,
     scaling,
+    shift,
+    shifted_separation,
     steps_match,
 )
 
@@ -114,7 +118,7 @@ def test_criterion_05_single_map_estimator():
     fam = rs.mp_family(rs.GeneratorSet([Z2]), 0.9, 8, seed=1, samples=200)
     ok = ok and fam.count >= 2 ** math.floor(0.9 * 8)
     # re-verify the advertised separation directly
-    for orbits in group_by_word(fam.family.paths()).values():
+    for orbits in group_by_word(pool_paths(fam.family)).values():
         for a, b in itertools.combinations(orbits, 2):
             gap = max(rs.chordal_dist(p, q) for p, q in zip(a.points, b.points))
             ok = ok and gap > fam.epsilon
@@ -131,23 +135,16 @@ def test_criterion_06_two_generator_lower_bound():
 
 
 def _sandwich_cases():
-    gens = rs.GeneratorSet([Z2, Z3])
+    c = rs.build_correspondence(rs.GeneratorSet([Z2, Z3]))
     cases = []
     rng = np.random.default_rng(7007)
     for idx, (eps, nu) in enumerate(itertools.product((0.05, 0.1, 0.2), (2, 3))):
         for rep in range(4 if eps == 0.2 else 3):
             depth = nu + rs.c_of_eps(eps)
-            words = list(itertools.product((1, 2), repeat=depth))
-            pick = rng.choice(len(words), size=min(7, len(words)), replace=False)
-            paths = []
-            for s in rs.sample_points(2, 1000 + 31 * idx + rep):
-                for i in sorted(pick):
-                    w = words[i]
-                    pts = [s]
-                    for a in w:
-                        pts.append(rs.evaluate(gens.maps[a - 1], pts[-1]))
-                    paths.append(rs.TruncatedPath(points=tuple(pts), symbols=w))
-            cases.append((paths[:15], eps, nu))
+            n = 2 ** depth  # label words, in the order forward_orbits runs them
+            pick = sorted(rng.choice(n, size=min(7, n), replace=False).tolist())
+            pool = rs.forward_orbits(c, rs.sample_points(2, 1000 + 31 * idx + rep), depth)
+            cases.append((pool[[s * n + i for s in range(2) for i in pick]][:15], eps, nu))
     return cases[:20]
 
 
@@ -156,17 +153,16 @@ def test_criterion_07_and_08_sandwich_and_sum_up():
     cases = _sandwich_cases()
     ok = len(cases) == 20
     sum_up_checked = 0
-    for paths, eps, nu in cases:
-        res = rs.sandwich_counts(rs.OrbitPool.from_paths(paths), eps, nu)
+    for pool, eps, nu in cases:
+        res = rs.sandwich_counts(pool, eps, nu)
         ok = ok and res["N_nu"] <= res["M_nu"] <= res["N_ext"]
         # criterion 8 on the same instances: prefix orbits, exact counts
+        heads = rs.OrbitPool(pool.h0[:, :nu + 1], pool.h1[:, :nu + 1], pool.symbols[:, :nu])
         prefixes = {}
-        for p in paths:
-            key = (p.symbols[:nu], tuple((pt.h0, pt.h1) for pt in p.points[:nu + 1]))
-            prefixes.setdefault(key, rs.TruncatedPath(points=p.points[:nu + 1],
-                                                      symbols=p.symbols[:nu]))
-        pool = rs.OrbitPool.from_paths(list(prefixes.values()))
-        per_word, joint, equal = rs.sum_up_partition(pool, eps)
+        for r, key in enumerate(zip(*(map(tuple, a.tolist())
+                                      for a in (heads.symbols, heads.h0, heads.h1)))):
+            prefixes.setdefault(key, r)
+        per_word, joint, equal = rs.sum_up_partition(heads[list(prefixes.values())], eps)
         ok = ok and equal and joint == res["N_nu"]
         sum_up_checked += 1
     elapsed = time.monotonic() - start
@@ -254,24 +250,37 @@ def test_criterion_11_property_suites():
         if jr > 1e-10:
             ok = ok and abs(jf - jr) / jr < 1e-8
 
-    # orbit-space invariants: shift lemma (10^3 pairs) plus tree consistency
+    # orbit-space invariants: shift lemma (10^3 pairs), the pool's shifted
+    # pairs against it, plus tree consistency
     pair = rs.build_correspondence(rs.GeneratorSet([Z2, Z3]))
-    pool = rs.forward_orbits(pair, rs.sample_points(4, 1103), 6).paths()
+    pool = rs.forward_orbits(pair, rs.sample_points(4, 1103), 6)
+    paths = pool_paths(pool)
+    grid = (0.05, 0.2, 0.5)
+    listed = {(n, eps): set(zip(*(a.tolist() for a in separation._shift_pairs(pool, eps, n))))
+              for n in (0, 3, 5) for eps in grid}
+    outcomes = set()
     for _ in range(1000):
-        i, j = rng.integers(0, len(pool), size=2)
-        p, q = pool[i], pool[j]
+        i, j = rng.integers(0, len(paths), size=2)
+        p, q = paths[i], paths[j]
         for n in (0, 3, 5):
             acc = 0.0
             pp, qq = p, q
             for step in range(n + 1):
-                acc = max(acc, rs.delta_metric(pp, qq))
+                acc = max(acc, delta_metric(pp, qq))
                 if step < n:
-                    pp, qq = rs.shift(pp), rs.shift(qq)
-            ok = ok and acc == rs.shifted_separation(p, q, n)
+                    pp, qq = shift(pp), shift(qq)
+            ok = ok and acc == shifted_separation(p, q, n)
+            for eps in grid:
+                # the walk lists a pair once, as (i, j) with i < j; an orbit
+                # is at distance 0 from itself
+                near = i == j or (min(i, j), max(i, j)) in listed[n, eps]
+                ok = ok and near == (shifted_separation(p, q, n) <= eps)
+                outcomes.add(near)
+    ok = ok and outcomes == {False, True}
     tree = rs.preimage_tree(pair, rs.sample_points(1, 1104)[0], 3)
     ok = ok and len(tree) == rs.d_top(pair) ** 3
     comps = pair.primed()
-    for orbit in tree.paths():
+    for orbit in pool_paths(tree):
         ok = ok and steps_match(pair, orbit, 1e-9)
         x = orbit.points[0]
         for j, a in enumerate(orbit.symbols):

@@ -128,8 +128,8 @@ def test_fiber_entropy_spanning_cross_check():
     gens = rs.GeneratorSet([inv, shifted])
     target = 0.5 * math.log(2)
     for depth in (6, 8, 10, 12):
-        paths = _fiber_pool(gens, [rs.point_at(0), rs.INFINITY], depth)
-        count, _ = rs.spanning_number(rs.OrbitPool.from_paths(paths), 0.5, depth)
+        pool = _fiber_pool(gens, [rs.point_at(0), rs.INFINITY], depth)
+        count, _ = rs.spanning_number(pool, 0.5, depth)
         rate = math.log(count) / depth
         if depth == 12:
             assert abs(rate - target) < 0.05
@@ -142,10 +142,12 @@ def _fiber_pool(gens, cycle, depth):
         ok = [j + 1 for j, f in enumerate(gens.maps)
               if rs.chordal_dist(rs.evaluate(f, pts[k]), pts[k + 1]) <= 1e-9]
         admissible_per_step.append(ok)
-    pool = []
-    for word in itertools.product(*admissible_per_step):
-        pool.append(rs.TruncatedPath(points=tuple(pts), symbols=tuple(word)))
-    return pool
+    # every admissible label word decorates the one itinerary
+    words = list(itertools.product(*admissible_per_step))
+    return rs.OrbitPool(
+        np.tile(np.array([p.h0 for p in pts], dtype=np.complex128), (len(words), 1)),
+        np.tile(np.array([p.h1 for p in pts], dtype=np.complex128), (len(words), 1)),
+        np.array(words, dtype=np.int64).reshape(len(words), depth))
 
 
 def test_infinite_fiber_criterion():

@@ -6,7 +6,7 @@ import pytest
 import rsentropy as rs
 from rsentropy import estimate
 from rsentropy.errors import BudgetExceeded, InsufficientData
-from util import IDENTITY, Z2, Z3, group_by_word, reference_greedy
+from util import IDENTITY, Z2, Z3, group_by_word, pool_paths, reference_greedy
 
 
 def test_entropy_fit_exact_geometric():
@@ -65,6 +65,15 @@ def test_estimate_budget_shortens_ladder():
         rs.estimate_entropy(c, "ds", nu_min=2, nu_max=12, seed=0, tree_budget=30)
 
 
+def test_estimate_rejects_an_unknown_method():
+    c = rs.build_correspondence(rs.GeneratorSet([Z2, Z3]))
+    # a count mode is not a method; the method is checked before the tree,
+    # whose budget of 30 orbits would leave too short a ladder
+    for method in ("bogus", "dinh_sibony", "DS"):
+        with pytest.raises(ValueError, match=f"^unknown method '{method}'$"):
+            rs.estimate_entropy(c, method, nu_min=2, nu_max=12, seed=0, tree_budget=30)
+
+
 def test_mp_family_identity_generator():
     fam = rs.mp_family(rs.GeneratorSet([IDENTITY]), 0.9, 5, seed=0, samples=50)
     assert fam.count == 1
@@ -102,18 +111,19 @@ def test_mp_family_drops_violators_in_pool_order(monkeypatch):
     # every tree orbit twice: the verification keeps the first copy of each
     # in pool order, word by word in sorted order, and drops the second
     gens = rs.GeneratorSet([Z2, Z3])
-    paths = rs.preimage_tree(rs.build_correspondence(gens), rs.sample_points(1, 4)[0], 2).paths()
-    doubled = rs.OrbitPool.from_paths(paths + paths)
+    tree = rs.preimage_tree(rs.build_correspondence(gens), rs.sample_points(1, 4)[0], 2)
+    paths = pool_paths(tree)
+    doubled = tree[np.tile(np.arange(len(tree)), 2)]
     monkeypatch.setattr(estimate, "preimage_tree_levels", lambda *args, **kw: {2: doubled})
     fam = rs.mp_family(gens, 0.9, 2, seed=2, samples=100)
     groups = group_by_word(paths)
     assert all(reference_greedy(g, fam.epsilon, None) == len(g) for g in groups.values())
-    assert fam.family.paths() == [p for w in sorted(groups) for p in groups[w]]
+    assert pool_paths(fam.family) == [p for w in sorted(groups) for p in groups[w]]
     assert (fam.count, fam.dropped) == (len(paths), len(paths))
 
 
 def _assert_family_separated(fam):
-    for word, orbits in group_by_word(fam.family.paths()).items():
+    for word, orbits in group_by_word(pool_paths(fam.family)).items():
         for i in range(len(orbits)):
             for j in range(i + 1, len(orbits)):
                 gap = max(

@@ -2,9 +2,23 @@ import numpy as np
 import pytest
 
 import rsentropy as rs
-from rsentropy.errors import BudgetExceeded, DepthMismatch, EmptyPath
+from rsentropy.errors import BudgetExceeded, DepthMismatch, MixedNu
 from rsentropy.estimate import ladder_tree
-from util import IDENTITY, QUAD5, Z2, Z3, reference_tree_levels, steps_match
+from util import (
+    IDENTITY,
+    QUAD5,
+    Z2,
+    Z3,
+    EmptyPath,
+    TruncatedPath,
+    delta_metric,
+    pool_from_paths,
+    pool_paths,
+    reference_tree_levels,
+    shift,
+    shifted_separation,
+    steps_match,
+)
 
 
 def corr(*maps, mults=None):
@@ -21,7 +35,7 @@ def test_forward_orbit_counts():
 def test_forward_orbit_example_word():
     pair = corr(Z2, Z3)
     orbits = rs.forward_orbits(pair, [rs.point_at(2)], 2)
-    by_word = {o.symbols: o for o in orbits.paths()}
+    by_word = {o.symbols: o for o in pool_paths(orbits)}
     pts = [p.affine().real for p in by_word[(1, 2)].points]
     assert pts == pytest.approx([2.0, 4.0, 64.0])
 
@@ -44,7 +58,7 @@ def test_preimage_tree_budget():
 def test_preimage_tree_examples():
     c = corr(Z2)
     two = rs.preimage_tree(c, rs.point_at(4), 1)
-    assert sorted(o.points[0].affine().real for o in two.paths()) == pytest.approx([-2.0, 2.0])
+    assert sorted(o.points[0].affine().real for o in pool_paths(two)) == pytest.approx([-2.0, 2.0])
 
     eight = rs.preimage_tree(c, rs.sample_points(1, 3)[0], 3)
     assert len(eight) == 8
@@ -53,7 +67,7 @@ def test_preimage_tree_examples():
     tree = rs.preimage_tree(pair, rs.sample_points(1, 4)[0], 2)
     assert len(tree) == 25
     sizes = {}
-    for o in tree.paths():
+    for o in pool_paths(tree):
         sizes[o.symbols] = sizes.get(o.symbols, 0) + 1
     assert sorted(sizes.values()) == [4, 6, 6, 9]
 
@@ -69,7 +83,7 @@ def test_preimage_tree_orbits_validate_and_rerun_forward():
     pair = corr(Z2, Z3)
     tree = rs.preimage_tree(pair, rs.sample_points(1, 6)[0], 3)
     comps = pair.primed()
-    for o in tree[::5].paths():
+    for o in pool_paths(tree[::5]):
         assert steps_match(pair, o, 1e-9)
         x = o.points[0]
         for j, a in enumerate(o.symbols):
@@ -115,34 +129,34 @@ def test_preimage_tree_jacobian_floor_prunes():
     assert len(pruned) == 1
     # pruned steps keep a genuinely low-Jacobian preimage
     comps = c.primed()
-    for orbit in pruned.paths():
+    for orbit in pool_paths(pruned):
         for j, a in enumerate(orbit.symbols):
             assert rs.fs_jacobian(comps[a - 1], orbit.points[j]) < 10.0
 
 
 def test_shift_examples():
-    path = rs.TruncatedPath(
+    path = TruncatedPath(
         points=(rs.point_at(0), rs.point_at(1), rs.point_at(2)),
         symbols=(1, 2),
     )
-    shifted = rs.shift(path)
+    shifted = shift(path)
     assert shifted.depth == 1
     assert shifted.symbols == (2,)
     assert shifted.points[0].affine() == 1.0
 
-    twice = rs.shift(rs.shift(path))
+    twice = shift(shift(path))
     assert twice.depth == 0 and twice.points[0].affine() == 2.0
     with pytest.raises(EmptyPath):
-        rs.shift(twice)
+        shift(twice)
 
 
 def test_delta_metric_examples():
     pts = tuple(rs.point_at(k) for k in range(5))
-    p = rs.TruncatedPath(points=pts, symbols=(1, 1, 1, 1))
-    assert rs.delta_metric(p, p) == 0.0
+    p = TruncatedPath(points=pts, symbols=(1, 1, 1, 1))
+    assert delta_metric(p, p) == 0.0
 
-    q = rs.TruncatedPath(points=pts, symbols=(2, 1, 1, 1))
-    assert rs.delta_metric(p, q) == 1.0
+    q = TruncatedPath(points=pts, symbols=(2, 1, 1, 1))
+    assert delta_metric(p, q) == 1.0
 
     # points differing only at x_3 by chordal 0.4 -> 0.4 / 2^3
     base = [rs.point_at(0.1 * k) for k in range(5)]
@@ -156,33 +170,33 @@ def test_delta_metric_examples():
         else:
             hi = mid
     other[3] = rs.point_at(0.3 + 0.5 * (lo + hi))
-    pp = rs.TruncatedPath(points=tuple(base), symbols=(1, 1, 1, 1))
-    qq = rs.TruncatedPath(points=tuple(other), symbols=(1, 1, 1, 1))
-    assert rs.delta_metric(pp, qq) == pytest.approx(0.05, abs=1e-6)
+    pp = TruncatedPath(points=tuple(base), symbols=(1, 1, 1, 1))
+    qq = TruncatedPath(points=tuple(other), symbols=(1, 1, 1, 1))
+    assert delta_metric(pp, qq) == pytest.approx(0.05, abs=1e-6)
 
     with pytest.raises(DepthMismatch):
-        rs.delta_metric(p, rs.shift(q))
+        delta_metric(p, shift(q))
 
 
 def test_shift_lemma_closed_form():
     # max over shifts of the path metric equals the reweighted closed form
     pair = corr(Z2, Z3)
-    pool = rs.forward_orbits(pair, rs.sample_points(4, 8), 6).paths()
+    pool = pool_paths(rs.forward_orbits(pair, rs.sample_points(4, 8), 6))
     rng = np.random.default_rng(9)
     for _ in range(1000):
         i, j = rng.integers(0, len(pool), size=2)
         p, q = pool[i], pool[j]
         for n in (0, 2, 5):
             direct = max(
-                rs.delta_metric(_shift_k(p, k), _shift_k(q, k))
+                delta_metric(_shift_k(p, k), _shift_k(q, k))
                 for k in range(n + 1)
             )
-            assert direct == rs.shifted_separation(p, q, n)
+            assert direct == shifted_separation(p, q, n)
 
 
 def _shift_k(path, k):
     for _ in range(k):
-        path = rs.shift(path)
+        path = shift(path)
     return path
 
 
@@ -190,8 +204,8 @@ def test_doubled_component_labels():
     doubled = corr(IDENTITY, mults=[2])
     orbits = rs.forward_orbits(doubled, [rs.point_at(1)], 3)
     assert len(orbits) == 8  # 2^3 label decorations of one itinerary
-    assert len({o.symbols for o in orbits.paths()}) == 8
-    itineraries = {tuple(round(p.h0.real, 12) for p in o.points) for o in orbits.paths()}
+    assert len({o.symbols for o in pool_paths(orbits)}) == 8
+    itineraries = {tuple(round(p.h0.real, 12) for p in o.points) for o in pool_paths(orbits)}
     assert len(itineraries) == 1
 
 
@@ -226,7 +240,7 @@ def test_tree_levels_extend_parent_rows(readme_levels):
 
 def test_pool_round_trips_through_paths(readme_levels):
     pool = readme_levels[5]
-    back = rs.OrbitPool.from_paths(pool.paths())
+    back = pool_from_paths(pool_paths(pool))
     for name in ("h0", "h1", "symbols"):
         a, b = getattr(pool, name), getattr(back, name)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -239,7 +253,7 @@ def test_pool_round_trips_through_paths(readme_levels):
 
 def test_pool_rows_select_by_slice_or_sequence(readme_levels):
     pool = readme_levels[2]
-    assert pool[[3, 1]].paths() == [pool.paths()[3], pool.paths()[1]]
+    assert pool_paths(pool[[3, 1]]) == [pool_paths(pool)[3], pool_paths(pool)[1]]
     assert len(pool[:7]) == 7 and pool[:7].nu == 2
     with pytest.raises(TypeError):
         pool[0]
@@ -249,21 +263,45 @@ def test_pool_rows_select_by_slice_or_sequence(readme_levels):
 
 def test_pool_from_paths_rejects_empty_and_mixed():
     with pytest.raises(rs.errors.EmptyPool):
-        rs.OrbitPool.from_paths([])
-    paths = rs.forward_orbits(corr(Z2), rs.sample_points(2, 0), 2).paths()
-    with pytest.raises(rs.errors.MixedNu):
-        rs.OrbitPool.from_paths(paths + [rs.shift(paths[0])])
+        pool_from_paths([])
+    paths = pool_paths(rs.forward_orbits(corr(Z2), rs.sample_points(2, 0), 2))
+    with pytest.raises(MixedNu):
+        pool_from_paths(paths + [shift(paths[0])])
+
+
+def test_pool_rejects_arrays_that_disagree_on_shape():
+    pool = rs.forward_orbits(corr(Z2, Z3), rs.sample_points(3, 0), 3)
+    h0, h1, symbols = pool.h0, pool.h1, pool.symbols
+    bad = {
+        # 3 x 4 points with 3 x 1 labels once passed as nu 1
+        "labels short": (h0[:3], h1[:3], symbols[:3, :1]),
+        "labels long": (h0[:, :3], h1[:, :3], symbols),
+        "h1 rows": (h0[:3], h1[:2], symbols[:3]),
+        "h1 columns": (h0, h1[:, :3], symbols),
+        "label rows": (h0, h1, symbols[:5]),
+        "flat h0": (h0[0], h1[0], symbols[0]),
+        "flat labels": (h0[:, :1], h1[:, :1], np.zeros(len(pool), dtype=np.int64)),
+        "no columns": (h0[:, :0], h1[:, :0], symbols[:, :0]),
+    }
+    for arrays in bad.values():
+        with pytest.raises(MixedNu, match=r"shapes h0 \(.*\) disagree on k or nu"):
+            rs.OrbitPool(*arrays)
+    # an empty selection and a pool of 0-step orbits are pools
+    for good in (pool[:0], rs.OrbitPool(h0[:, :1], h1[:, :1], symbols[:, :0])):
+        assert rs.OrbitPool(good.h0, good.h1, good.symbols).nu == good.nu
+    assert (len(pool[:0]), pool[:0].nu) == (0, 3)
 
 
 def test_pool_rejects_non_canonical_points(readme_levels):
-    path = rs.forward_orbits(corr(Z2), rs.sample_points(1, 0), 1).paths()[0]
+    pool = rs.forward_orbits(corr(Z2), rs.sample_points(1, 0), 1)
     for x0 in (rs.ProjPoint(1j, 0), rs.ProjPoint(-0.6, 0.8)):
+        h0, h1 = np.vstack([pool.h0, pool.h0]), np.vstack([pool.h1, pool.h1])
+        h0[1, 0], h1[1, 0] = x0.h0, x0.h1
         with pytest.raises(rs.errors.NonCanonicalPoint):
-            rs.OrbitPool.from_paths([path, rs.TruncatedPath((x0, path.points[1]),
-                                                            path.symbols)])
+            rs.OrbitPool(h0, h1, np.vstack([pool.symbols, pool.symbols]))
     # canonical h0 is real and nonnegative, [0 : 1] included
     pool = rs.forward_orbits(corr(Z2, Z3), [rs.point_at(0), rs.INFINITY], 2)
     assert (pool.h0.real >= 0).all() and not pool.h0.imag.any()
-    assert rs.OrbitPool.from_paths(pool.paths()).h0.tobytes() == pool.h0.tobytes()
+    assert pool_from_paths(pool_paths(pool)).h0.tobytes() == pool.h0.tobytes()
     level = readme_levels[5]
     assert (level.h0.real >= 0).all() and not level.h0.imag.any()

@@ -24,6 +24,7 @@ from util import (
     affine_translation,
     brute_force_max_separated,
     group_by_word,
+    pool_paths,
     random_exact_map,
     reference_conflict_pairs,
     reference_greedy,
@@ -62,10 +63,10 @@ def test_exact_count_matches_brute_force():
     for eps in (0.3, 0.1):
         res = rs.count_separated(pool, eps, "dinh_sibony")
         assert res.exact
-        assert res.count == brute_force_max_separated(pool.paths(), eps,
+        assert res.count == brute_force_max_separated(pool_paths(pool), eps,
                                                       symbols_count=True)
         fr = rs.count_separated(pool, eps, "friedland")
-        assert fr.count == brute_force_max_separated(pool.paths(), eps,
+        assert fr.count == brute_force_max_separated(pool_paths(pool), eps,
                                                      symbols_count=False)
 
 
@@ -87,7 +88,8 @@ def test_pool_validation():
     with pytest.raises(EmptyPool):
         rs.count_separated([], 0.2, "friedland")
     with pytest.raises(MixedNu):
-        mixed = rs.OrbitPool.from_paths(pool.paths() + circle_orbits(3).paths())
+        # points of 2-step orbits with the labels of 3-step ones
+        mixed = rs.OrbitPool(pool.h0, pool.h1, circle_orbits(3).symbols)
         rs.count_separated(mixed, 0.2, "friedland")
     with pytest.raises(ValueError):
         rs.count_separated(pool, 1.5, "friedland")
@@ -164,13 +166,15 @@ def test_spanning_greedy_matches_exact_on_classes():
 
 def test_shift_counts_raise_typed_errors():
     pool = rs.forward_orbits(corr(Z2, Z3), rs.sample_points(2, 0), 3)
-    paths = pool.paths()
-    tilted = rs.TruncatedPath((rs.ProjPoint(1j, 0),) + paths[0].points[1:], paths[0].symbols)
-    # a pool is built before a count runs: the path errors come from building it
+    # the pool of every orbit shifted once: x_0 and a_1 dropped
+    shifted = rs.OrbitPool(pool.h0[:, 1:], pool.h1[:, 1:], pool.symbols[:, 1:])
+    tilted = pool.h0.copy()
+    tilted[0, 0] = 1j
+    # a pool is built before a count runs: the array errors come from building it
     with pytest.raises(MixedNu):
-        rs.OrbitPool.from_paths(paths + [rs.shift(paths[0])])
+        rs.OrbitPool(pool.h0, pool.h1, shifted.symbols)
     with pytest.raises(NonCanonicalPoint):
-        rs.OrbitPool.from_paths(paths + [tilted])
+        rs.OrbitPool(tilted, pool.h1, pool.symbols)
     spanning = lambda *args: rs.spanning_number(*args)[0]
     for count in (spanning, rs.bowen_orbit_count):
         with pytest.raises(EmptyPool):
@@ -186,7 +190,7 @@ def test_shift_counts_raise_typed_errors():
             rs.spanning_number(pool, 0.2, n)
     # the horizon n - 1 = 2 fits the depth 3 for spanning, not n = 3
     with pytest.raises(DepthMismatch):
-        rs.spanning_number(rs.OrbitPool.from_paths([rs.shift(p) for p in paths]), 0.2, 3)
+        rs.spanning_number(shifted, 0.2, 3)
 
 
 def test_c_of_eps_edges():
@@ -203,19 +207,14 @@ def test_c_of_eps_edges():
 
 
 def _sandwich_pool(gens, eps, nu, n_starts, n_words, seed):
+    # the forward orbits of n_words random label words from each start
     rng = np.random.default_rng(seed)
     depth = nu + rs.c_of_eps(eps)
-    words = list(itertools.product(range(1, len(gens.maps) + 1), repeat=depth))
-    pick_idx = rng.choice(len(words), size=min(n_words, len(words)), replace=False)
-    paths = []
-    for s in rs.sample_points(n_starts, seed + 1):
-        for i in sorted(pick_idx):
-            w = words[i]
-            pts = [s]
-            for a in w:
-                pts.append(rs.evaluate(gens.maps[a - 1], pts[-1]))
-            paths.append(rs.TruncatedPath(points=tuple(pts), symbols=w))
-    return rs.OrbitPool.from_paths(paths)
+    n = len(gens.maps) ** depth
+    pick = sorted(rng.choice(n, size=min(n_words, n), replace=False).tolist())
+    pool = rs.forward_orbits(rs.build_correspondence(gens),
+                             rs.sample_points(n_starts, seed + 1), depth)
+    return pool[[s * n + i for s in range(n_starts) for i in pick]]
 
 
 def test_sandwich_chain_holds():
@@ -263,8 +262,8 @@ def assert_matches_oracle(pool, eps, seed):
     # exact_cutoff 1 sends every block of two or more orbits to the greedy
     fr = rs.count_separated(pool, eps, "friedland", seed=seed, exact_cutoff=1)
     assert not fr.exact
-    assert fr.count == reference_greedy(pool.paths(), eps, seed)
-    groups = group_by_word(pool.paths())
+    assert fr.count == reference_greedy(pool_paths(pool), eps, seed)
+    groups = group_by_word(pool_paths(pool))
     ds = rs.count_separated(pool, eps, "dinh_sibony", seed=seed, exact_cutoff=1)
     assert not ds.exact
     assert ds.count == sum(reference_greedy(groups[w], eps, seed)
@@ -296,15 +295,21 @@ def boundary_pool(eps):
               for j in range(steps + 1)]
     step = 2 * math.asin(eps)
     thetas += [step * j for j in range(int(math.pi / step) + 1)]
-    paths = []
+    heads, labels = [], []
     for j, theta in enumerate(thetas):
-        word = (1 + j % 2,)
-        paths.append(rs.TruncatedPath(points=(meridian_point(theta), shared), symbols=word))
-        # the same latitudes on the equator's plane, rotated off the meridian
         x0 = meridian_point(theta)
-        rotated = rs.normalize(x0.h0, x0.h1 * 1j)
-        paths.append(rs.TruncatedPath(points=(rotated, shared), symbols=word))
-    return rs.OrbitPool.from_paths(paths)
+        # the same latitudes on the equator's plane, rotated off the meridian
+        heads += [x0, rs.normalize(x0.h0, x0.h1 * 1j)]
+        labels += [1 + j % 2] * 2
+    return rs.OrbitPool(np.array([[x.h0, shared.h0] for x in heads], dtype=np.complex128),
+                        np.array([[x.h1, shared.h1] for x in heads], dtype=np.complex128),
+                        np.array(labels, dtype=np.int64).reshape(-1, 1))
+
+
+def doubled_pool(pool):
+    """Every orbit twice: the rows, then the rows in reverse order."""
+    rows = np.arange(len(pool))
+    return pool[np.concatenate([rows, rows[::-1]])]
 
 
 @pytest.mark.parametrize("eps", ORACLE_EPS)
@@ -321,7 +326,7 @@ def test_greedy_matches_oracle_with_poles_and_duplicates(eps, seed):
     pool = rs.forward_orbits(corr(Z2, Z3), starts, 2)
     assert_matches_oracle(pool, eps, seed)
     # every orbit twice: copies sit at distance 0 from each other
-    doubled = rs.OrbitPool.from_paths(pool.paths() + pool.paths()[::-1])
+    doubled = doubled_pool(pool)
     assert_matches_oracle(doubled, eps, seed)
 
 
@@ -357,7 +362,7 @@ def test_greedy_matches_oracle_on_dense_tree(eps, seed):
     # reaches the greedy)
     pool = dense_tree(8)
     fr = rs.count_separated(pool, eps, "friedland", seed=seed, exact_cutoff=1)
-    assert fr.count == reference_greedy(pool.paths(), eps, seed)
+    assert fr.count == reference_greedy(pool_paths(pool), eps, seed)
 
 
 def test_greedy_lists_few_pairs_on_a_dense_tree(monkeypatch):
@@ -431,11 +436,11 @@ def test_greedy_blocks_log_at_info(caplog):
     # one line per greedy block (four words of 30 orbits), none for exact ones
     assert len(lines) == 4
     fields = [dict(re.findall(r"(\w+)=(\S+)", line)) for line in lines]
-    groups = group_by_word(pool.paths())
-    for f, w in zip(fields, sorted(groups)):
+    words = sorted(set(map(tuple, pool.symbols.tolist())))
+    for f, w in zip(fields, words):
         assert (f["mode"], f["eps"], f["nu"], f["block"]) == ("dinh_sibony", "0.1", "2", "30")
         # pairs: the block's conflict pairs that hold a family member
-        ref = reference_conflict_pairs(rs.OrbitPool.from_paths(groups[w]), 0.1)
+        ref = reference_conflict_pairs(pool[np.flatnonzero((pool.symbols == w).all(axis=1))], 0.1)
         family = []
         for r in np.random.default_rng(3).permutation(30).tolist():
             if not any((min(r, m), max(r, m)) in ref for m in family):
@@ -488,8 +493,7 @@ def test_a_shared_plan_walks_like_a_fresh_one(readme_nu5_pool, case):
         pool = readme_nu5_pool[np.random.default_rng(3).permutation(len(readme_nu5_pool))[:1000]]
     elif case == "poles":  # every orbit twice, the copies far apart
         starts = [rs.point_at(0), rs.INFINITY] + rs.sample_points(30, 4)
-        paths = rs.forward_orbits(corr(Z2, Z3), starts, 2).paths()
-        pool = rs.OrbitPool.from_paths(paths + paths[::-1])
+        pool = doubled_pool(rs.forward_orbits(corr(Z2, Z3), starts, 2))
     else:
         pool = dense_tree(8)
     k, rng = len(pool), np.random.default_rng(6)
@@ -535,7 +539,7 @@ def test_pairs_match_oracle_off_trees(eps):
     pool = random_forward_pool(1)
     assert_pairs_match(pool, eps)
     # every orbit twice, the copies far apart in row order
-    doubled = rs.OrbitPool.from_paths(pool.paths() + pool.paths()[::-1])
+    doubled = doubled_pool(pool)
     assert_pairs_match(doubled, eps)
     k = len(doubled)
     assert {(i, k - 1 - i) for i in range(k // 2)} <= walk_pairs(doubled, eps)
@@ -583,7 +587,7 @@ def shift_pools():
 @pytest.mark.parametrize("name", ("forward", "tree", "translations", "shuffled"))
 def test_shift_pairs_match_shifted_metric(name):
     pool = shift_pools()[name]
-    paths, nu = pool.paths(), pool.nu
+    paths, nu = pool_paths(pool), pool.nu
     seen = set()
     for horizon in sorted({0, 1, nu // 2, nu - 1, nu}):
         for eps in SHIFT_EPS:
@@ -602,7 +606,7 @@ def test_shift_counts_match_brute_force():
     scalings = corr(rs.make_map([2, 0], [0, 1]), rs.make_map([3, 0], [0, 1]))
     for c in (translations, scalings):
         pool = rs.preimage_tree(c, rs.point_at(0.5), 3)
-        paths, k = pool.paths(), len(pool)
+        paths, k = pool_paths(pool), len(pool)
         for horizon in range(4):
             for eps in (0.05, 0.2, 0.3, 0.5, 0.75):
                 near = reference_shift_pairs(paths, eps, horizon)

@@ -1,14 +1,15 @@
 """Shared fixtures-by-hand for the test modules."""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 import rsentropy as rs
 from rsentropy import coincidence, orbits, polynomial, ratmap
-from rsentropy.errors import RootFindingFailure
-from rsentropy.projective import INFINITY, chordal_dist, normalize
+from rsentropy.errors import DepthMismatch, EmptyPool, MixedNu, RootFindingFailure
+from rsentropy.projective import INFINITY, ProjPoint, chordal_dist, normalize
 
 
 def monomial(power):
@@ -132,11 +133,99 @@ def reference_conflict_pairs(pool, eps, labels=False):
     return pairs
 
 
+# -- orbits as truncated paths and the product metric on them, with its
+# shift lemma in closed form: the oracles of the pool's metric ------------------
+
+
+class EmptyPath(Exception):
+    """Shift applied to a depth-0 path."""
+
+
+@dataclass(frozen=True)
+class TruncatedPath:
+    """The first depth+1 coordinates of an infinite orbit."""
+
+    points: tuple
+    symbols: tuple
+
+    @property
+    def depth(self) -> int:
+        return len(self.symbols)
+
+
+def pool_from_paths(paths) -> rs.OrbitPool:
+    """The pool of equal-depth paths, whose points are taken as canonical."""
+    if not paths:
+        raise EmptyPool("cannot build a pool from no paths")
+    depth = paths[0].depth
+    if any(p.depth != depth for p in paths):
+        raise MixedNu("paths of different depths")
+    return orbits._pool([p.points for p in paths], [p.symbols for p in paths], depth)
+
+
+def pool_paths(pool) -> list[TruncatedPath]:
+    """Each row as a path of canonical points."""
+    return [TruncatedPath(tuple(map(ProjPoint, r0, r1)), tuple(s))
+            for r0, r1, s in zip(pool.h0.tolist(), pool.h1.tolist(),
+                                 pool.symbols.tolist())]
+
+
+def shift(p: TruncatedPath) -> TruncatedPath:
+    """Drop x_0 and the first label; depth decreases by one."""
+    if p.depth < 1:
+        raise EmptyPath("cannot shift a depth-0 path")
+    return TruncatedPath(points=p.points[1:], symbols=p.symbols[1:])
+
+
+def delta_metric(p: TruncatedPath, q: TruncatedPath) -> float:
+    """Product metric max(sup d(x_k, y_k)/2^k, sup delta(a_{k+1}, b_{k+1})/2^k).
+
+    The symbol mismatch indicator uses the 0-1 metric, so a first-label
+    mismatch alone already gives distance 1.
+    """
+    if p.depth != q.depth:
+        raise DepthMismatch(f"depths {p.depth} and {q.depth} differ")
+    best = 0.0
+    w = 1.0
+    for a, b in zip(p.points, q.points):
+        best = max(best, chordal_dist(a, b) * w)
+        w *= 0.5
+    w = 1.0
+    for a, b in zip(p.symbols, q.symbols):
+        if a != b:
+            best = max(best, w)
+            break  # later mismatches only have smaller weight
+        w *= 0.5
+    return best
+
+
+def shifted_separation(p: TruncatedPath, q: TruncatedPath, horizon: int) -> float:
+    """max over 0 <= j <= horizon of delta_metric(shift^j p, shift^j q).
+
+    Evaluated in closed form: the j-maximum turns the 2^-k weights into
+    2^-(k - horizon)+ weights on both points and symbols, exactly as the
+    left-shift lemma for product metrics states.
+    """
+    if p.depth != q.depth:
+        raise DepthMismatch(f"depths {p.depth} and {q.depth} differ")
+    if horizon > p.depth:
+        raise DepthMismatch(f"horizon {horizon} exceeds depth {p.depth}")
+    best = 0.0
+    for k in range(len(p.points)):
+        w = 1.0 if k <= horizon else 0.5 ** (k - horizon)
+        best = max(best, chordal_dist(p.points[k], q.points[k]) * w)
+    for k in range(len(p.symbols)):
+        if p.symbols[k] != q.symbols[k]:
+            w = 1.0 if k <= horizon else 0.5 ** (k - horizon)
+            best = max(best, w)
+    return best
+
+
 def reference_shift_pairs(paths, eps, horizon):
     """All index pairs (i, j), i < j, whose shifted separation to the
     horizon is at most eps (the shift-pair oracle)."""
     return {(i, j) for j in range(len(paths)) for i in range(j)
-            if rs.shifted_separation(paths[i], paths[j], horizon) <= eps}
+            if shifted_separation(paths[i], paths[j], horizon) <= eps}
 
 
 def reference_karp(num_nodes, edges):
