@@ -17,6 +17,7 @@ import logging
 import os
 import sys
 import time
+from contextlib import contextmanager
 from functools import cache
 
 from .coincidence import certified_coincidences, exact_to_proj, friedland_bounds
@@ -49,8 +50,8 @@ def main(argv=None) -> int:
         logging.basicConfig(level=(level or "WARNING").upper())
         cfg = parse_config(args.config, {
             "seed": args.seed, "relations_word_length": args.word_length})
-        started = time.monotonic()
-        payload, rows = _dispatch(args, cfg)
+        started, stages = time.monotonic(), {}
+        payload, rows = _dispatch(args, cfg, stages)
         provenance = {
             "seed": cfg.seed,
             "budgets": dict(cfg.budgets),
@@ -58,6 +59,7 @@ def main(argv=None) -> int:
         }
         if args.timing:
             provenance["wall_time_s"] = round(time.monotonic() - started, 3)
+            provenance["stage_s"] = {k: round(v, 3) for k, v in stages.items()}
         report = build_report(
             config_echo=cfg.echo(),
             exact=payload["exact"],
@@ -121,31 +123,48 @@ def _build_parser():
     parser.add_argument("--strict", action="store_true",
                         help="nonzero exit when bound flags are raised")
     parser.add_argument("--timing", action="store_true",
-                        help="record wall time (breaks byte-identity of reports)")
+                        help="record wall and stage times (breaks byte-identity of reports)")
     return parser
 
 
-def _dispatch(args, cfg: RunConfig):
+@contextmanager
+def _stage(stages, name):
+    """Add the seconds the block takes to stages[name]."""
+    started = time.monotonic()
+    try:
+        yield
+    finally:
+        stages[name] = stages.get(name, 0.0) + time.monotonic() - started
+
+
+def _dispatch(args, cfg: RunConfig, stages):
+    """(payload, rows) of the command; ``stages`` gets the seconds of each
+    stage that ran: tree, counts, coincidence and relations."""
     payload = {"exact": _exact_section(cfg)}
     rows = None
     if args.command == "exact":
         return payload, rows
     if args.command == "estimate":
-        payload["estimates"], rows = _estimate_section(cfg, args.method)
+        payload["estimates"], rows = _estimate_section(cfg, args.method, stages)
         return payload, rows
     if args.command == "friedland-bounds":
-        payload["coincidence"] = _coincidence_section(cfg, with_bounds=True)
+        with _stage(stages, "coincidence"):
+            payload["coincidence"] = _coincidence_section(cfg, with_bounds=True)
         return payload, rows
     if args.command == "coincidence":
-        payload["coincidence"] = _coincidence_section(cfg, with_bounds=False)
+        with _stage(stages, "coincidence"):
+            payload["coincidence"] = _coincidence_section(cfg, with_bounds=False)
         return payload, rows
     if args.command == "relations":
-        payload["relations"] = _relations_section(cfg)
+        with _stage(stages, "relations"):
+            payload["relations"] = _relations_section(cfg)
         return payload, rows
     # report: everything
-    payload["estimates"], rows = _estimate_section(cfg, "both")
-    payload["coincidence"] = _coincidence_section(cfg, with_bounds=True)
-    payload["relations"] = _relations_section(cfg)
+    payload["estimates"], rows = _estimate_section(cfg, "both", stages)
+    with _stage(stages, "coincidence"):
+        payload["coincidence"] = _coincidence_section(cfg, with_bounds=True)
+    with _stage(stages, "relations"):
+        payload["relations"] = _relations_section(cfg)
     return payload, rows
 
 
@@ -172,38 +191,40 @@ def _exact_section(cfg: RunConfig) -> dict:
     return section
 
 
-def _estimate_section(cfg: RunConfig, method: str):
+def _estimate_section(cfg: RunConfig, method: str, stages):
     corr = build_correspondence(cfg.generator_set(), cfg.multiplicities)
     methods = ["ds", "friedland"] if method == "both" else [method]
     section = {}
     rows = []
     est_cfg = cfg.estimator
-    levels = ladder_tree(corr, est_cfg["nu_min"], est_cfg["nu_max"], cfg.seed,
-                         est_cfg["tree_budget"])
-    for m in methods:
-        est, cells = estimate_entropy(
-            corr, m,
-            epsilon_grid=tuple(est_cfg["epsilon_grid"]),
-            nu_min=est_cfg["nu_min"],
-            nu_max=est_cfg["nu_max"],
-            seed=cfg.seed,
-            levels=levels,
-        )
-        section[est.method] = {
-            "value": est.value,
-            "stderr": est.slope_stderr,
-            "best_epsilon": est.best_epsilon,
-            "epsilon_grid": list(est.epsilon_grid),
-            "nu_range": list(est.nu_range),
-            "seed": est.seed,
-            "counts": [
-                {"epsilon": r.epsilon, "nu": r.nu, "count": r.count,
-                 "exact": r.exact, "pool_size": r.pool_size}
-                for r in cells
-            ],
-        }
-        rows.extend(cells)
-    section["per_word"] = _per_word_section(levels, cfg)
+    with _stage(stages, "tree"):
+        levels = ladder_tree(corr, est_cfg["nu_min"], est_cfg["nu_max"], cfg.seed,
+                             est_cfg["tree_budget"])
+    with _stage(stages, "counts"):
+        for m in methods:
+            est, cells = estimate_entropy(
+                corr, m,
+                epsilon_grid=tuple(est_cfg["epsilon_grid"]),
+                nu_min=est_cfg["nu_min"],
+                nu_max=est_cfg["nu_max"],
+                seed=cfg.seed,
+                levels=levels,
+            )
+            section[est.method] = {
+                "value": est.value,
+                "stderr": est.slope_stderr,
+                "best_epsilon": est.best_epsilon,
+                "epsilon_grid": list(est.epsilon_grid),
+                "nu_range": list(est.nu_range),
+                "seed": est.seed,
+                "counts": [
+                    {"epsilon": r.epsilon, "nu": r.nu, "count": r.count,
+                     "exact": r.exact, "pool_size": r.pool_size}
+                    for r in cells
+                ],
+            }
+            rows.extend(cells)
+        section["per_word"] = _per_word_section(levels, cfg)
     return section, rows
 
 

@@ -27,7 +27,14 @@ from .errors import InsufficientData
 from .orbits import TREE_BUDGET, OrbitPool, affordable_depth, preimage_tree_levels
 from .projective import chordal_dist, ring_around, sample_points
 from .ratmap import evaluate, fs_jacobian
-from .separation import _count_classes, _greedy, _walk_plan, _word_blocks, count_separated
+from .separation import (
+    _count_classes,
+    _greedy,
+    _pair_source,
+    _walk_plan,
+    _word_blocks,
+    count_separated,
+)
 
 EPSILON_GRID = (0.02, 0.05, 0.1, 0.2)
 NU_MIN, NU_MAX = 2, 12
@@ -129,17 +136,23 @@ def estimate_entropy(c: Correspondence, method: str,
 
     Counts run over ladder_tree(c, nu_min, nu_max, seed, tree_budget), or
     over the given levels of that same tree when the caller already has it.
+    An epsilon grid that repeats an epsilon raises ValueError, and an empty
+    one InsufficientData, before a tree is built.
     """
     mode = {"ds": "dinh_sibony", "friedland": "friedland"}.get(method)
     if mode is None:
         raise ValueError(f"unknown method {method!r}")
+    if not epsilon_grid:
+        raise InsufficientData("empty epsilon grid")
+    if len(set(epsilon_grid)) < len(epsilon_grid):
+        raise ValueError(f"epsilon grid {list(epsilon_grid)} repeats an epsilon")
     if levels is None:
         levels = ladder_tree(c, nu_min, nu_max, seed, tree_budget)
     rows = []
     for i_nu, nu in enumerate(range(nu_min, max(levels) + 1)):
-        # the plan and word blocks do not depend on eps; each level's go
-        # before the next level's are built
-        classes = _count_classes(levels[nu], mode)
+        # the plan, word blocks and pair list serve every eps; each level's
+        # go before the next level's are built
+        classes = _count_classes(levels[nu], mode, max(epsilon_grid))
         for i_eps, eps in enumerate(epsilon_grid):
             cell_seed = seed * 10007 + i_nu * 101 + i_eps
             rows.append(count_separated(levels[nu], eps, mode, seed=cell_seed,
@@ -224,8 +237,8 @@ def mp_family(gens: GeneratorSet, beta: float, nu: int, seed: int,
                                 budget=tree_budget)[nu]
 
     # no pair crosses words, so one pass in pool order runs each word's greedy
-    kept = np.array(_greedy(_walk_plan(tree, True), eps, np.arange(len(tree)))[0],
-                    dtype=np.intp)
+    pairs = _pair_source(_walk_plan(tree, True), eps)
+    kept = np.array(_greedy(pairs, np.arange(len(tree)), len(tree))[0], dtype=np.intp)
     kept = kept[np.argsort(_word_blocks(tree.symbols)[1][kept], kind="stable")]
 
     return MpFamily(

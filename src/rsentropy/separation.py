@@ -27,14 +27,24 @@ step earlier (the dual-tree recursion of Gray and Moore, NIPS 2000). On a
 backward tree the classes are its nodes and a step costs its siblings and
 the children of its conflicts; a pool with no shared suffix, such as
 forward orbits, tests all k^2 pairs at x_nu. The classes and their sibling
-pairs depend on the rows only: they make a plan, the walk's only input,
-which ``_count_classes`` builds once per pool and mode together with the
-pool's word blocks, so that the counts of an eps grid share them; a walk
-then only re-walks the conflict pairs. The greedy asks only for the pairs
-of orbits that may still join. Its first walk starts from one row, so
-where a few members conflict with most orbits it lists about their pairs,
-not all k^2; each later walk takes as many rows as the last walk's pairs
-per row allow within WALK_PAIRS pairs, so a count takes about two walks.
+pairs depend on the rows only: they make a plan, the walk's only input.
+A walk tests about TEST_SLICE candidate pairs at a time, so that it holds
+little beyond the pairs it lists.
+
+The counts of an eps grid share one pool's plan, word blocks and pair
+list, which ``_count_classes`` builds once per pool and mode. A pair that
+conflicts at eps conflicts at every larger eps, so one walk at the grid's
+largest eps lists every pair of the grid with its distance d, the largest
+test value it passed; the pairs at eps are those with d <= eps, the very
+pairs of a walk at eps, so each cell filters the list and walks none.
+Where a key of that walk would test more than PAIR_BUDGET children of
+conflicting pairs, as on a dense pool, there is no list, and each count
+walks, as does a count at an eps above the list's or one with no shared
+classes. The greedy asks only for the pairs of orbits that may still
+join. Its first call starts from one row, so where a few members
+conflict with most orbits a walk lists about their pairs, not all k^2;
+each later call takes as many rows as the last call's pairs per row
+allow within WALK_PAIRS pairs, so a count takes about two calls.
 
 The spanning and shift-orbit counts take their pairs from the same walk,
 with a radius per column. To the horizon h the shifted metric weighs
@@ -60,7 +70,8 @@ from .orbits import OrbitPool
 EXACT_CUTOFF = 20
 JOINT_CUTOFF = 32
 WALK_PAIRS = 4096  # about how many conflict pairs a greedy walk lists
-TEST_SLICE = 4096  # candidate pairs per slice of a walk's point test
+TEST_SLICE = 4096  # about how many candidate pairs a walk tests at a time
+PAIR_BUDGET = 1 << 20  # children of conflicting pairs a key of a pair list may test
 
 log = logging.getLogger(__name__)
 
@@ -92,24 +103,47 @@ def _check_epsilon(epsilon, closed=False):
 def _word_blocks(symbols):
     """(words, ids, blocks): the distinct label words in sorted order, each
     row's index into them, and each word's rows in pool order."""
-    words, ids = np.unique(symbols, axis=0, return_inverse=True)
-    ids = ids.reshape(-1)
+    k, nu = symbols.shape
+    # (np.unique(axis=0) sorts the same way, some ten times slower)
+    order = np.lexsort(symbols.T[::-1]) if nu else np.arange(k)
+    rows = symbols[order]
+    first = np.ones(k, dtype=bool)  # the first row of each word in sorted order
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    ids = np.empty(k, dtype=np.intp)
+    ids[order] = np.cumsum(first) - 1
     blocks = np.split(np.argsort(ids, kind="stable"),
                       np.cumsum(np.bincount(ids))[:-1])
-    return [tuple(w) for w in words.tolist()], ids, blocks
+    return [tuple(w) for w in rows[first].tolist()], ids, blocks
 
 
-def _count_classes(pool: OrbitPool, mode: str):
-    """(plan, words, ids, blocks): what the counts of the pool in the mode
-    share at every eps. The walk plan has labels unless in friedland mode,
-    where the words are None and every row is in one block; otherwise they
-    are ``_word_blocks(pool.symbols)``."""
+def _count_classes(pool: OrbitPool, mode: str, top: float | None = None):
+    """(plan, words, ids, blocks, listed): what the counts of the pool in
+    the mode share at every eps. The walk plan has labels unless in
+    friedland mode, where the words are None and every row is in one
+    block; otherwise they are ``_word_blocks(pool.symbols)``.
+
+    ``listed`` is None, or, when ``top`` (the largest eps to count) is
+    given, (top, i, j, d): the conflict pairs at eps top with their
+    distances, so that the pairs at any eps <= top are those with d <= eps.
+    It is None too when the children of a key's conflicting pairs are more
+    than PAIR_BUDGET; the counts then walk."""
     if mode not in ("per_word", "friedland", "dinh_sibony"):
         raise ValueError(f"unknown mode {mode!r}")
+    plan = _walk_plan(pool, mode != "friedland")
+    listed = None
+    if top is not None:
+        _check_epsilon(top)
+        try:
+            listed = (top, *_conflict_pairs(plan, top, budget=PAIR_BUDGET))
+            log.info("pair list: mode=%s nu=%d eps=%g pairs=%d",
+                     mode, pool.nu, top, len(listed[1]))
+        except BudgetExceeded as exc:
+            log.info("pair list: mode=%s nu=%d eps=%g none: %s (PAIR_BUDGET=%d)",
+                     mode, pool.nu, top, exc, PAIR_BUDGET)
     if mode == "friedland":
-        return (_walk_plan(pool, False), None, np.zeros(len(pool), dtype=np.intp),
-                [np.arange(len(pool))])
-    return (_walk_plan(pool, True), *_word_blocks(pool.symbols))
+        return (plan, None, np.zeros(len(pool), dtype=np.intp),
+                [np.arange(len(pool))], listed)
+    return (plan, *_word_blocks(pool.symbols), listed)
 
 
 def count_separated(pool: OrbitPool, epsilon: float, mode: str, word=None,
@@ -120,11 +154,14 @@ def count_separated(pool: OrbitPool, epsilon: float, mode: str, word=None,
     Exact (maximum) when every counted block is at most ``exact_cutoff``
     orbits; otherwise a seeded greedy maximal family with ``exact=False``.
     ``word`` is required in per_word mode and ignored otherwise.
-    ``classes`` is ``_count_classes(pool, mode)``, built here when None;
-    the counts of one pool in one mode at several eps can share it.
+    ``classes`` is ``_count_classes(pool, mode, top)``, built here (with no
+    pair list) when None; the counts of one pool in one mode at several eps
+    can share it.
     """
     _check_pool(pool, epsilon)
-    plan, words, ids, blocks = _count_classes(pool, mode) if classes is None else classes
+    plan, words, ids, blocks, listed = (_count_classes(pool, mode) if classes is None
+                                        else classes)
+    pairs = _pair_source(plan, epsilon, listed)
     label = mode
     counted = range(len(blocks))
     if mode == "per_word":
@@ -138,14 +175,16 @@ def count_separated(pool: OrbitPool, epsilon: float, mode: str, word=None,
     large = [b for b in counted if len(blocks[b]) > max(exact_cutoff, 1)]
     count = 0
     if small:
-        pairs = _split_pairs(*_conflict_pairs(plan, epsilon, np.isin(ids, small)),
-                             ids, blocks)
-        count += sum(_mis_exact(_masks(len(blocks[b]), *pairs[b])) for b in small)
+        split = _split_pairs(*pairs(np.isin(ids, small)), ids, blocks)
+        count += sum(_mis_exact(_masks(len(blocks[b]), *split[b])) for b in small)
     if large:
-        # no pair crosses blocks, so one greedy walks every block's own order
-        order = np.concatenate([blocks[b] if seed is None else blocks[b][
-            np.random.default_rng(seed).permutation(len(blocks[b]))] for b in large])
-        kept, degrees = _greedy(plan, epsilon, order)
+        # no pair crosses blocks, so one greedy walks every block's own order;
+        # a block's shuffle depends on its size only
+        shuffles = {} if seed is None else {
+            n: np.random.default_rng(seed).permutation(n) for n in {len(blocks[b]) for b in large}}
+        order = np.concatenate([blocks[b][shuffles[len(blocks[b])]] if shuffles else blocks[b]
+                                for b in large])
+        kept, degrees = _greedy(pairs, order, len(pool))
         family = np.bincount(ids[kept], minlength=len(blocks))
         touched = np.bincount(ids[kept], weights=degrees, minlength=len(blocks))
         for b in large:
@@ -155,7 +194,24 @@ def count_separated(pool: OrbitPool, epsilon: float, mode: str, word=None,
     return SeparationCount(epsilon, pool.nu, label, count, len(pool), not large)
 
 
-def _conflict_pairs(plan, radius, sources=None):
+def _pair_source(plan, epsilon, listed=None):
+    """The pair source of a count at eps: a function of a source mask that
+    gives the conflict pairs with a source, as ``_conflict_pairs(plan, eps,
+    sources)`` does. It filters the listed pairs (see ``_count_classes``)
+    when they reach eps, and walks the plan otherwise."""
+    if listed is None or epsilon > listed[0]:
+        return lambda sources: _conflict_pairs(plan, epsilon, sources)
+    _, i, j, d = listed
+    near = d <= epsilon
+    i, j = i[near], j[near]
+
+    def source(sources):
+        keep = sources[i] | sources[j]
+        return i[keep], j[keep]
+    return source
+
+
+def _conflict_pairs(plan, radius, sources=None, budget=None):
     """(i, j): every row pair i < j of the plan's pool, one of them in
     ``sources`` (a row mask, all rows when None), whose test value
     |a0 b1 - a1 b0| with a row j is at most the radius in every column, and
@@ -163,6 +219,13 @@ def _conflict_pairs(plan, radius, sources=None):
     ``_walk_plan(pool, labels)``; walks over the same rows share it.
     ``radius`` is a number or one per column; a column of infinite radius
     is not tested, and its labels are not compared.
+
+    With a ``budget`` the walk returns (i, j, d), d being each pair's
+    distance: the largest of the test values it passed, which a pair
+    carries from its parents to its children. For a number radius, a walk
+    at any r <= radius lists exactly the pairs with d <= r. It raises
+    BudgetExceeded, before it builds them, when the children of a key's
+    conflicting pairs are more than ``budget``.
 
     The keys run x_nu, a_nu, x_{nu-1}, ..., a_1, x_0 (labels only in a plan
     with labels). A class of a key is a run of rows equal in it and in every
@@ -176,26 +239,41 @@ def _conflict_pairs(plan, radius, sources=None):
     """
     radius = np.broadcast_to(radius, plan[0][0] + 1)  # the first key is x_nu
     pa = pb = np.zeros(0, dtype=np.intp)  # the previous key's conflicting class pairs
+    pd = np.zeros(0)  # and their distances
     for c, label, first, heads, stops, (sx, sy), values in plan:
-        # the siblings, and the children of each conflicting pair
-        t, u = _ranges(heads[pa], stops[pa])
-        s, v = _ranges(heads[pb][t], stops[pb][t])
-        x, y = np.concatenate([sx, u[s]]), np.concatenate([sy, v])
-        del t, u, s, v  # freed before the test, where a walk peaks
-        if sources is not None:
-            wanted = np.logical_or.reduceat(sources, first)
-            x, y = x[wanted[x] | wanted[y]], y[wanted[x] | wanted[y]]
-        if label:
-            close = (values[x] == values[y]) | (radius[c] == np.inf)
-        else:
-            # a slice at a time: the complex temporaries are a walk's largest
-            v0, v1 = values
-            close = np.empty(len(x), dtype=bool)
-            for n in range(0, len(x), TEST_SLICE):
-                a, b = x[n:n + TEST_SLICE], y[n:n + TEST_SLICE]
-                close[n:n + TEST_SLICE] = np.abs(v0[b] * v1[a] - v1[b] * v0[a]) <= radius[c]
-        pa, pb = x[close], y[close]
-    return pa, pb
+        wanted = None if sources is None else np.logical_or.reduceat(sources, first)
+
+        def conflicts(x, y, d):
+            """The candidate pairs (x, y), at distance d before this key,
+            that conflict, and their distances."""
+            if wanted is not None:
+                keep = wanted[x] | wanted[y]
+                x, y, d = x[keep], y[keep], d[keep]
+            if label:
+                close = (values[x] == values[y]) | (radius[c] == np.inf)
+            else:
+                test = np.abs(values[0][y] * values[1][x] - values[1][y] * values[0][x])
+                close, d = test <= radius[c], np.maximum(d, test)
+            return x[close], y[close], d[close]
+
+        size = (stops[pa] - heads[pa]) * (stops[pb] - heads[pb])  # children per pair
+        if budget is not None and size.sum() > budget:
+            raise BudgetExceeded(f"{size.sum()} candidate pairs at one key, over {budget}")
+        # the siblings (whose parents are one class, at distance 0), then the
+        # children of each conflicting pair, about TEST_SLICE candidates at a
+        # time, so that the walk's temporaries stay that small
+        parts = [conflicts(sx[n:n + TEST_SLICE], sy[n:n + TEST_SLICE],
+                           np.zeros(min(TEST_SLICE, len(sx) - n)))
+                 for n in range(0, len(sx), TEST_SLICE)]
+        part = (np.cumsum(size) - size) // TEST_SLICE
+        cuts = np.append(np.flatnonzero(np.diff(part, prepend=-1)), len(pa)).tolist()
+        for lo, hi in zip(cuts, cuts[1:]):
+            t, u = _ranges(heads[pa[lo:hi]], stops[pa[lo:hi]])
+            s, v = _ranges(heads[pb[lo:hi]][t], stops[pb[lo:hi]][t])
+            parts.append(conflicts(u[s], v, pd[lo:hi][t[s]]))
+        # (the empty triple stands in for a key with no candidates)
+        pa, pb, pd = map(np.concatenate, zip(*parts, (pa[:0], pb[:0], pd[:0])))
+    return (pa, pb) if budget is None else (pa, pb, pd)
 
 
 def _walk_plan(pool, labels):
@@ -248,33 +326,33 @@ def _split_pairs(i, j, ids, blocks):
             for rows, s in zip(blocks, np.split(by, cuts))]
 
 
-def _greedy(plan, epsilon, order):
+def _greedy(pairs, order, k):
     """(family, degrees): the greedy maximal family in the order it joined,
     and each member's number of conflict pairs.
 
-    Walking ``order`` (a row array), a row joins unless it conflicts with a
-    member. The rows that may still join are settled a batch at a time by
-    one walk of ``plan`` with them as sources. A member is a source of the
-    walk that settles it, so it blocks all its neighbours, and any batch
+    Walking ``order`` (an array of rows out of k), a row joins unless it
+    conflicts with a member. The rows that may still join are settled a
+    batch at a time by one call of ``pairs``, a pair source (see
+    ``_pair_source``), with them as sources. A member is a source of the
+    call that settles it, so it blocks all its neighbours, and any batch
     gives the same family. The first batch is one row, so a dense conflict
     graph lists little beyond its members' pairs; each later batch takes
-    as many rows as the last walk's pairs per source allow within
+    as many rows as the last call's pairs per source allow within
     WALK_PAIRS pairs, and at least len(family) + 1. (Rows that conflict
     more than the last batch's make a walk list more than WALK_PAIRS.)
     """
-    k = len(plan[-1][2])  # the last key's classes are the rows
     blocked = np.zeros(k, dtype=bool)
     kept, degrees, size = [], [], 1
     while len(order):
         batch, order = order[:size], order[size:]
         mask = np.zeros(k, dtype=bool)
         mask[batch] = True
-        i, j = _conflict_pairs(plan, epsilon, mask)
+        i, j = pairs(mask)
         ends, near = np.concatenate([i, j]), np.concatenate([j, i])
         near = near[np.argsort(ends, kind="stable")].tolist()
         ptr = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=k))])
         lo, hi = ptr[batch], ptr[batch + 1]
-        # blocked rows left the order, and a row the walk paired with nothing
+        # blocked rows left the order, and a row the call paired with nothing
         # conflicts with no row: it joins and blocks nothing. A paired row
         # joins unless a member before it in the batch blocks it.
         joins = lo == hi

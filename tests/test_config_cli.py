@@ -101,6 +101,16 @@ def test_config_errors_match_jsonschema_validate(bad):
     assert list(got.value.__cause__.absolute_path) == list(want.value.absolute_path)
 
 
+def test_config_rejects_a_repeated_epsilon(tmp_path, capsys):
+    bad = dict(Z23_CONFIG, estimator={"epsilon_grid": [0.1, 0.1, 0.2]})
+    with pytest.raises(SchemaViolation) as err:
+        config.load_config(bad)
+    assert err.value.pointer == "/estimator/epsilon_grid"
+    assert cli.main(["estimate", "--config", write_config(tmp_path, bad)]) == 1
+    out = json.loads(capsys.readouterr().out)["error"]
+    assert (out["type"], out["pointer"]) == ("SchemaViolation", "/estimator/epsilon_grid")
+
+
 def test_config_exact_scalar_objects(tmp_path):
     cfg = rs.parse_config(write_config(tmp_path, {
         "generators": [{
@@ -287,6 +297,27 @@ def test_report_counts_are_pinned(tmp_path, capsys):
     rows = [(mode, c["nu"], c["epsilon"], c["count"], c["exact"], c["pool_size"])
             for mode in ("dinh_sibony", "friedland") for c in estimates[mode]["counts"]]
     assert rows == README_REPORT_COUNTS
+
+
+@pytest.mark.parametrize("command,stages", [
+    ("report", {"tree", "counts", "coincidence", "relations"}),
+    ("estimate", {"tree", "counts"}),
+])
+def test_timing_records_stage_times(tmp_path, capsys, command, stages):
+    cfg = dict(Z23_CONFIG, estimator={"nu_min": 2, "nu_max": 4, "epsilon_grid": [0.1, 0.2]})
+    path = write_config(tmp_path, cfg)
+    assert cli.main([command, "--config", path, "--timing"]) == 0
+    timed = json.loads(capsys.readouterr().out)
+    stage_s = timed["provenance"]["stage_s"]
+    assert set(stage_s) == stages and all(s >= 0 for s in stage_s.values())
+    assert sum(stage_s.values()) <= timed["provenance"]["wall_time_s"] + 0.005
+    # without --timing the report holds no time, and is otherwise the same
+    assert cli.main([command, "--config", path]) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert set(plain["provenance"]) == {"version", "seed", "budgets", "subcommand"}
+    for key in ("wall_time_s", "stage_s"):
+        del timed["provenance"][key]
+    assert timed == plain
 
 
 def test_cli_report_subcommand(tmp_path, capsys):

@@ -74,6 +74,18 @@ def test_estimate_rejects_an_unknown_method():
             rs.estimate_entropy(c, method, nu_min=2, nu_max=12, seed=0, tree_budget=30)
 
 
+def test_estimate_rejects_a_repeated_or_empty_epsilon_grid(monkeypatch):
+    c = rs.build_correspondence(rs.GeneratorSet([Z2, Z3]))
+    trees = []
+    monkeypatch.setattr(estimate, "preimage_tree_levels", lambda *a, **kw: trees.append(a))
+    # both are refused before a tree is built
+    with pytest.raises(ValueError, match=r"^epsilon grid \[0.1, 0.1, 0.2\] repeats an epsilon$"):
+        rs.estimate_entropy(c, "ds", epsilon_grid=(0.1, 0.1, 0.2), nu_min=2, nu_max=4)
+    with pytest.raises(InsufficientData):
+        rs.estimate_entropy(c, "friedland", epsilon_grid=(), nu_min=2, nu_max=4)
+    assert trees == []
+
+
 def test_mp_family_identity_generator():
     fam = rs.mp_family(rs.GeneratorSet([IDENTITY]), 0.9, 5, seed=0, samples=50)
     assert fam.count == 1

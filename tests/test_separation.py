@@ -19,6 +19,7 @@ from rsentropy.estimate import ladder_tree
 from rsentropy.separation import _conflict_pairs, _shift_pairs
 from util import (
     IDENTITY,
+    QUAD5,
     Z2,
     Z3,
     affine_translation,
@@ -563,6 +564,144 @@ def test_test_value_is_the_same_either_way(readme_nu5_pool):
         one = np.abs(a0 * b1 - a1 * b0)
         other = np.abs(b0 * a1 - b1 * a0)
         assert np.array_equal(one.view(np.uint64), other.view(np.uint64))
+
+
+# -- one pair list per level: every cell of an eps grid filters it -------------
+
+GRID = (0.02, 0.05, 0.1, 0.2)
+
+
+@pytest.mark.parametrize("case", ("readme", "shuffled", "poles", "random", "dense"))
+def test_pair_list_filters_to_the_walk_at_every_eps(readme_nu5_pool, case):
+    if case == "readme":
+        pool = ladder_tree(corr(Z2, Z3), 2, 4, 42, 20_000)[4]
+    elif case == "shuffled":  # so that the classes are not runs
+        pool = readme_nu5_pool[np.random.default_rng(3).permutation(len(readme_nu5_pool))[:600]]
+    elif case == "poles":  # every orbit twice, the copies far apart
+        starts = [rs.point_at(0), rs.INFINITY] + rs.sample_points(30, 4)
+        pool = doubled_pool(rs.forward_orbits(corr(Z2, Z3), starts, 2))
+    elif case == "random":
+        pool = random_forward_pool(2)
+    else:
+        pool = dense_tree(8)
+    h0, h1 = pool.h0, pool.h1
+    for labels in (False, True):
+        plan = separation._walk_plan(pool, labels)
+        for top, grid in ((0.2, GRID), (0.9, ORACLE_EPS)):
+            i, j, d = _conflict_pairs(plan, top, budget=separation.PAIR_BUDGET)
+            assert [a.tolist() for a in _conflict_pairs(plan, top)] == [i.tolist(), j.tolist()]
+            # d is the largest test value of the pair, bit for bit
+            assert np.array_equal(d, np.abs(h0[j] * h1[i] - h1[j] * h0[i]).max(axis=1))
+            assert (d <= top).all()
+            for eps in grid:
+                near = d <= eps
+                walk = set(zip(*(a.tolist() for a in _conflict_pairs(plan, eps))))
+                assert set(zip(i[near].tolist(), j[near].tolist())) == walk
+            # a count's pair source filters the list by eps and by its sources,
+            # also at an eps that some listed pair's distance equals
+            sources = np.random.default_rng(5).random(len(pool)) < 0.3
+            for eps in grid + tuple(np.sort(d)[::-max(len(d) // 3, 1)][:3].tolist()):
+                got = separation._pair_source(plan, eps, (top, i, j, d))(sources)
+                want = _conflict_pairs(plan, eps, sources)
+                assert sorted(zip(*(a.tolist() for a in got))) == sorted(zip(*(a.tolist() for a in want)))
+    ref = reference_conflict_pairs(pool, 0.2)
+    assert set(zip(*(a.tolist() for a in _conflict_pairs(
+        separation._walk_plan(pool, False), 0.2, budget=separation.PAIR_BUDGET)[:2]))) == ref
+
+
+def test_pair_list_refuses_a_key_over_its_budget():
+    plan = separation._walk_plan(dense_tree(8), False)
+    # the 256 orbits conflict in all 32,640 pairs at eps 0.2
+    assert len(_conflict_pairs(plan, 0.2, budget=32_640)[0]) == 32_640
+    with pytest.raises(BudgetExceeded, match="candidate pairs at one key, over 1000"):
+        _conflict_pairs(plan, 0.2, budget=1000)
+
+
+def fresh_rows(method, seed, levels, grid):
+    """The rows of estimate_entropy, counted cell by cell with no shared
+    classes, so each with its own walks."""
+    mode = {"ds": "dinh_sibony", "friedland": "friedland"}[method]
+    return [rs.count_separated(levels[nu], eps, mode, seed=seed * 10007 + i_nu * 101 + i_eps)
+            for i_nu, nu in enumerate(range(2, max(levels) + 1))
+            for i_eps, eps in enumerate(grid)]
+
+
+@pytest.mark.parametrize("budget", (None, 1))
+def test_estimate_rows_equal_fresh_counts(monkeypatch, budget):
+    # with a budget of one candidate pair no level is listed, and every cell walks
+    if budget is not None:
+        monkeypatch.setattr(separation, "PAIR_BUDGET", budget)
+    cases = [(corr(Z2, Z3), 5, seed, 20_000) for seed in (42, 7)]
+    cases.append((corr(*QUAD5), 4, 42, 10 ** 6))
+    for c, nu_max, seed, tree_budget in cases:
+        levels = ladder_tree(c, 2, nu_max, seed, tree_budget)
+        assert max(levels) == nu_max
+        for method in ("ds", "friedland"):
+            _, rows = estimate.estimate_entropy(c, method, GRID, 2, nu_max, seed, levels=levels)
+            assert rows == fresh_rows(method, seed, levels, GRID)
+
+
+def test_a_level_walks_once_per_method(monkeypatch):
+    walks = []
+    real = separation._conflict_pairs
+
+    def spy(*args, **kwargs):
+        walks.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(separation, "_conflict_pairs", spy)
+    c = corr(Z2, Z3)
+    levels = ladder_tree(c, 2, 5, 42, 5000)
+    for method in ("ds", "friedland"):
+        walks.clear()
+        _, rows = estimate.estimate_entropy(c, method, GRID, 2, 5, 42, levels=levels)
+        # four levels (nu 2..5), each listed once at the grid's largest eps
+        assert len(rows) == 16 and walks == [0.2] * 4
+
+
+@pytest.mark.parametrize("mode", ("dinh_sibony", "friedland"))
+def test_eps_above_the_list_walks_like_a_fresh_count(readme_nu5_pool, monkeypatch, mode):
+    pool = readme_nu5_pool
+    classes = separation._count_classes(pool, mode, 0.05)
+    assert classes[-1][0] == 0.05
+    walks = []
+    real = separation._conflict_pairs
+
+    def spy(*args, **kwargs):
+        walks.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(separation, "_conflict_pairs", spy)
+    for eps in (0.02, 0.05, 0.1, 0.2):
+        walks.clear()
+        shared = rs.count_separated(pool, eps, mode, seed=3, classes=classes)
+        # a cell at or below the list's eps filters it; above it, it walks
+        if eps <= 0.05:
+            assert walks == []
+        else:
+            assert walks and set(walks) == {eps}
+        assert shared == rs.count_separated(pool, eps, mode, seed=3)
+
+
+def test_pair_lists_log_at_info(caplog, monkeypatch):
+    c = corr(Z2, Z3)
+    levels = ladder_tree(c, 2, 5, 42, 5000)
+    with caplog.at_level(logging.INFO, logger="rsentropy"):
+        for method in ("ds", "friedland"):
+            estimate.estimate_entropy(c, method, GRID, 2, 5, 42, levels=levels)
+        monkeypatch.setattr(separation, "PAIR_BUDGET", 100)
+        estimate.estimate_entropy(c, "friedland", GRID, 2, 5, 42, levels=levels)
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "rsentropy.separation" and r.getMessage().startswith("pair list:")]
+    listed = [f"pair list: mode={mode} nu={nu} eps=0.2 pairs={pairs}"
+              for mode, counts in (("dinh_sibony", (0, 0, 0, 0)), ("friedland", (11, 93, 723, 5341)))
+              for nu, pairs in zip(range(2, 6), counts)]
+    assert len(lines) == 12 and lines[:9] == listed + listed[4:5]
+    # at a budget of 100, nu 2 is still listed and nu 3..5 are not
+    for nu, line in zip(range(3, 6), lines[9:]):
+        over = re.fullmatch(f"pair list: mode=friedland nu={nu} eps=0\\.2 none: (\\d+) "
+                            "candidate pairs at one key, over 100 \\(PAIR_BUDGET=100\\)", line)
+        assert over and int(over.group(1)) > 100
 
 
 # -- shift-orbit pairs: the walk with a radius per column against the metric ----
