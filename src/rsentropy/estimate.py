@@ -27,14 +27,7 @@ from .errors import InsufficientData
 from .orbits import TREE_BUDGET, OrbitPool, affordable_depth, preimage_tree_levels
 from .projective import chordal_dist, ring_around, sample_points
 from .ratmap import evaluate, fs_jacobian
-from .separation import (
-    _count_classes,
-    _greedy,
-    _pair_source,
-    _walk_plan,
-    _word_blocks,
-    count_separated,
-)
+from .separation import count_grid, greedy_family
 
 EPSILON_GRID = (0.02, 0.05, 0.1, 0.2)
 NU_MIN, NU_MAX = 2, 12
@@ -135,7 +128,8 @@ def estimate_entropy(c: Correspondence, method: str,
     """(estimate, rows) for method 'ds' or 'friedland'.
 
     Counts run over ladder_tree(c, nu_min, nu_max, seed, tree_budget), or
-    over the given levels of that same tree when the caller already has it.
+    over the given levels of that same tree when the caller already has it,
+    at nu from nu_min to nu_max or the deepest level, whichever is lower.
     An epsilon grid that repeats an epsilon raises ValueError, and an empty
     one InsufficientData, before a tree is built.
     """
@@ -149,15 +143,9 @@ def estimate_entropy(c: Correspondence, method: str,
     if levels is None:
         levels = ladder_tree(c, nu_min, nu_max, seed, tree_budget)
     rows = []
-    for i_nu, nu in enumerate(range(nu_min, max(levels) + 1)):
-        # the plan, word blocks and pair list serve every eps; each level's
-        # go before the next level's are built
-        classes = _count_classes(levels[nu], mode, max(epsilon_grid))
-        for i_eps, eps in enumerate(epsilon_grid):
-            cell_seed = seed * 10007 + i_nu * 101 + i_eps
-            rows.append(count_separated(levels[nu], eps, mode, seed=cell_seed,
-                                        classes=classes))
-        del classes
+    for i_nu, nu in enumerate(range(nu_min, min(nu_max, max(levels)) + 1)):
+        seeds = [seed * 10007 + i_nu * 101 + i_eps for i_eps in range(len(epsilon_grid))]
+        rows += count_grid(levels[nu], epsilon_grid, mode, seeds)
     return entropy_fit(rows, method=mode, seed=seed), rows
 
 
@@ -236,11 +224,7 @@ def mp_family(gens: GeneratorSet, beta: float, nu: int, seed: int,
     tree = preimage_tree_levels(corr, terminal, nu, floor,
                                 budget=tree_budget)[nu]
 
-    # no pair crosses words, so one pass in pool order runs each word's greedy
-    pairs = _pair_source(_walk_plan(tree, True), eps)
-    kept = np.array(_greedy(pairs, np.arange(len(tree)), len(tree))[0], dtype=np.intp)
-    kept = kept[np.argsort(_word_blocks(tree.symbols)[1][kept], kind="stable")]
-
+    kept = greedy_family(tree, eps)
     return MpFamily(
         family=tree[kept],
         epsilon=eps,

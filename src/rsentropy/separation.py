@@ -31,12 +31,13 @@ pairs depend on the rows only: they make a plan, the walk's only input.
 A walk tests about TEST_SLICE candidate pairs at a time, so that it holds
 little beyond the pairs it lists.
 
-The counts of an eps grid share one pool's plan, word blocks and pair
-list, which ``_count_classes`` builds once per pool and mode. A pair that
-conflicts at eps conflicts at every larger eps, so one walk at the grid's
-largest eps lists every pair of the grid with its distance d, the largest
-test value it passed; the pairs at eps are those with d <= eps, the very
-pairs of a walk at eps, so each cell filters the list and walks none.
+``count_grid`` counts a pool at every eps of a grid; its counts share one
+plan, word blocks and pair list, which ``_count_classes`` builds once. A
+pair that conflicts at eps conflicts at every larger eps, so one walk at
+the grid's largest eps lists every pair of the grid with its distance d,
+the largest test value it passed; the pairs at eps are those with
+d <= eps, the very pairs of a walk at eps, so each cell filters the list
+and walks none.
 Where a key of that walk would test more than PAIR_BUDGET children of
 conflicting pairs, as on a dense pool, there is no list, and each count
 walks, as does a count at an eps above the list's or one with no shared
@@ -45,6 +46,7 @@ join. Its first call starts from one row, so where a few members
 conflict with most orbits a walk lists about their pairs, not all k^2;
 each later call takes as many rows as the last call's pairs per row
 allow within WALK_PAIRS pairs, so a count takes about two calls.
+``greedy_family`` gives the greedy family that walks each word in pool order.
 
 The spanning and shift-orbit counts take their pairs from the same walk,
 with a radius per column. To the horizon h the shifted metric weighs
@@ -146,17 +148,23 @@ def _count_classes(pool: OrbitPool, mode: str, top: float | None = None):
     return (plan, *_word_blocks(pool.symbols), listed)
 
 
+def count_grid(pool: OrbitPool, epsilon_grid, mode: str, seeds) -> list:
+    """One ``count_separated`` row per eps of the grid and seed of ``seeds``,
+    sharing the pool's classes with the pair list at the grid's largest eps."""
+    classes = _count_classes(pool, mode, max(epsilon_grid))
+    return [count_separated(pool, eps, mode, seed=seed, classes=classes)
+            for eps, seed in zip(epsilon_grid, seeds)]
+
+
 def count_separated(pool: OrbitPool, epsilon: float, mode: str, word=None,
-                    seed: int | None = 0, exact_cutoff: int = EXACT_CUTOFF,
-                    classes=None) -> SeparationCount:
+                    seed: int | None = 0, classes=None) -> SeparationCount:
     """Size of a maximal separated family in the requested sense.
 
-    Exact (maximum) when every counted block is at most ``exact_cutoff``
+    Exact (maximum) when every counted block is at most EXACT_CUTOFF
     orbits; otherwise a seeded greedy maximal family with ``exact=False``.
     ``word`` is required in per_word mode and ignored otherwise.
     ``classes`` is ``_count_classes(pool, mode, top)``, built here (with no
-    pair list) when None; the counts of one pool in one mode at several eps
-    can share it.
+    pair list) when None; ``count_grid`` shares it across an eps grid.
     """
     _check_pool(pool, epsilon)
     plan, words, ids, blocks, listed = (_count_classes(pool, mode) if classes is None
@@ -171,20 +179,14 @@ def count_separated(pool: OrbitPool, epsilon: float, mode: str, word=None,
         if word not in words:
             raise EmptyPool(f"no orbits with word {word}")
         label, counted = "per_word" + repr(word), [words.index(word)]
-    small = [b for b in counted if len(blocks[b]) <= max(exact_cutoff, 1)]
-    large = [b for b in counted if len(blocks[b]) > max(exact_cutoff, 1)]
+    small = [b for b in counted if len(blocks[b]) <= EXACT_CUTOFF]
+    large = [b for b in counted if len(blocks[b]) > EXACT_CUTOFF]
     count = 0
     if small:
         split = _split_pairs(*pairs(np.isin(ids, small)), ids, blocks)
         count += sum(_mis_exact(_masks(len(blocks[b]), *split[b])) for b in small)
     if large:
-        # no pair crosses blocks, so one greedy walks every block's own order;
-        # a block's shuffle depends on its size only
-        shuffles = {} if seed is None else {
-            n: np.random.default_rng(seed).permutation(n) for n in {len(blocks[b]) for b in large}}
-        order = np.concatenate([blocks[b][shuffles[len(blocks[b])]] if shuffles else blocks[b]
-                                for b in large])
-        kept, degrees = _greedy(pairs, order, len(pool))
+        kept, degrees = _greedy(pairs, [blocks[b] for b in large], len(pool), seed)
         family = np.bincount(ids[kept], minlength=len(blocks))
         touched = np.bincount(ids[kept], weights=degrees, minlength=len(blocks))
         for b in large:
@@ -192,6 +194,15 @@ def count_separated(pool: OrbitPool, epsilon: float, mode: str, word=None,
                      label, epsilon, pool.nu, len(blocks[b]), family[b], touched[b])
         count += len(kept)
     return SeparationCount(epsilon, pool.nu, label, count, len(pool), not large)
+
+
+def greedy_family(pool: OrbitPool, epsilon: float) -> list[int]:
+    """The rows of the greedy dinh_sibony family that walks each label word
+    in pool order, the words in sorted order: a row joins unless an earlier
+    member of its word conflicts with it."""
+    _check_pool(pool, epsilon)
+    return _greedy(_pair_source(_walk_plan(pool, True), epsilon),
+                   _word_blocks(pool.symbols)[2], len(pool), None)[0]
 
 
 def _pair_source(plan, epsilon, listed=None):
@@ -326,13 +337,14 @@ def _split_pairs(i, j, ids, blocks):
             for rows, s in zip(blocks, np.split(by, cuts))]
 
 
-def _greedy(pairs, order, k):
+def _greedy(pairs, blocks, k, seed):
     """(family, degrees): the greedy maximal family in the order it joined,
     and each member's number of conflict pairs.
 
-    Walking ``order`` (an array of rows out of k), a row joins unless it
-    conflicts with a member. The rows that may still join are settled a
-    batch at a time by one call of ``pairs``, a pair source (see
+    Walking the blocks (arrays of rows out of k) in turn, each in its own
+    order or, with a seed, in the seed's shuffle of its size, a row joins
+    unless it conflicts with a member. The rows that may still join are
+    settled a batch at a time by one call of ``pairs``, a pair source (see
     ``_pair_source``), with them as sources. A member is a source of the
     call that settles it, so it blocks all its neighbours, and any batch
     gives the same family. The first batch is one row, so a dense conflict
@@ -341,6 +353,9 @@ def _greedy(pairs, order, k):
     WALK_PAIRS pairs, and at least len(family) + 1. (Rows that conflict
     more than the last batch's make a walk list more than WALK_PAIRS.)
     """
+    shuffles = {} if seed is None else {
+        n: np.random.default_rng(seed).permutation(n) for n in {len(b) for b in blocks}}
+    order = np.concatenate([b[shuffles[len(b)]] if shuffles else b for b in blocks])
     blocked = np.zeros(k, dtype=bool)
     kept, degrees, size = [], [], 1
     while len(order):

@@ -6,7 +6,15 @@ import pytest
 import rsentropy as rs
 from rsentropy import estimate
 from rsentropy.errors import BudgetExceeded, InsufficientData
-from util import IDENTITY, Z2, Z3, group_by_word, pool_paths, reference_greedy
+from util import (
+    IDENTITY,
+    Z2,
+    Z3,
+    group_by_word,
+    pool_paths,
+    reference_greedy,
+    reference_greedy_family,
+)
 
 
 def test_entropy_fit_exact_geometric():
@@ -134,6 +142,29 @@ def test_mp_family_drops_violators_in_pool_order(monkeypatch):
     assert (fam.count, fam.dropped) == (len(paths), len(paths))
 
 
+@pytest.mark.parametrize("maps, beta, nu, seed, count", [
+    ((Z2, Z3), 0.1, 4, 2, 500),
+    ((Z2,), 0.9, 8, 1, 256),
+    ((Z2, Z3), 0.5, 5, 3, 3125),
+])
+def test_mp_family_is_the_word_greedy_of_its_tree(monkeypatch, maps, beta, nu, seed, count):
+    # the family is its tree's rows that the greedy in pool order keeps,
+    # word by word in sorted order, bit for bit
+    trees = []
+    real = estimate.preimage_tree_levels
+
+    def spy(*args, **kwargs):
+        trees.append(real(*args, **kwargs)[nu])
+        return {nu: trees[-1]}
+
+    monkeypatch.setattr(estimate, "preimage_tree_levels", spy)
+    fam = rs.mp_family(rs.GeneratorSet(list(maps)), beta, nu, seed, samples=100)
+    want = trees[0][reference_greedy_family(trees[0], fam.epsilon)]
+    for a in ("h0", "h1", "symbols"):
+        assert np.array_equal(getattr(fam.family, a), getattr(want, a))
+    assert (fam.count, fam.dropped) == (count, len(trees[0]) - count)
+
+
 def _assert_family_separated(fam):
     for word, orbits in group_by_word(pool_paths(fam.family)).items():
         for i in range(len(orbits)):
@@ -143,6 +174,14 @@ def _assert_family_separated(fam):
                     for a, b in zip(orbits[i].points, orbits[j].points)
                 )
                 assert gap > fam.epsilon
+
+
+def test_estimate_over_given_levels_stops_at_nu_max():
+    c = rs.build_correspondence(rs.GeneratorSet([Z2, Z3]))
+    levels = estimate.ladder_tree(c, 2, 5, 42, estimate.TREE_BUDGET)
+    est, rows = rs.estimate_entropy(c, "ds", (0.05, 0.2), 2, 4, 42, levels=levels)
+    assert est.nu_range == (2, 4) and sorted({r.nu for r in rows}) == [2, 3, 4]
+    assert (est, rows) == rs.estimate_entropy(c, "ds", (0.05, 0.2), 2, 4, 42)
 
 
 def test_friedland_estimate_within_proven_bounds():

@@ -1,5 +1,6 @@
 """The package's public surface against what the README names."""
 
+import ast
 import functools
 import pathlib
 import re
@@ -7,7 +8,8 @@ import re
 import rsentropy as rs
 import rsentropy.cli  # noqa: F401  the module map names the CLI, which the package does not import
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_public_surface_matches_the_docs():
@@ -22,3 +24,17 @@ def test_public_surface_matches_the_docs():
     assert len(names) > 10
     for name in names:
         functools.reduce(getattr, name.split("."), rs)
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    # a module's underscored names are its own; dunders such as __version__
+    # are not private
+    paths = sorted((ROOT / "src" / "rsentropy").glob("*.py"))
+    assert len(paths) > 10
+    found = [f"{path.name}: {alias.name}" for path in paths
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ImportFrom)
+             and (node.level or (node.module or "").startswith("rsentropy"))
+             for alias in node.names
+             if alias.name.startswith("_") and not alias.name.startswith("__")]
+    assert found == []

@@ -29,6 +29,7 @@ from util import (
     random_exact_map,
     reference_conflict_pairs,
     reference_greedy,
+    reference_greedy_family,
     reference_shift_pairs,
 )
 
@@ -103,7 +104,7 @@ def test_monotonicity_in_epsilon_exact():
     assert counts == sorted(counts, reverse=True)
 
 
-def test_monotonicity_under_pool_extension():
+def test_monotonicity_under_pool_extension(monkeypatch):
     big = circle_orbits(3, count=14)
     for eps in (0.1, 0.3):
         small = rs.count_separated(big[:7], eps, "dinh_sibony")
@@ -111,8 +112,9 @@ def test_monotonicity_under_pool_extension():
         assert full.count >= small.count
     # greedy path with order-preserving extension
     grown = rs.forward_orbits(corr(Z2), rs.sample_points(40, 2), 3)
-    c1 = rs.count_separated(grown[:25], 0.1, "friedland", seed=None, exact_cutoff=5)
-    c2 = rs.count_separated(grown, 0.1, "friedland", seed=None, exact_cutoff=5)
+    monkeypatch.setattr(separation, "EXACT_CUTOFF", 5)
+    c1 = rs.count_separated(grown[:25], 0.1, "friedland", seed=None)
+    c2 = rs.count_separated(grown, 0.1, "friedland", seed=None)
     assert c2.count >= c1.count
     assert not c2.exact
 
@@ -260,12 +262,14 @@ ORACLE_SEEDS = (None, 0, 7, 101)
 
 
 def assert_matches_oracle(pool, eps, seed):
-    # exact_cutoff 1 sends every block of two or more orbits to the greedy
-    fr = rs.count_separated(pool, eps, "friedland", seed=seed, exact_cutoff=1)
+    # an EXACT_CUTOFF of 1 sends every block of two or more orbits to the greedy
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(separation, "EXACT_CUTOFF", 1)
+        fr = rs.count_separated(pool, eps, "friedland", seed=seed)
+        ds = rs.count_separated(pool, eps, "dinh_sibony", seed=seed)
     assert not fr.exact
     assert fr.count == reference_greedy(pool_paths(pool), eps, seed)
     groups = group_by_word(pool_paths(pool))
-    ds = rs.count_separated(pool, eps, "dinh_sibony", seed=seed, exact_cutoff=1)
     assert not ds.exact
     assert ds.count == sum(reference_greedy(groups[w], eps, seed)
                            for w in sorted(groups))
@@ -358,12 +362,41 @@ def dense_tree(nu):
 
 @pytest.mark.parametrize("eps", ORACLE_EPS)
 @pytest.mark.parametrize("seed", ORACLE_SEEDS)
-def test_greedy_matches_oracle_on_dense_tree(eps, seed):
+def test_greedy_matches_oracle_on_dense_tree(eps, seed, monkeypatch):
     # (each label word holds one orbit of this tree, so only friedland mode
     # reaches the greedy)
     pool = dense_tree(8)
-    fr = rs.count_separated(pool, eps, "friedland", seed=seed, exact_cutoff=1)
+    monkeypatch.setattr(separation, "EXACT_CUTOFF", 1)
+    fr = rs.count_separated(pool, eps, "friedland", seed=seed)
     assert fr.count == reference_greedy(pool_paths(pool), eps, seed)
+
+
+def assert_family_matches_oracle(pool, eps):
+    assert separation.greedy_family(pool, eps) == reference_greedy_family(pool, eps)
+
+
+@pytest.mark.parametrize("eps", ORACLE_EPS)
+def test_greedy_family_matches_oracle_on_readme_tree(eps):
+    assert_family_matches_oracle(ladder_tree(corr(Z2, Z3), 2, 4, 42, 20_000)[4], eps)
+
+
+@pytest.mark.parametrize("eps", ORACLE_EPS)
+def test_greedy_family_matches_oracle_on_forward_pools(eps):
+    starts = [rs.point_at(0), rs.INFINITY] + rs.sample_points(30, 4)
+    pool = rs.forward_orbits(corr(Z2, Z3), starts, 2)
+    for pool in (pool, doubled_pool(pool), random_forward_pool(1), random_forward_pool(2)):
+        assert_family_matches_oracle(pool, eps)
+
+
+@pytest.mark.parametrize("eps", ORACLE_EPS)
+def test_greedy_family_matches_oracle_on_a_pruned_tree(eps):
+    # mp_family's floor at beta 0.1: its tree keeps 500 of 625 orbits at nu 4
+    gens = rs.GeneratorSet([Z2, Z3])
+    floor = estimate.jacobian_bound(gens, 2, 100) ** (-0.1 / 0.9)
+    pool = rs.preimage_tree_levels(rs.build_correspondence(gens),
+                                   rs.sample_points(1, 25)[0], 4, floor)[4]
+    assert len(pool) == 500
+    assert_family_matches_oracle(pool, eps)
 
 
 def test_greedy_lists_few_pairs_on_a_dense_tree(monkeypatch):

@@ -133,6 +133,18 @@ def reference_conflict_pairs(pool, eps, labels=False):
     return pairs
 
 
+def reference_greedy_family(pool, eps):
+    """The rows of the greedy dinh_sibony family that walks the pool in row
+    order, the words in sorted order (the family oracle): a row joins iff no
+    earlier member of its word conflicts with it, by reference_conflict_pairs."""
+    pairs = reference_conflict_pairs(pool, eps, labels=True)
+    members = []
+    for j in range(len(pool)):
+        if not any((i, j) in pairs for i in members):
+            members.append(j)
+    return sorted(members, key=lambda r: pool.symbols[r].tolist())
+
+
 # -- orbits as truncated paths and the product metric on them, with its
 # shift lemma in closed form: the oracles of the pool's metric ------------------
 
