@@ -303,12 +303,10 @@ def _relations_section(cfg: RunConfig) -> dict:
         "relation_detection": ledger.exact,
     }
     if ledger.exact:
-        samples = []
-        for _, (mult, words) in sorted(
-                ledger.entries.items(), key=lambda kv: kv[0].sort_key()):
-            if mult > 1:
-                samples.append([list(w) for w in words])
-        section["relation_witnesses"] = samples[:10]
+        related = sorted(((f, words) for f, (mult, words) in ledger.entries.items()
+                          if mult > 1), key=lambda fw: fw[0].sort_key())
+        section["relation_witnesses"] = [[list(w) for w in words]
+                                         for _, words in related[:10]]
     return section
 
 

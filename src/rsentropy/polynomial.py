@@ -17,6 +17,8 @@ import cmath
 import math
 from functools import cache
 
+import numpy as np
+
 from .errors import RootFindingFailure
 from .gaussian import GaussianRational, lift, unlift
 
@@ -24,6 +26,12 @@ Form = tuple  # tuple[GaussianRational, ...]
 
 ABERTH_TOL = 1e-12
 ABERTH_MAX_SWEEPS = 200
+
+#: a prime p = 1 (mod 4), and a square root s of -1 modulo it: a + bi ->
+#: a + b s is then a ring map from the Gaussian integers onto Z/p. p is
+#: below 2^31, so a product of two residues fits in an int64
+CERT_PRIME = 2147483629
+CERT_SQRT_MINUS_1 = 629208553
 
 
 # -- exact form algebra --------------------------------------------------------
@@ -122,10 +130,18 @@ def poly_trim(coeffs: list) -> list:
 
 
 def poly_gcd(a: list, b: list) -> list:
-    """Monic gcd of ascending-coefficient polynomials over Q(i)."""
+    """Monic gcd of ascending-coefficient polynomials over Q(i).
+
+    Euclid's algorithm in exact arithmetic. It stops as soon as a divisor
+    is a nonzero constant, whose gcd with anything is 1, so the last
+    division (every coefficient by that constant) is never made. The gcd
+    of two zero polynomials is the empty list.
+    """
     a = poly_trim(a)
     b = poly_trim(b)
     while b:
+        if len(b) == 1:
+            return [GaussianRational(1)]
         a, b = b, poly_divmod(a, b)[1]
     if not a:
         return []
@@ -153,13 +169,80 @@ def poly_divmod(a: list, b: list) -> tuple[list, list]:
 def forms_coprime(p: Form, q: Form) -> bool:
     """True iff the two same-degree forms share no projective root.
 
-    Shared roots are either affine (nontrivial univariate gcd) or the point
-    [1 : 0] (both index-0 coefficients vanish).
+    Shared roots are either the point [1 : 0] (both index-0 coefficients
+    vanish) or affine (a nonconstant gcd of p(z, 1) and q(z, 1) over Q(i)).
+    After the [1 : 0] test, three exact tiers decide the affine part, the
+    cheapest first:
+
+    1. If p(z, 1) or q(z, 1) is a nonzero constant, its gcd with anything
+       is 1. This decides every polynomial map z -> P(z), whose
+       denominator form is c z1^d.
+    2. A certificate modulo the prime CERT_PRIME = 1 (mod 4): both forms,
+       scaled to Gaussian integers, are mapped into Z/p by a + bi ->
+       a + b s with s^2 = -1, a ring map, and Euclid runs over Z/p. If one
+       of them keeps its degree mod p and the gcd there is a nonzero
+       constant, the forms are coprime. Suppose instead C, of degree >= 1,
+       divides both over Q(i). By Gauss's lemma C may be taken primitive in
+       Z[i][z], and then it divides both in Z[i][z]. So lc(C) divides the
+       leading coefficient of the form that kept its degree, the image of
+       C keeps degree >= 1, and it divides both images: their gcd mod p is
+       not a constant.
+    3. Otherwise (a leading coefficient vanishes mod p, or the images share
+       a factor mod p), exact Euclid over Q(i) decides, by ``poly_gcd``.
+
+    A True from tier 1 or 2 is a proof and tier 3 is exact, so the result
+    is the one the [1 : 0] test and ``poly_gcd`` alone would give.
     """
     if p[0].is_zero() and q[0].is_zero():
         return False
+    if _affine_constant(p) or _affine_constant(q):
+        return True
+    a, a_kept = _image_mod_p(p)
+    b, b_kept = _image_mod_p(q)
+    if (a_kept or b_kept) and _coprime_mod_p(a, b):
+        return True
     g = poly_gcd(dehomogenize(p), dehomogenize(q))
     return len(g) <= 1
+
+
+def _affine_constant(form: Form) -> bool:
+    """Whether form(z, 1) is a nonzero constant: only the z1^d coefficient
+    is nonzero."""
+    return not form[-1].is_zero() and all(c.is_zero() for c in form[:-1])
+
+
+def _image_mod_p(form: Form) -> tuple[np.ndarray, bool]:
+    """form(z, 1), scaled to Gaussian integers and mapped into Z/p, as a
+    trimmed ascending int64 row, and whether it kept its degree there."""
+    pairs = lift(form)[0][::-1]
+    while pairs and pairs[-1] == (0, 0):
+        pairs.pop()
+    image = [(a + b * CERT_SQRT_MINUS_1) % CERT_PRIME for a, b in pairs]
+    kept = bool(image) and image[-1] != 0
+    while image and not image[-1]:
+        image.pop()
+    return np.array(image, dtype=np.int64), kept
+
+
+def _coprime_mod_p(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether the gcd over Z/CERT_PRIME of two trimmed ascending rows is a
+    nonzero constant, by Euclid; each division step is one row update."""
+    while len(b):
+        if len(b) == 1:
+            return True
+        inv = pow(int(b[-1]), -1, CERT_PRIME)
+        db = len(b) - 1
+        head = b[:-1]
+        r = a.copy()
+        n = len(r)
+        while n > db:
+            factor = int(r[n - 1]) * inv % CERT_PRIME
+            r[n - 1 - db:n - 1] = (r[n - 1 - db:n - 1] - factor * head) % CERT_PRIME
+            n -= 1
+            while n and not r[n - 1]:
+                n -= 1
+        a, b = b, r[:n]
+    return len(a) == 1
 
 
 # -- numeric root finding --------------------------------------------------------

@@ -15,7 +15,7 @@ reduced map would hide a user error about the intended degree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
@@ -54,11 +54,28 @@ class RationalMap:
     den: tuple
     degree: int
     exact_coeffs: bool = True
-    num_float: tuple = field(compare=False, default=())
-    den_float: tuple = field(compare=False, default=())
 
     def __repr__(self):
         return f"RationalMap(degree={self.degree})"
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash of the compared fields, computed once: a map
+        is hashed each time the ledger looks it up."""
+        return hash((self.num, self.den, self.degree, self.exact_coeffs))
+
+    @cached_property
+    def num_float(self) -> tuple:
+        """num as complex coefficients, computed on first use."""
+        return tuple(complex(c) for c in self.num)
+
+    @cached_property
+    def den_float(self) -> tuple:
+        """den as complex coefficients, computed on first use."""
+        return tuple(complex(c) for c in self.den)
 
     @cached_property
     def lifted(self) -> tuple:
@@ -102,14 +119,7 @@ def _build(pairs, exact):
                     a0 * a0 + b0 * b0)
     d = len(coeffs) // 2 - 1
     num, den = coeffs[:d + 1], coeffs[d + 1:]
-    return RationalMap(
-        num=num,
-        den=den,
-        degree=d,
-        exact_coeffs=exact,
-        num_float=tuple(complex(c) for c in num),
-        den_float=tuple(complex(c) for c in den),
-    )
+    return RationalMap(num=num, den=den, degree=d, exact_coeffs=exact)
 
 
 def make_map(num, den) -> RationalMap:
@@ -173,8 +183,12 @@ def compose(f: RationalMap, g: RationalMap) -> RationalMap:
     """The composite f o g by exact substitution; degree multiplies.
 
     Coprimality of the result is automatic (a common root of the composed
-    pair would push forward to a common root of f), but the constructor
-    still runs the gcd check as a safety net.
+    pair would push forward to a common root of f), but ``forms_coprime``
+    still checks it as a safety net. Its cheap tiers decide almost every
+    composite: a polynomial composite has a constant denominator p(z, 1),
+    and any other one is certified by Euclid modulo a prime. Exact Euclid
+    over Q(i), whose cost grows quickly with the degree, runs only when
+    that certificate fails.
     """
     dn = f.degree
     fc, _ = lift(f.num + f.den)

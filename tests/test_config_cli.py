@@ -196,6 +196,26 @@ def test_cli_relations(tmp_path, capsys):
     assert rel["relation_witnesses"] == [[[1, 2], [2, 1]]]
 
 
+def test_cli_relation_witnesses_are_the_first_related_entries(tmp_path, capsys):
+    # Chebyshev T2, T3 at length 5: the witnesses are the word lists of the
+    # ledger's entries with multiplicity above 1, in sort_key order, first 10
+    t2 = {"num": ["2", "0", "-1"], "den": ["0", "0", "1"]}
+    t3 = {"num": ["4", "0", "-3", "0"], "den": ["0", "0", "0", "1"]}
+    assert cli.main(["relations", "--config",
+                     write_config(tmp_path, {"generators": [t2, t3]}),
+                     "--word-length", "5"]) == 0
+    rel = json.loads(capsys.readouterr().out)["relations"]
+    ledger = rs.enumerate_words(rs.GeneratorSet([
+        rs.make_map([2, 0, -1], [0, 0, 1]), rs.make_map([4, 0, -3, 0], [0, 0, 0, 1])]), 5)
+    oracle = [[list(w) for w in words]
+              for f, (mult, words) in sorted(ledger.entries.items(),
+                                             key=lambda fw: fw[0].sort_key())
+              if mult > 1][:10]
+    assert (rel["total_words"], rel["distinct"], rel["relations"]) == (32, 6, 26)
+    assert len(oracle) == 4
+    assert rel["relation_witnesses"] == oracle
+
+
 def test_cli_word_length_is_applied_and_echoed(tmp_path, capsys):
     cfg = dict(Z23_CONFIG, recurrence_depth=4,
                estimator={"nu_min": 2, "nu_max": 4, "epsilon_grid": [0.2]})

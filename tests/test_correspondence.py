@@ -114,6 +114,15 @@ def test_chebyshev_maps_commute_exactly():
     assert [c.literal() for c in t3_t2.den] == ["0"] * 6 + ["1/32"]
 
 
+def test_commuting_words_share_one_ledger_entry():
+    t3_t2 = rs.compose(CHEBYSHEV_T3, CHEBYSHEV_T2)
+    t2_t3 = rs.compose(CHEBYSHEV_T2, CHEBYSHEV_T3)
+    assert t3_t2 is not t2_t3 and len({t3_t2, t2_t3}) == 1
+    ledger = rs.enumerate_words(rs.GeneratorSet([CHEBYSHEV_T2, CHEBYSHEV_T3]), 2)
+    assert ledger.entries[t3_t2] == (2, ((1, 2), (2, 1)))
+    assert (ledger.total_words, ledger.distinct, ledger.relations) == (4, 3, 1)
+
+
 def test_chebyshev_ledger_at_length_4():
     # T_a o T_b = T_ab, so a word with k letters T3 composes to T_(2^(4-k) 3^k)
     ledger = rs.enumerate_words(rs.GeneratorSet([CHEBYSHEV_T2, CHEBYSHEV_T3]), 4)

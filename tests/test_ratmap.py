@@ -252,3 +252,28 @@ def test_float_coefficients_flagged():
     g = rs.make_map([Fraction(3, 2), 0], [0, 1])
     assert g.exact_coeffs
     assert rs.maps_equal(f, g)  # dyadic floats convert exactly
+
+
+def _ratmap_samples():
+    rng = np.random.default_rng(21)
+    made = [random_exact_map(rng) for _ in range(6)]
+    made.append(rs.make_map([1.5, 0.25, -0.0], [0.0, 1.0, 3.0]))  # float input
+    made.append(rs.from_affine([rs.GaussianRational("1/3", -2), 0, 1], [1, rs.GaussianRational(0, "1/7")]))
+    return made + [rs.compose(f, g) for f, g in zip(made, made[1:])]
+
+
+def test_hash_is_the_dataclass_hash_of_the_compared_fields():
+    for f in _ratmap_samples():
+        assert hash(f) == hash((f.num, f.den, f.degree, f.exact_coeffs))
+        if f.exact_coeffs:
+            twin = rs.make_map(f.num, f.den)  # equal, with its own cache
+            assert twin == f and hash(twin) == hash(f)
+
+
+def test_float_coefficients_are_the_exact_ones_rounded_bit_for_bit():
+    def bits(values):
+        return [(z.real.hex(), z.imag.hex()) for z in values]
+
+    for f in _ratmap_samples():
+        assert bits(f.num_float) == bits(complex(c) for c in f.num)
+        assert bits(f.den_float) == bits(complex(c) for c in f.den)
