@@ -258,8 +258,15 @@ def _escape_test(maps):
         a = [c / lead for c in f.num]
         spread = 1 + sum(abs(c.re) + abs(c.im) for c in a[1:])
         bound = max(bound, spread * spread / a[0].abs2())
-    return lambda pt: (pt[0] == _ONE and not pt[1].is_zero()
-                       and pt[1].abs2() * bound < 1)
+    bn, bd = bound.numerator, bound.denominator
+
+    def escapes(pt):
+        # w = (a + b*i)/d, so |w|^2 B < 1 is (a^2 + b^2) bn < d^2 bd
+        if pt[0] != _ONE:
+            return False
+        a, b, d = pt[1].ints
+        return (a != 0 or b != 0) and (a * a + b * b) * bn < d * d * bd
+    return escapes
 
 
 def _stepper(steps: dict, f: RationalMap, node_budget: int):

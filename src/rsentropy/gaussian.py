@@ -106,6 +106,11 @@ class GaussianRational:
         a, b, d = self._abd
         return _make(a, -b, d)
 
+    @property
+    def ints(self) -> tuple:
+        """The normal form's ints ``(a, b, d)``: the value is (a + b*i)/d."""
+        return self._abd
+
     def abs2(self) -> Fraction:
         """|z|^2 as an exact Fraction."""
         a, b, d = self._abd

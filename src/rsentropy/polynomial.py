@@ -166,34 +166,37 @@ def poly_divmod(a: list, b: list) -> tuple[list, list]:
     return q, r
 
 
-def forms_coprime(p: Form, q: Form) -> bool:
-    """True iff the two same-degree forms share no projective root.
+def forms_coprime(p: list, q: list) -> bool:
+    """True iff the two same-degree Gaussian-integer forms, given as
+    (re, im) int pairs, share no projective root.
 
-    Shared roots are either the point [1 : 0] (both index-0 coefficients
-    vanish) or affine (a nonconstant gcd of p(z, 1) and q(z, 1) over Q(i)).
-    After the [1 : 0] test, three exact tiers decide the affine part, the
-    cheapest first:
+    A form over the Gaussian rationals is passed as its coefficients over a
+    common denominator (as ``lift`` gives them): a nonzero scalar moves no
+    root. Shared roots are either the point [1 : 0] (both index-0
+    coefficients vanish) or affine (a nonconstant gcd of p(z, 1) and
+    q(z, 1) over Q(i)). After the [1 : 0] test, three exact tiers decide
+    the affine part, the cheapest first:
 
     1. If p(z, 1) or q(z, 1) is a nonzero constant, its gcd with anything
        is 1. This decides every polynomial map z -> P(z), whose
        denominator form is c z1^d.
-    2. A certificate modulo the prime CERT_PRIME = 1 (mod 4): both forms,
-       scaled to Gaussian integers, are mapped into Z/p by a + bi ->
-       a + b s with s^2 = -1, a ring map, and Euclid runs over Z/p. If one
-       of them keeps its degree mod p and the gcd there is a nonzero
-       constant, the forms are coprime. Suppose instead C, of degree >= 1,
-       divides both over Q(i). By Gauss's lemma C may be taken primitive in
-       Z[i][z], and then it divides both in Z[i][z]. So lc(C) divides the
-       leading coefficient of the form that kept its degree, the image of
-       C keeps degree >= 1, and it divides both images: their gcd mod p is
-       not a constant.
+    2. A certificate modulo the prime CERT_PRIME = 1 (mod 4): both forms
+       are mapped into Z/p by a + bi -> a + b s with s^2 = -1, a ring map,
+       and Euclid runs over Z/p. If one of them keeps its degree mod p and
+       the gcd there is a nonzero constant, the forms are coprime. Suppose
+       instead C, of degree >= 1, divides both over Q(i). By Gauss's lemma
+       C may be taken primitive in Z[i][z], and then it divides both in
+       Z[i][z]. So lc(C) divides the leading coefficient of the form that
+       kept its degree, the image of C keeps degree >= 1, and it divides
+       both images: their gcd mod p is not a constant.
     3. Otherwise (a leading coefficient vanishes mod p, or the images share
        a factor mod p), exact Euclid over Q(i) decides, by ``poly_gcd``.
+       Only this tier builds GaussianRational coefficients.
 
     A True from tier 1 or 2 is a proof and tier 3 is exact, so the result
     is the one the [1 : 0] test and ``poly_gcd`` alone would give.
     """
-    if p[0].is_zero() and q[0].is_zero():
+    if not any(p[0]) and not any(q[0]):
         return False
     if _affine_constant(p) or _affine_constant(q):
         return True
@@ -201,20 +204,20 @@ def forms_coprime(p: Form, q: Form) -> bool:
     b, b_kept = _image_mod_p(q)
     if (a_kept or b_kept) and _coprime_mod_p(a, b):
         return True
-    g = poly_gcd(dehomogenize(p), dehomogenize(q))
+    g = poly_gcd(dehomogenize(unlift(p, 1)), dehomogenize(unlift(q, 1)))
     return len(g) <= 1
 
 
-def _affine_constant(form: Form) -> bool:
+def _affine_constant(pairs: list) -> bool:
     """Whether form(z, 1) is a nonzero constant: only the z1^d coefficient
     is nonzero."""
-    return not form[-1].is_zero() and all(c.is_zero() for c in form[:-1])
+    return any(pairs[-1]) and pairs.count((0, 0)) == len(pairs) - 1
 
 
-def _image_mod_p(form: Form) -> tuple[np.ndarray, bool]:
-    """form(z, 1), scaled to Gaussian integers and mapped into Z/p, as a
-    trimmed ascending int64 row, and whether it kept its degree there."""
-    pairs = lift(form)[0][::-1]
+def _image_mod_p(pairs: list) -> tuple[np.ndarray, bool]:
+    """form(z, 1), mapped into Z/p, as a trimmed ascending int64 row, and
+    whether it kept its degree there."""
+    pairs = list(pairs[::-1])
     while pairs and pairs[-1] == (0, 0):
         pairs.pop()
     image = [(a + b * CERT_SQRT_MINUS_1) % CERT_PRIME for a, b in pairs]

@@ -3,9 +3,10 @@
 A map is a coprime pair of homogeneous forms (P, Q) of equal degree d >= 1
 over the Gaussian rationals, stored in canonical form: the first nonzero
 coefficient of the concatenated list (numerator then denominator, descending
-monomial order) equals 1. Canonical forms make map equality an exact
-coefficient comparison, which is the backbone of all multiplicity
-bookkeeping downstream.
+monomial order) equals 1. The canonical form is held as Gaussian integers
+over one positive scale with no common factor, which is unique, so map
+equality, hashing and composition run on ints. Exact equality is the
+backbone of all multiplicity bookkeeping downstream.
 
 Inputs sharing a polynomial factor are rejected rather than reduced: the
 degree is the central invariant of every entropy formula, so a silently
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .errors import (
     CommonFactor,
@@ -48,10 +50,17 @@ PREIMAGE_RESIDUAL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class RationalMap:
-    """Canonical coprime homogeneous pair; immutable and hashable."""
+    """Canonical coprime homogeneous pair; immutable and hashable.
 
-    num: tuple
-    den: tuple
+    Stored as its Gaussian-integer form: ``pairs`` holds the coefficients
+    (num, then den) as ``(re, im)`` int pairs over the one positive
+    ``scale``, reduced so that the gcd of all of them and the scale is 1.
+    The canonical map has exactly one such form, so equality and the hash
+    compare ints. ``num`` and ``den`` are views on it.
+    """
+
+    pairs: tuple
+    scale: int
     degree: int
     exact_coeffs: bool = True
 
@@ -65,23 +74,45 @@ class RationalMap:
     def _hash(self) -> int:
         """The dataclass hash of the compared fields, computed once: a map
         is hashed each time the ledger looks it up."""
-        return hash((self.num, self.den, self.degree, self.exact_coeffs))
+        return hash((self.pairs, self.scale, self.degree, self.exact_coeffs))
+
+    @cached_property
+    def num(self) -> tuple:
+        """The numerator form as GaussianRationals, built on first use."""
+        return unlift(self.pairs[:self.degree + 1], self.scale)
+
+    @cached_property
+    def den(self) -> tuple:
+        """The denominator form as GaussianRationals, built on first use."""
+        return unlift(self.pairs[self.degree + 1:], self.scale)
 
     @cached_property
     def num_float(self) -> tuple:
         """num as complex coefficients, computed on first use."""
-        return tuple(complex(c) for c in self.num)
+        s = self.scale
+        return tuple(complex(a / s, b / s) for a, b in self.pairs[:self.degree + 1])
 
     @cached_property
     def den_float(self) -> tuple:
         """den as complex coefficients, computed on first use."""
-        return tuple(complex(c) for c in self.den)
+        s = self.scale
+        return tuple(complex(a / s, b / s) for a, b in self.pairs[self.degree + 1:])
+
+    @cached_property
+    def partials_float(self) -> tuple:
+        """The complex coefficients of dP/dz0, dP/dz1, dQ/dz0 and dQ/dz1,
+        computed on first use."""
+        return tuple(tuple(complex(c) for c in d(form)) for d, form in (
+            (form_d0, self.num), (form_d1, self.num),
+            (form_d0, self.den), (form_d1, self.den)))
 
     @cached_property
     def lifted(self) -> tuple:
         """``lift`` of num and of den: each form as Gaussian-integer pairs
         over its denominator, computed on first use."""
-        return lift(self.num), lift(self.den)
+        d = self.degree
+        return (_content_free(self.pairs[:d + 1], self.scale),
+                _content_free(self.pairs[d + 1:], self.scale))
 
     @cached_property
     def float_scale(self) -> float:
@@ -90,8 +121,42 @@ class RationalMap:
                    sum(abs(c) for c in self.den_float))
 
     def sort_key(self):
-        coeffs = tuple(c.sort_key() for c in self.num + self.den)
-        return (self.degree, coeffs)
+        """Order key: the degree, then the coefficients' (re, im) values
+        lexicographically."""
+        return _MapOrder(self)
+
+
+class _MapOrder:
+    """A map ordered as (degree, coefficient values), by cross-multiplying
+    its Gaussian-integer form with the other map's scale."""
+
+    __slots__ = ("f",)
+
+    def __init__(self, f):
+        self.f = f
+
+    def __lt__(self, other):
+        f, g = self.f, other.f
+        if f.degree != g.degree:
+            return f.degree < g.degree
+        s, t = g.scale, f.scale
+        if s == t:
+            return f.pairs < g.pairs
+        for (a, b), (p, q) in zip(f.pairs, g.pairs):
+            x, y = a * s, p * t
+            if x == y:
+                x, y = b * s, q * t
+            if x != y:
+                return x < y
+        return False
+
+
+def _content_free(pairs, scale) -> tuple[list, int]:
+    """pairs / scale with the common gcd of all their ints taken out."""
+    g = math.gcd(scale, *chain.from_iterable(pairs))
+    if g == 1:
+        return list(pairs), scale
+    return [(a // g, b // g) for a, b in pairs], scale // g
 
 
 def _coerce_coeffs(seq):
@@ -108,18 +173,26 @@ def _coerce_coeffs(seq):
 def _build(pairs, exact):
     """Canonical map from Gaussian-integer coefficients, num then den.
 
-    Division by the first nonzero c0 = a0 + b0*i: times conj(c0) over |c0|^2.
+    Division by the first nonzero c0 = a0 + b0*i: times conj(c0) over
+    |c0|^2, or by sign(a0) over |a0| when c0 is real; then one gcd over the
+    whole vector and that scale (``_content_free``).
     """
     for a0, b0 in pairs:
         if a0 or b0:
             break
     else:
         raise DegenerateMap("all coefficients vanish")
-    coeffs = unlift([(a * a0 + b * b0, b * a0 - a * b0) for a, b in pairs],
-                    a0 * a0 + b0 * b0)
-    d = len(coeffs) // 2 - 1
-    num, den = coeffs[:d + 1], coeffs[d + 1:]
-    return RationalMap(num=num, den=den, degree=d, exact_coeffs=exact)
+    if b0:
+        pairs = [(a * a0 + b * b0, b * a0 - a * b0) for a, b in pairs]
+        scale = a0 * a0 + b0 * b0
+    elif a0 > 0:
+        scale = a0
+    else:
+        pairs = [(-a, -b) for a, b in pairs]
+        scale = -a0
+    pairs, scale = _content_free(pairs, scale)
+    return RationalMap(pairs=tuple(pairs), scale=scale,
+                       degree=len(pairs) // 2 - 1, exact_coeffs=exact)
 
 
 def make_map(num, den) -> RationalMap:
@@ -139,9 +212,10 @@ def make_map(num, den) -> RationalMap:
         raise DegenerateMap("homogeneous degree must be at least 1")
     if form_is_zero(num_c) or form_is_zero(den_c):
         raise DegenerateMap("one of the forms is identically zero")
-    if not forms_coprime(num_c, den_c):
+    pairs = lift(num_c + den_c)[0]
+    if not forms_coprime(pairs[:len(num_c)], pairs[len(num_c):]):
         raise CommonFactor("numerator and denominator share a polynomial factor")
-    return _build(lift(num_c + den_c)[0], exact_n and exact_d)
+    return _build(pairs, exact_n and exact_d)
 
 
 def from_affine(num_affine, den_affine) -> RationalMap:
@@ -176,7 +250,7 @@ def _affine_degree(asc):
 
 def maps_equal(f: RationalMap, g: RationalMap) -> bool:
     """Exact equality of canonical forms."""
-    return f.num == g.num and f.den == g.den
+    return f.pairs == g.pairs and f.scale == g.scale
 
 
 def compose(f: RationalMap, g: RationalMap) -> RationalMap:
@@ -190,23 +264,25 @@ def compose(f: RationalMap, g: RationalMap) -> RationalMap:
     over Q(i), whose cost grows quickly with the degree, runs only when
     that certificate fails.
     """
-    dn = f.degree
-    fc, _ = lift(f.num + f.den)
-    gc, _ = lift(g.num + g.den)
-    p_pows, q_pows = [[(1, 0)]], [[(1, 0)]]
-    for _ in range(dn):
-        p_pows.append(pairs_mul(p_pows[-1], gc[:g.degree + 1]))
-        q_pows.append(pairs_mul(q_pows[-1], gc[g.degree + 1:]))
+    dn, dg = f.degree, g.degree
+    fc = f.pairs
+    # f's and g's scales are common factors of every coefficient of the
+    # substituted forms, so the integer pairs substitute as they stand
+    p_pows, q_pows = [None, g.pairs[:dg + 1]], [None, g.pairs[dg + 1:]]
+    for _ in range(dn - 1):
+        p_pows.append(pairs_mul(p_pows[-1], p_pows[1]))
+        q_pows.append(pairs_mul(q_pows[-1], q_pows[1]))
     # the monomial z0^(dn-k) z1^k becomes P^(dn-k) Q^k, built once for
     # both forms and only where f has a nonzero coefficient on it
     monomials = [
-        pairs_mul(p_pows[dn - k], q_pows[k])
+        (p_pows[dn] if k == 0 else q_pows[dn] if k == dn
+         else pairs_mul(p_pows[dn - k], q_pows[k]))
         if any(fc[k]) or any(fc[dn + 1 + k]) else None
         for k in range(dn + 1)
     ]
 
     def substitute(form):
-        out = [(0, 0)] * (dn * g.degree + 1)
+        out = [(0, 0)] * (dn * dg + 1)
         for (a, b), mono in zip(form, monomials):
             if a or b:
                 out = [(x + a * u - b * v, y + a * v + b * u)
@@ -215,7 +291,8 @@ def compose(f: RationalMap, g: RationalMap) -> RationalMap:
 
     h = _build(substitute(fc[:dn + 1]) + substitute(fc[dn + 1:]),
                f.exact_coeffs and g.exact_coeffs)
-    if not forms_coprime(h.num, h.den):
+    d = h.degree
+    if not forms_coprime(h.pairs[:d + 1], h.pairs[d + 1:]):
         raise CommonFactor("composition produced a common factor (unexpected)")
     return h
 
@@ -295,10 +372,7 @@ def fs_jacobian(f: RationalMap, p: ProjPoint) -> float:
     whichever chart p is best conditioned.
     """
     d = f.degree
-    p0 = tuple(complex(c) for c in form_d0(f.num))
-    p1 = tuple(complex(c) for c in form_d1(f.num))
-    q0 = tuple(complex(c) for c in form_d0(f.den))
-    q1 = tuple(complex(c) for c in form_d1(f.den))
+    p0, p1, q0, q1 = f.partials_float
     w = (
         form_eval_complex(p0, p.h0, p.h1) * form_eval_complex(q1, p.h0, p.h1)
         - form_eval_complex(p1, p.h0, p.h1) * form_eval_complex(q0, p.h0, p.h1)

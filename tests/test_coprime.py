@@ -7,6 +7,7 @@ import pytest
 import rsentropy as rs
 from rsentropy import polynomial
 from rsentropy.errors import CommonFactor
+from rsentropy.gaussian import lift
 from rsentropy.polynomial import (
     CERT_PRIME,
     CERT_SQRT_MINUS_1,
@@ -38,6 +39,12 @@ def form(asc):
     return tuple(G.from_value(c) for c in reversed(asc))
 
 
+def coprime(p, q):
+    """forms_coprime on two Gaussian-rational forms, each passed as its
+    Gaussian-integer coefficients over its own denominator."""
+    return forms_coprime(lift(p)[0], lift(q)[0])
+
+
 def exact_coprime(p, q):
     """The definition: no shared root at [1 : 0] and an affine gcd of
     degree 0, by exact Euclid alone."""
@@ -48,8 +55,8 @@ def exact_coprime(p, q):
 
 def certified(p, q):
     """Whether tier 2, the certificate mod CERT_PRIME, says coprime."""
-    a, a_kept = polynomial._image_mod_p(p)
-    b, b_kept = polynomial._image_mod_p(q)
+    a, a_kept = polynomial._image_mod_p(lift(p)[0])
+    b, b_kept = polynomial._image_mod_p(lift(q)[0])
     return (a_kept or b_kept) and polynomial._coprime_mod_p(a, b)
 
 
@@ -118,27 +125,27 @@ def test_poly_gcd_is_the_monic_constructed_common_factor():
 
 def test_a_shared_root_at_infinity_is_not_coprime(gcd_calls):
     # z0 z1 and z1^2 vanish at [1 : 0]; z0^2 and z1^2 share no root
-    assert not forms_coprime(form([0, 1, 0]), form([1, 0, 0]))
-    assert not forms_coprime(form([0, 0, 0]), form([1, 0, 0]))
-    assert forms_coprime(form([0, 0, 1]), form([1, 0, 0]))
+    assert not coprime(form([0, 1, 0]), form([1, 0, 0]))
+    assert not coprime(form([0, 0, 0]), form([1, 0, 0]))
+    assert coprime(form([0, 0, 1]), form([1, 0, 0]))
     assert gcd_calls == []
 
 
 def test_a_constant_affine_form_decides_before_any_lifting(monkeypatch, gcd_calls):
-    def no_lift(_form):
-        raise AssertionError("tier 1 lifted a form")
+    def no_image(_form):
+        raise AssertionError("tier 1 mapped a form into Z/p")
 
-    monkeypatch.setattr(polynomial, "_image_mod_p", no_lift)
     z = rs.compose(rs.make_map([1, 0, 1], [0, 0, 1]), rs.make_map([1, 0, -1], [0, 0, 1]))
-    assert forms_coprime(z.num, z.den)
-    assert forms_coprime(form(["3/4", 0, 0]), form(["1/2", 0, 1]))
-    assert forms_coprime(form([2, 5, 1]), form([G(0, 1), 0, 0]))
+    monkeypatch.setattr(polynomial, "_image_mod_p", no_image)
+    assert forms_coprime(z.pairs[:5], z.pairs[5:])
+    assert coprime(form(["3/4", 0, 0]), form(["1/2", 0, 1]))
+    assert coprime(form([2, 5, 1]), form([G(0, 1), 0, 0]))
     assert gcd_calls == []
 
 
 def test_a_zero_form_shares_every_root_with_a_nonconstant_one():
-    assert not forms_coprime(form([-1, 0, 1]), form([0, 0, 0]))
-    assert not forms_coprime(form([0, 0, 0]), form([1, 1, 1]))
+    assert not coprime(form([-1, 0, 1]), form([0, 0, 0]))
+    assert not coprime(form([0, 0, 0]), form([1, 1, 1]))
 
 
 def test_a_leading_coefficient_that_vanishes_mod_p_falls_back(gcd_calls):
@@ -147,12 +154,12 @@ def test_a_leading_coefficient_that_vanishes_mod_p_falls_back(gcd_calls):
     # be trusted, and exact Euclid finds C
     p = form([1, P + 1, P])      # C (z + 1)
     q = form([2, 2 * P + 1, P])  # C (z + 2)
-    a, a_kept = polynomial._image_mod_p(p)
-    b, b_kept = polynomial._image_mod_p(q)
+    a, a_kept = polynomial._image_mod_p(lift(p)[0])
+    b, b_kept = polynomial._image_mod_p(lift(q)[0])
     assert (a.tolist(), b.tolist()) == ([1, 1], [2, 1])
     assert not a_kept and not b_kept
     assert polynomial._coprime_mod_p(a, b)
-    assert not forms_coprime(p, q)
+    assert not coprime(p, q)
     assert gcd_calls == [1]
     assert poly_gcd(dehomogenize(p), dehomogenize(q)) == monic([G(1), G(P)])
     with pytest.raises(CommonFactor):
@@ -162,7 +169,7 @@ def test_a_leading_coefficient_that_vanishes_mod_p_falls_back(gcd_calls):
 def test_images_that_share_a_factor_mod_p_fall_back_to_exact_euclid(gcd_calls):
     # z and z - P are coprime, but both are z mod P
     assert not certified(form([0, 1]), form([-P, 1]))
-    assert forms_coprime(form([0, 1]), form([-P, 1]))
+    assert coprime(form([0, 1]), form([-P, 1]))
     assert gcd_calls == [1]
 
 
@@ -201,7 +208,7 @@ def test_certificate_never_contradicts_exact_euclid():
         if certified(p, q):
             certificates += 1
             assert exact, (a, b)
-        assert forms_coprime(p, q) == exact
+        assert coprime(p, q) == exact
         if exact:
             rs.make_map(p, q)
         else:

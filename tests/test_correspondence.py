@@ -1,6 +1,7 @@
 import pytest
 
 import rsentropy as rs
+from rsentropy import gaussian
 from rsentropy.errors import BudgetExceeded, DuplicateGenerator, LengthMismatch
 from util import Z2, Z3, Z4, monomial
 
@@ -150,3 +151,28 @@ def test_inexact_generators_disable_relation_detection():
     assert not ledger.exact
     assert ledger.relations is None
     assert ledger.distinct == 4  # every word its own entry
+
+
+def test_the_ledger_builds_no_gaussian_rational_once_the_generators_exist(monkeypatch):
+    # a map is its Gaussian-integer form: composing, the coprimality
+    # certificates (a constant denominator, Euclid mod a prime), hashing and
+    # sorting all run on ints. Every GaussianRational is made by _make
+    free = rs.GeneratorSet([rs.make_map([1, 0, -1], [0, 0, 1]),
+                            rs.make_map(["1/2", 0, rs.GaussianRational(0, "1/2")], [0, 0, 1])])
+    rational = rs.GeneratorSet([rs.make_map([1, 0, 0], [-1, 0, 1]),
+                                rs.make_map([1, 0, 0, 0], [-1, 0, 0, 1])])
+    made = []
+    make = gaussian._make
+
+    def counting(a, b, d):
+        made.append((a, b, d))
+        return make(a, b, d)
+
+    monkeypatch.setattr(gaussian, "_make", counting)
+    assert rs.GaussianRational(1) + 1 == 2 and made  # the count sees arithmetic
+    made.clear()
+    ledger = rs.enumerate_words(free, 6)
+    assert (ledger.total_words, ledger.distinct, ledger.relations) == (64, 64, 0)
+    ledger = rs.enumerate_words(rational, 4)
+    assert (ledger.total_words, ledger.distinct, ledger.relations) == (16, 16, 0)
+    assert made == []

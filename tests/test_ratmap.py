@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,17 @@ import rsentropy as rs
 from rsentropy.errors import CommonFactor, DegreeMismatch, NotMobius
 from rsentropy.polynomial import form_d0, form_d1, form_eval_complex, strip_infinite_roots
 from rsentropy.projective import normalize
-from util import IDENTITY, Z2, Z3, monomial, random_exact_map, scaling
+from rsentropy.gaussian import lift
+from util import (
+    IDENTITY,
+    Z2,
+    Z3,
+    monomial,
+    random_exact_map,
+    reference_compose,
+    reference_make_map,
+    scaling,
+)
 
 
 def test_make_map_monomial():
@@ -264,16 +275,90 @@ def _ratmap_samples():
 
 def test_hash_is_the_dataclass_hash_of_the_compared_fields():
     for f in _ratmap_samples():
-        assert hash(f) == hash((f.num, f.den, f.degree, f.exact_coeffs))
+        assert [fl.name for fl in dataclasses.fields(f)] == ["pairs", "scale", "degree", "exact_coeffs"]
+        assert hash(f) == hash((f.pairs, f.scale, f.degree, f.exact_coeffs))
         if f.exact_coeffs:
             twin = rs.make_map(f.num, f.den)  # equal, with its own cache
             assert twin == f and hash(twin) == hash(f)
 
 
-def test_float_coefficients_are_the_exact_ones_rounded_bit_for_bit():
-    def bits(values):
-        return [(z.real.hex(), z.imag.hex()) for z in values]
+def _bits(values):
+    return [(z.real.hex(), z.imag.hex()) for z in values]
 
+
+def test_float_coefficients_are_the_exact_ones_rounded_bit_for_bit():
     for f in _ratmap_samples():
-        assert bits(f.num_float) == bits(complex(c) for c in f.num)
-        assert bits(f.den_float) == bits(complex(c) for c in f.den)
+        assert _bits(f.num_float) == _bits(complex(c) for c in f.num)
+        assert _bits(f.den_float) == _bits(complex(c) for c in f.den)
+
+
+def test_cached_partials_are_a_fresh_derivation_bit_for_bit():
+    for f in _ratmap_samples():
+        fresh = [tuple(complex(c) for c in d(form)) for d, form in (
+            (form_d0, f.num), (form_d1, f.num), (form_d0, f.den), (form_d1, f.den))]
+        assert [_bits(form) for form in f.partials_float] == [_bits(form) for form in fresh]
+        assert f.partials_float is f.partials_float
+
+
+def _oracle_samples():
+    """(map, oracle twin) pairs: random maps of degree 1 to 3 with Gaussian
+    coefficients, polynomial or not, some entered with floats; equal maps
+    entered at other scales; and composites of them."""
+    rng = np.random.default_rng(2022)
+
+    def gaussian():
+        value = rs.GaussianRational(int(rng.integers(-3, 4)), int(rng.integers(-2, 3)))
+        return value / int(rng.choice([1, 1, 2, 3, 5]))
+
+    def dyadic():
+        return complex(int(rng.integers(-6, 7)) / 4, int(rng.integers(-2, 3)) / 2)
+
+    inputs = [([1.5, 0.0], [0.0, 1.0]), (["3/2", 0], [0, 1])]  # equal, not ==
+    while len(inputs) < 26:
+        d = int(rng.integers(1, 4))
+        coeff = dyadic if len(inputs) % 4 == 3 else gaussian
+        num = [coeff() for _ in range(d + 1)]
+        den = ([0] * d + [int(rng.choice([1, 2, -3]))] if len(inputs) % 3 == 0
+               else [coeff() for _ in range(d + 1)])
+        try:
+            rs.make_map(num, den)
+        except rs.errors.RsentropyError:
+            continue
+        inputs.append((num, den))
+        if len(inputs) % 5 == 0 and coeff is gaussian:
+            c = gaussian()
+            if not c.is_zero():
+                inputs.append(([c * x for x in num], [c * x for x in den]))
+    pairs = [(rs.make_map(num, den), reference_make_map(num, den)) for num, den in inputs]
+    pairs += [(rs.compose(f, g), reference_compose(ff, gg))
+              for (f, ff), (g, gg) in zip(pairs, pairs[3:] + pairs[:3])]
+    pairs += [(rs.compose(Z2, Z3), reference_compose(reference_make_map(Z2.num, Z2.den),
+                                                     reference_make_map(Z3.num, Z3.den))),
+              (rs.compose(Z3, Z2), reference_compose(reference_make_map(Z3.num, Z3.den),
+                                                     reference_make_map(Z2.num, Z2.den)))]
+    return pairs
+
+
+def test_integer_form_agrees_with_the_gaussian_rational_oracles():
+    pairs = _oracle_samples()
+    maps = [f for f, _ in pairs]
+    refs = [r for _, r in pairs]
+    assert {f.degree for f in maps} >= set(range(1, 10)) - {5, 7, 8}
+    assert any(not f.exact_coeffs for f in maps)
+    assert any(not all(c.is_zero() for c in f.den[:-1]) for f in maps if f.degree > 3)
+    for f, r in pairs:
+        assert (f.num, f.den, f.degree, f.exact_coeffs) == (r.num, r.den, r.degree, r.exact_coeffs)
+        assert f.lifted == (lift(r.num), lift(r.den))
+        assert _bits(f.num_float + f.den_float) == _bits(complex(c) for c in r.num + r.den)
+    equal = 0
+    for i, (f, r) in enumerate(pairs):
+        for g, s in pairs[i + 1:]:
+            assert (f == g) == (r == s)
+            assert rs.maps_equal(f, g) == (r.num == s.num and r.den == s.den)
+            if f == g:
+                assert hash(f) == hash(g)
+            equal += rs.maps_equal(f, g)
+    assert equal >= 4
+    order = sorted(range(len(maps)), key=lambda i: maps[i].sort_key())
+    assert order == sorted(range(len(refs)), key=lambda i: refs[i].sort_key())
+    assert order != list(range(len(maps)))

@@ -8,7 +8,16 @@ import numpy as np
 
 import rsentropy as rs
 from rsentropy import coincidence, orbits, polynomial, ratmap
-from rsentropy.errors import DepthMismatch, EmptyPool, MixedNu, RootFindingFailure
+from rsentropy.errors import (
+    CommonFactor,
+    DegenerateMap,
+    DepthMismatch,
+    EmptyPool,
+    MixedNu,
+    RootFindingFailure,
+)
+from rsentropy.gaussian import lift, unlift
+from rsentropy.polynomial import pairs_mul
 from rsentropy.projective import INFINITY, ProjPoint, chordal_dist, normalize
 
 
@@ -587,3 +596,89 @@ def same_bits(a, b) -> bool:
     0.0 differ): complex numbers, sequences of them, or arrays."""
     a, b = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# -- map algebra on GaussianRational coefficients, as it was before a map
+# became its Gaussian-integer form: the oracles of _build, compose and
+# sort_key. The bodies are the old ones; only the names they call changed --
+
+
+@dataclass(frozen=True)
+class ReferenceMap:
+    """A canonical map held as GaussianRational coefficients; its dataclass
+    equality and hash compare them."""
+
+    num: tuple
+    den: tuple
+    degree: int
+    exact_coeffs: bool = True
+
+    def sort_key(self):
+        coeffs = tuple(c.sort_key() for c in self.num + self.den)
+        return (self.degree, coeffs)
+
+
+def reference_make_map(num, den):
+    """The oracle twin of ``rs.make_map(num, den)`` on a coprime pair: the
+    same coercion, then reference_build."""
+    coeffs = [rs.GaussianRational.from_value(c) for c in list(num) + list(den)]
+    exact = not any(isinstance(c, (float, complex)) for c in list(num) + list(den))
+    return reference_build(lift(coeffs)[0], exact)
+
+
+def reference_forms_coprime(p, q):
+    """No shared root at [1 : 0] and an affine gcd of degree 0, by exact
+    Euclid alone."""
+    if p[0].is_zero() and q[0].is_zero():
+        return False
+    return len(polynomial.poly_gcd(polynomial.dehomogenize(p),
+                                   polynomial.dehomogenize(q))) <= 1
+
+
+def reference_build(pairs, exact):
+    """Canonical map from Gaussian-integer coefficients, num then den.
+
+    Division by the first nonzero c0 = a0 + b0*i: times conj(c0) over |c0|^2.
+    """
+    for a0, b0 in pairs:
+        if a0 or b0:
+            break
+    else:
+        raise DegenerateMap("all coefficients vanish")
+    coeffs = unlift([(a * a0 + b * b0, b * a0 - a * b0) for a, b in pairs],
+                    a0 * a0 + b0 * b0)
+    d = len(coeffs) // 2 - 1
+    num, den = coeffs[:d + 1], coeffs[d + 1:]
+    return ReferenceMap(num=num, den=den, degree=d, exact_coeffs=exact)
+
+
+def reference_compose(f, g):
+    """The composite f o g by exact substitution; degree multiplies."""
+    dn = f.degree
+    fc, _ = lift(f.num + f.den)
+    gc, _ = lift(g.num + g.den)
+    p_pows, q_pows = [[(1, 0)]], [[(1, 0)]]
+    for _ in range(dn):
+        p_pows.append(pairs_mul(p_pows[-1], gc[:g.degree + 1]))
+        q_pows.append(pairs_mul(q_pows[-1], gc[g.degree + 1:]))
+    # the monomial z0^(dn-k) z1^k becomes P^(dn-k) Q^k, built once for
+    # both forms and only where f has a nonzero coefficient on it
+    monomials = [
+        pairs_mul(p_pows[dn - k], q_pows[k])
+        if any(fc[k]) or any(fc[dn + 1 + k]) else None
+        for k in range(dn + 1)
+    ]
+
+    def substitute(form):
+        out = [(0, 0)] * (dn * g.degree + 1)
+        for (a, b), mono in zip(form, monomials):
+            if a or b:
+                out = [(x + a * u - b * v, y + a * v + b * u)
+                       for (x, y), (u, v) in zip(out, mono)]
+        return out
+
+    h = reference_build(substitute(fc[:dn + 1]) + substitute(fc[dn + 1:]),
+                        f.exact_coeffs and g.exact_coeffs)
+    if not reference_forms_coprime(h.num, h.den):
+        raise CommonFactor("composition produced a common factor (unexpected)")
+    return h
