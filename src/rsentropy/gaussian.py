@@ -136,7 +136,8 @@ class GaussianRational:
 
     def sort_key(self):
         """Total order key (lexicographic on re, im); not a field order."""
-        return _OrderKey(self._abd)
+        a, b, d = self._abd
+        return OrderKey(((a, b),), d)
 
     def __eq__(self, other):
         if not isinstance(other, GaussianRational):
@@ -166,20 +167,35 @@ _new = object.__new__
 _set = GaussianRational._abd.__set__
 
 
-class _OrderKey:
-    """A normal form ordered as its (re, im) pair, with no Fraction built."""
+class OrderKey:
+    """The values (a + b*i)/d for int pairs (a, b) over one d > 0, ordered
+    lexicographically by each value's (re, im) pair, with no Fraction built.
 
-    __slots__ = ("abd",)
+    The ints and d share no common factor, as in a scalar's normal form and
+    a map's integer form, so equal values have equal pairs and d. Keys over
+    the same d order their pairs as they stand; otherwise each side is
+    cross-multiplied by the other's d."""
 
-    def __init__(self, abd):
-        self.abd = abd
+    __slots__ = ("pairs", "d")
+
+    def __init__(self, pairs, d):
+        self.pairs = pairs
+        self.d = d
 
     def __eq__(self, other):
-        return self.abd == other.abd
+        return self.d == other.d and self.pairs == other.pairs
 
     def __lt__(self, other):
-        (a, b, d), (p, q, e) = self.abd, other.abd
-        return a * e < p * d or (a * e == p * d and b * e < q * d)
+        s, t = other.d, self.d
+        if s == t:
+            return self.pairs < other.pairs
+        for (a, b), (p, q) in zip(self.pairs, other.pairs):
+            x, y = a * s, p * t
+            if x == y:
+                x, y = b * s, q * t
+            if x != y:
+                return x < y
+        return len(self.pairs) < len(other.pairs)
 
 
 def lift(values) -> tuple[list, int]:

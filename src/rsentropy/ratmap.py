@@ -27,7 +27,7 @@ from .errors import (
     NotMobius,
     RootFindingFailure,
 )
-from .gaussian import GaussianRational, lift, sqrt_exact, unlift
+from .gaussian import GaussianRational, OrderKey, lift, sqrt_exact, unlift
 from .polynomial import (
     aberth_roots,
     form_d0,
@@ -123,32 +123,7 @@ class RationalMap:
     def sort_key(self):
         """Order key: the degree, then the coefficients' (re, im) values
         lexicographically."""
-        return _MapOrder(self)
-
-
-class _MapOrder:
-    """A map ordered as (degree, coefficient values), by cross-multiplying
-    its Gaussian-integer form with the other map's scale."""
-
-    __slots__ = ("f",)
-
-    def __init__(self, f):
-        self.f = f
-
-    def __lt__(self, other):
-        f, g = self.f, other.f
-        if f.degree != g.degree:
-            return f.degree < g.degree
-        s, t = g.scale, f.scale
-        if s == t:
-            return f.pairs < g.pairs
-        for (a, b), (p, q) in zip(f.pairs, g.pairs):
-            x, y = a * s, p * t
-            if x == y:
-                x, y = b * s, q * t
-            if x != y:
-                return x < y
-        return False
+        return (self.degree, OrderKey(self.pairs, self.scale))
 
 
 def _content_free(pairs, scale) -> tuple[list, int]:
@@ -174,8 +149,9 @@ def _build(pairs, exact):
     """Canonical map from Gaussian-integer coefficients, num then den.
 
     Division by the first nonzero c0 = a0 + b0*i: times conj(c0) over
-    |c0|^2, or by sign(a0) over |a0| when c0 is real; then one gcd over the
-    whole vector and that scale (``_content_free``).
+    |c0|^2, or by sign(a0) over |a0| when c0 is real, as it is for every
+    polynomial composite (which skips a product per int and a larger gcd);
+    then one gcd over the whole vector and that scale (``_content_free``).
     """
     for a0, b0 in pairs:
         if a0 or b0:

@@ -135,8 +135,8 @@ def test_a_constant_affine_form_decides_before_any_lifting(monkeypatch, gcd_call
     def no_image(_form):
         raise AssertionError("tier 1 mapped a form into Z/p")
 
-    z = rs.compose(rs.make_map([1, 0, 1], [0, 0, 1]), rs.make_map([1, 0, -1], [0, 0, 1]))
     monkeypatch.setattr(polynomial, "_image_mod_p", no_image)
+    z = rs.compose(rs.make_map([1, 0, 1], [0, 0, 1]), rs.make_map([1, 0, -1], [0, 0, 1]))
     assert forms_coprime(z.pairs[:5], z.pairs[5:])
     assert coprime(form(["3/4", 0, 0]), form(["1/2", 0, 1]))
     assert coprime(form([2, 5, 1]), form([G(0, 1), 0, 0]))

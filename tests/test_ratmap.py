@@ -354,6 +354,7 @@ def test_integer_form_agrees_with_the_gaussian_rational_oracles():
     for i, (f, r) in enumerate(pairs):
         for g, s in pairs[i + 1:]:
             assert (f == g) == (r == s)
+            assert (f.sort_key() == g.sort_key()) == (r.sort_key() == s.sort_key())
             assert rs.maps_equal(f, g) == (r.num == s.num and r.den == s.den)
             if f == g:
                 assert hash(f) == hash(g)
