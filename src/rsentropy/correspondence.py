@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, DuplicateGenerator, LengthMismatch
-from .ratmap import compose, maps_equal
+from .ratmap import compose, maps_equal, power_table
 
 WORD_BUDGET = 10 ** 6
 DEGREE_BUDGET = 10 ** 4
@@ -108,11 +108,13 @@ def compose_corr(a: Correspondence, b: Correspondence) -> Correspondence:
     coefficients only).
     """
     exact = a.exact and b.exact
+    top = max(fb.degree for fb, _ in b.components)
     merged: dict = {}
     order: list = []
     for fa, ma in a.components:
+        powers = power_table(fa, top)  # fa's powers, shared by every fb
         for fb, mb in b.components:
-            g = compose(fb, fa)
+            g = compose(fb, fa, powers)
             m = ma * mb
             if exact:
                 if g in merged:
@@ -186,15 +188,18 @@ def enumerate_words(gens: GeneratorSet, nu: int,
 
     Walks the word tree level by level, composing each *distinct* level-k
     map with every generator, so the cost tracks the number of distinct
-    compositions rather than N^nu when relations are plentiful.
+    compositions rather than N^nu when relations are plentiful. Each
+    level-k map's powers are built once for all the generators.
     """
+    if nu < 1:
+        raise ValueError("nu must be >= 1")
     n = len(gens)
     total = n ** nu
     if total > word_budget:
         raise BudgetExceeded(f"{n}^{nu} words exceed the budget of {word_budget}")
-    if max(gens.degrees) ** nu > degree_budget:
-        raise BudgetExceeded(
-            f"composed degree {max(gens.degrees)}^{nu} exceeds {degree_budget}")
+    top = max(gens.degrees)
+    if top ** nu > degree_budget:
+        raise BudgetExceeded(f"composed degree {top}^{nu} exceeds {degree_budget}")
 
     if not gens.exact:
         entries = {
@@ -211,8 +216,9 @@ def enumerate_words(gens: GeneratorSet, nu: int,
         nxt: dict = {}
         for f in sorted(level, key=lambda m: m.sort_key()):
             mult, words = level[f]
+            powers = power_table(f, top)
             for j, g in enumerate(gens.maps, start=1):
-                h = compose(g, f)
+                h = compose(g, f, powers)
                 extended = tuple(w + (j,) for w in words)
                 if h in nxt:
                     m0, w0 = nxt[h]

@@ -45,10 +45,24 @@ def form_is_zero(form: Form) -> bool:
 
 
 def pairs_mul(a: list, b: list) -> list:
-    """Convolution of Gaussian-integer forms given as (re, im) int pairs."""
+    """Convolution of Gaussian-integer forms given as (re, im) int pairs.
+
+    A square (``b is a``) is convolved symmetrically: each cross term
+    a_i a_j with i < j is taken once and doubled, about half the products
+    of a general convolution. Only nonzero terms are multiplied.
+    """
     re = [0] * (len(a) + len(b) - 1)
     im = [0] * len(re)
     nonzero_b = [(j, u, v) for j, (u, v) in enumerate(b) if u or v]
+    if b is a:
+        for k, (i, x, y) in enumerate(nonzero_b):
+            re[2 * i] += x * x - y * y
+            im[2 * i] += 2 * x * y
+            x, y = 2 * x, 2 * y
+            for j, u, v in nonzero_b[k + 1:]:
+                re[i + j] += x * u - y * v
+                im[i + j] += x * v + y * u
+        return list(zip(re, im))
     for i, (x, y) in enumerate(a):
         if not (x or y):
             continue

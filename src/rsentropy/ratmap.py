@@ -229,8 +229,30 @@ def maps_equal(f: RationalMap, g: RationalMap) -> bool:
     return f.pairs == g.pairs and f.scale == g.scale
 
 
-def compose(f: RationalMap, g: RationalMap) -> RationalMap:
+def power_table(g: RationalMap, top: int) -> tuple[list, list]:
+    """The powers P^j and Q^j of g's forms for j = 1..top, as Gaussian-integer
+    pairs at index j (index 0 is None).
+
+    An even power squares the half power; an odd one multiplies by P (Q).
+    ``compose(f, g, powers)`` reads the table, so a caller that composes
+    several outer maps with one inner map g builds it once for all of them;
+    it is kept nowhere else.
+    """
+    d = g.degree
+    p_pows, q_pows = [None, g.pairs[:d + 1]], [None, g.pairs[d + 1:]]
+    for j in range(2, top + 1):
+        for pows in (p_pows, q_pows):
+            half = pows[j // 2]
+            pows.append(pairs_mul(half, half) if j % 2 == 0
+                        else pairs_mul(pows[j - 1], pows[1]))
+    return p_pows, q_pows
+
+
+def compose(f: RationalMap, g: RationalMap, powers=None) -> RationalMap:
     """The composite f o g by exact substitution; degree multiplies.
+
+    ``powers`` is ``power_table(g, top)`` for some top >= deg f; it is
+    built here when None.
 
     Coprimality of the result is automatic (a common root of the composed
     pair would push forward to a common root of f), but ``forms_coprime``
@@ -240,30 +262,31 @@ def compose(f: RationalMap, g: RationalMap) -> RationalMap:
     over Q(i), whose cost grows quickly with the degree, runs only when
     that certificate fails.
     """
-    dn, dg = f.degree, g.degree
+    dn, size = f.degree, f.degree * g.degree + 1
     fc = f.pairs
     # f's and g's scales are common factors of every coefficient of the
     # substituted forms, so the integer pairs substitute as they stand
-    p_pows, q_pows = [None, g.pairs[:dg + 1]], [None, g.pairs[dg + 1:]]
-    for _ in range(dn - 1):
-        p_pows.append(pairs_mul(p_pows[-1], p_pows[1]))
-        q_pows.append(pairs_mul(q_pows[-1], q_pows[1]))
+    p_pows, q_pows = power_table(g, dn) if powers is None else powers
     # the monomial z0^(dn-k) z1^k becomes P^(dn-k) Q^k, built once for
-    # both forms and only where f has a nonzero coefficient on it
+    # both forms and only where f has a nonzero coefficient on it; it is
+    # kept as its nonzero terms, which for every Q^k of a polynomial g is
+    # one term
     monomials = [
-        (p_pows[dn] if k == 0 else q_pows[dn] if k == dn
-         else pairs_mul(p_pows[dn - k], q_pows[k]))
+        [(j, u, v) for j, (u, v) in enumerate(
+            p_pows[dn] if k == 0 else q_pows[dn] if k == dn
+            else pairs_mul(p_pows[dn - k], q_pows[k])) if u or v]
         if any(fc[k]) or any(fc[dn + 1 + k]) else None
         for k in range(dn + 1)
     ]
 
     def substitute(form):
-        out = [(0, 0)] * (dn * dg + 1)
-        for (a, b), mono in zip(form, monomials):
+        re, im = [0] * size, [0] * size
+        for (a, b), terms in zip(form, monomials):
             if a or b:
-                out = [(x + a * u - b * v, y + a * v + b * u)
-                       for (x, y), (u, v) in zip(out, mono)]
-        return out
+                for j, u, v in terms:
+                    re[j] += a * u - b * v
+                    im[j] += a * v + b * u
+        return list(zip(re, im))
 
     h = _build(substitute(fc[:dn + 1]) + substitute(fc[dn + 1:]),
                f.exact_coeffs and g.exact_coeffs)

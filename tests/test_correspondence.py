@@ -3,7 +3,7 @@ import pytest
 import rsentropy as rs
 from rsentropy import gaussian
 from rsentropy.errors import BudgetExceeded, DuplicateGenerator, LengthMismatch
-from util import Z2, Z3, Z4, monomial
+from util import Z2, Z3, Z4, monomial, reference_ledger, reference_make_map
 
 
 def test_build_correspondence_basic():
@@ -144,6 +144,18 @@ def test_enumerate_words_budget():
         rs.enumerate_words(rs.GeneratorSet([Z2, Z3]), 10, degree_budget=100)
 
 
+@pytest.mark.parametrize("nu", [0, -1])
+def test_enumerate_words_refuses_a_length_below_one(nu):
+    # exact and float generators alike, before any word is composed
+    exact = rs.GeneratorSet([Z2, Z3])
+    inexact = rs.GeneratorSet([rs.make_map([1.0, 0.0, 0.0], [0.0, 0.0, 1.0]),
+                               rs.make_map([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0])])
+    assert not inexact.exact
+    for gens in (exact, inexact):
+        with pytest.raises(ValueError, match="nu must be >= 1"):
+            rs.enumerate_words(gens, nu)
+
+
 def test_inexact_generators_disable_relation_detection():
     f = rs.make_map([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
     g = rs.make_map([1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0])
@@ -176,3 +188,30 @@ def test_the_ledger_builds_no_gaussian_rational_once_the_generators_exist(monkey
     ledger = rs.enumerate_words(rational, 4)
     assert (ledger.total_words, ledger.distinct, ledger.relations) == (16, 16, 0)
     assert made == []
+
+
+FREE_PAIR = (rs.make_map([1, 0, -1], [0, 0, 1]),
+             rs.make_map(["1/2", 0, rs.GaussianRational(0, "1/2")], [0, 0, 1]))
+RATIONAL_PAIR = (rs.make_map([1, 0, 0], [-1, 0, 1]),
+                 rs.make_map([1, 0, 0, 0], [-1, 0, 0, 1]))
+
+
+@pytest.mark.parametrize("maps, nu", [
+    ((CHEBYSHEV_T2, CHEBYSHEV_T3), 4),
+    (FREE_PAIR, 4),
+    (RATIONAL_PAIR, 3),
+], ids=["chebyshev", "free", "rational"])
+def test_shared_power_tables_match_word_by_word_reference_compose(maps, nu):
+    # enumerate_words builds each level map's powers once for every
+    # generator, and compose_corr once per inner component; the oracle
+    # composes each word on its own, without the library's pairs_mul
+    want = reference_ledger([reference_make_map(f.num, f.den) for f in maps], nu)
+    ledger = rs.enumerate_words(rs.GeneratorSet(maps), nu)
+    assert ledger.total_words == len(maps) ** nu
+    # entries, multiplicities and the order of each entry's witness words
+    assert ({(h.num, h.den): entry for h, entry in ledger.entries.items()}
+            == {(h.num, h.den): entry for h, entry in want.items()})
+    power = rs.corr_pow(rs.build_correspondence(rs.GeneratorSet(maps)), nu)
+    assert ([(f.num, f.den, m) for f, m in power.components]
+            == [(h.num, h.den, m) for h, (m, _) in
+                sorted(want.items(), key=lambda item: item[0].sort_key())])

@@ -11,8 +11,8 @@ import pytest
 
 import rsentropy as rs
 from rsentropy.errors import BadScalarLiteral
-from rsentropy.polynomial import form_eval_exact, form_mul
-from util import ReferenceGaussian, reference_form_eval_exact
+from rsentropy.polynomial import form_eval_exact, form_mul, pairs_mul
+from util import ReferenceGaussian, reference_form_eval_exact, reference_pairs_mul
 
 G = rs.GaussianRational
 
@@ -182,6 +182,42 @@ def schoolbook(a, b):
         for j, y in enumerate(b):
             out[i + j] = out[i + j] + x * y
     return out
+
+
+def random_pairs(rnd):
+    """A Gaussian-integer form with zero runs inside it and, at times, at
+    either end; at times a single nonzero term, or a single entry."""
+    kind = rnd.randrange(4)
+    if kind == 0:
+        return [(rnd.randint(-9, 9), rnd.randint(-9, 9))]
+    length = rnd.randint(2, 40)
+    if kind == 1:
+        out = [(0, 0)] * length
+        out[rnd.randrange(length)] = (rnd.choice((-1, 1)) * rnd.randint(1, 2 ** 70),
+                                      rnd.randint(-5, 5))
+        return out
+    out = []
+    while len(out) < length:
+        run = rnd.randint(1, 5)
+        out += ([(0, 0)] * run if rnd.random() < 0.4 else
+                [(rnd.randint(-2 ** 64, 2 ** 64), rnd.choice((0, rnd.randint(-99, 99))))
+                 for _ in range(run)])
+    if kind == 3:
+        out = [(0, 0)] * rnd.randint(0, 4) + out + [(0, 0)] * rnd.randint(1, 4)
+        out = out if rnd.random() < 0.5 else out[::-1]
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pairs_mul_squares_like_the_schoolbook_oracle(seed):
+    rnd = random.Random(seed)
+    for _ in range(80):
+        a = random_pairs(rnd)
+        b = random_pairs(rnd)
+        want = reference_pairs_mul(a, a)
+        assert pairs_mul(a, a) == want  # the squaring path: b is a
+        assert pairs_mul(a, list(a)) == want  # an equal copy takes the general path
+        assert pairs_mul(a, b) == reference_pairs_mul(a, b)
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -1,5 +1,6 @@
 """Shared fixtures-by-hand for the test modules."""
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +18,6 @@ from rsentropy.errors import (
     RootFindingFailure,
 )
 from rsentropy.gaussian import lift, unlift
-from rsentropy.polynomial import pairs_mul
 from rsentropy.projective import INFINITY, ProjPoint, chordal_dist, normalize
 
 
@@ -652,6 +652,21 @@ def reference_build(pairs, exact):
     return ReferenceMap(num=num, den=den, degree=d, exact_coeffs=exact)
 
 
+def reference_pairs_mul(a, b):
+    """Convolution of Gaussian-integer forms given as (re, im) int pairs: the
+    schoolbook product, every nonzero a_i times every nonzero b_j."""
+    re = [0] * (len(a) + len(b) - 1)
+    im = [0] * len(re)
+    nonzero_b = [(j, u, v) for j, (u, v) in enumerate(b) if u or v]
+    for i, (x, y) in enumerate(a):
+        if not (x or y):
+            continue
+        for j, u, v in nonzero_b:
+            re[i + j] += x * u - y * v
+            im[i + j] += x * v + y * u
+    return list(zip(re, im))
+
+
 def reference_compose(f, g):
     """The composite f o g by exact substitution; degree multiplies."""
     dn = f.degree
@@ -659,12 +674,12 @@ def reference_compose(f, g):
     gc, _ = lift(g.num + g.den)
     p_pows, q_pows = [[(1, 0)]], [[(1, 0)]]
     for _ in range(dn):
-        p_pows.append(pairs_mul(p_pows[-1], gc[:g.degree + 1]))
-        q_pows.append(pairs_mul(q_pows[-1], gc[g.degree + 1:]))
+        p_pows.append(reference_pairs_mul(p_pows[-1], gc[:g.degree + 1]))
+        q_pows.append(reference_pairs_mul(q_pows[-1], gc[g.degree + 1:]))
     # the monomial z0^(dn-k) z1^k becomes P^(dn-k) Q^k, built once for
     # both forms and only where f has a nonzero coefficient on it
     monomials = [
-        pairs_mul(p_pows[dn - k], q_pows[k])
+        reference_pairs_mul(p_pows[dn - k], q_pows[k])
         if any(fc[k]) or any(fc[dn + 1 + k]) else None
         for k in range(dn + 1)
     ]
@@ -682,3 +697,31 @@ def reference_compose(f, g):
     if not reference_forms_coprime(h.num, h.den):
         raise CommonFactor("composition produced a common factor (unexpected)")
     return h
+
+
+def reference_ledger(maps, nu):
+    """The word ledger of length nu of the reference maps, one word at a time.
+
+    Each word (i_1, ..., i_nu) composes as f_{i_nu} o ... o f_{i_1} by
+    reference_compose. Returns {map: (multiplicity, witness words)}, each
+    entry's words in the order ``enumerate_words`` lists them: by the sort
+    key of the word's map before its last letter, then by that letter, then
+    by that shorter word's own place in its entry.
+    """
+    composed = {}
+
+    def word_map(word):
+        if word not in composed:
+            composed[word] = (maps[word[0] - 1] if len(word) == 1 else
+                              reference_compose(maps[word[-1] - 1], word_map(word[:-1])))
+        return composed[word]
+
+    def place(word):
+        if len(word) == 1:
+            return ()
+        return (word_map(word[:-1]).sort_key(), word[-1], place(word[:-1]))
+
+    words = {}
+    for word in itertools.product(range(1, len(maps) + 1), repeat=nu):
+        words.setdefault(word_map(word), []).append(word)
+    return {h: (len(ws), tuple(sorted(ws, key=place))) for h, ws in words.items()}
