@@ -58,24 +58,25 @@ def exact_normalize(h0: GaussianRational, h1: GaussianRational) -> ExactPoint:
 
 
 def exact_eval(f: RationalMap, pt: ExactPoint) -> ExactPoint:
-    """f(pt), normalized, from one Horner pass per form on Gaussian integers.
+    """f(pt), normalized, from one Horner pass per half of ``f.pairs``.
 
-    With num(pt) = W0/(dn e^d) and den(pt) = W1/(dd e^d) the image is
-    [1 : W1 dn conj(W0) / (|W0|^2 dd)], reduced once, or [0 : 1] when W0 = 0.
-    A real W0 = a divides directly, sign(a) W1 dn / (|a| dd), so the one
-    gcd runs on integers of half the size.
+    With pt = (Z0, Z1)/e on Gaussian integers, num(pt) = W0/(s e^d) and
+    den(pt) = W1/(s e^d) share the map's scale s, so the image is
+    [1 : W1 conj(W0) / |W0|^2], reduced once, or [0 : 1] when W0 = 0. A
+    real W0 = a divides directly, sign(a) W1 / |a|, so the one gcd runs on
+    integers of half the size.
     """
-    (num, dn), (den, dd) = f.lifted
+    d = f.degree
     (p0, p1), _ = lift(pt)
-    a, b = pairs_eval(num, p0, p1)
-    p, q = pairs_eval(den, p0, p1)
+    a, b = pairs_eval(f.pairs[:d + 1], p0, p1)
+    p, q = pairs_eval(f.pairs[d + 1:], p0, p1)
     if b:
         p, q, a = p * a + q * b, q * a - p * b, a * a + b * b
     elif a < 0:
         p, q, a = -p, -q, -a
     elif not a:
         return exact_normalize(GaussianRational(0), GaussianRational(p, q))
-    return (_ONE, unlift([(p * dn, q * dn)], a * dd)[0])
+    return (_ONE, unlift([(p, q)], a)[0])
 
 
 def exact_to_proj(pt: ExactPoint) -> ProjPoint:
@@ -134,10 +135,11 @@ def coincidence_set(gens: GeneratorSet) -> list[CoincidencePoint]:
     for i in range(n):
         for j in range(i + 1, n):
             fi, fj = gens.maps[i], gens.maps[j]
-            cross = tuple(
-                a - b
-                for a, b in zip(form_mul(fi.num, fj.den), form_mul(fj.num, fi.den))
-            )
+            di, dj = fi.degree + 1, fj.degree + 1
+            # both products lie over scale_i scale_j, so the pairs subtract
+            cross = unlift([(a - c, b - e) for (a, b), (c, e) in zip(
+                form_mul(fi.pairs[:di], fj.pairs[dj:]),
+                form_mul(fj.pairs[:dj], fi.pairs[di:]))], fi.scale * fj.scale)
             exact_ok = fi.exact_coeffs and fj.exact_coeffs
             for pt, coords in _cross_roots(cross, exact_ok):
                 pair = (i + 1, j + 1)

@@ -1,10 +1,14 @@
-"""Binary forms over the Gaussian rationals and numeric root finding.
+"""Binary forms as Gaussian-integer pairs, and numeric root finding.
 
-A homogeneous form of degree d in (z0, z1) is a tuple of d+1 coefficients in
+A homogeneous form of degree d in (z0, z1) is a list of d+1 coefficients in
 descending z0 order: index k holds the coefficient of z0^(d-k) z1^k. The
-affine chart is z = z0/z1, so dehomogenizing gives the ascending coefficient
-list read back to front, and a vanishing index-0 coefficient means a root at
-[1 : 0].
+exact forms are Gaussian integers, each an (re, im) int pair; a form over
+the Gaussian rationals is carried as such pairs over one common
+denominator, which moves no root. The affine chart is z = z0/z1, so the
+form read back to front is the ascending coefficient list of its affine
+polynomial, and a vanishing index-0 coefficient means a root at [1 : 0].
+Only exact Euclid over Q(i) (``poly_gcd``) builds GaussianRational
+coefficients, as ascending lists.
 
 The numeric root finder is a simultaneous (Aberth-Ehrlich) iteration with a
 residual stopping rule and one Newton polish per root; companion-matrix
@@ -20,9 +24,7 @@ from functools import cache
 import numpy as np
 
 from .errors import RootFindingFailure
-from .gaussian import GaussianRational, lift, unlift
-
-Form = tuple  # tuple[GaussianRational, ...]
+from .gaussian import GaussianRational, unlift
 
 ABERTH_TOL = 1e-12
 ABERTH_MAX_SWEEPS = 200
@@ -37,14 +39,7 @@ CERT_SQRT_MINUS_1 = 629208553
 # -- exact form algebra --------------------------------------------------------
 
 
-def form_degree(form: Form) -> int:
-    return len(form) - 1
-
-def form_is_zero(form: Form) -> bool:
-    return all(c.is_zero() for c in form)
-
-
-def pairs_mul(a: list, b: list) -> list:
+def form_mul(a: list, b: list) -> list:
     """Convolution of Gaussian-integer forms given as (re, im) int pairs.
 
     A square (``b is a``) is convolved symmetrically: each cross term
@@ -72,25 +67,6 @@ def pairs_mul(a: list, b: list) -> list:
     return list(zip(re, im))
 
 
-def form_mul(a: Form, b: Form) -> Form:
-    """Convolution product: ints over each form's common denominator."""
-    pa, da = lift(a)
-    pb, db = lift(b)
-    return unlift(pairs_mul(pa, pb), da * db)
-
-
-def form_d0(form: Form) -> Form:
-    """Partial derivative with respect to z0."""
-    d = form_degree(form)
-    return tuple(form[k] * (d - k) for k in range(d))
-
-
-def form_d1(form: Form) -> Form:
-    """Partial derivative with respect to z1."""
-    d = form_degree(form)
-    return tuple(form[k] * k for k in range(1, d + 1))
-
-
 def pairs_eval(pairs: list, z0: tuple, z1: tuple) -> tuple:
     """Horner value of a Gaussian-integer form at Gaussian-integer (z0, z1),
     all given as (re, im) int pairs."""
@@ -105,18 +81,6 @@ def pairs_eval(pairs: list, z0: tuple, z1: tuple) -> tuple:
     return re, im
 
 
-def form_eval_exact(form: Form, z0: GaussianRational, z1: GaussianRational) -> GaussianRational:
-    """The form's value at (z0, z1): Horner on the Gaussian-integer
-    numerators of the form and of the point, reduced once.
-
-    With c_k = C_k/D and z_j = Z_j/e the value is sum C_k Z0^(d-k) Z1^k
-    over D e^d.
-    """
-    pairs, den = lift(form)
-    (p0, p1), e = lift((z0, z1))
-    return unlift([pairs_eval(pairs, p0, p1)], den * e ** form_degree(form))[0]
-
-
 def form_eval_complex(coeffs, z0: complex, z1: complex) -> complex:
     """Horner evaluation of a form given as complex coefficients."""
     acc = coeffs[0]
@@ -125,11 +89,6 @@ def form_eval_complex(coeffs, z0: complex, z1: complex) -> complex:
         zp = zp * z1
         acc = acc * z0 + coeffs[k] * zp
     return acc
-
-
-def dehomogenize(form: Form) -> list:
-    """Affine polynomial p(z) = form(z, 1) as ascending coefficients."""
-    return list(reversed(form))
 
 
 # -- univariate gcd over the Gaussian rationals ---------------------------------
@@ -218,7 +177,7 @@ def forms_coprime(p: list, q: list) -> bool:
     b, b_kept = _image_mod_p(q)
     if (a_kept or b_kept) and _coprime_mod_p(a, b):
         return True
-    g = poly_gcd(dehomogenize(unlift(p, 1)), dehomogenize(unlift(q, 1)))
+    g = poly_gcd(unlift(p[::-1], 1), unlift(q[::-1], 1))
     return len(g) <= 1
 
 

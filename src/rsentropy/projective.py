@@ -140,23 +140,6 @@ class NearPoints:
         return len(self.points) - 1
 
 
-def random_unitary(rng) -> tuple[complex, complex]:
-    """A Haar-ish random SU(2) element (a, b); acts as in apply_unitary."""
-    raw = rng.standard_normal(4)
-    n = math.hypot(*raw)
-    a = complex(raw[0], raw[1]) / n
-    b = complex(raw[2], raw[3]) / n
-    return a, b
-
-
-def apply_unitary(a: complex, b: complex, p: ProjPoint) -> ProjPoint:
-    """Rotation (h0, h1) -> (a h0 + b h1, -conj(b) h0 + conj(a) h1)."""
-    return normalize(
-        a * p.h0 + b * p.h1,
-        -b.conjugate() * p.h0 + a.conjugate() * p.h1,
-    )
-
-
 def ring_around(center: ProjPoint, radius: float, count: int) -> list[ProjPoint]:
     """Points at chordal distance ``radius`` from ``center``.
 

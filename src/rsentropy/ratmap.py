@@ -4,9 +4,11 @@ A map is a coprime pair of homogeneous forms (P, Q) of equal degree d >= 1
 over the Gaussian rationals, stored in canonical form: the first nonzero
 coefficient of the concatenated list (numerator then denominator, descending
 monomial order) equals 1. The canonical form is held as Gaussian integers
-over one positive scale with no common factor, which is unique, so map
-equality, hashing and composition run on ints. Exact equality is the
-backbone of all multiplicity bookkeeping downstream.
+over one positive scale with no common factor, which is unique. It is the
+map's one exact form: equality, hashing, composition, the exact evaluation
+fallback and the float coefficients and their derivatives all read its
+(re, im) int pairs; ``num`` and ``den`` are GaussianRational views on it.
+Exact equality is the backbone of all multiplicity bookkeeping downstream.
 
 Inputs sharing a polynomial factor are rejected rather than reduced: the
 degree is the central invariant of every entropy formula, so a silently
@@ -30,13 +32,10 @@ from .errors import (
 from .gaussian import GaussianRational, OrderKey, lift, sqrt_exact, unlift
 from .polynomial import (
     aberth_roots,
-    form_d0,
-    form_d1,
     form_eval_complex,
-    form_eval_exact,
-    form_is_zero,
+    form_mul,
     forms_coprime,
-    pairs_mul,
+    pairs_eval,
     strip_infinite_roots,
 )
 from .projective import INFINITY, ProjPoint, chordal_dist, normalize
@@ -101,18 +100,13 @@ class RationalMap:
     @cached_property
     def partials_float(self) -> tuple:
         """The complex coefficients of dP/dz0, dP/dz1, dQ/dz0 and dQ/dz1,
-        computed on first use."""
-        return tuple(tuple(complex(c) for c in d(form)) for d, form in (
-            (form_d0, self.num), (form_d1, self.num),
-            (form_d0, self.den), (form_d1, self.den)))
-
-    @cached_property
-    def lifted(self) -> tuple:
-        """``lift`` of num and of den: each form as Gaussian-integer pairs
-        over its denominator, computed on first use."""
-        d = self.degree
-        return (_content_free(self.pairs[:d + 1], self.scale),
-                _content_free(self.pairs[d + 1:], self.scale))
+        computed on first use: the coefficient c_k of z0^(d-k) z1^k gives
+        (d - k) c_k to the first and k c_k to the second."""
+        d, s = self.degree, self.scale
+        return tuple(
+            tuple(complex(a * m / s, b * m / s) for (a, b), m in zip(terms, weights))
+            for form in (self.pairs[:d + 1], self.pairs[d + 1:])
+            for terms, weights in ((form[:d], range(d, 0, -1)), (form[1:], range(1, d + 1))))
 
     @cached_property
     def float_scale(self) -> float:
@@ -124,14 +118,6 @@ class RationalMap:
         """Order key: the degree, then the coefficients' (re, im) values
         lexicographically."""
         return (self.degree, OrderKey(self.pairs, self.scale))
-
-
-def _content_free(pairs, scale) -> tuple[list, int]:
-    """pairs / scale with the common gcd of all their ints taken out."""
-    g = math.gcd(scale, *chain.from_iterable(pairs))
-    if g == 1:
-        return list(pairs), scale
-    return [(a // g, b // g) for a, b in pairs], scale // g
 
 
 def _coerce_coeffs(seq):
@@ -151,7 +137,7 @@ def _build(pairs, exact):
     Division by the first nonzero c0 = a0 + b0*i: times conj(c0) over
     |c0|^2, or by sign(a0) over |a0| when c0 is real, as it is for every
     polynomial composite (which skips a product per int and a larger gcd);
-    then one gcd over the whole vector and that scale (``_content_free``).
+    then one gcd over the whole vector and that scale.
     """
     for a0, b0 in pairs:
         if a0 or b0:
@@ -166,7 +152,10 @@ def _build(pairs, exact):
     else:
         pairs = [(-a, -b) for a, b in pairs]
         scale = -a0
-    pairs, scale = _content_free(pairs, scale)
+    g = math.gcd(scale, *chain.from_iterable(pairs))
+    if g != 1:
+        pairs = [(a // g, b // g) for a, b in pairs]
+        scale //= g
     return RationalMap(pairs=tuple(pairs), scale=scale,
                        degree=len(pairs) // 2 - 1, exact_coeffs=exact)
 
@@ -186,10 +175,11 @@ def make_map(num, den) -> RationalMap:
             f"numerator degree {len(num_c) - 1} != denominator degree {len(den_c) - 1}")
     if len(num_c) < 2:
         raise DegenerateMap("homogeneous degree must be at least 1")
-    if form_is_zero(num_c) or form_is_zero(den_c):
-        raise DegenerateMap("one of the forms is identically zero")
     pairs = lift(num_c + den_c)[0]
-    if not forms_coprime(pairs[:len(num_c)], pairs[len(num_c):]):
+    num_p, den_p = pairs[:len(num_c)], pairs[len(num_c):]
+    if not any(map(any, num_p)) or not any(map(any, den_p)):
+        raise DegenerateMap("one of the forms is identically zero")
+    if not forms_coprime(num_p, den_p):
         raise CommonFactor("numerator and denominator share a polynomial factor")
     return _build(pairs, exact_n and exact_d)
 
@@ -243,8 +233,8 @@ def power_table(g: RationalMap, top: int) -> tuple[list, list]:
     for j in range(2, top + 1):
         for pows in (p_pows, q_pows):
             half = pows[j // 2]
-            pows.append(pairs_mul(half, half) if j % 2 == 0
-                        else pairs_mul(pows[j - 1], pows[1]))
+            pows.append(form_mul(half, half) if j % 2 == 0
+                        else form_mul(pows[j - 1], pows[1]))
     return p_pows, q_pows
 
 
@@ -274,7 +264,7 @@ def compose(f: RationalMap, g: RationalMap, powers=None) -> RationalMap:
     monomials = [
         [(j, u, v) for j, (u, v) in enumerate(
             p_pows[dn] if k == 0 else q_pows[dn] if k == dn
-            else pairs_mul(p_pows[dn - k], q_pows[k])) if u or v]
+            else form_mul(p_pows[dn - k], q_pows[k])) if u or v]
         if any(fc[k]) or any(fc[dn + 1 + k]) else None
         for k in range(dn + 1)
     ]
@@ -302,15 +292,19 @@ def evaluate(f: RationalMap, p: ProjPoint) -> ProjPoint:
     Fast Horner evaluation of both forms; if the image vector nearly cancels
     (its norm falls below 1e-8 of the coefficient scale), the evaluation is
     redone once in exact arithmetic at the dyadic coordinates of p, which
-    pins the result to full precision.
+    pins the result to full precision: with p = (Z0, Z1)/e on Gaussian
+    integers, each form's value is its Horner sum over scale e^d, and int
+    true division rounds it correctly.
     """
     w0 = form_eval_complex(f.num_float, p.h0, p.h1)
     w1 = form_eval_complex(f.den_float, p.h0, p.h1)
     if math.hypot(abs(w0), abs(w1)) < 1e-8 * f.float_scale:
-        z0 = GaussianRational.from_value(p.h0)
-        z1 = GaussianRational.from_value(p.h1)
-        w0 = complex(form_eval_exact(f.num, z0, z1))
-        w1 = complex(form_eval_exact(f.den, z0, z1))
+        d = f.degree
+        (z0, z1), e = lift((GaussianRational.from_value(p.h0),
+                            GaussianRational.from_value(p.h1)))
+        den = f.scale * e ** d
+        w0, w1 = (complex(re / den, im / den) for re, im in (
+            pairs_eval(f.pairs[:d + 1], z0, z1), pairs_eval(f.pairs[d + 1:], z0, z1)))
     return normalize(w0, w1)
 
 

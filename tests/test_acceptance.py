@@ -19,10 +19,12 @@ from util import (
     Z3,
     Z4,
     affine_translation,
+    apply_unitary,
     delta_metric,
     group_by_word,
     pool_paths,
     random_exact_map,
+    random_unitary,
     scaling,
     shift,
     shifted_separation,
@@ -226,10 +228,10 @@ def test_criterion_11_property_suites():
     # unitary invariance on 10^4 sampled pairs
     for _ in range(10_000):
         i, j = rng.integers(0, len(pts), size=2)
-        u, v = rs.projective.random_unitary(rng)
+        u, v = random_unitary(rng)
         d0 = rs.chordal_dist(pts[i], pts[j])
-        d1 = rs.chordal_dist(rs.projective.apply_unitary(u, v, pts[i]),
-                             rs.projective.apply_unitary(u, v, pts[j]))
+        d1 = rs.chordal_dist(apply_unitary(u, v, pts[i]),
+                             apply_unitary(u, v, pts[j]))
         ok = ok and abs(d0 - d1) < 1e-10
 
     # map algebra invariants

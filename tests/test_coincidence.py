@@ -21,6 +21,7 @@ from util import (
     reference_karp,
     scaling,
     scan_return_depths,
+    schoolbook_mul,
 )
 
 BASILICA = rs.GeneratorSet([rs.make_map([1, 0, -1], [0, 0, 1]),
@@ -68,6 +69,43 @@ def test_coincidence_witness_consistency():
             fi, fj = gens.maps[i - 1], gens.maps[j - 1]
             assert rs.chordal_dist(
                 rs.evaluate(fi, cp.point), rs.evaluate(fj, cp.point)) <= 1e-9
+
+
+_G = rs.GaussianRational
+
+
+@pytest.mark.parametrize("maps, points, exact", [
+    # the two agree at z = 1/2, which snaps and is verified exactly
+    ((rs.make_map([_G("1/3", "2/5"), "1/2"], [1, _G(0, "-3/7")]),
+      rs.make_map([1, _G("-913/7650", "2614/2975"), _G("602/1275", "65063/80325")],
+                  [0, "2/3", _G(1, "1/9")])), 3, 1),
+    ((rs.make_map(["1/2", _G(0, "1/3"), 0], ["-1/5", 0, 1]),
+      rs.make_map([1, 0, "-3/4", 0], [0, 0, 0, _G(2, "1/7")])), 5, 1),
+    ((rs.make_map([0.5, 0.25], [1.0, -1.5]),
+      rs.make_map([_G("2/3", "-1/2"), 0, "1/6", 1], ["5/4", 0, 0, "1/9"])), 4, 0),
+], ids=["degrees-1-2", "degrees-2-3", "float-and-degree-3"])
+def test_integer_cross_form_gives_the_schoolbook_roots(maps, points, exact, monkeypatch):
+    # the cross form P_1 Q_2 - P_2 Q_1 is built on the maps' Gaussian-integer
+    # pairs over scale_1 scale_2; the oracle builds it on GaussianRationals
+    fi, fj = maps
+    assert fi.degree != fj.degree and 1 < fi.scale != fj.scale > 1
+    cross_roots = coincidence._cross_roots
+    seen = []
+
+    def recording(cross, exact_ok):
+        seen.append(cross)
+        return cross_roots(cross, exact_ok)
+
+    monkeypatch.setattr(coincidence, "_cross_roots", recording)
+    got = rs.coincidence_set(rs.GeneratorSet(maps))
+    cross = tuple(a - b for a, b in zip(schoolbook_mul(fi.num, fj.den),
+                                        schoolbook_mul(fj.num, fi.den)))
+    assert seen == [cross]
+    want = sorted((coincidence.CoincidencePoint(pt, frozenset({(1, 2)}), coords)
+                   for pt, coords in cross_roots(cross, fi.exact_coeffs and fj.exact_coeffs)),
+                  key=lambda cp: (cp.point.h0.real, cp.point.h1.real, cp.point.h1.imag))
+    assert got == want
+    assert (len(got), sum(cp.exact for cp in got)) == (points, exact)
 
 
 def test_is_recurrent_examples():
@@ -674,7 +712,7 @@ def _random_gaussian(rng, real):
 def _vanishing_at(rng, pt, degree, real):
     """A random form of the degree with a root at the exact point pt."""
     cofactor = tuple(_random_gaussian(rng, real) for _ in range(degree))
-    return rs.polynomial.form_mul((pt[1], -pt[0]), cofactor)  # h1 z0 - h0 z1
+    return schoolbook_mul((pt[1], -pt[0]), cofactor)  # h1 z0 - h0 z1
 
 
 @pytest.mark.parametrize("seed", range(4))

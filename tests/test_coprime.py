@@ -11,22 +11,13 @@ from rsentropy.gaussian import lift
 from rsentropy.polynomial import (
     CERT_PRIME,
     CERT_SQRT_MINUS_1,
-    dehomogenize,
     forms_coprime,
     poly_gcd,
 )
+from util import schoolbook_mul
 
 G = rs.GaussianRational
 P = CERT_PRIME
-
-
-def poly_mul(a, b):
-    """Product of ascending coefficient lists."""
-    out = [G(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
 
 
 def monic(a):
@@ -43,6 +34,11 @@ def coprime(p, q):
     """forms_coprime on two Gaussian-rational forms, each passed as its
     Gaussian-integer coefficients over its own denominator."""
     return forms_coprime(lift(p)[0], lift(q)[0])
+
+
+def dehomogenize(form):
+    """The affine polynomial form(z, 1) as ascending coefficients."""
+    return list(reversed(form))
 
 
 def exact_coprime(p, q):
@@ -119,8 +115,8 @@ def test_poly_gcd_is_the_monic_constructed_common_factor():
     u = [G(1), G(1)]                        # z + 1
     v = [G(0, -1), G(2), G(0), G(1)]        # z^3 + 2 z - i
     assert poly_gcd(u, v) == [G(1)]
-    assert poly_gcd(poly_mul(c, u), poly_mul(c, v)) == monic(c)
-    assert poly_gcd(poly_mul(c, v), poly_mul(c, u)) == monic(c)
+    assert poly_gcd(schoolbook_mul(c, u), schoolbook_mul(c, v)) == monic(c)
+    assert poly_gcd(schoolbook_mul(c, v), schoolbook_mul(c, u)) == monic(c)
 
 
 def test_a_shared_root_at_infinity_is_not_coprime(gcd_calls):
@@ -196,8 +192,8 @@ def test_certificate_never_contradicts_exact_euclid():
             c = random_poly(rng, k)
             if trial % 2 == 0:
                 c[-1] = G(P * rng.randint(1, 3))
-            a = poly_mul(c, random_poly(rng, d - k))
-            b = poly_mul(c, random_poly(rng, d - k))
+            a = schoolbook_mul(c, random_poly(rng, d - k))
+            b = schoolbook_mul(c, random_poly(rng, d - k))
         else:
             a, b = random_poly(rng, d), random_poly(rng, d)
             if trial % 3 == 1:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 import rsentropy as rs
@@ -204,7 +206,7 @@ RATIONAL_PAIR = (rs.make_map([1, 0, 0], [-1, 0, 1]),
 def test_shared_power_tables_match_word_by_word_reference_compose(maps, nu):
     # enumerate_words builds each level map's powers once for every
     # generator, and compose_corr once per inner component; the oracle
-    # composes each word on its own, without the library's pairs_mul
+    # composes each word on its own, without the library's form_mul
     want = reference_ledger([reference_make_map(f.num, f.den) for f in maps], nu)
     ledger = rs.enumerate_words(rs.GeneratorSet(maps), nu)
     assert ledger.total_words == len(maps) ** nu
@@ -215,3 +217,18 @@ def test_shared_power_tables_match_word_by_word_reference_compose(maps, nu):
     assert ([(f.num, f.den, m) for f, m in power.components]
             == [(h.num, h.den, m) for h, (m, _) in
                 sorted(want.items(), key=lambda item: item[0].sort_key())])
+
+
+def test_the_ledger_keeps_no_power_table_past_its_level():
+    # a level map's power table lives for its inner loop: at length 5 the
+    # rational pair's traced peak is about 1.1 times what the returned
+    # ledger holds, and about 2.0 times when every table is kept to the end
+    gens = rs.GeneratorSet(RATIONAL_PAIR)
+    tracemalloc.start()
+    try:
+        ledger = rs.enumerate_words(gens, 5)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (ledger.total_words, ledger.distinct, ledger.relations) == (32, 32, 0)
+    assert peak <= 1.5 * held

@@ -1,6 +1,5 @@
 """The integer normal form of exact scalars, checked against a Fraction-pair
-oracle, and the integer convolution and evaluation of forms against a
-schoolbook product and a reduce-every-operation Horner."""
+oracle, and the integer convolution of forms against a schoolbook product."""
 
 import math
 import random
@@ -11,8 +10,8 @@ import pytest
 
 import rsentropy as rs
 from rsentropy.errors import BadScalarLiteral
-from rsentropy.polynomial import form_eval_exact, form_mul, pairs_mul
-from util import ReferenceGaussian, reference_form_eval_exact, reference_pairs_mul
+from rsentropy.polynomial import form_mul
+from util import ReferenceGaussian, reference_pairs_mul
 
 G = rs.GaussianRational
 
@@ -161,29 +160,6 @@ def test_non_finite_scalars_raise_typed_errors(value):
 # -- form_mul ---------------------------------------------------------------------
 
 
-def random_form(rnd, length):
-    """A sparse form: about half its entries zero, sometimes all of them."""
-    if rnd.random() < 0.1:
-        return [ReferenceGaussian() for _ in range(length)]
-    out = []
-    for _ in range(length):
-        if rnd.random() < 0.5:
-            out.append(ReferenceGaussian())
-        else:
-            out.append(ReferenceGaussian(
-                Fraction(rnd.randint(-30, 30), rnd.choice((1, 2, 3, 7, 12, 2 ** 40 + 1))),
-                Fraction(rnd.randint(-30, 30), rnd.choice((1, 5, 9, 3 ** 20)))))
-    return out
-
-
-def schoolbook(a, b):
-    out = [ReferenceGaussian() for _ in range(len(a) + len(b) - 1)]
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
 def random_pairs(rnd):
     """A Gaussian-integer form with zero runs inside it and, at times, at
     either end; at times a single nonzero term, or a single entry."""
@@ -215,28 +191,6 @@ def test_pairs_mul_squares_like_the_schoolbook_oracle(seed):
         a = random_pairs(rnd)
         b = random_pairs(rnd)
         want = reference_pairs_mul(a, a)
-        assert pairs_mul(a, a) == want  # the squaring path: b is a
-        assert pairs_mul(a, list(a)) == want  # an equal copy takes the general path
-        assert pairs_mul(a, b) == reference_pairs_mul(a, b)
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_form_mul_matches_schoolbook(seed):
-    rnd = random.Random(seed)
-    for _ in range(60):
-        a = random_form(rnd, rnd.randint(1, 9))
-        b = random_form(rnd, rnd.randint(1, 9))
-        got = form_mul(tuple(G(c.re, c.im) for c in a), tuple(G(c.re, c.im) for c in b))
-        want = schoolbook(a, b)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert_matches(g, w)
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_form_eval_exact_matches_the_operation_loop(seed):
-    rnd = random.Random(seed)
-    for _ in range(60):
-        form = tuple(G(c.re, c.im) for c in random_form(rnd, rnd.randint(1, 6)))
-        z0, z1 = random_pair(rnd)[0], random_pair(rnd)[0]
-        assert form_eval_exact(form, z0, z1) == reference_form_eval_exact(form, z0, z1)
+        assert form_mul(a, a) == want  # the squaring path: b is a
+        assert form_mul(a, list(a)) == want  # an equal copy takes the general path
+        assert form_mul(a, b) == reference_pairs_mul(a, b)

@@ -7,6 +7,7 @@ from scipy import integrate
 
 import rsentropy as rs
 from rsentropy.errors import ZeroVector
+from util import apply_unitary, random_unitary
 
 
 def test_normalize_scaling():
@@ -79,11 +80,11 @@ def test_unitary_invariance():
     rng = np.random.default_rng(22)
     for _ in range(1000):
         i, j = rng.integers(0, len(pts), size=2)
-        a, b = rs.projective.random_unitary(rng)
+        a, b = random_unitary(rng)
         d0 = rs.chordal_dist(pts[i], pts[j])
         d1 = rs.chordal_dist(
-            rs.projective.apply_unitary(a, b, pts[i]),
-            rs.projective.apply_unitary(a, b, pts[j]),
+            apply_unitary(a, b, pts[i]),
+            apply_unitary(a, b, pts[j]),
         )
         assert abs(d0 - d1) < 1e-10
 

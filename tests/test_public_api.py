@@ -38,3 +38,27 @@ def test_no_module_imports_a_private_name_from_a_sibling():
              for alias in node.names
              if alias.name.startswith("_") and not alias.name.startswith("__")]
     assert found == []
+
+
+def _referenced_names(node) -> set:
+    """The names and attribute names that the code under node reads."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_definition_is_exported_or_used():
+    # a public module-level function or class that the package neither
+    # exports nor calls from its other code is dead library code; an
+    # oracle that only the tests call belongs in tests/util.py
+    paths = sorted((ROOT / "src" / "rsentropy").glob("*.py"))
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    exported = {alias.asname or alias.name for node in trees["__init__.py"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    nodes = [(module, node) for module, tree in trees.items() for node in tree.body]
+    refs = [_referenced_names(node) for _, node in nodes]
+    dead = [f"{module}: {node.name}" for i, (module, node) in enumerate(nodes)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in exported
+            and not any(node.name in r for k, r in enumerate(refs) if k != i)]
+    assert len(nodes) > 100
+    assert dead == []

@@ -1,23 +1,29 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import rsentropy as rs
+from rsentropy import ratmap
 from rsentropy.errors import CommonFactor, DegreeMismatch, NotMobius
-from rsentropy.polynomial import form_d0, form_d1, form_eval_complex, strip_infinite_roots
+from rsentropy.polynomial import form_eval_complex, strip_infinite_roots
 from rsentropy.projective import normalize
-from rsentropy.gaussian import lift
 from util import (
     IDENTITY,
     Z2,
     Z3,
+    form_d0,
+    form_d1,
     monomial,
     random_exact_map,
     reference_compose,
+    reference_form_eval_exact,
     reference_make_map,
+    same_bits,
     scaling,
+    schoolbook_mul,
 )
 
 
@@ -124,6 +130,42 @@ def test_evaluate_compensated_near_cancellation():
     f = rs.make_map([1, -1], [1, -1 + delta])  # (z-1)/(z-1+delta)
     img = rs.evaluate(f, rs.point_at(1))
     assert rs.chordal_dist(img, rs.point_at(0)) < 1e-9
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_exact_fallback_is_the_operation_oracle_rounded_bit_for_bit(seed, monkeypatch):
+    # f = (z - a) R / ((z - a - delta) S) nearly cancels near z = a, where
+    # evaluate redoes both forms exactly at the point's dyadic coordinates;
+    # the oracle reduces after every operation and rounds once at the end
+    monkeypatch.setattr(ratmap, "normalize", lambda w0, w1: (w0, w1))
+    rng = np.random.default_rng(seed)
+    G = rs.GaussianRational
+
+    def gaussian():
+        return G(Fraction(int(rng.integers(-9, 10)), int(rng.choice([1, 3, 5, 7]))),
+                 Fraction(int(rng.integers(-9, 10)), int(rng.choice([1, 2, 9]))))
+
+    checked = differs = 0
+    while checked < 40:
+        a = gaussian()
+        delta = G(Fraction(int(rng.integers(1, 9)), int(rng.choice([10 ** 9, 3 ** 21, 2 ** 40]))),
+                  Fraction(int(rng.integers(-3, 4)), 10 ** 11))
+        r, s = ([gaussian() for _ in range(int(rng.integers(1, 4)))] for _ in range(2))
+        try:
+            f = rs.from_affine(schoolbook_mul([-a, 1], r), schoolbook_mul([-a - delta, 1], s))
+        except rs.errors.RsentropyError:
+            continue
+        z = complex(a) + complex(*rng.integers(-3, 4, size=2)) * 1e-13
+        p = normalize(z, 1.0) if rng.random() < 0.7 else normalize(1.0, 1 / z)
+        fast = (form_eval_complex(f.num_float, p.h0, p.h1),
+                form_eval_complex(f.den_float, p.h0, p.h1))
+        assert math.hypot(*map(abs, fast)) < 1e-8 * f.float_scale
+        z0, z1 = G.from_value(p.h0), G.from_value(p.h1)
+        want = [complex(reference_form_eval_exact(form, z0, z1)) for form in (f.num, f.den)]
+        assert same_bits(rs.evaluate(f, p), want)
+        differs += not same_bits(fast, want)
+        checked += 1
+    assert differs > 0
 
 
 def test_preimage_multiplicities_sum_to_degree():
@@ -348,7 +390,6 @@ def test_integer_form_agrees_with_the_gaussian_rational_oracles():
     assert any(not all(c.is_zero() for c in f.den[:-1]) for f in maps if f.degree > 3)
     for f, r in pairs:
         assert (f.num, f.den, f.degree, f.exact_coeffs) == (r.num, r.den, r.degree, r.exact_coeffs)
-        assert f.lifted == (lift(r.num), lift(r.den))
         assert _bits(f.num_float + f.den_float) == _bits(complex(c) for c in r.num + r.den)
     equal = 0
     for i, (f, r) in enumerate(pairs):

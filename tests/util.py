@@ -44,6 +44,18 @@ def scaling(a):
     return rs.make_map([rs.GaussianRational.from_value(a), 0], [0, 1])
 
 
+def random_unitary(rng) -> tuple[complex, complex]:
+    """A Haar-ish random SU(2) element (a, b); acts as in apply_unitary."""
+    raw = rng.standard_normal(4)
+    n = math.hypot(*raw)
+    return complex(raw[0], raw[1]) / n, complex(raw[2], raw[3]) / n
+
+
+def apply_unitary(a: complex, b: complex, p: ProjPoint) -> ProjPoint:
+    """Rotation (h0, h1) -> (a h0 + b h1, -conj(b) h0 + conj(a) h1)."""
+    return normalize(a * p.h0 + b * p.h1, -b.conjugate() * p.h0 + a.conjugate() * p.h1)
+
+
 _q = rs.parse_scalar
 # z^2 + c for the five c of the quad5 benchmark config
 QUAD5 = [rs.make_map([1, 0, _q(c)], [0, 0, 1])
@@ -279,6 +291,29 @@ def reference_karp(num_nodes, edges):
         if worst is not None and (best is None or worst > best):
             best = worst
     return best
+
+
+def schoolbook_mul(a, b):
+    """The product of two coefficient sequences of exact scalars, every
+    a_i times every b_j; the order of the coefficients does not matter."""
+    out = [rs.GaussianRational(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def form_d0(form):
+    """Partial derivative with respect to z0 of a form given as its
+    coefficients in descending z0 order (the derivative oracle)."""
+    d = len(form) - 1
+    return tuple(form[k] * (d - k) for k in range(d))
+
+
+def form_d1(form):
+    """Partial derivative with respect to z1, as form_d0."""
+    d = len(form) - 1
+    return tuple(form[k] * k for k in range(1, d + 1))
 
 
 def reference_form_eval_exact(form, z0, z1):
@@ -631,8 +666,7 @@ def reference_forms_coprime(p, q):
     Euclid alone."""
     if p[0].is_zero() and q[0].is_zero():
         return False
-    return len(polynomial.poly_gcd(polynomial.dehomogenize(p),
-                                   polynomial.dehomogenize(q))) <= 1
+    return len(polynomial.poly_gcd(p[::-1], q[::-1])) <= 1
 
 
 def reference_build(pairs, exact):
