@@ -24,7 +24,7 @@ from functools import partial
 
 from .correspondence import Correspondence, GeneratorSet, build_correspondence
 from .errors import InconsistentItinerary, RootFindingFailure
-from .gaussian import GaussianRational, lift, unlift
+from .gaussian import GaussianRational, canonical, lift, unlift
 from .polynomial import (
     aberth_roots,
     form_mul,
@@ -41,46 +41,29 @@ NODE_BUDGET = 20_000
 RECURRENCE_DEPTH = 12
 SNAP_DENOMINATOR = 10 ** 6
 
-ExactPoint = tuple  # (GaussianRational, GaussianRational), normalized
-_ONE = GaussianRational(1)
+#: an exact point: its coordinates' canonical Gaussian-integer pairs, so
+#: ((d, 0), (a, b)) is [1 : (a + b*i)/d] and ((0, 0), (1, 0)) is [0 : 1]
+ExactPoint = tuple
 
 
 # -- exact projective helpers ----------------------------------------------------
 
 
-def exact_normalize(h0: GaussianRational, h1: GaussianRational) -> ExactPoint:
-    """Scale so the first nonzero coordinate is exactly 1."""
-    if not h0.is_zero():
-        return (GaussianRational(1), h1 / h0)
-    if h1.is_zero():
-        raise ValueError("zero vector has no projective class")
-    return (GaussianRational(0), GaussianRational(1))
-
-
 def exact_eval(f: RationalMap, pt: ExactPoint) -> ExactPoint:
-    """f(pt), normalized, from one Horner pass per half of ``f.pairs``.
-
-    With pt = (Z0, Z1)/e on Gaussian integers, num(pt) = W0/(s e^d) and
-    den(pt) = W1/(s e^d) share the map's scale s, so the image is
-    [1 : W1 conj(W0) / |W0|^2], reduced once, or [0 : 1] when W0 = 0. A
-    real W0 = a divides directly, sign(a) W1 / |a|, so the one gcd runs on
-    integers of half the size.
-    """
+    """f(pt) in canonical form, from one Horner pass per half of ``f.pairs``
+    at the point's integer coordinates: both values lie over the map's
+    scale, which the canonical form drops."""
     d = f.degree
-    (p0, p1), _ = lift(pt)
-    a, b = pairs_eval(f.pairs[:d + 1], p0, p1)
-    p, q = pairs_eval(f.pairs[d + 1:], p0, p1)
-    if b:
-        p, q, a = p * a + q * b, q * a - p * b, a * a + b * b
-    elif a < 0:
-        p, q, a = -p, -q, -a
-    elif not a:
-        return exact_normalize(GaussianRational(0), GaussianRational(p, q))
-    return (_ONE, unlift([(p, q)], a)[0])
+    return canonical((pairs_eval(f.pairs[:d + 1], *pt),
+                      pairs_eval(f.pairs[d + 1:], *pt)))[0]
 
 
 def exact_to_proj(pt: ExactPoint) -> ProjPoint:
-    return normalize(complex(pt[0]), complex(pt[1]))
+    """The float point of an exact one: each coordinate over the scale, the
+    first entry of the first nonzero pair, by correctly rounded int division."""
+    (a, b), (c, e) = pt
+    s = a or c
+    return normalize(complex(a / s, b / s), complex(c / s, e / s))
 
 
 class ExactPoints(NearPoints):
@@ -173,10 +156,10 @@ def _cross_roots(cross, exact_ok):
 
     roots: list[tuple[ProjPoint, ExactPoint | None]] = []
     if lead:
-        pt = (GaussianRational(1), GaussianRational(0))
+        pt = ((1, 0), (0, 0))
         roots.append((exact_to_proj(pt), pt if exact_ok else None))
     if trail:
-        pt = (GaussianRational(0), GaussianRational(1))
+        pt = ((0, 0), (1, 0))
         roots.append((exact_to_proj(pt), pt if exact_ok else None))
 
     # affine part, ascending coefficients
@@ -191,7 +174,7 @@ def _cross_roots(cross, exact_ok):
     if exact_ok:
         asc, rational_roots = _deflate_rational_roots(asc)
         for r in rational_roots:
-            pt = exact_normalize(r, GaussianRational(1))
+            pt = canonical(lift((r, GaussianRational(1)))[0])[0]
             roots.append((exact_to_proj(pt), pt))
     if len(asc) > 1:
         for z in aberth_roots([complex(c) for c in asc]):
@@ -251,23 +234,28 @@ def _escape_test(maps):
     (Milnor, Dynamics in One Complex Variable, 3rd ed., section 9), taken
     over the semigroup as in Hinkkanen & Martin, Proc. LMS 73 (1996). The
     point [1 : w] is z = 1/w, so the test is w != 0 and |w|^2 B < 1.
+
+    On ``f.pairs``, f(z) = sum N_k z^(d-k) / L with L the last pair, so
+    a_(d-k) = N_k conj(L) / |L|^2 and B = S^2 / (|L|^2 |N_0|^2), where
+    S = |L|^2 + sum_{k>0} |Re N_k conj(L)| + |Im N_k conj(L)|.
     """
     bound = Fraction(1)
     for f in maps:
-        if f.degree < 2 or not all(c.is_zero() for c in f.den[:-1]):
+        d = f.degree
+        num, den = f.pairs[:d + 1], f.pairs[d + 1:]
+        if d < 2 or any(map(any, den[:-1])):
             return lambda pt: False
-        lead = f.den[-1]  # f(z) = num(z) / lead, num[0] the z^d coefficient
-        a = [c / lead for c in f.num]
-        spread = 1 + sum(abs(c.re) + abs(c.im) for c in a[1:])
-        bound = max(bound, spread * spread / a[0].abs2())
+        (p, q), (x, y) = den[-1], num[0]
+        ll = p * p + q * q
+        spread = ll + sum(abs(u * p + v * q) + abs(v * p - u * q) for u, v in num[1:])
+        bound = max(bound, Fraction(spread * spread, ll * (x * x + y * y)))
     bn, bd = bound.numerator, bound.denominator
 
     def escapes(pt):
-        # w = (a + b*i)/d, so |w|^2 B < 1 is (a^2 + b^2) bn < d^2 bd
-        if pt[0] != _ONE:
-            return False
-        a, b, d = pt[1].ints
-        return (a != 0 or b != 0) and (a * a + b * b) * bn < d * d * bd
+        # pt = [1 : w] with w = (a + b*i)/d, so |w|^2 B < 1 is
+        # (a^2 + b^2) bn < d^2 bd; d = 0 at [0 : 1]
+        (d, _), (a, b) = pt
+        return d != 0 and (a != 0 or b != 0) and (a * a + b * b) * bn < d * d * bd
     return escapes
 
 

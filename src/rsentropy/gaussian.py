@@ -1,18 +1,21 @@
-"""Exact Gaussian-rational scalars ``(a + b*i)/d``.
+"""Exact Gaussian-rational scalars ``(a + b*i)/d``, and the canonical form
+of Gaussian-integer vectors.
 
-These are the coefficient field for all exact map algebra. A value is
-stored as one normal form: Python ints ``(a, b, d)`` with ``d > 0`` and
-``gcd(a, b, d) == 1``. The form is unique, so equality and hashing compare
-the int triples, and each arithmetic result costs one multi-argument gcd.
-Arithmetic is exact; ``complex()`` is the one lossy exit.
+A scalar is stored as one normal form: Python ints ``(a, b, d)`` with
+``d > 0`` and ``gcd(a, b, d) == 1``. The form is unique, so equality and
+hashing compare the int triples, and each arithmetic result costs one
+multi-argument gcd. Arithmetic is exact; ``complex()`` is the one lossy
+exit. Exact maps and exact points are not held as scalars: each is a
+Gaussian-integer vector brought to the one form that ``canonical`` gives.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 
-from .errors import BadScalarLiteral
+from .errors import BadScalarLiteral, ZeroVector
 
 
 def _to_fraction(value) -> Fraction:
@@ -102,20 +105,6 @@ class GaussianRational:
     def __rsub__(self, other):
         return GaussianRational.from_value(other) - self
 
-    def conjugate(self) -> "GaussianRational":
-        a, b, d = self._abd
-        return _make(a, -b, d)
-
-    @property
-    def ints(self) -> tuple:
-        """The normal form's ints ``(a, b, d)``: the value is (a + b*i)/d."""
-        return self._abd
-
-    def abs2(self) -> Fraction:
-        """|z|^2 as an exact Fraction."""
-        a, b, d = self._abd
-        return Fraction(a * a + b * b, d * d)
-
     def is_zero(self) -> bool:
         return self._abd[0] == 0 and self._abd[1] == 0
 
@@ -133,11 +122,6 @@ class GaussianRational:
     @property
     def im(self) -> Fraction:
         return Fraction(self._abd[1], self._abd[2])
-
-    def sort_key(self):
-        """Total order key (lexicographic on re, im); not a field order."""
-        a, b, d = self._abd
-        return OrderKey(((a, b),), d)
 
     def __eq__(self, other):
         if not isinstance(other, GaussianRational):
@@ -196,6 +180,39 @@ class OrderKey:
             if x != y:
                 return x < y
         return len(self.pairs) < len(other.pairs)
+
+
+def canonical(pairs) -> tuple[tuple, int]:
+    """The canonical form ``(pairs, scale)`` of a nonzero Gaussian-integer
+    vector given as (re, im) int pairs: the vector over its first nonzero
+    entry, as int pairs over one positive scale that share no common factor
+    with it. The form is unique, so a map's coefficients and a point's
+    coordinates compare and hash as these ints.
+
+    Division by the first nonzero c0 = a0 + b0*i: times conj(c0) over
+    |c0|^2, or by sign(a0) over |a0| when c0 is real, as it is for every
+    polynomial composite (which skips a product per int and a larger gcd);
+    then one gcd over the whole vector and that scale. The first pair comes
+    out as (scale, 0). An all-zero vector raises ZeroVector.
+    """
+    for a0, b0 in pairs:
+        if a0 or b0:
+            break
+    else:
+        raise ZeroVector("the zero vector has no canonical form")
+    if b0:
+        pairs = [(a * a0 + b * b0, b * a0 - a * b0) for a, b in pairs]
+        scale = a0 * a0 + b0 * b0
+    elif a0 > 0:
+        scale = a0
+    else:
+        pairs = [(-a, -b) for a, b in pairs]
+        scale = -a0
+    g = math.gcd(scale, *chain.from_iterable(pairs))
+    if g != 1:
+        pairs = [(a // g, b // g) for a, b in pairs]
+        scale //= g
+    return tuple(pairs), scale
 
 
 def lift(values) -> tuple[list, int]:

@@ -4,7 +4,8 @@ A map is a coprime pair of homogeneous forms (P, Q) of equal degree d >= 1
 over the Gaussian rationals, stored in canonical form: the first nonzero
 coefficient of the concatenated list (numerator then denominator, descending
 monomial order) equals 1. The canonical form is held as Gaussian integers
-over one positive scale with no common factor, which is unique. It is the
+over one positive scale with no common factor, which is unique;
+``gaussian.canonical`` gives it, as it gives an exact point's. It is the
 map's one exact form: equality, hashing, composition, the exact evaluation
 fallback and the float coefficients and their derivatives all read its
 (re, im) int pairs; ``num`` and ``den`` are GaussianRational views on it.
@@ -20,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 from .errors import (
     CommonFactor,
@@ -29,7 +29,7 @@ from .errors import (
     NotMobius,
     RootFindingFailure,
 )
-from .gaussian import GaussianRational, OrderKey, lift, sqrt_exact, unlift
+from .gaussian import GaussianRational, OrderKey, canonical, lift, sqrt_exact, unlift
 from .polynomial import (
     aberth_roots,
     form_eval_complex,
@@ -132,32 +132,10 @@ def _coerce_coeffs(seq):
 
 
 def _build(pairs, exact):
-    """Canonical map from Gaussian-integer coefficients, num then den.
-
-    Division by the first nonzero c0 = a0 + b0*i: times conj(c0) over
-    |c0|^2, or by sign(a0) over |a0| when c0 is real, as it is for every
-    polynomial composite (which skips a product per int and a larger gcd);
-    then one gcd over the whole vector and that scale.
-    """
-    for a0, b0 in pairs:
-        if a0 or b0:
-            break
-    else:
-        raise DegenerateMap("all coefficients vanish")
-    if b0:
-        pairs = [(a * a0 + b * b0, b * a0 - a * b0) for a, b in pairs]
-        scale = a0 * a0 + b0 * b0
-    elif a0 > 0:
-        scale = a0
-    else:
-        pairs = [(-a, -b) for a, b in pairs]
-        scale = -a0
-    g = math.gcd(scale, *chain.from_iterable(pairs))
-    if g != 1:
-        pairs = [(a // g, b // g) for a, b in pairs]
-        scale //= g
-    return RationalMap(pairs=tuple(pairs), scale=scale,
-                       degree=len(pairs) // 2 - 1, exact_coeffs=exact)
+    """Canonical map from Gaussian-integer coefficients, num then den."""
+    pairs, scale = canonical(pairs)
+    return RationalMap(pairs=pairs, scale=scale, degree=len(pairs) // 2 - 1,
+                       exact_coeffs=exact)
 
 
 def make_map(num, den) -> RationalMap:

@@ -10,6 +10,7 @@ import pytest
 import rsentropy as rs
 from rsentropy import coincidence
 from rsentropy.errors import BudgetExceeded, InconsistentItinerary
+from rsentropy.gaussian import canonical
 from rsentropy.projective import NearPoints, ring_around
 from util import (
     THREE_GENERATORS,
@@ -17,8 +18,11 @@ from util import (
     Z3,
     Z4,
     affine_translation,
+    exact_point,
+    reference_escape_bound,
     reference_exact_eval,
     reference_karp,
+    same_bits,
     scaling,
     scan_return_depths,
     schoolbook_mul,
@@ -253,9 +257,7 @@ def test_tangential_coincidence_is_one_exact_point():
     # are tangent there, so Aberth alone splits 1 into two inexact copies
     gens = rs.GeneratorSet([Z2, rs.make_map([2, -1], [0, 1])])
     pts = rs.coincidence_set(gens)
-    assert [cp.exact_coords for cp in pts] == [
-        (rs.GaussianRational(1), rs.GaussianRational(1)),
-        (rs.GaussianRational(1), rs.GaussianRational(0))]
+    assert [cp.exact_coords for cp in pts] == [((1, 0), (1, 0)), ((1, 0), (0, 0))]
     for depth in (1, 5, 12):
         certs = coincidence.certified_coincidences(gens, depth)
         assert all(cert.return_depths == tuple(range(1, depth + 1)) for _, cert in certs)
@@ -359,9 +361,12 @@ def test_step_table_holds_exact_rows_only():
     for row in steps.values():
         assert row
         for pt, image in row.items():
+            # a pair of canonical (re, im) int pairs
             for coords in (pt, image):
-                assert len(coords) == 2
-                assert all(isinstance(c, rs.GaussianRational) for c in coords)
+                assert type(coords) is tuple and len(coords) == 2
+                assert all(type(c) is tuple and len(c) == 2
+                           and all(type(x) is int for x in c) for c in coords)
+                assert coords[0] == (coords[0][0] or coords[1][0], 0)
 
 
 def test_forward_set_budget_raises_in_both_modes():
@@ -379,17 +384,13 @@ def test_forward_set_budget_raises_in_both_modes():
 
 
 def test_exact_points_match_by_equality_within_the_budget():
-    def point(z):
-        return coincidence.exact_normalize(rs.GaussianRational.from_value(z),
-                                           rs.GaussianRational(1))
-
     index = coincidence.ExactPoints(0.5, 2, "too many exact points")
     # the tolerance plays no part: 0 and 10^-12 are two points
-    assert [index.index_of(point(z)) for z in (0, "1/1000000000000", 0)] == [0, 1, 0]
-    assert index.points == [point(0), point("1/1000000000000")]
-    assert index.find(point(2)) is None
+    assert [index.index_of(exact_point(z)) for z in (0, "1/1000000000000", 0)] == [0, 1, 0]
+    assert index.points == [exact_point(0), exact_point("1/1000000000000")]
+    assert index.find(exact_point(2)) is None
     with pytest.raises(BudgetExceeded, match="too many exact points"):
-        index.index_of(point(2))
+        index.index_of(exact_point(2))
 
 
 def test_karp_against_brute_force():
@@ -512,7 +513,7 @@ def test_friedland_bounds_steps_each_pair_once_per_call(monkeypatch):
 
 def _inverted(pt):
     """The exact point under z -> 1/z, which swaps the coordinates."""
-    return coincidence.exact_normalize(pt[1], pt[0])
+    return canonical(pt[::-1])[0]
 
 
 @pytest.mark.parametrize("depth", (8, 12, 40))
@@ -524,7 +525,7 @@ def test_basilica_graph_closes_at_the_escape_radius(depth):
     assert (d["exact"], d["graph_nodes"], d["graph_edges"], d["depth_cap_hit"]) == (
         True, 4, 4, False)
     assert fb.s_hat == math.log(2) and fb.lower == math.log(5) - math.log(2)
-    assert d["cycle_points"] == ((rs.GaussianRational(1), rs.GaussianRational(0)),)
+    assert d["cycle_points"] == (((1, 0), (0, 0)),)
     assert (d["cycle_profile"], d["cycle_length"]) == ((2,), 1)
     two = math.log(2)
     assert _graph(BASILICA, depth) == (4, [(0, 2, two), (1, 1, two), (2, 0, 0.0),
@@ -542,19 +543,17 @@ def test_basilica_return_depths_match_the_conjugate():
         (2, 4, 6, 8, 10), (), tuple(range(1, 11))]  # 0, 1, infinity
 
 
+def _w_abs2(pt):
+    """|w|^2 of the exact point [1 : w]."""
+    (d, _), (a, b) = pt
+    return Fraction(a * a + b * b, d * d)
+
+
 def test_points_beyond_the_escape_radius_grow():
     rng = np.random.default_rng(11)
     checked = 0
     for _ in range(40):
-        maps = []
-        for _ in range(int(rng.integers(1, 4))):
-            d = int(rng.integers(2, 5))
-            num = [_random_gaussian(rng, False) for _ in range(d + 1)]
-            if num[0].is_zero():
-                num[0] = rs.GaussianRational(1)
-            lead = _random_gaussian(rng, False)
-            den = [0] * d + [lead if not lead.is_zero() else 3]
-            maps.append(rs.make_map(num, den))
+        maps = _random_polynomials(rng)
         escapes = coincidence._escape_test(maps)
         # |z| on a ladder through the radius, in random directions
         found = [False, False]
@@ -563,28 +562,92 @@ def test_points_beyond_the_escape_radius_grow():
             if z.is_zero():
                 continue
             z = z * rs.GaussianRational(Fraction(11, 10) ** k / (1 + math.isqrt(
-                int(z.abs2()))))
-            pt = coincidence.exact_normalize(z, rs.GaussianRational(1))
+                int(z.re ** 2 + z.im ** 2))))
+            pt = exact_point(z)
             found[escapes(pt)] = True
             if escapes(pt):
                 for f in maps:
                     image = coincidence.exact_eval(f, pt)
-                    assert image[0] == rs.GaussianRational(1)
-                    assert image[1].abs2() < pt[1].abs2()  # |f(z)| > |z|
+                    assert image[0] != (0, 0)
+                    assert _w_abs2(image) < _w_abs2(pt)  # |f(z)| > |z|
                 checked += 1
         assert found == [True, True]
     assert checked > 500
     # infinity and 0 are kept, and a set with a non-polynomial or a degree-1
     # generator never closes
     escapes = coincidence._escape_test(BASILICA.maps)
-    for pt in ((rs.GaussianRational(1), rs.GaussianRational(0)),
-               (rs.GaussianRational(0), rs.GaussianRational(1))):
+    for pt in (((1, 0), (0, 0)), ((0, 0), (1, 0))):
         assert not escapes(pt)
-    far = coincidence.exact_normalize(rs.GaussianRational(10 ** 9), rs.GaussianRational(1))
+    far = exact_point(10 ** 9)
     assert escapes(far)
     for maps in (CONJUGATE_BASILICA.maps, MIXED.maps,
                  [BASILICA.maps[0], rs.make_map([2, -1], [0, 1])]):
+        assert reference_escape_bound(maps) is None
         assert not coincidence._escape_test(maps)(far)
+
+
+# Gaussian rationals of modulus 1, real and not
+UNITS = [rs.GaussianRational(*u) for u in (
+    (1, 0), (-1, 0), (0, 1), (Fraction(3, 5), Fraction(-4, 5)),
+    (Fraction(-5, 13), Fraction(12, 13)), (Fraction(-20, 29), Fraction(21, 29)))]
+
+
+def _random_polynomials(rng, unit_leads=False):
+    """One to three exact polynomials of degree 2 to 4 with Gaussian-rational
+    coefficients, the leading one and the denominator complex at times. With
+    unit_leads, both are rationals times UNITS, so every |a_d| is rational
+    and the squared escape radius B is a square."""
+    maps = []
+    for _ in range(int(rng.integers(1, 4))):
+        d = int(rng.integers(2, 5))
+        num = [_random_gaussian(rng, False) for _ in range(d + 1)]
+        lead = _random_gaussian(rng, False)
+        if unit_leads:
+            num[0], lead = (rs.GaussianRational(Fraction(int(rng.integers(1, 9)),
+                                                         int(rng.integers(1, 9))))
+                            * UNITS[int(rng.integers(len(UNITS)))] for _ in range(2))
+        if num[0].is_zero():
+            num[0] = rs.GaussianRational(1)
+        den = [0] * d + [lead if not lead.is_zero() else 3]
+        maps.append(rs.make_map(num, den))
+    return maps
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_escape_test_matches_the_fraction_bound(seed):
+    # the integer predicate against B from Fraction arithmetic on num/den,
+    # at points inside, on and outside |z|^2 = B in random directions: a
+    # point [1 : w] escapes iff w != 0 and |w|^2 B < 1, that is |z|^2 > B
+    rng = np.random.default_rng(seed)
+    on_radius = 0
+    for _ in range(40):
+        maps = _random_polynomials(rng, unit_leads=True)
+        bound = reference_escape_bound(maps)
+        radius = Fraction(math.isqrt(bound.numerator), math.isqrt(bound.denominator))
+        assert radius * radius == bound
+        escapes = coincidence._escape_test(maps)
+        for unit in UNITS:
+            for nudge in (Fraction(-1, 10 ** 6), 0, Fraction(1, 10 ** 6), 1, -Fraction(1, 2)):
+                z = unit * rs.GaussianRational(radius * (1 + nudge))
+                pt = exact_point(z)
+                assert escapes(pt) == (_w_abs2(pt) * bound < 1) == (nudge > 0)
+                on_radius += nudge == 0
+        # and random sets, whose B need not be a square
+        maps = _random_polynomials(rng)
+        bound = reference_escape_bound(maps)
+        escapes = coincidence._escape_test(maps)
+        for k in range(-8, 9):
+            w = _random_gaussian(rng, False) * rs.GaussianRational(Fraction(3, 2) ** k)
+            pt = exact_point(1, w)
+            assert escapes(pt) == (not w.is_zero() and _w_abs2(pt) * bound < 1)
+    assert on_radius == 40 * len(UNITS)
+    # the basilica's B is 4: z = 2, the point [1 : 1/2], lies on the radius
+    # and is kept; a z a little larger escapes
+    assert reference_escape_bound(BASILICA.maps) == 4
+    escapes = coincidence._escape_test(BASILICA.maps)
+    assert exact_point(2) == ((2, 0), (1, 0)) and not escapes(exact_point(2))
+    assert escapes(exact_point(Fraction(2001, 1000)))
+    assert not escapes(exact_point(Fraction(1999, 1000)))
 
 
 # z^2 - 1 with (z^2 - 1)/(z + 2): one polynomial generator is not enough
@@ -717,6 +780,9 @@ def _vanishing_at(rng, pt, degree, real):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_exact_eval_matches_the_operation_oracle(seed):
+    # the library steps canonical integer coordinates, the oracle steps the
+    # point as two GaussianRationals; both images are the same point, and
+    # its float point is the same to the bit
     rng = np.random.default_rng(seed)
     zero, one = rs.GaussianRational(0), rs.GaussianRational(1)
     checked = 0
@@ -737,7 +803,13 @@ def test_exact_eval_matches_the_operation_oracle(seed):
         except rs.errors.RsentropyError:
             continue
         for p in (pt, (one, zero), (zero, one), (one, _random_gaussian(rng, real))):
-            assert coincidence.exact_eval(f, p) == reference_exact_eval(f, p)
+            want = reference_exact_eval(f, p)
+            got = coincidence.exact_eval(f, exact_point(*p))
+            assert got == exact_point(*want)
+            got_p = coincidence.exact_to_proj(got)
+            want_p = rs.normalize(complex(want[0]), complex(want[1]))
+            assert same_bits((got_p.h0, got_p.h1), (want_p.h0, want_p.h1))
         if kind:
-            assert coincidence.exact_eval(f, pt) == [(zero, one), (one, zero)][kind - 1]
+            assert coincidence.exact_eval(f, exact_point(*pt)) == [
+                ((0, 0), (1, 0)), ((1, 0), (0, 0))][kind - 1]
         checked += 1

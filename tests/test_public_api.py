@@ -20,6 +20,12 @@ def test_public_surface_matches_the_docs():
     for name in ("from_paths", "paths"):
         assert not hasattr(rs.OrbitPool, name)
     assert not hasattr(rs.errors, "EmptyPath")
+    # exact points are canonical Gaussian-integer pairs, as maps are: the
+    # GaussianRational point normaliser and the scalar helpers only it and
+    # the old escape test read are gone
+    assert not hasattr(rs.coincidence, "exact_normalize")
+    for name in ("conjugate", "sort_key", "ints", "abs2"):
+        assert not hasattr(rs.GaussianRational, name)
     names = re.findall(r"`rsentropy\.([A-Za-z_][\w.]*)`", README.read_text(encoding="utf-8"))
     assert len(names) > 10
     for name in names:

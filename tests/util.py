@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 
 import rsentropy as rs
-from rsentropy import coincidence, orbits, polynomial, ratmap
+from rsentropy import orbits, polynomial, ratmap
 from rsentropy.errors import (
     CommonFactor,
     DegenerateMap,
@@ -17,7 +17,7 @@ from rsentropy.errors import (
     MixedNu,
     RootFindingFailure,
 )
-from rsentropy.gaussian import lift, unlift
+from rsentropy.gaussian import canonical, lift, unlift
 from rsentropy.projective import INFINITY, ProjPoint, chordal_dist, normalize
 
 
@@ -327,12 +327,46 @@ def reference_form_eval_exact(form, z0, z1):
     return acc
 
 
+def exact_normalize(h0, h1):
+    """Scale so the first nonzero coordinate is exactly 1: the exact point as
+    a pair of GaussianRationals (the point normaliser oracle)."""
+    if not h0.is_zero():
+        return (rs.GaussianRational(1), h1 / h0)
+    if h1.is_zero():
+        raise ValueError("zero vector has no projective class")
+    return (rs.GaussianRational(0), rs.GaussianRational(1))
+
+
+def exact_point(h0, h1=1):
+    """The exact point [h0 : h1] of two scalars in the library's form, its
+    canonical Gaussian-integer coordinates; exact_point(z) is z."""
+    coords = (rs.GaussianRational.from_value(h0), rs.GaussianRational.from_value(h1))
+    return canonical(lift(coords)[0])[0]
+
+
 def reference_exact_eval(f, pt):
-    """The normalized image of an exact point, each form evaluated by
-    reference_form_eval_exact (the exact step oracle)."""
+    """The normalized image of an exact point given as two GaussianRationals,
+    each form evaluated by reference_form_eval_exact (the exact step oracle)."""
     w0 = reference_form_eval_exact(f.num, pt[0], pt[1])
     w1 = reference_form_eval_exact(f.den, pt[0], pt[1])
-    return coincidence.exact_normalize(w0, w1)
+    return exact_normalize(w0, w1)
+
+
+def reference_escape_bound(maps):
+    """The squared escape radius B of a set of polynomials of degree >= 2, or
+    None for any other set, by Fraction arithmetic on the num and den views
+    (the escape radius oracle): B is the largest max(1, (1 + A+)^2 / |a_d|^2)
+    with a_k the coefficients of f = num / lead and A+ = sum_{k<d} |Re a_k| +
+    |Im a_k|."""
+    bound = Fraction(1)
+    for f in maps:
+        if f.degree < 2 or not all(c.is_zero() for c in f.den[:-1]):
+            return None
+        lead = f.den[-1]
+        a = [c / lead for c in f.num]
+        spread = 1 + sum(abs(c.re) + abs(c.im) for c in a[1:])
+        bound = max(bound, spread * spread / (a[0].re ** 2 + a[0].im ** 2))
+    return bound
 
 
 def group_by_word(paths):
@@ -635,7 +669,8 @@ def same_bits(a, b) -> bool:
 
 # -- map algebra on GaussianRational coefficients, as it was before a map
 # became its Gaussian-integer form: the oracles of _build, compose and
-# sort_key. The bodies are the old ones; only the names they call changed --
+# sort_key. The bodies are the old ones; only the names they call changed,
+# and sort_key reads each coefficient's (re, im) Fractions --------------------
 
 
 @dataclass(frozen=True)
@@ -649,7 +684,7 @@ class ReferenceMap:
     exact_coeffs: bool = True
 
     def sort_key(self):
-        coeffs = tuple(c.sort_key() for c in self.num + self.den)
+        coeffs = tuple((c.re, c.im) for c in self.num + self.den)
         return (self.degree, coeffs)
 
 
