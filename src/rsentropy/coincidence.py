@@ -21,18 +21,12 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 
 from .correspondence import Correspondence, GeneratorSet, build_correspondence
 from .errors import InconsistentItinerary, RootFindingFailure
-from .gaussian import GaussianRational, canonical, lift, unlift
-from .polynomial import (
-    aberth_roots,
-    form_mul,
-    pairs_eval,
-    poly_divmod,
-    poly_gcd,
-    poly_trim,
-)
+from .gaussian import canonical
+from .polynomial import aberth_roots, form_mul, pairs_divmod, pairs_eval, pairs_gcd
 from .projective import NearPoints, ProjPoint, chordal_dist, normalize
 from .ratmap import RationalMap, evaluate
 
@@ -78,12 +72,15 @@ class ExactPoints(NearPoints):
         return hit[0] if hit else None
 
 
-def _snap_exact(z: complex) -> GaussianRational | None:
+def _snap_exact(z: complex) -> tuple | None:
+    """z snapped to a small Gaussian rational (a + b*i)/d, as the pairs
+    ((a, b), (d, 0)) of the point [z : 1], or None when it is not close."""
     re = Fraction(z.real).limit_denominator(SNAP_DENOMINATOR)
     im = Fraction(z.imag).limit_denominator(SNAP_DENOMINATOR)
     if abs(re - Fraction(z.real)) > 1e-9 or abs(im - Fraction(z.imag)) > 1e-9:
         return None
-    return GaussianRational(re, im)
+    d = math.lcm(re.denominator, im.denominator)
+    return (re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)), (d, 0)
 
 
 # -- the coincidence set ----------------------------------------------------------
@@ -120,11 +117,11 @@ def coincidence_set(gens: GeneratorSet) -> list[CoincidencePoint]:
             fi, fj = gens.maps[i], gens.maps[j]
             di, dj = fi.degree + 1, fj.degree + 1
             # both products lie over scale_i scale_j, so the pairs subtract
-            cross = unlift([(a - c, b - e) for (a, b), (c, e) in zip(
+            cross = [(a - c, b - e) for (a, b), (c, e) in zip(
                 form_mul(fi.pairs[:di], fj.pairs[dj:]),
-                form_mul(fj.pairs[:dj], fi.pairs[di:]))], fi.scale * fj.scale)
+                form_mul(fj.pairs[:dj], fi.pairs[di:]))]
             exact_ok = fi.exact_coeffs and fj.exact_coeffs
-            for pt, coords in _cross_roots(cross, exact_ok):
+            for pt, coords in _cross_roots(cross, fi.scale * fj.scale, exact_ok):
                 pair = (i + 1, j + 1)
                 for k, e in enumerate(found):
                     # exact coordinates are equal or not, others within RECURRENCE_TOL
@@ -141,16 +138,17 @@ def coincidence_set(gens: GeneratorSet) -> list[CoincidencePoint]:
     return found
 
 
-def _cross_roots(cross, exact_ok):
-    """Projective roots of an exact form, exact where recoverable."""
-    if all(c.is_zero() for c in cross):
+def _cross_roots(cross, scale, exact_ok):
+    """Projective roots of the exact form cross/scale, its Gaussian-integer
+    pairs over a positive int, exact where recoverable."""
+    if not any(map(any, cross)):
         raise RootFindingFailure("cross form vanishes identically")
     # monomial factors: leading zeros are roots at infinity, trailing at 0
     lead = 0
-    while cross[lead].is_zero():
+    while cross[lead] == (0, 0):
         lead += 1
     trail = 0
-    while cross[len(cross) - 1 - trail].is_zero():
+    while cross[len(cross) - 1 - trail] == (0, 0):
         trail += 1
     core = cross[lead:len(cross) - trail]
 
@@ -162,50 +160,64 @@ def _cross_roots(cross, exact_ok):
         pt = ((0, 0), (1, 0))
         roots.append((exact_to_proj(pt), pt if exact_ok else None))
 
-    # affine part, ascending coefficients
-    asc = poly_trim(list(reversed(core)))
-    if len(asc) <= 1:
+    # affine part, highest degree first
+    if len(core) <= 1:
         return roots
     # Aberth splits a multiple root at ~1e-8, too coarse to snap or to match
     # within RECURRENCE_TOL: keep p / gcd(p, p'), exact also for float maps,
     # whose coefficients are stored as exact dyadic rationals
-    deriv = [c * k for k, c in enumerate(asc)][1:]
-    asc = poly_divmod(asc, poly_gcd(asc, deriv))[0]
+    m = len(core) - 1
+    g = pairs_gcd(core, [(a * (m - k), b * (m - k)) for k, (a, b) in enumerate(core[:m])])
+    if len(g) > 1:
+        core, scale = _exact_quotient(core, scale, g)
     if exact_ok:
-        asc, rational_roots = _deflate_rational_roots(asc)
-        for r in rational_roots:
-            pt = canonical(lift((r, GaussianRational(1)))[0])[0]
-            roots.append((exact_to_proj(pt), pt))
-    if len(asc) > 1:
-        for z in aberth_roots([complex(c) for c in asc]):
+        core, scale, points = _deflate_rational_roots(core, scale)
+        roots += [(exact_to_proj(pt), pt) for pt in points]
+    if len(core) > 1:
+        for z in aberth_roots(_ascending_complex(core, scale)):
             roots.append((normalize(z, 1.0), None))
     return roots
 
 
-def _deflate_rational_roots(asc):
-    """Strip Gaussian-rational roots found by snapping verified numerically."""
-    rational: list[GaussianRational] = []
-    while len(asc) > 1:
-        if len(asc) == 2:
-            rational.append((-asc[0]) / asc[1])
-            asc = [asc[1]]
+def _exact_quotient(pairs, den, divisor):
+    """The quotient of the polynomial pairs/den by the monic divisor/s, s
+    its first int, which divides it over Q(i): pairs over a denominator,
+    with no common factor. By pseudo-division, s^n pairs = q divisor, so the
+    quotient is q s / (s^n den)."""
+    q = pairs_divmod(pairs, divisor)[0]
+    den *= divisor[0][0] ** (len(q) - 1)
+    g = math.gcd(den, *chain.from_iterable(q))
+    return [(a // g, b // g) for a, b in q], den // g
+
+
+def _ascending_complex(pairs, den) -> list:
+    """The coefficients pairs/den, lowest degree first, each part rounded
+    correctly by int true division."""
+    return [complex(a / den, b / den) for a, b in reversed(pairs)]
+
+
+def _deflate_rational_roots(pairs, den):
+    """Strip the Gaussian-rational roots of the polynomial pairs/den that
+    its numeric roots snap to, each verified by exact substitution: the
+    rest as pairs over a denominator, and the roots as exact points."""
+    points: list[ExactPoint] = []
+    while len(pairs) > 1:
+        if len(pairs) == 2:
+            # p0 z + p1 vanishes at [-p1 : p0]
+            p0, (a, b) = pairs
+            points.append(canonical([(-a, -b), p0])[0])
+            pairs = pairs[:1]
             break
-        progress = False
-        for z in aberth_roots([complex(c) for c in asc]):
+        for z in aberth_roots(_ascending_complex(pairs, den)):
             cand = _snap_exact(z)
-            if cand is None:
-                continue
-            value = asc[-1]
-            for c in reversed(asc[:-1]):
-                value = value * cand + c
-            if value.is_zero():
-                rational.append(cand)
-                asc = poly_divmod(asc, [-cand, GaussianRational(1)])[0]
-                progress = True
+            if cand is not None and pairs_eval(pairs, *cand) == (0, 0):
+                points.append(canonical(cand)[0])
+                (a, b), d = cand
+                pairs, den = _exact_quotient(pairs, den, [d, (-a, -b)])
                 break
-        if not progress:
+        else:
             break
-    return asc, rational
+    return pairs, den, points
 
 
 # -- recurrence --------------------------------------------------------------------

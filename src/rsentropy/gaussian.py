@@ -1,12 +1,13 @@
-"""Exact Gaussian-rational scalars ``(a + b*i)/d``, and the canonical form
-of Gaussian-integer vectors.
+"""Exact Gaussian-rational scalar literals ``(a + b*i)/d``, and the
+canonical form of Gaussian-integer vectors.
 
-A scalar is stored as one normal form: Python ints ``(a, b, d)`` with
-``d > 0`` and ``gcd(a, b, d) == 1``. The form is unique, so equality and
-hashing compare the int triples, and each arithmetic result costs one
-multi-argument gcd. Arithmetic is exact; ``complex()`` is the one lossy
-exit. Exact maps and exact points are not held as scalars: each is a
-Gaussian-integer vector brought to the one form that ``canonical`` gives.
+A scalar is what a config or a caller writes for a coefficient. It is
+stored as one normal form: Python ints ``(a, b, d)`` with ``d > 0`` and
+``gcd(a, b, d) == 1``. The form is unique, so equality and hashing compare
+the int triples. A scalar has no arithmetic: it is parsed, compared, turned
+into ``complex()`` or its literal, and lifted into Gaussian-integer pairs.
+Every exact computation (maps, points, Euclid, the Mobius classes) runs on
+such pairs, brought to the one form that ``canonical`` gives.
 """
 
 from __future__ import annotations
@@ -69,46 +70,7 @@ class GaussianRational:
             return cls(_to_fraction(value.real), _to_fraction(value.imag))
         return cls(_to_fraction(value))
 
-    # -- field arithmetic --------------------------------------------------
-
-    def __add__(self, other):
-        a, b, d = self._abd
-        p, q, e = GaussianRational.from_value(other)._abd
-        return _make(a * e + p * d, b * e + q * d, d * e)
-
-    def __sub__(self, other):
-        a, b, d = self._abd
-        p, q, e = GaussianRational.from_value(other)._abd
-        return _make(a * e - p * d, b * e - q * d, d * e)
-
-    def __neg__(self):
-        a, b, d = self._abd
-        return _make(-a, -b, d)
-
-    def __mul__(self, other):
-        a, b, d = self._abd
-        p, q, e = GaussianRational.from_value(other)._abd
-        return _make(a * p - b * q, a * q + b * p, d * e)
-
-    def __truediv__(self, other):
-        a, b, d = self._abd
-        p, q, e = GaussianRational.from_value(other)._abd
-        n = p * p + q * q
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        # (a + bi)/d * e/(p + qi) = e (a + bi)(p - qi) / (d (p^2 + q^2))
-        return _make((a * p + b * q) * e, (b * p - a * q) * e, d * n)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __rsub__(self, other):
-        return GaussianRational.from_value(other) - self
-
-    def is_zero(self) -> bool:
-        return self._abd[0] == 0 and self._abd[1] == 0
-
-    # -- conversions and ordering helpers ----------------------------------
+    # -- conversions and comparison ---------------------------------------
 
     def __complex__(self) -> complex:
         # int true division is correctly rounded, as float(Fraction) is
@@ -228,43 +190,3 @@ def lift(values) -> tuple[list, int]:
 def unlift(pairs, den: int) -> tuple:
     """The scalars ``(A + B*i)/den`` for each pair, each reduced once."""
     return tuple(_make(a, b, den) for a, b in pairs)
-
-
-def sqrt_exact(value: GaussianRational):
-    """Exact square root within the Gaussian rationals, or None.
-
-    Solves (x + yi)^2 = a + bi over Q when possible: needs |a+bi| to be a
-    rational square, and then x^2 = (a + |a+bi|)/2 a rational square too.
-    """
-    a, b = value.re, value.im
-    if a == 0 and b == 0:
-        return GaussianRational(0)
-    norm = a * a + b * b
-    s = _fraction_sqrt(norm)
-    if s is None:
-        return None
-    x2 = (a + s) / 2
-    x = _fraction_sqrt(x2)
-    if x is None:
-        return None
-    if x == 0:
-        # value = negative real; root is purely imaginary
-        y = _fraction_sqrt(-a)
-        if y is None:
-            return None
-        return GaussianRational(0, y)
-    y = b / (2 * x)
-    root = GaussianRational(x, y)
-    if root * root == value:
-        return root
-    return None
-
-
-def _fraction_sqrt(f: Fraction):
-    if f < 0:
-        return None
-    num, den = f.numerator, f.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None

@@ -4,11 +4,11 @@ A homogeneous form of degree d in (z0, z1) is a list of d+1 coefficients in
 descending z0 order: index k holds the coefficient of z0^(d-k) z1^k. The
 exact forms are Gaussian integers, each an (re, im) int pair; a form over
 the Gaussian rationals is carried as such pairs over one common
-denominator, which moves no root. The affine chart is z = z0/z1, so the
-form read back to front is the ascending coefficient list of its affine
-polynomial, and a vanishing index-0 coefficient means a root at [1 : 0].
-Only exact Euclid over Q(i) (``poly_gcd``) builds GaussianRational
-coefficients, as ascending lists.
+denominator, which moves no root. The affine chart is z = z0/z1, so a
+form's pairs are also its affine polynomial's, highest degree first, and a
+vanishing index-0 coefficient means a root at [1 : 0]. Exact Euclid over
+Q(i) (``pairs_gcd``) runs on such pairs too: every exact computation here
+is on ints.
 
 The numeric root finder is a simultaneous (Aberth-Ehrlich) iteration with a
 residual stopping rule and one Newton polish per root; companion-matrix
@@ -24,7 +24,7 @@ from functools import cache
 import numpy as np
 
 from .errors import RootFindingFailure
-from .gaussian import GaussianRational, unlift
+from .gaussian import canonical
 
 ABERTH_TOL = 1e-12
 ABERTH_MAX_SWEEPS = 200
@@ -91,52 +91,51 @@ def form_eval_complex(coeffs, z0: complex, z1: complex) -> complex:
     return acc
 
 
-# -- univariate gcd over the Gaussian rationals ---------------------------------
+# -- univariate Euclid over the Gaussian rationals, on pairs ---------------------
 
 
-def poly_trim(coeffs: list) -> list:
-    """Drop zero leading (highest-degree) coefficients of an ascending list."""
-    out = list(coeffs)
-    while out and out[-1].is_zero():
-        out.pop()
-    return out
+def _drop_leading_zeros(pairs) -> list:
+    """The pairs from the first nonzero one on."""
+    for k, pair in enumerate(pairs):
+        if pair != (0, 0):
+            return list(pairs[k:])
+    return []
 
 
-def poly_gcd(a: list, b: list) -> list:
-    """Monic gcd of ascending-coefficient polynomials over Q(i).
+def pairs_divmod(a: list, b: list) -> tuple[list, list]:
+    """Pseudo-division of Gaussian-integer polynomials given as (re, im)
+    int pairs, highest degree first: (q, r) with s^n a = q b + r, where
+    b's lead is the positive int s, as ``canonical`` leaves it, and
+    n = len(q) = len(a) - len(b) + 1. r, of lower degree than b, comes
+    without its leading zeros."""
+    s, m = b[0][0], len(b)
+    q, r = [], list(a)
+    for k in range(len(a) - m + 1):
+        # s r - (x + y*i) z^(len(a) - m - k) b clears the lead r[k] = (x, y)
+        x, y = r[k]
+        q = [(s * u, s * v) for u, v in q] + [(x, y)]
+        r[k:] = ([(s * u - x * p + y * t, s * v - x * t - y * p) for (u, v), (p, t) in zip(r[k:], b)]
+                 + [(s * u, s * v) for u, v in r[k + m:]])
+    return q, _drop_leading_zeros(r[len(q):])
 
-    Euclid's algorithm in exact arithmetic. It stops as soon as a divisor
-    is a nonzero constant, whose gcd with anything is 1, so the last
-    division (every coefficient by that constant) is never made. The gcd
-    of two zero polynomials is the empty list.
+
+def pairs_gcd(a: list, b: list) -> tuple:
+    """The monic gcd over Q(i) of two polynomials, not both zero, given as
+    Gaussian-integer pairs highest degree first, in canonical form: pairs
+    over the int s of its first pair (s, 0). A constant gcd is ((1, 0),).
+
+    Euclid's algorithm: each divisor is brought to canonical form, and
+    each remainder is a pseudo-remainder, which is a scalar multiple of the
+    remainder over Q(i). It stops as soon as a divisor is a nonzero
+    constant, whose gcd with anything is 1.
     """
-    a = poly_trim(a)
-    b = poly_trim(b)
+    a, b = _drop_leading_zeros(a), _drop_leading_zeros(b)
     while b:
         if len(b) == 1:
-            return [GaussianRational(1)]
-        a, b = b, poly_divmod(a, b)[1]
-    if not a:
-        return []
-    lead = a[-1]
-    return [c / lead for c in a]
-
-
-def poly_divmod(a: list, b: list) -> tuple[list, list]:
-    """(quotient, trimmed remainder) of ascending coefficient lists, b trimmed."""
-    r = list(a)
-    db, lead = len(b) - 1, b[-1]
-    q = [GaussianRational(0)] * max(len(a) - db, 0)
-    while len(r) - 1 >= db and r:
-        factor = r[-1] / lead
-        shift = len(r) - 1 - db
-        q[shift] = factor
-        for i in range(db + 1):
-            r[shift + i] = r[shift + i] - factor * b[i]
-        r.pop()
-        while r and r[-1].is_zero():
-            r.pop()
-    return q, r
+            return ((1, 0),)
+        b = canonical(b)[0]
+        a, b = b, pairs_divmod(a, b)[1]
+    return canonical(a)[0]
 
 
 def forms_coprime(p: list, q: list) -> bool:
@@ -163,11 +162,11 @@ def forms_coprime(p: list, q: list) -> bool:
        kept its degree, the image of C keeps degree >= 1, and it divides
        both images: their gcd mod p is not a constant.
     3. Otherwise (a leading coefficient vanishes mod p, or the images share
-       a factor mod p), exact Euclid over Q(i) decides, by ``poly_gcd``.
-       Only this tier builds GaussianRational coefficients.
+       a factor mod p), exact Euclid over Q(i) on the pairs decides, by
+       ``pairs_gcd``.
 
     A True from tier 1 or 2 is a proof and tier 3 is exact, so the result
-    is the one the [1 : 0] test and ``poly_gcd`` alone would give.
+    is the one the [1 : 0] test and ``pairs_gcd`` alone would give.
     """
     if not any(p[0]) and not any(q[0]):
         return False
@@ -177,8 +176,7 @@ def forms_coprime(p: list, q: list) -> bool:
     b, b_kept = _image_mod_p(q)
     if (a_kept or b_kept) and _coprime_mod_p(a, b):
         return True
-    g = poly_gcd(unlift(p[::-1], 1), unlift(q[::-1], 1))
-    return len(g) <= 1
+    return len(pairs_gcd(p, q)) == 1
 
 
 def _affine_constant(pairs: list) -> bool:
@@ -190,10 +188,7 @@ def _affine_constant(pairs: list) -> bool:
 def _image_mod_p(pairs: list) -> tuple[np.ndarray, bool]:
     """form(z, 1), mapped into Z/p, as a trimmed ascending int64 row, and
     whether it kept its degree there."""
-    pairs = list(pairs[::-1])
-    while pairs and pairs[-1] == (0, 0):
-        pairs.pop()
-    image = [(a + b * CERT_SQRT_MINUS_1) % CERT_PRIME for a, b in pairs]
+    image = [(a + b * CERT_SQRT_MINUS_1) % CERT_PRIME for a, b in _drop_leading_zeros(pairs)[::-1]]
     kept = bool(image) and image[-1] != 0
     while image and not image[-1]:
         image.pop()

@@ -7,8 +7,9 @@ monomial order) equals 1. The canonical form is held as Gaussian integers
 over one positive scale with no common factor, which is unique;
 ``gaussian.canonical`` gives it, as it gives an exact point's. It is the
 map's one exact form: equality, hashing, composition, the exact evaluation
-fallback and the float coefficients and their derivatives all read its
-(re, im) int pairs; ``num`` and ``den`` are GaussianRational views on it.
+fallback, the Mobius classes and the float coefficients and their
+derivatives all read its (re, im) int pairs. ``num`` and ``den`` are
+GaussianRational views on it, which only the config echo reads.
 Exact equality is the backbone of all multiplicity bookkeeping downstream.
 
 Inputs sharing a polynomial factor are rejected rather than reduced: the
@@ -29,7 +30,7 @@ from .errors import (
     NotMobius,
     RootFindingFailure,
 )
-from .gaussian import GaussianRational, OrderKey, canonical, lift, sqrt_exact, unlift
+from .gaussian import GaussianRational, OrderKey, canonical, lift, unlift
 from .polynomial import (
     aberth_roots,
     form_eval_complex,
@@ -187,7 +188,7 @@ def from_affine(num_affine, den_affine) -> RationalMap:
 
 def _affine_degree(asc):
     for k in range(len(asc) - 1, -1, -1):
-        if not asc[k].is_zero():
+        if asc[k] != 0:
             return k
     return -1
 
@@ -271,15 +272,18 @@ def evaluate(f: RationalMap, p: ProjPoint) -> ProjPoint:
     (its norm falls below 1e-8 of the coefficient scale), the evaluation is
     redone once in exact arithmetic at the dyadic coordinates of p, which
     pins the result to full precision: with p = (Z0, Z1)/e on Gaussian
-    integers, each form's value is its Horner sum over scale e^d, and int
-    true division rounds it correctly.
+    integers, e the largest denominator of the four float parts (each a
+    power of 2), each form's value is its Horner sum over scale e^d, and
+    int true division rounds it correctly.
     """
     w0 = form_eval_complex(f.num_float, p.h0, p.h1)
     w1 = form_eval_complex(f.den_float, p.h0, p.h1)
     if math.hypot(abs(w0), abs(w1)) < 1e-8 * f.float_scale:
         d = f.degree
-        (z0, z1), e = lift((GaussianRational.from_value(p.h0),
-                            GaussianRational.from_value(p.h1)))
+        ratios = [x.as_integer_ratio() for x in (p.h0.real, p.h0.imag, p.h1.real, p.h1.imag)]
+        e = max(q for _, q in ratios)
+        x0, y0, x1, y1 = (n * (e // q) for n, q in ratios)
+        z0, z1 = (x0, y0), (x1, y1)
         den = f.scale * e ** d
         w0, w1 = (complex(re / den, im / den) for re, im in (
             pairs_eval(f.pairs[:d + 1], z0, z1), pairs_eval(f.pairs[d + 1:], z0, z1)))
@@ -364,38 +368,41 @@ class MobiusClass:
 
 
 def classify_mobius(f: RationalMap) -> MobiusClass:
-    """Type by the normalized trace tr^2/det; exact when coefficients allow.
+    """Type by the normalized trace sigma = tr^2/det, decided exactly on the
+    map's Gaussian-integer pairs (a, b, c, d for z -> (a z + b)/(c z + d)),
+    whose scale cancels from sigma: parabolic iff tr^2 = 4 det, elliptic
+    iff tr^2 conj(det) = x is real with 0 <= x < 4 |det|^2.
 
     For the non-identity kinds the multiplier reported is the fixed-point
     derivative with modulus >= 1 (ties broken toward nonnegative imaginary
-    part), so z -> 2z reports multiplier 2.
+    part), so z -> 2z and z -> z/2 both report multiplier 2.
     """
     if f.degree != 1:
         raise NotMobius(f"degree {f.degree} map is not a Mobius transformation")
-    a, b = f.num
-    c, d = f.den
-    det = a * d - b * c
-    if b.is_zero() and c.is_zero() and a == d:
+    a, b, c, d = f.pairs
+    if b == c == (0, 0) and a == d:
         return MobiusClass(kind="identity", fixed_points=(), multiplier=None)
-    tr = a + d
-    sigma = (tr * tr) / det  # projective invariant
-    if sigma == GaussianRational(4):
+    det = _sub(_mul(a, d), _mul(b, c))
+    tr2 = _mul(_add(a, d), _add(a, d))
+    x, y = _mul(tr2, (det[0], -det[1]))
+    if tr2 == (4 * det[0], 4 * det[1]):
         kind = "parabolic"
-    elif sigma.im == 0 and 0 <= sigma.re < 4:
+    elif y == 0 and 0 <= x < 4 * (det[0] ** 2 + det[1] ** 2):
         kind = "elliptic"
     else:
         kind = "loxodromic"
 
-    fixed = _mobius_fixed_points(a, b, c, d, kind)
+    fixed = _mobius_fixed_points(f, kind)
     if kind == "parabolic":
         return MobiusClass(kind=kind, fixed_points=fixed, multiplier=1.0 + 0.0j)
 
-    ca, cc, cd = complex(a), complex(c), complex(d)
-    cdet = complex(det)
+    (ca, _), (cc, cd) = f.num_float, f.den_float
+    cdet = _to_complex(det, f.scale ** 2)
     mults = []
     for pt in fixed:
         if pt.is_infinity():
-            mults.append(ca / cd if cd != 0 else complex("inf"))
+            # c = 0, so a = (scale, 0): the derivative of 1/f(1/w) at 0 is d/a
+            mults.append(cd / ca)
         else:
             z = pt.affine()
             mults.append(cdet / (cc * z + cd) ** 2)
@@ -403,25 +410,59 @@ def classify_mobius(f: RationalMap) -> MobiusClass:
     return MobiusClass(kind=kind, fixed_points=fixed, multiplier=lam)
 
 
-def _mobius_fixed_points(a, b, c, d, kind):
-    """Roots of c z^2 + (d - a) z - b = 0, exact when the discriminant is."""
-    if c.is_zero():
-        pts = [INFINITY]
-        if kind != "parabolic":
-            z = b / (d - a)
-            pts.append(normalize(complex(z), 1.0))
-        return tuple(pts)
+# -- Gaussian-integer arithmetic on (re, im) int pairs, for the Mobius classes
+
+
+def _add(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def _sub(x, y):
+    return x[0] - y[0], x[1] - y[1]
+
+
+def _mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _to_complex(x, den) -> complex:
+    """The Gaussian integer x over the positive int den, each part rounded
+    correctly by int true division."""
+    return complex(x[0] / den, x[1] / den)
+
+
+def _ratio_point(x, y) -> ProjPoint:
+    """The float point [x/y : 1] of Gaussian integers x and y != 0: x/y is
+    x conj(y) / |y|^2, each part rounded correctly."""
+    return normalize(_to_complex(_mul(x, (y[0], -y[1])), y[0] ** 2 + y[1] ** 2), 1.0)
+
+
+def _zi_sqrt(x):
+    """The square root of the Gaussian integer x in Z[i] with a positive
+    real part, or else a nonnegative imaginary one, or None. Z[i] is
+    integrally closed, so x is a square in Q(i) iff it is one here; then
+    (re + im*i)^2 = x gives re^2 = (|x| + Re x)/2 and im^2 = (|x| - Re x)/2."""
+    u, v = x
+    n = math.isqrt(u * u + v * v)
+    re, im = math.isqrt((n + u) // 2), math.isqrt((n - u) // 2)
+    root = (re, im if v > 0 or not re else -im)
+    return root if _mul(root, root) == x else None
+
+
+def _mobius_fixed_points(f, kind):
+    """Roots of c z^2 - (a - d) z - b = 0 on f's Gaussian-integer pairs,
+    exact when the discriminant (a - d)^2 + 4 b c is a square."""
+    a, b, c, d = f.pairs
+    e = _sub(a, d)
+    if c == (0, 0):
+        return (INFINITY,) if kind == "parabolic" else (INFINITY, _ratio_point((-b[0], -b[1]), e))
+    two_c = (2 * c[0], 2 * c[1])
     if kind == "parabolic":
-        z = (a - d) / (GaussianRational(2) * c)
-        return (normalize(complex(z), 1.0),)
-    disc = (d - a) * (d - a) + GaussianRational(4) * b * c
-    root = sqrt_exact(disc)
-    two_c = GaussianRational(2) * c
+        return (_ratio_point(e, two_c),)
+    disc = _add(_mul(e, e), _mul((4 * b[0], 4 * b[1]), c))
+    root = _zi_sqrt(disc)
     if root is not None:
-        z1 = (a - d + root) / two_c
-        z2 = (a - d - root) / two_c
-        return (normalize(complex(z1), 1.0), normalize(complex(z2), 1.0))
-    w = complex(disc) ** 0.5
-    z1 = (complex(a) - complex(d) + w) / complex(two_c)
-    z2 = (complex(a) - complex(d) - w) / complex(two_c)
-    return (normalize(z1, 1.0), normalize(z2, 1.0))
+        return _ratio_point(_add(e, root), two_c), _ratio_point(_sub(e, root), two_c)
+    w = _to_complex(disc, f.scale ** 2) ** 0.5
+    ca, cd, two_cc = f.num_float[0], f.den_float[1], _to_complex(two_c, f.scale)
+    return normalize((ca - cd + w) / two_cc, 1.0), normalize((ca - cd - w) / two_cc, 1.0)

@@ -10,19 +10,24 @@ import pytest
 import rsentropy as rs
 from rsentropy import coincidence
 from rsentropy.errors import BudgetExceeded, InconsistentItinerary
-from rsentropy.gaussian import canonical
+from rsentropy.gaussian import canonical, lift
 from rsentropy.projective import NearPoints, ring_around
 from util import (
     THREE_GENERATORS,
+    ReferenceGaussian,
     Z2,
     Z3,
     Z4,
     affine_translation,
     exact_point,
+    random_exact_map,
+    reference_cross_roots,
     reference_escape_bound,
     reference_exact_eval,
     reference_karp,
+    reference_poly_gcd,
     same_bits,
+    scalar,
     scaling,
     scan_return_depths,
     schoolbook_mul,
@@ -90,26 +95,85 @@ _G = rs.GaussianRational
 ], ids=["degrees-1-2", "degrees-2-3", "float-and-degree-3"])
 def test_integer_cross_form_gives_the_schoolbook_roots(maps, points, exact, monkeypatch):
     # the cross form P_1 Q_2 - P_2 Q_1 is built on the maps' Gaussian-integer
-    # pairs over scale_1 scale_2; the oracle builds it on GaussianRationals
+    # pairs over scale_1 scale_2, and its roots are found on pairs; the
+    # oracles build it on ReferenceGaussians and find its roots there
     fi, fj = maps
     assert fi.degree != fj.degree and 1 < fi.scale != fj.scale > 1
     cross_roots = coincidence._cross_roots
     seen = []
 
-    def recording(cross, exact_ok):
-        seen.append(cross)
-        return cross_roots(cross, exact_ok)
+    def recording(cross, scale, exact_ok):
+        seen.append([ReferenceGaussian(Fraction(a, scale), Fraction(b, scale)) for a, b in cross])
+        return cross_roots(cross, scale, exact_ok)
 
     monkeypatch.setattr(coincidence, "_cross_roots", recording)
     got = rs.coincidence_set(rs.GeneratorSet(maps))
-    cross = tuple(a - b for a, b in zip(schoolbook_mul(fi.num, fj.den),
-                                        schoolbook_mul(fj.num, fi.den)))
+    cross = [a - b for a, b in zip(schoolbook_mul(fi.num, fj.den),
+                                   schoolbook_mul(fj.num, fi.den))]
     assert seen == [cross]
     want = sorted((coincidence.CoincidencePoint(pt, frozenset({(1, 2)}), coords)
-                   for pt, coords in cross_roots(cross, fi.exact_coeffs and fj.exact_coeffs)),
+                   for pt, coords in reference_cross_roots(
+                       cross, fi.exact_coeffs and fj.exact_coeffs)),
                   key=lambda cp: (cp.point.h0.real, cp.point.h1.real, cp.point.h1.imag))
     assert got == want
     assert (len(got), sum(cp.exact for cp in got)) == (points, exact)
+
+
+def _random_cross(rng):
+    """A random exact form, highest degree first, as ReferenceGaussians: one
+    to three linear factors with small Gaussian-rational roots, repeated at
+    times, times a random cofactor, with monomial factors (roots at 0 and at
+    infinity) at times."""
+    asc = [ReferenceGaussian(int(rng.integers(1, 4)), int(rng.integers(-2, 3)))]
+    for _ in range(int(rng.integers(1, 4))):
+        root = _random_gaussian(rng, rng.random() < 0.3)
+        for _ in range(1 + (rng.random() < 0.3)):
+            asc = schoolbook_mul(asc, [ReferenceGaussian(0) - root, ReferenceGaussian(1)])
+    cofactor = [_random_gaussian(rng, False) for _ in range(int(rng.integers(1, 4)))]
+    if not cofactor[-1].is_zero():
+        asc = schoolbook_mul(asc, cofactor)
+    zero = ReferenceGaussian(0)
+    asc = [zero] * int(rng.integers(0, 2)) + asc + [zero] * int(rng.integers(0, 2))
+    return asc[::-1]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cross_roots_match_the_oracle(seed):
+    # random cross forms, and the cross forms of random generator pairs,
+    # exact and with float coefficients: the roots found on integer pairs
+    # are the oracle's on ReferenceGaussians, exact coordinates equal and
+    # float points the same to the bit
+    rng = np.random.default_rng(seed)
+    divisions = deflations = 0
+    for trial in range(500):
+        if trial % 3 == 2:
+            fi, fj = random_exact_map(rng), random_exact_map(rng)
+            if fi == fj:
+                continue
+            exact_ok = True
+            if trial % 9 == 8:
+                fi, fj = (rs.make_map([complex(c) for c in f.num], [complex(c) for c in f.den])
+                          for f in (fi, fj))
+                exact_ok = False
+            cross = [a - b for a, b in zip(schoolbook_mul(fi.num, fj.den),
+                                           schoolbook_mul(fj.num, fi.den))]
+        else:
+            cross, exact_ok = _random_cross(rng), trial % 7 != 0
+        pairs, scale = lift([scalar(c) for c in cross])
+        got = coincidence._cross_roots(pairs, scale, exact_ok)
+        want = reference_cross_roots(cross, exact_ok)
+        assert [coords for _, coords in got] == [coords for _, coords in want]
+        assert same_bits([(p.h0, p.h1) for p, _ in got], [(p.h0, p.h1) for p, _ in want])
+        asc = [c for c in reversed(cross)]
+        while asc[-1].is_zero():
+            asc.pop()
+        while asc[0].is_zero():
+            asc.pop(0)
+        divisions += len(reference_poly_gcd(asc, [c * ReferenceGaussian(k)
+                                                  for k, c in enumerate(asc)][1:])) > 1
+        deflations += exact_ok and sum(
+            coords is not None and 0 not in (coords[0][0], coords[1][0]) for _, coords in got)
+    assert divisions >= 60 and deflations >= 300
 
 
 def test_is_recurrent_examples():
@@ -561,7 +625,7 @@ def test_points_beyond_the_escape_radius_grow():
             z = _random_gaussian(rng, False)
             if z.is_zero():
                 continue
-            z = z * rs.GaussianRational(Fraction(11, 10) ** k / (1 + math.isqrt(
+            z = z * ReferenceGaussian(Fraction(11, 10) ** k / (1 + math.isqrt(
                 int(z.re ** 2 + z.im ** 2))))
             pt = exact_point(z)
             found[escapes(pt)] = True
@@ -587,7 +651,7 @@ def test_points_beyond_the_escape_radius_grow():
 
 
 # Gaussian rationals of modulus 1, real and not
-UNITS = [rs.GaussianRational(*u) for u in (
+UNITS = [ReferenceGaussian(*u) for u in (
     (1, 0), (-1, 0), (0, 1), (Fraction(3, 5), Fraction(-4, 5)),
     (Fraction(-5, 13), Fraction(12, 13)), (Fraction(-20, 29), Fraction(21, 29)))]
 
@@ -603,13 +667,13 @@ def _random_polynomials(rng, unit_leads=False):
         num = [_random_gaussian(rng, False) for _ in range(d + 1)]
         lead = _random_gaussian(rng, False)
         if unit_leads:
-            num[0], lead = (rs.GaussianRational(Fraction(int(rng.integers(1, 9)),
-                                                         int(rng.integers(1, 9))))
+            num[0], lead = (ReferenceGaussian(Fraction(int(rng.integers(1, 9)),
+                                                       int(rng.integers(1, 9))))
                             * UNITS[int(rng.integers(len(UNITS)))] for _ in range(2))
         if num[0].is_zero():
-            num[0] = rs.GaussianRational(1)
+            num[0] = ReferenceGaussian(1)
         den = [0] * d + [lead if not lead.is_zero() else 3]
-        maps.append(rs.make_map(num, den))
+        maps.append(rs.make_map([scalar(c) for c in num], [scalar(c) for c in den]))
     return maps
 
 
@@ -628,7 +692,7 @@ def test_escape_test_matches_the_fraction_bound(seed):
         escapes = coincidence._escape_test(maps)
         for unit in UNITS:
             for nudge in (Fraction(-1, 10 ** 6), 0, Fraction(1, 10 ** 6), 1, -Fraction(1, 2)):
-                z = unit * rs.GaussianRational(radius * (1 + nudge))
+                z = unit * ReferenceGaussian(radius * (1 + nudge))
                 pt = exact_point(z)
                 assert escapes(pt) == (_w_abs2(pt) * bound < 1) == (nudge > 0)
                 on_radius += nudge == 0
@@ -637,7 +701,7 @@ def test_escape_test_matches_the_fraction_bound(seed):
         bound = reference_escape_bound(maps)
         escapes = coincidence._escape_test(maps)
         for k in range(-8, 9):
-            w = _random_gaussian(rng, False) * rs.GaussianRational(Fraction(3, 2) ** k)
+            w = _random_gaussian(rng, False) * ReferenceGaussian(Fraction(3, 2) ** k)
             pt = exact_point(1, w)
             assert escapes(pt) == (not w.is_zero() and _w_abs2(pt) * bound < 1)
     assert on_radius == 40 * len(UNITS)
@@ -769,7 +833,7 @@ def test_optimal_cycle_matches_fiber_entropy(gens, profile):
 def _random_gaussian(rng, real):
     re = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 13)))
     im = 0 if real else Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 13)))
-    return rs.GaussianRational(re, im)
+    return ReferenceGaussian(re, im)
 
 
 def _vanishing_at(rng, pt, degree, real):
@@ -781,10 +845,10 @@ def _vanishing_at(rng, pt, degree, real):
 @pytest.mark.parametrize("seed", range(4))
 def test_exact_eval_matches_the_operation_oracle(seed):
     # the library steps canonical integer coordinates, the oracle steps the
-    # point as two GaussianRationals; both images are the same point, and
+    # point as two ReferenceGaussians; both images are the same point, and
     # its float point is the same to the bit
     rng = np.random.default_rng(seed)
-    zero, one = rs.GaussianRational(0), rs.GaussianRational(1)
+    zero, one = ReferenceGaussian(0), ReferenceGaussian(1)
     checked = 0
     while checked < 40:
         degree = int(rng.integers(1, 5))
@@ -799,7 +863,7 @@ def test_exact_eval_matches_the_operation_oracle(seed):
         elif kind == 2:
             den = _vanishing_at(rng, pt, degree, real)
         try:
-            f = rs.make_map(num, den)
+            f = rs.make_map([scalar(c) for c in num], [scalar(c) for c in den])
         except rs.errors.RsentropyError:
             continue
         for p in (pt, (one, zero), (zero, one), (one, _random_gaussian(rng, real))):

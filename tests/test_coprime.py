@@ -1,33 +1,65 @@
-"""poly_gcd and the three tiers of forms_coprime against exact Euclid."""
+"""pairs_gcd and the three tiers of forms_coprime against exact Euclid on
+ReferenceGaussians."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 import rsentropy as rs
 from rsentropy import polynomial
 from rsentropy.errors import CommonFactor
-from rsentropy.gaussian import lift
+from rsentropy.gaussian import canonical, lift
 from rsentropy.polynomial import (
     CERT_PRIME,
     CERT_SQRT_MINUS_1,
     forms_coprime,
-    poly_gcd,
+    pairs_gcd,
 )
-from util import schoolbook_mul
+from util import (
+    ReferenceGaussian,
+    ref,
+    reference_forms_coprime,
+    reference_poly_divmod,
+    reference_poly_gcd,
+    reference_poly_trim,
+    scalar,
+    schoolbook_mul,
+)
 
-G = rs.GaussianRational
+G = ReferenceGaussian
 P = CERT_PRIME
 
 
 def monic(a):
+    a = [ref(c) for c in a]
     return [c / a[-1] for c in a]
 
 
 def form(asc):
     """The degree len(asc) - 1 form whose affine part has these ascending
-    coefficients."""
-    return tuple(G.from_value(c) for c in reversed(asc))
+    coefficients, as library scalars."""
+    return tuple(scalar(c) for c in reversed(asc))
+
+
+def pairs(asc):
+    """The Gaussian-integer pairs, highest degree first, of the polynomial
+    with these ascending coefficients times a common denominator."""
+    return lift([scalar(c) for c in reversed(asc)])[0]
+
+
+def as_monic(g):
+    """The monic ascending ReferenceGaussians of pairs_gcd's canonical pairs."""
+    s = g[0][0]
+    return [G(Fraction(a, s), Fraction(b, s)) for a, b in reversed(g)]
+
+
+def both_gcds(a, b):
+    """The gcd of two ascending polynomials, not both zero, by the oracle and
+    by pairs_gcd, which must agree; the oracle's is returned."""
+    want = reference_poly_gcd(a, b)
+    assert as_monic(pairs_gcd(pairs(a), pairs(b))) == want
+    return want
 
 
 def coprime(p, q):
@@ -39,14 +71,6 @@ def coprime(p, q):
 def dehomogenize(form):
     """The affine polynomial form(z, 1) as ascending coefficients."""
     return list(reversed(form))
-
-
-def exact_coprime(p, q):
-    """The definition: no shared root at [1 : 0] and an affine gcd of
-    degree 0, by exact Euclid alone."""
-    if p[0].is_zero() and q[0].is_zero():
-        return False
-    return len(poly_gcd(dehomogenize(p), dehomogenize(q))) <= 1
 
 
 def certified(p, q):
@@ -61,11 +85,13 @@ def gcd_calls(monkeypatch):
     """Counts the exact Euclid runs that forms_coprime falls back to."""
     calls = []
 
+    gcd = polynomial.pairs_gcd
+
     def counting(a, b):
         calls.append(1)
-        return poly_gcd(a, b)
+        return gcd(a, b)
 
-    monkeypatch.setattr(polynomial, "poly_gcd", counting)
+    monkeypatch.setattr(polynomial, "pairs_gcd", counting)
     return calls
 
 
@@ -103,20 +129,24 @@ def test_certificate_modulus_is_a_prime_with_a_root_of_minus_one():
 def test_poly_gcd_of_a_constant_or_zero_operand():
     a = [G(-2), G(0), G(1, 1)]  # (1 + i) z^2 - 2
     for const in ([G(3)], [G(0, -1)], [G(5), G(0), G(0)]):
-        assert poly_gcd(a, const) == [G(1)]
-        assert poly_gcd(const, a) == [G(1)]
-    assert poly_gcd(a, []) == monic(a)
-    assert poly_gcd([G(0)], a) == monic(a)
-    assert poly_gcd([], [G(0), G(0)]) == []
+        assert both_gcds(a, const) == [G(1)]
+        assert both_gcds(const, a) == [G(1)]
+        assert pairs_gcd(pairs(a), pairs(const)) == ((1, 0),)
+    assert both_gcds(a, []) == monic(a)
+    assert both_gcds([G(0)], a) == monic(a)
+    assert reference_poly_gcd([], [G(0), G(0)]) == []
 
 
 def test_poly_gcd_is_the_monic_constructed_common_factor():
-    c = [G(0, "-2/3"), G(3), G("1/2", 1)]  # (1/2 + i) z^2 + 3 z - 2i/3
-    u = [G(1), G(1)]                        # z + 1
-    v = [G(0, -1), G(2), G(0), G(1)]        # z^3 + 2 z - i
-    assert poly_gcd(u, v) == [G(1)]
-    assert poly_gcd(schoolbook_mul(c, u), schoolbook_mul(c, v)) == monic(c)
-    assert poly_gcd(schoolbook_mul(c, v), schoolbook_mul(c, u)) == monic(c)
+    c = [G(0, Fraction(-2, 3)), G(3), G(Fraction(1, 2), 1)]  # (1/2 + i) z^2 + 3 z - 2i/3
+    u = [G(1), G(1)]                                        # z + 1
+    v = [G(0, -1), G(2), G(0), G(1)]                        # z^3 + 2 z - i
+    assert both_gcds(u, v) == [G(1)]
+    assert both_gcds(schoolbook_mul(c, u), schoolbook_mul(c, v)) == monic(c)
+    assert both_gcds(schoolbook_mul(c, v), schoolbook_mul(c, u)) == monic(c)
+    # the canonical form of the monic gcd: its pairs over the lead's int
+    assert pairs_gcd(pairs(schoolbook_mul(c, u)), pairs(schoolbook_mul(c, v))) == canonical(
+        pairs(c))[0]
 
 
 def test_a_shared_root_at_infinity_is_not_coprime(gcd_calls):
@@ -157,7 +187,7 @@ def test_a_leading_coefficient_that_vanishes_mod_p_falls_back(gcd_calls):
     assert polynomial._coprime_mod_p(a, b)
     assert not coprime(p, q)
     assert gcd_calls == [1]
-    assert poly_gcd(dehomogenize(p), dehomogenize(q)) == monic([G(1), G(P)])
+    assert both_gcds(dehomogenize(p), dehomogenize(q)) == monic([G(1), G(P)])
     with pytest.raises(CommonFactor):
         rs.make_map(p, q)
 
@@ -171,11 +201,12 @@ def test_images_that_share_a_factor_mod_p_fall_back_to_exact_euclid(gcd_calls):
 
 def random_poly(rng, degree):
     """Ascending Gaussian-rational coefficients with a nonzero top one."""
-    def scalar():
-        return G(rng.randint(-4, 4), rng.randint(-2, 2)) / rng.choice((1, 1, 2, 3, 5))
-    out = [scalar() for _ in range(degree + 1)]
+    def gaussian():
+        k = rng.choice((1, 1, 2, 3, 5))
+        return G(Fraction(rng.randint(-4, 4), k), Fraction(rng.randint(-2, 2), k))
+    out = [gaussian() for _ in range(degree + 1)]
     while out[-1].is_zero():
-        out[-1] = scalar()
+        out[-1] = gaussian()
     return out
 
 
@@ -199,7 +230,7 @@ def test_certificate_never_contradicts_exact_euclid():
             if trial % 3 == 1:
                 b[-1] = G(0)  # q vanishes at [1 : 0], p does not
         p, q = form(a), form(b)
-        exact = exact_coprime(p, q)
+        exact = reference_forms_coprime(p, q)
         factors += not exact
         if certified(p, q):
             certificates += 1
@@ -213,3 +244,44 @@ def test_certificate_never_contradicts_exact_euclid():
     # the sweep must reach both verdicts, and the certificate must decide
     # most coprime pairs
     assert factors >= 100 and certificates >= 150
+
+
+
+def _over(pairs_desc, den):
+    """Ascending ReferenceGaussians of descending pairs over den."""
+    return [G(Fraction(a, den), Fraction(b, den)) for a, b in reversed(pairs_desc)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pairs_gcd_matches_the_oracle(seed):
+    # random pairs over Q(i), half of them with a constructed common factor
+    # (at times a repeated one, or one whose lead vanishes mod P), and at
+    # times a leading zero: the canonical pair gcd is the oracle's monic
+    # gcd, and each pseudo-division s^n a = q b + r is the oracle's
+    # division times s^n
+    rng = random.Random(seed)
+    nonconstant = 0
+    for trial in range(150):
+        a, b = random_poly(rng, rng.randint(0, 5)), random_poly(rng, rng.randint(0, 5))
+        if trial % 2:
+            c = random_poly(rng, rng.randint(1, 3))
+            if trial % 7 == 1:
+                c[-1] = G(P)
+            a, b = schoolbook_mul(c, a), schoolbook_mul(schoolbook_mul(c, c) if trial % 3 else c, b)
+        if trial % 5 == 0:
+            a = a + [G(0)]
+        want = reference_poly_gcd(a, b)
+        got = pairs_gcd(pairs(a), pairs(b))
+        assert as_monic(got) == want
+        assert got[0][1] == 0 and got[0][0] > 0
+        nonconstant += len(want) > 1
+
+        top, bottom = sorted((reference_poly_trim(a), reference_poly_trim(b)), key=len)[::-1]
+        dividend, divisor = pairs(top), canonical(pairs(bottom))[0]
+        q, r = polynomial.pairs_divmod(dividend, divisor)
+        n = len(top) - len(bottom) + 1
+        assert len(q) == n
+        scale = divisor[0][0] ** n
+        assert [_over(q, scale), _over(r, scale)] == list(
+            reference_poly_divmod(_over(dividend, 1), _over(divisor, 1)))
+    assert nonconstant >= 60

@@ -183,7 +183,7 @@ def test_the_ledger_builds_no_gaussian_rational_once_the_generators_exist(monkey
         return make(a, b, d)
 
     monkeypatch.setattr(gaussian, "_make", counting)
-    assert rs.GaussianRational(1) + 1 == 2 and made  # the count sees arithmetic
+    assert rs.GaussianRational("1/2").literal() == "1/2" and made  # the count sees a scalar made
     made.clear()
     ledger = rs.enumerate_words(free, 6)
     assert (ledger.total_words, ledger.distinct, ledger.relations) == (64, 64, 0)

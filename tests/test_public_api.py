@@ -26,6 +26,15 @@ def test_public_surface_matches_the_docs():
     assert not hasattr(rs.coincidence, "exact_normalize")
     for name in ("conjugate", "sort_key", "ints", "abs2"):
         assert not hasattr(rs.GaussianRational, name)
+    # every exact computation runs on Gaussian-integer pairs: a scalar is a
+    # parsed literal with no arithmetic, and exact Euclid over Q(i) and the
+    # Mobius square root are pair functions
+    for name in ("__add__", "__sub__", "__neg__", "__mul__", "__truediv__",
+                 "__radd__", "__rmul__", "__rsub__", "is_zero"):
+        assert not hasattr(rs.GaussianRational, name)
+    for name in ("poly_gcd", "poly_divmod", "poly_trim"):
+        assert not hasattr(rs.polynomial, name)
+    assert not hasattr(rs.gaussian, "sqrt_exact")
     names = re.findall(r"`rsentropy\.([A-Za-z_][\w.]*)`", README.read_text(encoding="utf-8"))
     assert len(names) > 10
     for name in names:

@@ -12,6 +12,7 @@ from rsentropy.polynomial import form_eval_complex, strip_infinite_roots
 from rsentropy.projective import normalize
 from util import (
     IDENTITY,
+    ReferenceGaussian,
     Z2,
     Z3,
     form_d0,
@@ -20,8 +21,12 @@ from util import (
     random_exact_map,
     reference_compose,
     reference_form_eval_exact,
+    reference_classify_mobius,
     reference_make_map,
+    reference_sqrt_exact,
+    ref,
     same_bits,
+    scalar,
     scaling,
     schoolbook_mul,
 )
@@ -139,7 +144,7 @@ def test_exact_fallback_is_the_operation_oracle_rounded_bit_for_bit(seed, monkey
     # the oracle reduces after every operation and rounds once at the end
     monkeypatch.setattr(ratmap, "normalize", lambda w0, w1: (w0, w1))
     rng = np.random.default_rng(seed)
-    G = rs.GaussianRational
+    G = ReferenceGaussian
 
     def gaussian():
         return G(Fraction(int(rng.integers(-9, 10)), int(rng.choice([1, 3, 5, 7]))),
@@ -152,7 +157,8 @@ def test_exact_fallback_is_the_operation_oracle_rounded_bit_for_bit(seed, monkey
                   Fraction(int(rng.integers(-3, 4)), 10 ** 11))
         r, s = ([gaussian() for _ in range(int(rng.integers(1, 4)))] for _ in range(2))
         try:
-            f = rs.from_affine(schoolbook_mul([-a, 1], r), schoolbook_mul([-a - delta, 1], s))
+            num, den = schoolbook_mul([-a, G(1)], r), schoolbook_mul([-(a + delta), G(1)], s)
+            f = rs.from_affine([scalar(c) for c in num], [scalar(c) for c in den])
         except rs.errors.RsentropyError:
             continue
         z = complex(a) + complex(*rng.integers(-3, 4, size=2)) * 1e-13
@@ -160,8 +166,7 @@ def test_exact_fallback_is_the_operation_oracle_rounded_bit_for_bit(seed, monkey
         fast = (form_eval_complex(f.num_float, p.h0, p.h1),
                 form_eval_complex(f.den_float, p.h0, p.h1))
         assert math.hypot(*map(abs, fast)) < 1e-8 * f.float_scale
-        z0, z1 = G.from_value(p.h0), G.from_value(p.h1)
-        want = [complex(reference_form_eval_exact(form, z0, z1)) for form in (f.num, f.den)]
+        want = [complex(reference_form_eval_exact(form, p.h0, p.h1)) for form in (f.num, f.den)]
         assert same_bits(rs.evaluate(f, p), want)
         differs += not same_bits(fast, want)
         checked += 1
@@ -324,6 +329,79 @@ def test_hash_is_the_dataclass_hash_of_the_compared_fields():
             assert twin == f and hash(twin) == hash(f)
 
 
+
+def test_classify_mobius_multiplier_at_infinity():
+    # at the fixed point infinity of z -> a z / d the multiplier is d/a, the
+    # derivative of 1/f(1/w) at 0: z/2 repels infinity with multiplier 2,
+    # and -iz turns it by i, the tie with -i at 0 going to the nonnegative
+    # imaginary part
+    half = rs.classify_mobius(rs.make_map([1, 0], [0, 2]))
+    assert (half.kind, half.multiplier) == ("loxodromic", 2)
+    turn = rs.classify_mobius(rs.make_map([rs.GaussianRational(0, -1), 0], [0, 1]))
+    assert (turn.kind, turn.multiplier) == ("elliptic", 1j)
+    assert [p.is_infinity() for p in turn.fixed_points] == [True, False]
+
+
+def _mobius_matrix(rng):
+    """A random 2 x 2 Gaussian-integer matrix as (a, b, c, d) pairs: at times
+    a conjugate P D adj(P) of a diagonal D, a translation or a rotation by
+    i, so that the fixed points are rational and the kinds all occur."""
+    def g(bound):
+        return int(rng.integers(-bound, bound + 1)), int(rng.integers(-bound, bound + 1))
+
+    def mul(x, y):
+        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    kind = int(rng.integers(4))
+    if kind == 0:
+        return g(3), g(3), g(3), g(3)
+    core = [((int(rng.integers(1, 4)), 0), (0, 0), (0, 0), g(2)),  # diagonal
+            ((1, 0), (1, 0), (0, 0), (1, 0)),                      # translation
+            ((0, 1), (0, 0), (0, 0), (1, 0))][kind - 1]            # rotation by i
+    p, q, r, t = g(2), g(2), g(2), g(2)
+    a, b, c, d = core
+    # (P M) adj(P), adj(P) = [[t, -q], [-r, p]]
+    pm = (_add(mul(p, a), mul(q, c)), _add(mul(p, b), mul(q, d)),
+          _add(mul(r, a), mul(t, c)), _add(mul(r, b), mul(t, d)))
+    neg = lambda x: (-x[0], -x[1])  # noqa: E731
+    return (_add(mul(pm[0], t), mul(pm[1], neg(r))), _add(mul(pm[0], neg(q)), mul(pm[1], p)),
+            _add(mul(pm[2], t), mul(pm[3], neg(r))), _add(mul(pm[2], neg(q)), mul(pm[3], p)))
+
+
+def _add(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def test_classify_mobius_matches_the_oracle():
+    # random Mobius maps: the kind, the fixed points to the bit (exact roots
+    # of the discriminant and float ones) and the multiplier against the
+    # classification on ReferenceGaussians
+    rng = np.random.default_rng(1)
+    kinds, exact_roots, checked = set(), 0, 0
+    while checked < 400:
+        a, b, c, d = (rs.GaussianRational(*x) for x in _mobius_matrix(rng))
+        den = int(rng.choice([1, 1, 2, 3]))
+        try:
+            f = rs.make_map([a, b], [c, d]) if den == 1 else rs.make_map(
+                [scalar(ref(x) / ReferenceGaussian(den)) for x in (a, b)], [c, d])
+        except rs.errors.RsentropyError:
+            continue
+        got = rs.classify_mobius(f)
+        kind, fixed, multiplier = reference_classify_mobius(f)
+        assert got.kind == kind
+        assert same_bits([(p.h0, p.h1) for p in got.fixed_points], [(p.h0, p.h1) for p in fixed])
+        assert (got.multiplier is None) == (multiplier is None)
+        if multiplier is not None:
+            assert same_bits(got.multiplier, multiplier)
+            assert abs(got.multiplier) >= 1 - 1e-12
+        kinds.add(kind)
+        fa, fb, fc, fd = map(ref, f.num + f.den)
+        exact_roots += (not fc.is_zero() and kind != "parabolic" and reference_sqrt_exact(
+            (fd - fa) * (fd - fa) + ReferenceGaussian(4) * fb * fc) is not None)
+        checked += 1
+    assert kinds == {"identity", "parabolic", "elliptic", "loxodromic"}
+    assert exact_roots >= 60
+
 def _bits(values):
     return [(z.real.hex(), z.imag.hex()) for z in values]
 
@@ -349,8 +427,9 @@ def _oracle_samples():
     rng = np.random.default_rng(2022)
 
     def gaussian():
-        value = rs.GaussianRational(int(rng.integers(-3, 4)), int(rng.integers(-2, 3)))
-        return value / int(rng.choice([1, 1, 2, 3, 5]))
+        re, im = int(rng.integers(-3, 4)), int(rng.integers(-2, 3))
+        k = int(rng.choice([1, 1, 2, 3, 5]))
+        return rs.GaussianRational(Fraction(re, k), Fraction(im, k))
 
     def dyadic():
         return complex(int(rng.integers(-6, 7)) / 4, int(rng.integers(-2, 3)) / 2)
@@ -368,9 +447,9 @@ def _oracle_samples():
             continue
         inputs.append((num, den))
         if len(inputs) % 5 == 0 and coeff is gaussian:
-            c = gaussian()
+            c = ref(gaussian())
             if not c.is_zero():
-                inputs.append(([c * x for x in num], [c * x for x in den]))
+                inputs.append(tuple([scalar(c * ref(x)) for x in form] for form in (num, den)))
     pairs = [(rs.make_map(num, den), reference_make_map(num, den)) for num, den in inputs]
     pairs += [(rs.compose(f, g), reference_compose(ff, gg))
               for (f, ff), (g, gg) in zip(pairs, pairs[3:] + pairs[:3])]
@@ -387,7 +466,7 @@ def test_integer_form_agrees_with_the_gaussian_rational_oracles():
     refs = [r for _, r in pairs]
     assert {f.degree for f in maps} >= set(range(1, 10)) - {5, 7, 8}
     assert any(not f.exact_coeffs for f in maps)
-    assert any(not all(c.is_zero() for c in f.den[:-1]) for f in maps if f.degree > 3)
+    assert any(any(map(any, f.pairs[f.degree + 1:-1])) for f in maps if f.degree > 3)
     for f, r in pairs:
         assert (f.num, f.den, f.degree, f.exact_coeffs) == (r.num, r.den, r.degree, r.exact_coeffs)
         assert _bits(f.num_float + f.den_float) == _bits(complex(c) for c in r.num + r.den)

@@ -118,14 +118,14 @@ def test_cross_forms_keep_their_bits(gens, monkeypatch):
     # that the coincidence search solves after deflating it
     crosses, polys = [], []
     cross_roots, roots = coincidence._cross_roots, coincidence.aberth_roots
-    monkeypatch.setattr(coincidence, "_cross_roots",
-                        lambda cross, ok: crosses.append(cross) or cross_roots(cross, ok))
+    monkeypatch.setattr(coincidence, "_cross_roots", lambda cross, scale, ok: crosses.append(
+        [complex(x / scale, y / scale) for x, y in reversed(cross)]) or cross_roots(cross, scale, ok))
     monkeypatch.setattr(coincidence, "aberth_roots",
                         lambda coeffs: polys.append(list(coeffs)) or roots(coeffs))
     rs.coincidence_set(gens)
     monkeypatch.undo()
     assert crosses
-    for coeffs in [[complex(c) for c in reversed(cross)] for cross in crosses] + polys:
+    for coeffs in crosses + polys:
         assert_same_roots(coeffs)
 
 

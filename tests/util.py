@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 
 import rsentropy as rs
-from rsentropy import orbits, polynomial, ratmap
+from rsentropy import coincidence, orbits, polynomial, ratmap
 from rsentropy.errors import (
     CommonFactor,
     DegenerateMap,
@@ -36,12 +36,12 @@ IDENTITY = rs.make_map([1, 0], [0, 1])
 
 def affine_translation(a):
     """z -> z + a with an exact Gaussian-rational constant."""
-    return rs.make_map([1, rs.GaussianRational.from_value(a)], [0, 1])
+    return rs.make_map([1, scalar(a)], [0, 1])
 
 
 def scaling(a):
     """z -> a z."""
-    return rs.make_map([rs.GaussianRational.from_value(a), 0], [0, 1])
+    return rs.make_map([scalar(a), 0], [0, 1])
 
 
 def random_unitary(rng) -> tuple[complex, complex]:
@@ -295,11 +295,12 @@ def reference_karp(num_nodes, edges):
 
 def schoolbook_mul(a, b):
     """The product of two coefficient sequences of exact scalars, every
-    a_i times every b_j; the order of the coefficients does not matter."""
-    out = [rs.GaussianRational(0)] * (len(a) + len(b) - 1)
+    a_i times every b_j, as ReferenceGaussians; the order of the
+    coefficients does not matter."""
+    out = [ReferenceGaussian(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
+            out[i + j] = out[i + j] + ref(x) * ref(y)
     return out
 
 
@@ -307,46 +308,47 @@ def form_d0(form):
     """Partial derivative with respect to z0 of a form given as its
     coefficients in descending z0 order (the derivative oracle)."""
     d = len(form) - 1
-    return tuple(form[k] * (d - k) for k in range(d))
+    return tuple(ref(form[k]) * ReferenceGaussian(d - k) for k in range(d))
 
 
 def form_d1(form):
     """Partial derivative with respect to z1, as form_d0."""
     d = len(form) - 1
-    return tuple(form[k] * k for k in range(1, d + 1))
+    return tuple(ref(form[k]) * ReferenceGaussian(k) for k in range(1, d + 1))
 
 
 def reference_form_eval_exact(form, z0, z1):
     """Horner value of an exact form at (z0, z1), reduced after every
     operation (the form evaluation oracle)."""
-    acc = form[0]
-    zp = rs.GaussianRational(1)
+    z0, z1 = ref(z0), ref(z1)
+    acc = ref(form[0])
+    zp = ReferenceGaussian(1)
     for k in range(1, len(form)):
         zp = zp * z1
-        acc = acc * z0 + form[k] * zp
+        acc = acc * z0 + ref(form[k]) * zp
     return acc
 
 
 def exact_normalize(h0, h1):
     """Scale so the first nonzero coordinate is exactly 1: the exact point as
-    a pair of GaussianRationals (the point normaliser oracle)."""
+    a pair of ReferenceGaussians (the point normaliser oracle)."""
+    h0, h1 = ref(h0), ref(h1)
     if not h0.is_zero():
-        return (rs.GaussianRational(1), h1 / h0)
+        return (ReferenceGaussian(1), h1 / h0)
     if h1.is_zero():
         raise ValueError("zero vector has no projective class")
-    return (rs.GaussianRational(0), rs.GaussianRational(1))
+    return (ReferenceGaussian(0), ReferenceGaussian(1))
 
 
 def exact_point(h0, h1=1):
     """The exact point [h0 : h1] of two scalars in the library's form, its
     canonical Gaussian-integer coordinates; exact_point(z) is z."""
-    coords = (rs.GaussianRational.from_value(h0), rs.GaussianRational.from_value(h1))
-    return canonical(lift(coords)[0])[0]
+    return canonical(lift((scalar(h0), scalar(h1)))[0])[0]
 
 
 def reference_exact_eval(f, pt):
-    """The normalized image of an exact point given as two GaussianRationals,
-    each form evaluated by reference_form_eval_exact (the exact step oracle)."""
+    """The normalized image of an exact point given as two scalars, each
+    form evaluated by reference_form_eval_exact (the exact step oracle)."""
     w0 = reference_form_eval_exact(f.num, pt[0], pt[1])
     w1 = reference_form_eval_exact(f.den, pt[0], pt[1])
     return exact_normalize(w0, w1)
@@ -360,13 +362,202 @@ def reference_escape_bound(maps):
     |Im a_k|."""
     bound = Fraction(1)
     for f in maps:
-        if f.degree < 2 or not all(c.is_zero() for c in f.den[:-1]):
+        if f.degree < 2 or not all(ref(c).is_zero() for c in f.den[:-1]):
             return None
-        lead = f.den[-1]
-        a = [c / lead for c in f.num]
+        lead = ref(f.den[-1])
+        a = [ref(c) / lead for c in f.num]
         spread = 1 + sum(abs(c.re) + abs(c.im) for c in a[1:])
         bound = max(bound, spread * spread / (a[0].re ** 2 + a[0].im ** 2))
     return bound
+
+
+# -- exact Euclid over Q(i) and the Mobius classes as they were on
+# GaussianRational scalars, on ReferenceGaussians: the oracles of the pair
+# Euclid, of the coincidence roots and of classify_mobius ----------------------
+
+
+def reference_poly_trim(coeffs: list) -> list:
+    """Drop zero leading (highest-degree) coefficients of an ascending list."""
+    out = list(coeffs)
+    while out and out[-1].is_zero():
+        out.pop()
+    return out
+
+
+def reference_poly_gcd(a: list, b: list) -> list:
+    """Monic gcd of ascending-coefficient polynomials over Q(i) (the gcd
+    oracle).
+
+    Euclid's algorithm in exact arithmetic. It stops as soon as a divisor
+    is a nonzero constant, whose gcd with anything is 1. The gcd of two
+    zero polynomials is the empty list.
+    """
+    a = reference_poly_trim(map(ref, a))
+    b = reference_poly_trim(map(ref, b))
+    while b:
+        if len(b) == 1:
+            return [ReferenceGaussian(1)]
+        a, b = b, reference_poly_divmod(a, b)[1]
+    if not a:
+        return []
+    lead = a[-1]
+    return [c / lead for c in a]
+
+
+def reference_poly_divmod(a: list, b: list) -> tuple[list, list]:
+    """(quotient, trimmed remainder) of ascending coefficient lists, b
+    trimmed."""
+    r = [ref(c) for c in a]
+    b = [ref(c) for c in b]
+    db, lead = len(b) - 1, b[-1]
+    q = [ReferenceGaussian(0)] * max(len(a) - db, 0)
+    while len(r) - 1 >= db and r:
+        factor = r[-1] / lead
+        shift = len(r) - 1 - db
+        q[shift] = factor
+        for i in range(db + 1):
+            r[shift + i] = r[shift + i] - factor * b[i]
+        r.pop()
+        while r and r[-1].is_zero():
+            r.pop()
+    return q, r
+
+
+def reference_sqrt_exact(value):
+    """Exact square root within the Gaussian rationals, or None (the square
+    root oracle).
+
+    Solves (x + yi)^2 = a + bi over Q when possible: needs |a+bi| to be a
+    rational square, and then x^2 = (a + |a+bi|)/2 a rational square too.
+    """
+    value = ref(value)
+    a, b = value.re, value.im
+    if a == 0 and b == 0:
+        return ReferenceGaussian(0)
+    s = _fraction_sqrt(a * a + b * b)
+    if s is None:
+        return None
+    x = _fraction_sqrt((a + s) / 2)
+    if x is None:
+        return None
+    if x == 0:
+        # value = negative real; root is purely imaginary
+        y = _fraction_sqrt(-a)
+        return None if y is None else ReferenceGaussian(0, y)
+    root = ReferenceGaussian(x, b / (2 * x))
+    return root if root * root == value else None
+
+
+def _fraction_sqrt(f: Fraction):
+    if f < 0:
+        return None
+    rn, rd = math.isqrt(f.numerator), math.isqrt(f.denominator)
+    if rn * rn == f.numerator and rd * rd == f.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
+def reference_cross_roots(cross, exact_ok):
+    """Projective roots of an exact form of scalars, exact where recoverable
+    (the coincidence root oracle): monomial factors, then the squarefree
+    part p / gcd(p, p'), then, for exact maps, the Gaussian-rational roots
+    that its numeric roots snap to, verified and deflated one at a time."""
+    cross = [ref(c) for c in cross]
+    if all(c.is_zero() for c in cross):
+        raise RootFindingFailure("cross form vanishes identically")
+    lead = 0
+    while cross[lead].is_zero():
+        lead += 1
+    trail = 0
+    while cross[len(cross) - 1 - trail].is_zero():
+        trail += 1
+    core = cross[lead:len(cross) - trail]
+
+    roots = []
+    if lead:
+        pt = ((1, 0), (0, 0))
+        roots.append((coincidence.exact_to_proj(pt), pt if exact_ok else None))
+    if trail:
+        pt = ((0, 0), (1, 0))
+        roots.append((coincidence.exact_to_proj(pt), pt if exact_ok else None))
+
+    asc = reference_poly_trim(list(reversed(core)))
+    if len(asc) <= 1:
+        return roots
+    deriv = [c * ReferenceGaussian(k) for k, c in enumerate(asc)][1:]
+    asc = reference_poly_divmod(asc, reference_poly_gcd(asc, deriv))[0]
+    if exact_ok:
+        rational = []
+        while len(asc) > 1:
+            if len(asc) == 2:
+                rational.append((-asc[0]) / asc[1])
+                asc = [asc[1]]
+                break
+            for z in polynomial.aberth_roots([complex(c) for c in asc]):
+                re = Fraction(z.real).limit_denominator(coincidence.SNAP_DENOMINATOR)
+                im = Fraction(z.imag).limit_denominator(coincidence.SNAP_DENOMINATOR)
+                if abs(re - Fraction(z.real)) > 1e-9 or abs(im - Fraction(z.imag)) > 1e-9:
+                    continue
+                cand = ReferenceGaussian(re, im)
+                value = asc[-1]
+                for c in reversed(asc[:-1]):
+                    value = value * cand + c
+                if value.is_zero():
+                    rational.append(cand)
+                    asc = reference_poly_divmod(asc, [-cand, ReferenceGaussian(1)])[0]
+                    break
+            else:
+                break
+        for r in rational:
+            pt = exact_point(r)
+            roots.append((coincidence.exact_to_proj(pt), pt))
+    if len(asc) > 1:
+        for z in polynomial.aberth_roots([complex(c) for c in asc]):
+            roots.append((normalize(z, 1.0), None))
+    return roots
+
+
+def reference_classify_mobius(f):
+    """(kind, fixed points, multiplier) of a degree-1 map by the normalized
+    trace tr^2/det on its num and den views (the Mobius oracle); at the
+    fixed point infinity the multiplier is d/a."""
+    a, b = map(ref, f.num)
+    c, d = map(ref, f.den)
+    det = a * d - b * c
+    if b.is_zero() and c.is_zero() and a == d:
+        return "identity", (), None
+    tr = a + d
+    sigma = (tr * tr) / det
+    if sigma == ReferenceGaussian(4):
+        kind = "parabolic"
+    elif sigma.im == 0 and 0 <= sigma.re < 4:
+        kind = "elliptic"
+    else:
+        kind = "loxodromic"
+
+    two = ReferenceGaussian(2)
+    if c.is_zero():
+        fixed = [INFINITY]
+        if kind != "parabolic":
+            fixed.append(normalize(complex(b / (d - a)), 1.0))
+    elif kind == "parabolic":
+        fixed = [normalize(complex((a - d) / (two * c)), 1.0)]
+    else:
+        disc = (d - a) * (d - a) + ReferenceGaussian(4) * b * c
+        root = reference_sqrt_exact(disc)
+        if root is not None:
+            fixed = [normalize(complex((a - d + root) / (two * c)), 1.0),
+                     normalize(complex((a - d - root) / (two * c)), 1.0)]
+        else:
+            w = complex(disc) ** 0.5
+            fixed = [normalize((complex(a) - complex(d) + w) / complex(two * c), 1.0),
+                     normalize((complex(a) - complex(d) - w) / complex(two * c), 1.0)]
+    if kind == "parabolic":
+        return kind, tuple(fixed), 1.0 + 0.0j
+    mults = [complex(d) / complex(a) if pt.is_infinity()
+             else complex(det) / (complex(c) * pt.affine() + complex(d)) ** 2
+             for pt in fixed]
+    return kind, tuple(fixed), max(mults, key=lambda m: (abs(m), m.imag))
 
 
 def group_by_word(paths):
@@ -466,6 +657,23 @@ class ReferenceGaussian:
             return str(self.re)
         sign = "+" if self.im >= 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
+
+
+def ref(value) -> ReferenceGaussian:
+    """A ReferenceGaussian as it is, or any exact scalar that
+    rs.GaussianRational.from_value takes as a ReferenceGaussian."""
+    if isinstance(value, ReferenceGaussian):
+        return value
+    value = rs.GaussianRational.from_value(value)
+    return ReferenceGaussian(value.re, value.im)
+
+
+def scalar(value) -> rs.GaussianRational:
+    """A ReferenceGaussian, or anything rs.GaussianRational.from_value takes,
+    as the library's scalar."""
+    if isinstance(value, ReferenceGaussian):
+        return rs.GaussianRational(value.re, value.im)
+    return rs.GaussianRational.from_value(value)
 
 
 # -- the root finder as first written, with closures and no shortcuts: the
@@ -691,7 +899,7 @@ class ReferenceMap:
 def reference_make_map(num, den):
     """The oracle twin of ``rs.make_map(num, den)`` on a coprime pair: the
     same coercion, then reference_build."""
-    coeffs = [rs.GaussianRational.from_value(c) for c in list(num) + list(den)]
+    coeffs = [scalar(c) for c in list(num) + list(den)]
     exact = not any(isinstance(c, (float, complex)) for c in list(num) + list(den))
     return reference_build(lift(coeffs)[0], exact)
 
@@ -699,9 +907,9 @@ def reference_make_map(num, den):
 def reference_forms_coprime(p, q):
     """No shared root at [1 : 0] and an affine gcd of degree 0, by exact
     Euclid alone."""
-    if p[0].is_zero() and q[0].is_zero():
+    if ref(p[0]).is_zero() and ref(q[0]).is_zero():
         return False
-    return len(polynomial.poly_gcd(p[::-1], q[::-1])) <= 1
+    return len(reference_poly_gcd(p[::-1], q[::-1])) <= 1
 
 
 def reference_build(pairs, exact):
