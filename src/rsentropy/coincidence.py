@@ -25,7 +25,7 @@ from itertools import chain
 
 from .correspondence import Correspondence, GeneratorSet, build_correspondence
 from .errors import InconsistentItinerary, RootFindingFailure
-from .gaussian import canonical
+from .gaussian import canonical, to_complex
 from .polynomial import aberth_roots, form_mul, pairs_divmod, pairs_eval, pairs_gcd
 from .projective import NearPoints, ProjPoint, chordal_dist, normalize
 from .ratmap import RationalMap, evaluate
@@ -55,9 +55,8 @@ def exact_eval(f: RationalMap, pt: ExactPoint) -> ExactPoint:
 def exact_to_proj(pt: ExactPoint) -> ProjPoint:
     """The float point of an exact one: each coordinate over the scale, the
     first entry of the first nonzero pair, by correctly rounded int division."""
-    (a, b), (c, e) = pt
-    s = a or c
-    return normalize(complex(a / s, b / s), complex(c / s, e / s))
+    s = pt[0][0] or pt[1][0]
+    return normalize(to_complex(pt[0], s), to_complex(pt[1], s))
 
 
 class ExactPoints(NearPoints):
@@ -174,7 +173,7 @@ def _cross_roots(cross, scale, exact_ok):
         core, scale, points = _deflate_rational_roots(core, scale)
         roots += [(exact_to_proj(pt), pt) for pt in points]
     if len(core) > 1:
-        for z in aberth_roots(_ascending_complex(core, scale)):
+        for z in aberth_roots([to_complex(c, scale) for c in reversed(core)]):
             roots.append((normalize(z, 1.0), None))
     return roots
 
@@ -190,12 +189,6 @@ def _exact_quotient(pairs, den, divisor):
     return [(a // g, b // g) for a, b in q], den // g
 
 
-def _ascending_complex(pairs, den) -> list:
-    """The coefficients pairs/den, lowest degree first, each part rounded
-    correctly by int true division."""
-    return [complex(a / den, b / den) for a, b in reversed(pairs)]
-
-
 def _deflate_rational_roots(pairs, den):
     """Strip the Gaussian-rational roots of the polynomial pairs/den that
     its numeric roots snap to, each verified by exact substitution: the
@@ -208,7 +201,7 @@ def _deflate_rational_roots(pairs, den):
             points.append(canonical([(-a, -b), p0])[0])
             pairs = pairs[:1]
             break
-        for z in aberth_roots(_ascending_complex(pairs, den)):
+        for z in aberth_roots([to_complex(c, den) for c in reversed(pairs)]):
             cand = _snap_exact(z)
             if cand is not None and pairs_eval(pairs, *cand) == (0, 0):
                 points.append(canonical(cand)[0])

@@ -177,6 +177,12 @@ def canonical(pairs) -> tuple[tuple, int]:
     return tuple(pairs), scale
 
 
+def to_complex(pair, den: int) -> complex:
+    """The Gaussian integer pair (re, im) over the positive int den as a
+    complex number, each part rounded correctly by int true division."""
+    return complex(pair[0] / den, pair[1] / den)
+
+
 def lift(values) -> tuple[list, int]:
     """Gaussian-integer numerators over the lcm of the denominators.
 

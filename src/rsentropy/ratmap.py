@@ -30,7 +30,7 @@ from .errors import (
     NotMobius,
     RootFindingFailure,
 )
-from .gaussian import GaussianRational, OrderKey, canonical, lift, unlift
+from .gaussian import GaussianRational, OrderKey, canonical, lift, to_complex, unlift
 from .polynomial import (
     aberth_roots,
     form_eval_complex,
@@ -89,14 +89,12 @@ class RationalMap:
     @cached_property
     def num_float(self) -> tuple:
         """num as complex coefficients, computed on first use."""
-        s = self.scale
-        return tuple(complex(a / s, b / s) for a, b in self.pairs[:self.degree + 1])
+        return tuple(to_complex(c, self.scale) for c in self.pairs[:self.degree + 1])
 
     @cached_property
     def den_float(self) -> tuple:
         """den as complex coefficients, computed on first use."""
-        s = self.scale
-        return tuple(complex(a / s, b / s) for a, b in self.pairs[self.degree + 1:])
+        return tuple(to_complex(c, self.scale) for c in self.pairs[self.degree + 1:])
 
     @cached_property
     def partials_float(self) -> tuple:
@@ -105,7 +103,7 @@ class RationalMap:
         (d - k) c_k to the first and k c_k to the second."""
         d, s = self.degree, self.scale
         return tuple(
-            tuple(complex(a * m / s, b * m / s) for (a, b), m in zip(terms, weights))
+            tuple(to_complex((a * m, b * m), s) for (a, b), m in zip(terms, weights))
             for form in (self.pairs[:d + 1], self.pairs[d + 1:])
             for terms, weights in ((form[:d], range(d, 0, -1)), (form[1:], range(1, d + 1))))
 
@@ -285,8 +283,8 @@ def evaluate(f: RationalMap, p: ProjPoint) -> ProjPoint:
         x0, y0, x1, y1 = (n * (e // q) for n, q in ratios)
         z0, z1 = (x0, y0), (x1, y1)
         den = f.scale * e ** d
-        w0, w1 = (complex(re / den, im / den) for re, im in (
-            pairs_eval(f.pairs[:d + 1], z0, z1), pairs_eval(f.pairs[d + 1:], z0, z1)))
+        w0, w1 = (to_complex(pairs_eval(form, z0, z1), den)
+                  for form in (f.pairs[:d + 1], f.pairs[d + 1:]))
     return normalize(w0, w1)
 
 
@@ -397,7 +395,7 @@ def classify_mobius(f: RationalMap) -> MobiusClass:
         return MobiusClass(kind=kind, fixed_points=fixed, multiplier=1.0 + 0.0j)
 
     (ca, _), (cc, cd) = f.num_float, f.den_float
-    cdet = _to_complex(det, f.scale ** 2)
+    cdet = to_complex(det, f.scale ** 2)
     mults = []
     for pt in fixed:
         if pt.is_infinity():
@@ -425,16 +423,10 @@ def _mul(x, y):
     return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
-def _to_complex(x, den) -> complex:
-    """The Gaussian integer x over the positive int den, each part rounded
-    correctly by int true division."""
-    return complex(x[0] / den, x[1] / den)
-
-
 def _ratio_point(x, y) -> ProjPoint:
     """The float point [x/y : 1] of Gaussian integers x and y != 0: x/y is
     x conj(y) / |y|^2, each part rounded correctly."""
-    return normalize(_to_complex(_mul(x, (y[0], -y[1])), y[0] ** 2 + y[1] ** 2), 1.0)
+    return normalize(to_complex(_mul(x, (y[0], -y[1])), y[0] ** 2 + y[1] ** 2), 1.0)
 
 
 def _zi_sqrt(x):
@@ -463,6 +455,6 @@ def _mobius_fixed_points(f, kind):
     root = _zi_sqrt(disc)
     if root is not None:
         return _ratio_point(_add(e, root), two_c), _ratio_point(_sub(e, root), two_c)
-    w = _to_complex(disc, f.scale ** 2) ** 0.5
-    ca, cd, two_cc = f.num_float[0], f.den_float[1], _to_complex(two_c, f.scale)
+    w = to_complex(disc, f.scale ** 2) ** 0.5
+    ca, cd, two_cc = f.num_float[0], f.den_float[1], to_complex(two_c, f.scale)
     return normalize((ca - cd + w) / two_cc, 1.0), normalize((ca - cd - w) / two_cc, 1.0)

@@ -8,7 +8,6 @@ wrote into ``{out}``, under its name there. Cases marked ``"slow"`` are
 left to the full check; the tier-1 test runs the others.
 
     python3 tests/golden_outputs.py check             # every case
-    python3 tests/golden_outputs.py check --fast      # the cases without "slow"
     python3 tests/golden_outputs.py regenerate        # rewrite the expected outputs
 
 Every run goes in process through ``rsentropy.cli.main``. ``check`` prints
@@ -33,11 +32,9 @@ GOLDEN = HERE / "golden"
 EXPECTED = GOLDEN / "expected"
 
 
-def load_cases(fast=False) -> dict:
-    """{case name: case}, in file order; with fast, only the cases that are
-    not marked slow."""
-    cases = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
-    return {name: case for name, case in cases.items() if not (fast and case.get("slow"))}
+def load_cases() -> dict:
+    """{case name: case}, in file order."""
+    return json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 
 
 def run_case(case) -> dict:
@@ -73,11 +70,11 @@ def differences(name, case) -> list[str]:
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    if args not in (["check"], ["check", "--fast"], ["regenerate"]):
-        print("usage: golden_outputs.py check [--fast] | regenerate", file=sys.stderr)
+    if args not in (["check"], ["regenerate"]):
+        print("usage: golden_outputs.py check | regenerate", file=sys.stderr)
         return 2
     failed = 0
-    for name, case in load_cases(fast="--fast" in args).items():
+    for name, case in load_cases().items():
         started = time.perf_counter()
         if args[0] == "regenerate":
             shutil.rmtree(EXPECTED / name, ignore_errors=True)
