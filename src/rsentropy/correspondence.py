@@ -7,10 +7,13 @@ as multiplicities greater than 1, which is exactly why the topological
 degree of the iterate is multiplicative while the degree of the underlying
 support relation is not.
 
-Multiplicity merging relies exclusively on exact canonical-form equality.
-Generators entered with float coefficients disable merging and mark every
-ledger as "relation detection unavailable": a false merge would silently
-corrupt the degree bookkeeping. For general (non-graph) components the
+The iterate and the word ledger are one walk: each level's maps compose
+under the outer components, multiplicities multiply, and equal composites
+merge by exact canonical-form equality, for float-entered maps too. Merging
+equal maps cannot change M, d_top or the support degree. Generators entered
+with float coefficients only switch off relation detection in the ledger: a
+float-entered map stands for a nearby exact one, so equality of its
+composites proves no relation. For general (non-graph) components the
 composition rule would need generic fiber counts; for graphs it reduces to
 the multiplicity product implemented here.
 """
@@ -20,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, DuplicateGenerator, LengthMismatch
+from .errors import BudgetExceeded, DuplicateGenerator, LengthMismatch, positive_int
 from .ratmap import compose, maps_equal, power_table
 
 WORD_BUDGET = 10 ** 6
@@ -61,15 +64,10 @@ class Correspondence:
     """Sorted components (map, multiplicity) with total multiplicity M."""
 
     components: tuple  # tuple[(RationalMap, int), ...]
-    merged: bool = True  # False when float coefficients disabled merging
 
     @property
     def M(self) -> int:
         return sum(m for _, m in self.components)
-
-    @property
-    def exact(self) -> bool:
-        return all(f.exact_coeffs for f, _ in self.components)
 
     def primed(self) -> tuple:
         """Components expanded by multiplicity; index k-1 realizes label k."""
@@ -89,53 +87,59 @@ def _sorted_components(pairs):
 
 def build_correspondence(gens: GeneratorSet, mults=None) -> Correspondence:
     """The correspondence sum(m_j * graph(f_j)); mults default to all 1."""
-    if mults is None:
-        mults = (1,) * len(gens)
-    mults = tuple(int(m) for m in mults)
+    mults = (1,) * len(gens) if mults is None else tuple(mults)
     if len(mults) != len(gens):
         raise LengthMismatch(
             f"{len(mults)} multiplicities for {len(gens)} generators")
-    if any(m < 1 for m in mults):
-        raise ValueError("multiplicities must be positive integers")
+    mults = tuple(positive_int(m, "multiplicities must be positive integers")
+                  for m in mults)
     return Correspondence(components=_sorted_components(zip(gens.maps, mults)))
 
 
+def _step(level, outer) -> dict:
+    """One level of the composition walk: {g o f: (mult, words)}.
+
+    ``level`` holds pairs (f, (mult, words)) and ``outer`` pairs (g, m),
+    labelled 1.. in order. Each f, in sort order, composes under every g:
+    multiplicities multiply and f's words each gain g's label. Equal
+    composites merge, summing multiplicities and joining words. f's powers
+    are built once for all the g and dropped before the next f.
+    """
+    top = max(g.degree for g, _ in outer)
+    nxt: dict = {}
+    for f, (mult, words) in sorted(level, key=lambda item: item[0].sort_key()):
+        powers = power_table(f, top)
+        for j, (g, m) in enumerate(outer, start=1):
+            h = compose(g, f, powers)
+            extended = tuple(w + (j,) for w in words)
+            if h in nxt:
+                m0, w0 = nxt[h]
+                nxt[h] = (m0 + mult * m, w0 + extended)
+            else:
+                nxt[h] = (mult * m, extended)
+    return nxt
+
+
+def _iterate(a: Correspondence, b: Correspondence, steps: int) -> Correspondence:
+    """a followed by ``steps`` levels of b."""
+    level = [(f, (m, ())) for f, m in a.components]
+    for _ in range(steps):
+        level = _step(level, b.components).items()
+    return Correspondence(components=_sorted_components((f, m) for f, (m, _) in level))
+
+
 def compose_corr(a: Correspondence, b: Correspondence) -> Correspondence:
-    """Composite correspondence "b after a".
+    """Composite correspondence "b after a": one step of the walk.
 
     Every pair of components composes; multiplicities multiply, and equal
-    composite maps merge with their multiplicities summed (exact
-    coefficients only).
+    composite maps merge with their multiplicities summed.
     """
-    exact = a.exact and b.exact
-    top = max(fb.degree for fb, _ in b.components)
-    merged: dict = {}
-    order: list = []
-    for fa, ma in a.components:
-        powers = power_table(fa, top)  # fa's powers, shared by every fb
-        for fb, mb in b.components:
-            g = compose(fb, fa, powers)
-            m = ma * mb
-            if exact:
-                if g in merged:
-                    merged[g] += m
-                else:
-                    merged[g] = m
-            else:
-                order.append((g, m))
-    if exact:
-        return Correspondence(components=_sorted_components(merged.items()))
-    return Correspondence(components=tuple(order), merged=False)
+    return _iterate(a, b, 1)
 
 
 def corr_pow(c: Correspondence, nu: int) -> Correspondence:
-    """nu-fold iterate of c under compose_corr."""
-    if nu < 1:
-        raise ValueError("nu must be >= 1")
-    out = c
-    for _ in range(nu - 1):
-        out = compose_corr(out, c)
-    return out
+    """nu-fold iterate of c: nu - 1 steps of the walk from c's components."""
+    return _iterate(c, c, positive_int(nu, "nu must be >= 1") - 1)
 
 
 def d_top(c: Correspondence) -> int:
@@ -144,15 +148,10 @@ def d_top(c: Correspondence) -> int:
 
 
 def support_degree(c: Correspondence) -> int:
-    """Degree of the underlying relation: multiplicities ignored."""
-    if c.merged:
-        return sum(f.degree for f, _ in c.components)
-    # without merging, collapse equal maps first
-    seen = []
-    for f, _ in c.components:
-        if not any(maps_equal(f, g) for g in seen):
-            seen.append(f)
-    return sum(f.degree for f in seen)
+    """Degree of the underlying relation: the degree of each distinct map
+    value once, so multiplicities are ignored and an exact map and a float
+    one of equal value count once."""
+    return sum({(f.pairs, f.scale): f.degree for f, _ in c.components}.values())
 
 
 @dataclass(frozen=True)
@@ -186,13 +185,13 @@ def enumerate_words(gens: GeneratorSet, nu: int,
                     degree_budget: int = DEGREE_BUDGET) -> WordLedger:
     """Ledger of all N^nu compositions of length nu.
 
-    Walks the word tree level by level, composing each *distinct* level-k
-    map with every generator, so the cost tracks the number of distinct
+    nu - 1 steps of the walk from the generators, each at multiplicity 1
+    and carrying its witness words: each *distinct* level-k map composes
+    with every generator, so the cost tracks the number of distinct
     compositions rather than N^nu when relations are plentiful. Each
     level-k map's powers are built once for all the generators.
     """
-    if nu < 1:
-        raise ValueError("nu must be >= 1")
+    nu = positive_int(nu, "nu must be >= 1")
     n = len(gens)
     total = n ** nu
     if total > word_budget:
@@ -208,23 +207,9 @@ def enumerate_words(gens: GeneratorSet, nu: int,
         }
         return WordLedger(length=nu, entries=entries, total_words=total, exact=False)
 
-    level: dict = {}
-    for j, f in enumerate(gens.maps, start=1):
-        mult, words = level.get(f, (0, ()))
-        level[f] = (mult + 1, words + ((j,),))
+    level = {f: (1, ((j,),)) for j, f in enumerate(gens.maps, start=1)}
+    outer = tuple((g, 1) for g in gens.maps)
     for _ in range(nu - 1):
-        nxt: dict = {}
-        for f in sorted(level, key=lambda m: m.sort_key()):
-            mult, words = level[f]
-            powers = power_table(f, top)
-            for j, g in enumerate(gens.maps, start=1):
-                h = compose(g, f, powers)
-                extended = tuple(w + (j,) for w in words)
-                if h in nxt:
-                    m0, w0 = nxt[h]
-                    nxt[h] = (m0 + mult, w0 + extended)
-                else:
-                    nxt[h] = (mult, extended)
-        level = nxt
+        level = _step(level.items(), outer)
     assert sum(m for m, _ in level.values()) == total
     return WordLedger(length=nu, entries=level, total_words=total, exact=True)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of a
+positive integer argument."""
+
+import numbers
 
 
 class RsentropyError(Exception):
@@ -106,3 +109,11 @@ class SchemaViolation(RsentropyError):
     def __init__(self, message, pointer=""):
         super().__init__(message)
         self.pointer = pointer
+
+
+def positive_int(value, message: str) -> int:
+    """value as an int; ValueError(message) unless it is an integer >= 1.
+    A numpy integer is one; a bool or a float, even an integral one, is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(message)
+    return int(value)

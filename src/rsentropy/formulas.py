@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import EmptyInput
+from .errors import EmptyInput, positive_int
 
 
 @dataclass(frozen=True)
@@ -26,15 +26,19 @@ class ExactEntropyRecord:
     bounds: tuple  # (lower, upper)
 
 
-def exact_htop(degrees, n: int) -> float:
-    """log(sum of d_j^n) in nats."""
-    degrees = tuple(int(d) for d in degrees)
+def _checked(degrees, n: int) -> tuple:
+    """(degrees as a tuple of ints, n as an int); EmptyInput on no degree,
+    ValueError unless n and every degree are integers >= 1."""
+    degrees = tuple(degrees)
     if not degrees:
         raise EmptyInput("need at least one degree")
-    if n < 1:
-        raise ValueError("ambient dimension must be >= 1")
-    if any(d < 1 for d in degrees):
-        raise ValueError("degrees must be positive")
+    n = positive_int(n, "ambient dimension must be >= 1")
+    return tuple(positive_int(d, "degrees must be positive integers") for d in degrees), n
+
+
+def exact_htop(degrees, n: int) -> float:
+    """log(sum of d_j^n) in nats."""
+    degrees, n = _checked(degrees, n)
     return math.log(sum(d ** n for d in degrees))
 
 
@@ -44,9 +48,7 @@ def general_bounds_eval(degrees, n: int) -> tuple:
     lower = log(sum of d_j^n); upper = max of log(N), log(sum of d_j^n),
     and max over 0 < p < n of log(sum of d_j^p).
     """
-    degrees = tuple(int(d) for d in degrees)
-    if not degrees:
-        raise EmptyInput("need at least one degree")
+    degrees, n = _checked(degrees, n)
     lower = exact_htop(degrees, n)
     candidates = [math.log(len(degrees)), lower]
     for p in range(1, n):
@@ -56,7 +58,7 @@ def general_bounds_eval(degrees, n: int) -> tuple:
 
 def exact_record(degrees, n: int) -> ExactEntropyRecord:
     """Full exact record: entropy, dynamical degrees, collapsed bounds."""
-    degrees = tuple(int(d) for d in degrees)
+    degrees, n = _checked(degrees, n)
     value = exact_htop(degrees, n)
     dyn = tuple(sum(d ** p for d in degrees) for p in range(n + 1))
     return ExactEntropyRecord(

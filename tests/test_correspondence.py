@@ -1,5 +1,6 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import rsentropy as rs
@@ -53,6 +54,60 @@ def test_compose_corr_free_pair():
     c = rs.build_correspondence(rs.GeneratorSet([Z2, z2p1]))
     sq = rs.compose_corr(c, c)
     assert [m for _, m in sq.components] == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("mults", [[1.5], [2.0], [True]], ids=["fraction", "integral-float", "bool"])
+def test_a_non_integer_multiplicity_is_refused_not_truncated(mults):
+    with pytest.raises(ValueError, match="multiplicities must be positive integers"):
+        rs.build_correspondence(rs.GeneratorSet([Z2]), mults)
+
+
+def test_numpy_integer_multiplicities_and_lengths_are_integers():
+    c = rs.build_correspondence(rs.GeneratorSet([Z2, Z3]), np.array([2, 1]))
+    assert [m for _, m in c.components] == [2, 1] and rs.d_top(c) == 7
+    assert all(type(m) is int for _, m in c.components)
+    assert rs.d_top(rs.corr_pow(c, np.int64(2))) == 49
+    assert rs.enumerate_words(rs.GeneratorSet([Z2, Z3]), np.int64(2)).distinct == 3
+
+
+@pytest.mark.parametrize("nu", [2.5, 2.0, True], ids=["fraction", "integral-float", "bool"])
+def test_a_non_integer_length_is_refused(nu):
+    c = rs.build_correspondence(rs.GeneratorSet([Z2, Z3]))
+    with pytest.raises(ValueError, match="nu must be >= 1"):
+        rs.corr_pow(c, nu)
+    with pytest.raises(ValueError, match="nu must be >= 1"):
+        rs.enumerate_words(rs.GeneratorSet([Z2, Z3]), nu)
+
+
+def test_float_generators_merge_equal_composites_like_their_exact_twin():
+    # 1.0 z^2 and 1.0 z^3 are dyadic, so their composites equal the exact
+    # ones; equal composites merge for them too, and merging cannot change
+    # M, d_top or the support degree
+    floats = rs.build_correspondence(rs.GeneratorSet([
+        rs.make_map([1.0, 0.0, 0.0], [0.0, 0.0, 1.0]),
+        rs.make_map([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0])]))
+    exact = rs.build_correspondence(rs.GeneratorSet([Z2, Z3]))
+    for power, twin in ((rs.corr_pow(floats, 3), rs.corr_pow(exact, 3)),
+                        (rs.compose_corr(floats, floats), rs.compose_corr(exact, exact))):
+        assert not any(f.exact_coeffs for f, _ in power.components)
+        assert ([(f.pairs, f.scale, m) for f, m in power.components]
+                == [(f.pairs, f.scale, m) for f, m in twin.components])
+        assert ((power.M, rs.d_top(power), rs.support_degree(power))
+                == (twin.M, rs.d_top(twin), rs.support_degree(twin)))
+    power = rs.corr_pow(floats, 3)
+    assert (len(power.components), power.M, rs.d_top(power), rs.support_degree(power)) == (4, 8, 125, 65)
+
+
+def test_an_exact_and_a_float_map_of_equal_value_are_two_components_of_one_support():
+    # z^3 and 1.0 z^3 are equal in value but not as maps: their composites
+    # after z^2 stay two components, and the support counts z^6 once
+    z3_float = rs.make_map([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0])
+    both = rs.Correspondence(components=((Z3, 1), (z3_float, 1)))
+    c = rs.compose_corr(rs.build_correspondence(rs.GeneratorSet([Z2])), both)
+    assert len(c.components) == 2
+    assert [f.exact_coeffs for f, _ in c.components] == [True, False]
+    assert all(rs.maps_equal(f, monomial(6)) for f, _ in c.components)
+    assert (rs.d_top(c), rs.support_degree(c)) == (12, 6)
 
 
 def test_d_top_examples():
@@ -204,8 +259,8 @@ RATIONAL_PAIR = (rs.make_map([1, 0, 0], [-1, 0, 1]),
     (RATIONAL_PAIR, 3),
 ], ids=["chebyshev", "free", "rational"])
 def test_shared_power_tables_match_word_by_word_reference_compose(maps, nu):
-    # enumerate_words builds each level map's powers once for every
-    # generator, and compose_corr once per inner component; the oracle
+    # enumerate_words and corr_pow run one walk, which builds each level
+    # map's powers once for every outer component; the oracle
     # composes each word on its own, without the library's form_mul
     want = reference_ledger([reference_make_map(f.num, f.den) for f in maps], nu)
     ledger = rs.enumerate_words(rs.GeneratorSet(maps), nu)

@@ -17,6 +17,29 @@ def test_exact_htop_examples():
         rs.exact_htop([], 1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: rs.exact_htop([2.5, 3.7], 1),
+    lambda: rs.exact_htop([2, 3], 1.5),
+    lambda: rs.exact_htop([2, 3], 1.0),
+    lambda: rs.exact_htop([True, 3], 1),
+    lambda: rs.exact_htop([2, 3], True),
+    lambda: rs.exact_record([2.9], 1),
+    lambda: rs.general_bounds_eval([1.9, 2], 2),
+], ids=["float-degrees", "float-n", "integral-float-n", "bool-degree", "bool-n",
+        "record", "bounds"])
+def test_a_non_integer_degree_or_dimension_is_refused_not_truncated(call):
+    with pytest.raises(ValueError, match="must be"):
+        call()
+
+
+def test_numpy_integers_are_integers():
+    degrees, n = np.array([2, 3]), np.int64(2)
+    assert rs.exact_htop(degrees, n) == math.log(13)
+    record = rs.exact_record(degrees, n)
+    assert (record.n, record.degrees) == (2, (2, 3))
+    assert all(type(d) is int for d in (record.n, *record.degrees))
+
+
 def test_general_bounds_examples():
     assert rs.general_bounds_eval([2, 3], 1) == (math.log(5), math.log(5))
     assert rs.general_bounds_eval([1, 1], 1) == (math.log(2), math.log(2))

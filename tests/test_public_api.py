@@ -1,6 +1,7 @@
 """The package's public surface against what the README names."""
 
 import ast
+import dataclasses
 import functools
 import pathlib
 import re
@@ -35,6 +36,11 @@ def test_public_surface_matches_the_docs():
     for name in ("poly_gcd", "poly_divmod", "poly_trim"):
         assert not hasattr(rs.polynomial, name)
     assert not hasattr(rs.gaussian, "sqrt_exact")
+    # the iterate and the word ledger are one walk with one merge rule: a
+    # correspondence is its components, with no flag for unmerged ones
+    assert [f.name for f in dataclasses.fields(rs.Correspondence)] == ["components"]
+    for name in ("merged", "exact"):
+        assert not hasattr(rs.Correspondence, name)
     names = re.findall(r"`rsentropy\.([A-Za-z_][\w.]*)`", README.read_text(encoding="utf-8"))
     assert len(names) > 10
     for name in names:
