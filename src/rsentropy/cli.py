@@ -12,6 +12,7 @@ RSENTROPY_LOG environment variable only.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -60,14 +61,7 @@ def main(argv=None) -> int:
         if args.timing:
             provenance["wall_time_s"] = round(time.monotonic() - started, 3)
             provenance["stage_s"] = {k: round(v, 3) for k, v in stages.items()}
-        report = build_report(
-            config_echo=cfg.echo(),
-            exact=payload["exact"],
-            estimates=payload.get("estimates"),
-            coincidence=payload.get("coincidence"),
-            relations=payload.get("relations"),
-            provenance=provenance,
-        )
+        report = build_report(cfg.echo(), provenance=provenance, **payload)
         # files first, so a failed write prints only the error object
         text = report.to_json()
         report_path = args.report or cfg.output.get("report_path")
@@ -138,33 +132,22 @@ def _stage(stages, name):
 
 
 def _dispatch(args, cfg: RunConfig, stages):
-    """(payload, rows) of the command; ``stages`` gets the seconds of each
-    stage that ran: tree, counts, coincidence and relations."""
+    """(payload, rows) of the command, the payload keyed by build_report's
+    section parameters; ``stages`` gets the seconds of each stage that ran:
+    tree, counts, coincidence and relations. ``report`` runs every section,
+    its estimates by both methods."""
+    command, rows = args.command, None
     payload = {"exact": _exact_section(cfg)}
-    rows = None
-    if args.command == "exact":
-        return payload, rows
-    if args.command == "estimate":
-        payload["estimates"], rows = _estimate_section(cfg, args.method, stages)
-        return payload, rows
-    if args.command == "friedland-bounds":
+    if command in ("estimate", "report"):
+        method = "both" if command == "report" else args.method
+        payload["estimates"], rows = _estimate_section(cfg, method, stages)
+    if command in ("friedland-bounds", "coincidence", "report"):
         with _stage(stages, "coincidence"):
-            payload["coincidence"] = _coincidence_section(cfg, with_bounds=True)
-        return payload, rows
-    if args.command == "coincidence":
-        with _stage(stages, "coincidence"):
-            payload["coincidence"] = _coincidence_section(cfg, with_bounds=False)
-        return payload, rows
-    if args.command == "relations":
+            payload["coincidence"] = _coincidence_section(
+                cfg, with_bounds=command != "coincidence")
+    if command in ("relations", "report"):
         with _stage(stages, "relations"):
             payload["relations"] = _relations_section(cfg)
-        return payload, rows
-    # report: everything
-    payload["estimates"], rows = _estimate_section(cfg, "both", stages)
-    with _stage(stages, "coincidence"):
-        payload["coincidence"] = _coincidence_section(cfg, with_bounds=True)
-    with _stage(stages, "relations"):
-        payload["relations"] = _relations_section(cfg)
     return payload, rows
 
 
@@ -176,14 +159,7 @@ def _expanded_degrees(cfg: RunConfig):
 
 
 def _exact_section(cfg: RunConfig) -> dict:
-    record = exact_record(_expanded_degrees(cfg), cfg.n)
-    section = {
-        "n": record.n,
-        "degrees": list(record.degrees),
-        "h_top_exact": record.h_top_exact,
-        "dynamical_degrees": list(record.dynamical_degrees),
-        "bounds": list(record.bounds),
-    }
+    section = dataclasses.asdict(exact_record(_expanded_degrees(cfg), cfg.n))
     if cfg.generators:
         corr = build_correspondence(cfg.generator_set(), cfg.multiplicities)
         section["d_top"] = d_top(corr)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
 from itertools import chain
 
 from .correspondence import Correspondence, GeneratorSet, build_correspondence
@@ -264,74 +263,74 @@ def _escape_test(maps):
     return escapes
 
 
-def _stepper(steps: dict, f: RationalMap, node_budget: int):
-    """pt -> exact_eval(f, pt) through the call's step table, so that each
-    exact point is stepped by f once however many searches reach it.
+def _image_table(maps, node_budget: int):
+    """images(pt): the tuple of exact_eval(f, pt) over maps in order, less
+    the escaping points of _escape_test(maps), so that each exact point is
+    stepped by each map once however many searches of the call reach it.
 
-    The step is pure. A row keeps at most node_budget images, so the table
-    holds no more points than the graph and searches it serves.
+    The step is pure. At most node_budget points keep their images, so the
+    table holds no more points than the graph and searches it serves.
     """
-    row = steps.setdefault(f, {})
+    escapes, table = _escape_test(maps), {}
 
-    def image(pt):
-        hit = row.get(pt)
+    def images(pt):
+        hit = table.get(pt)
         if hit is None:
-            hit = exact_eval(f, pt)
-            if len(row) < node_budget:
-                row[pt] = hit
+            hit = tuple(y for f in maps if not escapes(y := exact_eval(f, pt)))
+            if len(table) < node_budget:
+                table[pt] = hit
         return hit
-    return image
+    return images
 
 
 def is_recurrent(c: Correspondence, x: ProjPoint, depth: int,
                  exact_point: ExactPoint | None = None,
                  node_budget: int = NODE_BUDGET,
-                 *, _steps: dict | None = None) -> RecurrenceCertificate:
+                 *, _images=None) -> RecurrenceCertificate:
     """Breadth-first search of the forward sets for returns to x.
 
     Uses exact arithmetic when both the point and all component maps are
     exact; otherwise matches within RECURRENCE_TOL chordal. A forward set
     larger than node_budget raises BudgetExceeded as its first extra point
-    is found. _steps is the step table of the enclosing call, if any; only
-    exact steps go through it. Exact searches under polynomials leave out
-    the escaping points of _escape_test: they never return, and neither do
-    their images, so the return depths are those of the full search.
+    is found. _images is the image table of the enclosing call over the
+    same maps, if any; only exact steps go through it. Exact searches under
+    polynomials leave out the escaping points of _escape_test: they never
+    return, and neither do their images, so the return depths are those of
+    the full search.
     """
     support = [f for f, _ in c.components]
     if exact_point is not None and all(f.exact_coeffs for f in support):
-        steps = {} if _steps is None else _steps
-        start, index, escapes = exact_point, ExactPoints, _escape_test(support)
-        steppers = [_stepper(steps, f, node_budget) for f in support]
+        start, index = exact_point, ExactPoints
+        images = _images or _image_table(support, node_budget)
     else:
-        start, index, escapes = x, NearPoints, lambda pt: False
-        steppers = [partial(evaluate, f) for f in support]
+        start, index = x, NearPoints
+        images = lambda pt: [evaluate(f, pt) for f in support]
     frontier, returns = [start], []
     for n in range(1, depth + 1):
-        images = index(RECURRENCE_TOL, node_budget,
-                       "forward set exceeded the node budget")
+        found = index(RECURRENCE_TOL, node_budget,
+                      "forward set exceeded the node budget")
         for pt in frontier:
-            for image in steppers:
-                if not escapes(y := image(pt)):
-                    images.index_of(y)
-        frontier = images.points
-        if images.find(start) is not None:
+            for y in images(pt):
+                found.index_of(y)
+        frontier = found.points
+        if found.find(start) is not None:
             returns.append(n)
     return RecurrenceCertificate(point=x, return_depths=tuple(returns))
 
 
 def certified_coincidences(gens: GeneratorSet, depth: int,
                            node_budget: int = NODE_BUDGET,
-                           *, _steps: dict | None = None) -> list[tuple]:
+                           *, _images=None) -> list[tuple]:
     """Each coincidence point paired with its recurrence certificate.
 
-    The searches share one step table (_steps when the enclosing call
-    passes its own), so a point they revisit is stepped once.
+    The searches share one image table over gens.maps (_images when the
+    enclosing call passes its own), so a point they revisit is stepped once.
     """
     corr = build_correspondence(gens)
-    steps = {} if _steps is None else _steps
+    images = _images or _image_table(gens.maps, node_budget)
     return [
         (cp, is_recurrent(corr, cp.point, depth, exact_point=cp.exact_coords,
-                          node_budget=node_budget, _steps=steps))
+                          node_budget=node_budget, _images=images))
         for cp in coincidence_set(gens)
     ]
 
@@ -418,9 +417,9 @@ def friedland_bounds(gens: GeneratorSet, depth: int = RECURRENCE_DEPTH,
     otherwise lower and s_hat are None and the graph is empty.
     """
     upper = math.log(sum(gens.degrees))
-    # one step table for the call: the graph reuses the searches' steps
-    steps: dict = {}
-    coincidences = certified_coincidences(gens, depth, node_budget, _steps=steps)
+    # one image table for the call: the graph reuses the searches' steps
+    images = _image_table(gens.maps, node_budget)
+    coincidences = certified_coincidences(gens, depth, node_budget, _images=images)
     recurrent = [cp for cp, cert in coincidences if cert.status == "recurrent"]
     details = {"coincidences": coincidences, "graph_nodes": 0, "graph_edges": 0,
                "depth_cap_hit": False, "exact": False, "cycle_points": (),
@@ -428,8 +427,6 @@ def friedland_bounds(gens: GeneratorSet, depth: int = RECURRENCE_DEPTH,
     if not (gens.exact and all(cp.exact_coords is not None for cp in recurrent)):
         return FriedlandBounds(lower=None, upper=upper, s_hat=None, details=details)
 
-    steppers = [_stepper(steps, f, node_budget) for f in gens.maps]
-    escapes = _escape_test(gens.maps)
     graph = ExactPoints(RECURRENCE_TOL, node_budget,
                         "transition graph exceeded the node budget")
     for cp in recurrent:
@@ -444,12 +441,11 @@ def friedland_bounds(gens: GeneratorSet, depth: int = RECURRENCE_DEPTH,
             break
         known = len(graph.points)
         for u in frontier:
-            images: dict[int, int] = {}
-            for image in steppers:
-                if not escapes(y := image(graph.points[u])):
-                    v = graph.index_of(y)
-                    images[v] = images.get(v, 0) + 1
-            edges.extend((u, v, m) for v, m in sorted(images.items()))
+            targets: dict[int, int] = {}
+            for y in images(graph.points[u]):
+                v = graph.index_of(y)
+                targets[v] = targets.get(v, 0) + 1
+            edges.extend((u, v, m) for v, m in sorted(targets.items()))
 
     cycle = _optimal_cycle(len(graph.points), edges)
     profile = tuple(edges[e][2] for e in cycle)

@@ -15,7 +15,7 @@ from functools import cache
 from importlib import resources
 
 from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
+from jsonschema.validators import extend, validator_for
 
 from .coincidence import NODE_BUDGET, RECURRENCE_DEPTH
 from .correspondence import DEGREE_BUDGET, WORD_BUDGET, GeneratorSet
@@ -61,9 +61,14 @@ def config_schema() -> dict:
 def _validator():
     """The schema's validator, built once per process. Unlike
     jsonschema.validate it does not check the schema itself on every call;
-    the tests check it against its metaschema."""
+    the tests check it against its metaschema. Its "integer" is a Python
+    int that is not a bool: draft-07 also counts an integral float such as
+    2.0, which the run cannot use as a count, a seed or a length."""
     schema = config_schema()
-    return validator_for(schema)(schema)
+    base = validator_for(schema)
+    checker = base.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool))
+    return extend(base, type_checker=checker)(schema)
 
 
 def parse_scalar(raw) -> GaussianRational:

@@ -416,21 +416,28 @@ def test_recurrence_matches_scan_on_three_generators():
         assert cert.status == ("recurrent" if cert.return_depths else "not_found_within_depth")
 
 
-def test_step_table_holds_exact_rows_only():
-    # the nine inexact searches step by evaluate and leave no row behind;
-    # the exact search from infinity fills one row per map
-    steps: dict = {}
-    coincidence.certified_coincidences(THREE_GENERATORS, 7, _steps=steps)
-    assert set(steps) == set(THREE_GENERATORS.maps)
-    for row in steps.values():
-        assert row
-        for pt, image in row.items():
-            # a pair of canonical (re, im) int pairs
-            for coords in (pt, image):
-                assert type(coords) is tuple and len(coords) == 2
-                assert all(type(c) is tuple and len(c) == 2
-                           and all(type(x) is int for x in c) for c in coords)
-                assert coords[0] == (coords[0][0] or coords[1][0], 0)
+def test_step_table_holds_exact_rows_only(monkeypatch):
+    # the nine inexact searches step by evaluate, never by exact_eval; the
+    # exact search from infinity steps each point it reaches once by every map
+    stepped, images, step = collections.Counter(), set(), coincidence.exact_eval
+
+    def spy(f, pt):
+        stepped[f, pt] += 1
+        images.add(image := step(f, pt))
+        return image
+    monkeypatch.setattr(coincidence, "exact_eval", spy)
+    certs = coincidence.certified_coincidences(THREE_GENERATORS, 7)
+    starts = {cp.exact_coords for cp, _ in certs if cp.exact}
+    points = {pt for _, pt in stepped}
+    assert starts and starts <= points <= starts | images
+    assert set(stepped.values()) == {1}
+    assert set(stepped) == set(itertools.product(THREE_GENERATORS.maps, points))
+    for coords in points | images:
+        # a pair of canonical (re, im) int pairs
+        assert type(coords) is tuple and len(coords) == 2
+        assert all(type(c) is tuple and len(c) == 2
+                   and all(type(x) is int for x in c) for c in coords)
+        assert coords[0] == (coords[0][0] or coords[1][0], 0)
 
 
 def test_forward_set_budget_raises_in_both_modes():
@@ -573,6 +580,16 @@ def test_friedland_bounds_steps_each_pair_once_per_call(monkeypatch):
     # and it lives for one call: the next call steps every pair again
     rs.friedland_bounds(CONJUGATE_BASILICA, depth=10)
     assert len(stepped) == 518 and set(stepped.values()) == {2}
+
+
+def test_friedland_bounds_builds_the_escape_test_once(monkeypatch):
+    # the searches and the graph of one call read one image table
+    built, make = [], coincidence._escape_test
+    monkeypatch.setattr(coincidence, "_escape_test",
+                        lambda maps: built.append(maps) or make(maps))
+    fb = rs.friedland_bounds(BASILICA, depth=8)
+    assert fb.details["exact"] and len(fb.details["coincidences"]) == 3
+    assert built == [BASILICA.maps]
 
 
 def _inverted(pt):

@@ -101,6 +101,25 @@ def test_config_errors_match_jsonschema_validate(bad):
     assert list(got.value.__cause__.absolute_path) == list(want.value.absolute_path)
 
 
+@pytest.mark.parametrize("edit, pointer", [
+    ({"seed": 2.0}, "/seed"),
+    ({"recurrence_depth": 3.0}, "/recurrence_depth"),
+    ({"relations_word_length": 2.0}, "/relations_word_length"),
+    ({"multiplicities": [2.0, 1]}, "/multiplicities/0"),
+    ({"estimator": {"nu_max": 4.0}}, "/estimator/nu_max"),
+    ({"estimator": {"tree_budget": 100.0}}, "/estimator/tree_budget"),
+    ({"budgets": {"node_budget": 100.0}}, "/budgets/node_budget"),
+    ({"budgets": {"word_budget": 100.0}}, "/budgets/word_budget"),
+    ({"space": "Pn", "n": 2.0}, "/n"),
+    ({"space": "Pn", "degrees": [2.0, 3]}, "/degrees/0"),
+])
+def test_config_rejects_an_integral_float_where_it_asks_for_an_integer(edit, pointer):
+    # draft-07 counts 2.0 as an integer; the run needs an int
+    with pytest.raises(SchemaViolation) as err:
+        config.load_config(dict(Z23_CONFIG, **edit))
+    assert err.value.pointer == pointer
+
+
 def test_config_rejects_a_repeated_epsilon(tmp_path, capsys):
     bad = dict(Z23_CONFIG, estimator={"epsilon_grid": [0.1, 0.1, 0.2]})
     with pytest.raises(SchemaViolation) as err:
@@ -352,6 +371,36 @@ def test_cli_report_subcommand(tmp_path, capsys):
     assert report["coincidence"]["friedland_bounds"]["upper"] == math.log(5)
     assert report["relations"]["relations"] == 1  # monomials commute
     assert report["flags"] == []
+
+
+BOTH_METHODS = {"dinh_sibony", "friedland"}
+
+
+@pytest.mark.parametrize("argv, methods, bounds, relations", [
+    (["exact"], None, None, False),
+    (["estimate"], BOTH_METHODS, None, False),
+    (["estimate", "--method", "ds"], {"dinh_sibony"}, None, False),
+    (["friedland-bounds"], None, True, False),
+    (["coincidence"], None, False, False),
+    (["relations"], None, None, True),
+    (["report"], BOTH_METHODS, True, True),
+    (["report", "--method", "ds"], BOTH_METHODS, True, True),
+])
+def test_cli_runs_the_sections_of_its_command(tmp_path, capsys, argv, methods, bounds,
+                                              relations):
+    # bounds: None without a coincidence section, else whether it holds them
+    cfg = dict(Z23_CONFIG, recurrence_depth=4,
+               estimator={"nu_min": 2, "nu_max": 4, "epsilon_grid": [0.1, 0.2]})
+    assert cli.main([*argv, "--config", write_config(tmp_path, cfg), "--timing"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    estimates, section = report["estimates"], report["coincidence"]
+    assert (estimates and set(estimates) - {"per_word"}) == methods
+    assert (section and "friedland_bounds" in section) == bounds
+    assert (report["relations"] is not None) == relations
+    stages = ({"tree", "counts"} if methods else set()) | (
+        {"coincidence"} if bounds is not None else set()) | (
+        {"relations"} if relations else set())
+    assert set(report["provenance"]["stage_s"]) == stages
 
 
 def test_cli_coincidence_section(tmp_path, capsys):

@@ -15,7 +15,8 @@ def test_the_corpus_covers_the_documented_runs():
     cases = load_cases()
     assert len(cases) > len(FAST) > 20
     commands = {case["command"].split()[0] for case in FAST.values()}
-    assert commands == {"report", "estimate", "friedland-bounds", "coincidence", "relations"}
+    assert commands == {"exact", "estimate", "friedland-bounds", "coincidence",
+                        "relations", "report"}
 
 
 def test_the_readme_configs_are_the_readme_example():
