@@ -26,7 +26,7 @@ from .correspondence import Correspondence, GeneratorSet, build_correspondence
 from .errors import InconsistentItinerary, RootFindingFailure
 from .gaussian import canonical, to_complex
 from .polynomial import aberth_roots, form_mul, pairs_divmod, pairs_eval, pairs_gcd
-from .projective import NearPoints, ProjPoint, chordal_dist, normalize
+from .projective import NearPoints, ProjPoint, chordal_dist, normalize, point_order
 from .ratmap import RationalMap, evaluate
 
 RECURRENCE_TOL = 1e-9
@@ -107,8 +107,6 @@ def coincidence_set(gens: GeneratorSet) -> list[CoincidencePoint]:
     is finite.
     """
     n = len(gens)
-    if n < 2:
-        return []
     found: list[CoincidencePoint] = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -132,7 +130,7 @@ def coincidence_set(gens: GeneratorSet) -> list[CoincidencePoint]:
                 else:
                     found.append(CoincidencePoint(pt, frozenset({pair}), coords))
 
-    found.sort(key=lambda cp: (cp.point.h0.real, cp.point.h1.real, cp.point.h1.imag))
+    found.sort(key=lambda cp: point_order(cp.point))
     return found
 
 
@@ -217,7 +215,6 @@ def _deflate_rational_roots(pairs, den):
 
 @dataclass(frozen=True)
 class RecurrenceCertificate:
-    point: ProjPoint
     return_depths: tuple
 
     @property
@@ -315,7 +312,7 @@ def is_recurrent(c: Correspondence, x: ProjPoint, depth: int,
         frontier = found.points
         if found.find(start) is not None:
             returns.append(n)
-    return RecurrenceCertificate(point=x, return_depths=tuple(returns))
+    return RecurrenceCertificate(return_depths=tuple(returns))
 
 
 def certified_coincidences(gens: GeneratorSet, depth: int,
@@ -340,27 +337,24 @@ def certified_coincidences(gens: GeneratorSet, depth: int,
 
 @dataclass(frozen=True)
 class FiberEntropyValue:
-    """Cycle-average branching entropy over one eventually periodic itinerary."""
+    """Cycle-average branching entropy over one periodic itinerary."""
 
-    preperiod: tuple
-    cycle: tuple
     profile: tuple  # m_k over the cycle
     value: float
 
 
-def fiber_entropy(gens: GeneratorSet, cycle, preperiod=()) -> FiberEntropyValue:
+def fiber_entropy(gens: GeneratorSet, cycle) -> FiberEntropyValue:
     """Entropy of the shift relative to the decorations of one itinerary.
 
-    For a fixed eventually periodic itinerary the fiber consists of its
-    admissible label decorations; in the path metric those decorations
-    coincide pointwise, so n-step distinguishability is purely symbolic and
-    the count of distinguishable elements is the number of admissible words,
-    whose growth rate is the cycle average of log m_k with m_k the number of
-    generators realizing step k. Cross-validated against direct spanning
-    counts in the test suite rather than trusted on its own.
+    For the periodic itinerary that repeats the cycle's points the fiber
+    consists of its admissible label decorations; in the path metric those
+    decorations coincide pointwise, so n-step distinguishability is purely
+    symbolic and the count of distinguishable elements is the number of
+    admissible words, whose growth rate is the cycle average of log m_k with
+    m_k the number of generators realizing step k. Cross-validated against
+    direct spanning counts in the test suite rather than trusted on its own.
     """
     cycle = tuple(cycle)
-    preperiod = tuple(preperiod)
     if not cycle:
         raise InconsistentItinerary("cycle must be nonempty")
 
@@ -370,16 +364,12 @@ def fiber_entropy(gens: GeneratorSet, cycle, preperiod=()) -> FiberEntropyValue:
             raise InconsistentItinerary("a step is realized by no generator")
         return m
 
-    walk = preperiod + cycle
-    for k in range(len(preperiod)):
-        step_mult(walk[k], walk[k + 1])
     profile = tuple(
         step_mult(cycle[k], cycle[(k + 1) % len(cycle)])
         for k in range(len(cycle))
     )
     value = sum(math.log(m) for m in profile) / len(cycle)
-    return FiberEntropyValue(
-        preperiod=preperiod, cycle=cycle, profile=profile, value=value)
+    return FiberEntropyValue(profile=profile, value=value)
 
 
 # -- Friedland-type two-sided bounds --------------------------------------------------

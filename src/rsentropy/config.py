@@ -151,10 +151,12 @@ def load_config(data: dict) -> RunConfig:
             raise SchemaViolation(str(exc), f"/generators/{idx}") from exc
     generators = tuple(generators)
 
-    if "degrees" in data:
-        degrees = tuple(data["degrees"])
-    else:
-        degrees = tuple(g.degree for g in generators)
+    degrees = tuple(g.degree for g in generators) or tuple(data.get("degrees", ()))
+    if generators and "degrees" in data and tuple(data["degrees"]) != degrees:
+        raise SchemaViolation(f"degrees {data['degrees']} are not the generators' "
+                              f"degrees {list(degrees)}", "/degrees")
+    if generators and merged["n"] != 1:
+        raise SchemaViolation("runs with generators are on the sphere: n = 1", "/n")
     if not degrees:
         raise SchemaViolation("no generators and no degrees", "/generators")
 

@@ -82,14 +82,14 @@ def _pool(points, symbols, nu: int) -> OrbitPool:
         np.array(symbols, dtype=np.int64).reshape(k, nu))
 
 
-def forward_orbits(c: Correspondence, starts, nu: int,
-                   budget: int = ORBIT_BUDGET) -> OrbitPool:
-    """The unique orbit for every start and every label word of length nu."""
+def forward_orbits(c: Correspondence, starts, nu: int) -> OrbitPool:
+    """The unique orbit for every start and every label word of length nu;
+    BudgetExceeded when they are more than ORBIT_BUDGET."""
     comps = c.primed()
     m = len(comps)
     total = len(starts) * m ** nu
-    if total > budget:
-        raise BudgetExceeded(f"{total} forward orbits exceed the budget {budget}")
+    if total > ORBIT_BUDGET:
+        raise BudgetExceeded(f"{total} forward orbits exceed the budget {ORBIT_BUDGET}")
     words = list(itertools.product(range(1, m + 1), repeat=nu))
     rows = []
     for x0 in starts:
@@ -136,7 +136,7 @@ def preimage_tree_levels(c: Correspondence, terminal: ProjPoint, nu: int,
     for attempt in range(PERTURB_ATTEMPTS + 1):
         try:
             return _expand_tree(c, point, nu, jac_floor)
-        except (_CriticalValueHit, RootFindingFailure) as exc:
+        except RootFindingFailure as exc:
             last_error = exc
             point = _perturb(terminal, attempt)
     raise NonGenericTerminal(
@@ -150,10 +150,6 @@ def affordable_depth(c: Correspondence, nu: int, budget: int) -> int:
     while nu > 0 and dt ** nu > budget:
         nu -= 1
     return nu
-
-
-class _CriticalValueHit(Exception):
-    pass
 
 
 def _perturb(p: ProjPoint, attempt: int) -> ProjPoint:
@@ -176,7 +172,7 @@ def _expand_tree(c, terminal, nu, jac_floor):
                 # the multiplicities sum to the degree, so a shortfall of
                 # points is a multiple root
                 if len(roots) < f.degree:
-                    raise _CriticalValueHit(f"critical value at depth {depth}")
+                    raise RootFindingFailure(f"critical value at depth {depth}")
                 if jac_floor > 0.0:
                     jacs = [fs_jacobian(f, r) for r, _ in roots]
                     low = [k for k, jac in enumerate(jacs) if jac < jac_floor]

@@ -79,6 +79,12 @@ def chordal_dist(p: ProjPoint, q: ProjPoint) -> float:
     return min(abs(p.h0 * q.h1 - p.h1 * q.h0), 1.0)
 
 
+def point_order(p: ProjPoint) -> tuple:
+    """The sort key of points: h0, then h1's real and imaginary parts (a
+    canonical h0 is real)."""
+    return (p.h0.real, p.h1.real, p.h1.imag)
+
+
 def sample_points(count: int, seed: int) -> list[ProjPoint]:
     """Deterministic, approximately uniform sample of the sphere.
 

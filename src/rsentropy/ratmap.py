@@ -39,7 +39,7 @@ from .polynomial import (
     pairs_eval,
     strip_infinite_roots,
 )
-from .projective import INFINITY, ProjPoint, chordal_dist, normalize
+from .projective import INFINITY, ProjPoint, chordal_dist, normalize, point_order
 
 #: numeric preimages within this chordal distance are merged as one root
 ROOT_CLUSTER_TOL = 1e-7
@@ -288,18 +288,6 @@ def evaluate(f: RationalMap, p: ProjPoint) -> ProjPoint:
     return normalize(w0, w1)
 
 
-def _root_order(p: ProjPoint) -> tuple:
-    """The order in which numeric roots meet their clusters."""
-    return (p.h0.real, p.h1.real, p.h1.imag)
-
-
-def _preimage_order(pm: tuple) -> tuple:
-    """The order of (point, multiplicity): multiplicity descending, then as
-    ``_root_order``."""
-    p, mult = pm
-    return (-mult, p.h0.real, p.h1.real, p.h1.imag)
-
-
 def preimages(f: RationalMap, q: ProjPoint) -> list[tuple[ProjPoint, int]]:
     """All solutions of f(x) = q with multiplicities summing to deg(f).
 
@@ -318,7 +306,7 @@ def preimages(f: RationalMap, q: ProjPoint) -> list[tuple[ProjPoint, int]]:
     points += [INFINITY] * inf_mult
 
     clusters: list[list] = []  # [first point, multiplicity]
-    for pt in sorted(points, key=_root_order):
+    for pt in sorted(points, key=point_order):
         for cluster in clusters:
             if chordal_dist(cluster[0], pt) <= ROOT_CLUSTER_TOL:
                 cluster[1] += 1
@@ -330,7 +318,8 @@ def preimages(f: RationalMap, q: ProjPoint) -> list[tuple[ProjPoint, int]]:
         if chordal_dist(evaluate(f, rep), q) > PREIMAGE_RESIDUAL_TOL:
             raise RootFindingFailure(
                 "preimage residual check failed; target may be ill-conditioned")
-    out = sorted(map(tuple, clusters), key=_preimage_order)
+    # the clusters are in point order, so a stable sort keeps it within a multiplicity
+    out = sorted(map(tuple, clusters), key=lambda pm: -pm[1])
     if sum(m for _, m in out) != f.degree:
         raise RootFindingFailure("preimage multiplicities do not sum to the degree")
     return out

@@ -25,10 +25,6 @@ class Report:
     def to_json(self) -> str:
         return json.dumps(self.payload, sort_keys=True, indent=2) + "\n"
 
-    @staticmethod
-    def from_json(text: str) -> "Report":
-        return Report(payload=json.loads(text))
-
 
 def build_report(config_echo: dict, exact: dict,
                  estimates: dict | None = None,

@@ -1,18 +1,18 @@
 """Separated- and spanning-set counting over orbit pools.
 
-Three separation senses on a pool of equal-length orbits:
+Two separation senses on a pool of equal-length orbits:
 
 * ``dinh_sibony``   - a pair separates if some point distance exceeds eps OR
                       some label differs;
-* ``friedland``     - labels are ignored, itineraries only;
-* ``per_word``      - the pool is filtered to one label word, points only.
+* ``friedland``     - labels are ignored, itineraries only.
 
 Because label words partition a pool into blocks with no cross-block
 conflicts (different words always separate), the maximum separated family in
-the symbol-aware sense is exactly the sum of per-word maxima. The counter
-exploits that: blocks at or below the exact cutoff get a branch-and-bound
-maximum independent set of the conflict graph, larger blocks fall back to a
-seeded greedy maximal family and report ``exact=False``. Greedy families are
+the symbol-aware sense is exactly the sum of per-word maxima, which
+``sum_up_partition`` computes. The counter exploits that: blocks at or below
+the exact cutoff get a branch-and-bound maximum independent set of the
+conflict graph, larger blocks fall back to a seeded greedy maximal family
+and report ``exact=False``. Greedy families are
 certified lower bounds, which is the useful direction when the counts feed a
 sup/limsup growth estimate. The branch and bound refuses, with
 BudgetExceeded, to branch on a connected component of more than
@@ -119,17 +119,17 @@ def _word_blocks(symbols):
 
 
 def _count_classes(pool: OrbitPool, mode: str, top: float | None = None):
-    """(plan, words, ids, blocks, listed): what the counts of the pool in
-    the mode share at every eps. The walk plan has labels unless in
-    friedland mode, where the words are None and every row is in one
-    block; otherwise they are ``_word_blocks(pool.symbols)``.
+    """(plan, ids, blocks, listed): what the counts of the pool in the mode
+    share at every eps. The walk plan has labels unless in friedland mode,
+    where every row is in one block; otherwise each row's word id and each
+    word's rows are those of ``_word_blocks(pool.symbols)``.
 
     ``listed`` is None, or, when ``top`` (the largest eps to count) is
     given, (top, i, j, d): the conflict pairs at eps top with their
     distances, so that the pairs at any eps <= top are those with d <= eps.
     It is None too when the children of a key's conflicting pairs are more
     than PAIR_BUDGET; the counts then walk."""
-    if mode not in ("per_word", "friedland", "dinh_sibony"):
+    if mode not in ("friedland", "dinh_sibony"):
         raise ValueError(f"unknown mode {mode!r}")
     plan = _walk_plan(pool, mode != "friedland")
     listed = None
@@ -143,9 +143,8 @@ def _count_classes(pool: OrbitPool, mode: str, top: float | None = None):
             log.info("pair list: mode=%s nu=%d eps=%g none: %s (PAIR_BUDGET=%d)",
                      mode, pool.nu, top, exc, PAIR_BUDGET)
     if mode == "friedland":
-        return (plan, None, np.zeros(len(pool), dtype=np.intp),
-                [np.arange(len(pool))], listed)
-    return (plan, *_word_blocks(pool.symbols), listed)
+        return plan, np.zeros(len(pool), dtype=np.intp), [np.arange(len(pool))], listed
+    return (plan, *_word_blocks(pool.symbols)[1:], listed)
 
 
 def count_grid(pool: OrbitPool, epsilon_grid, mode: str, seeds) -> list:
@@ -156,31 +155,20 @@ def count_grid(pool: OrbitPool, epsilon_grid, mode: str, seeds) -> list:
             for eps, seed in zip(epsilon_grid, seeds)]
 
 
-def count_separated(pool: OrbitPool, epsilon: float, mode: str, word=None,
+def count_separated(pool: OrbitPool, epsilon: float, mode: str,
                     seed: int | None = 0, classes=None) -> SeparationCount:
     """Size of a maximal separated family in the requested sense.
 
-    Exact (maximum) when every counted block is at most EXACT_CUTOFF
-    orbits; otherwise a seeded greedy maximal family with ``exact=False``.
-    ``word`` is required in per_word mode and ignored otherwise.
+    Exact (maximum) when every word block is at most EXACT_CUTOFF orbits;
+    otherwise a seeded greedy maximal family with ``exact=False``.
     ``classes`` is ``_count_classes(pool, mode, top)``, built here (with no
     pair list) when None; ``count_grid`` shares it across an eps grid.
     """
     _check_pool(pool, epsilon)
-    plan, words, ids, blocks, listed = (_count_classes(pool, mode) if classes is None
-                                        else classes)
+    plan, ids, blocks, listed = _count_classes(pool, mode) if classes is None else classes
     pairs = _pair_source(plan, epsilon, listed)
-    label = mode
-    counted = range(len(blocks))
-    if mode == "per_word":
-        if word is None:
-            raise ValueError("per_word mode needs the word to filter on")
-        word = tuple(int(a) for a in word)
-        if word not in words:
-            raise EmptyPool(f"no orbits with word {word}")
-        label, counted = "per_word" + repr(word), [words.index(word)]
-    small = [b for b in counted if len(blocks[b]) <= EXACT_CUTOFF]
-    large = [b for b in counted if len(blocks[b]) > EXACT_CUTOFF]
+    small = [b for b, rows in enumerate(blocks) if len(rows) <= EXACT_CUTOFF]
+    large = [b for b, rows in enumerate(blocks) if len(rows) > EXACT_CUTOFF]
     count = 0
     if small:
         split = _split_pairs(*pairs(np.isin(ids, small)), ids, blocks)
@@ -191,9 +179,9 @@ def count_separated(pool: OrbitPool, epsilon: float, mode: str, word=None,
         touched = np.bincount(ids[kept], weights=degrees, minlength=len(blocks))
         for b in large:
             log.info("greedy count: mode=%s eps=%g nu=%d block=%d family=%d pairs=%d",
-                     label, epsilon, pool.nu, len(blocks[b]), family[b], touched[b])
+                     mode, epsilon, pool.nu, len(blocks[b]), family[b], touched[b])
         count += len(kept)
-    return SeparationCount(epsilon, pool.nu, label, count, len(pool), not large)
+    return SeparationCount(epsilon, pool.nu, mode, count, len(pool), not large)
 
 
 def greedy_family(pool: OrbitPool, epsilon: float) -> list[int]:

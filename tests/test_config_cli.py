@@ -2,6 +2,7 @@ import dataclasses
 import json
 import logging
 import math
+import pathlib
 import sys
 from fractions import Fraction
 
@@ -128,6 +129,50 @@ def test_config_rejects_a_repeated_epsilon(tmp_path, capsys):
     assert cli.main(["estimate", "--config", write_config(tmp_path, bad)]) == 1
     out = json.loads(capsys.readouterr().out)["error"]
     assert (out["type"], out["pointer"]) == ("SchemaViolation", "/estimator/epsilon_grid")
+
+
+@pytest.mark.parametrize("edit, pointer", [
+    ({"degrees": [5, 7]}, "/degrees"),
+    ({"degrees": [3, 2]}, "/degrees"),
+    ({"degrees": [2]}, "/degrees"),
+    ({"space": "Pn", "n": 2}, "/n"),
+])
+def test_config_refuses_degrees_or_n_that_contradict_the_generators(tmp_path, capsys,
+                                                                    edit, pointer):
+    # a run on generators is on the sphere, with their degrees in order; an
+    # echo of other degrees or another n would hold settings the run did not
+    # apply (test_echo_holds_every_field_as_set sets degrees that agree)
+    assert cli.main(["exact", "--config", write_config(tmp_path, dict(Z23_CONFIG, **edit))]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert set(out) == {"error"}
+    assert (out["error"]["type"], out["error"]["pointer"]) == ("SchemaViolation", pointer)
+
+
+@pytest.mark.parametrize("command, data, pointer", [
+    ("report", {"space": "P1", "n": 2, "degrees": [2]}, "/n"),
+    ("report", {"space": "Pn", "n": 2}, "/degrees"),
+    ("report", {}, "/generators"),
+    ("report", {"degrees": [2, 3], "multiplicities": [1]}, "/multiplicities"),
+    ("report", None, ""),  # a file that is not JSON
+    ("estimate", {"degrees": [2, 3]}, "/generators"),
+])
+def test_cli_refusals_print_only_an_error_object(tmp_path, capsys, command, data, pointer):
+    path = tmp_path / "cfg.json"
+    path.write_text("{not json" if data is None else json.dumps(data))
+    assert cli.main([command, "--config", str(path)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert set(out) == {"error"}
+    assert (out["error"]["type"], out["error"]["pointer"]) == ("SchemaViolation", pointer)
+
+
+def test_cli_strict_exits_2_on_a_flag_and_still_prints_the_report(capsys):
+    configs = pathlib.Path(__file__).resolve().parent / "golden" / "configs"
+    argv = ["estimate", "--config", str(configs / "flagged-friedland.json"),
+            "--method", "friedland", "--strict"]
+    assert cli.main(argv) == 2
+    assert json.loads(capsys.readouterr().out)["flags"] == ["friedland_estimate_exceeds_bound"]
+    assert cli.main(["report", "--config", str(configs / "readme.json"), "--strict"]) == 0
+    assert json.loads(capsys.readouterr().out)["flags"] == []
 
 
 def test_config_exact_scalar_objects(tmp_path):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import rsentropy as rs
-from rsentropy.errors import BudgetExceeded, DepthMismatch, MixedNu
+from rsentropy import orbits
+from rsentropy.errors import BudgetExceeded, DepthMismatch, MixedNu, NonGenericTerminal
 from rsentropy.estimate import ladder_tree
 from util import (
     IDENTITY,
@@ -40,9 +41,13 @@ def test_forward_orbit_example_word():
     assert pts == pytest.approx([2.0, 4.0, 64.0])
 
 
-def test_forward_orbit_budget():
-    with pytest.raises(BudgetExceeded):
-        rs.forward_orbits(corr(Z2, Z3), rs.sample_points(10, 2), 10, budget=100)
+def test_forward_orbit_budget(monkeypatch):
+    # 10 starts and 2^10 words make 10,240 orbits; at the budget they are built
+    monkeypatch.setattr(orbits, "ORBIT_BUDGET", 100)
+    with pytest.raises(BudgetExceeded, match="10240 forward orbits exceed the budget 100"):
+        rs.forward_orbits(corr(Z2, Z3), rs.sample_points(10, 2), 10)
+    monkeypatch.setattr(orbits, "ORBIT_BUDGET", 12)
+    assert len(rs.forward_orbits(corr(Z2, Z3), rs.sample_points(3, 2), 2)) == 12
 
 
 def test_preimage_tree_budget():
@@ -95,6 +100,17 @@ def test_preimage_tree_perturbs_critical_terminal():
     # terminal 0 is a critical value of z^2; automatic perturbation kicks in
     tree = rs.preimage_tree(corr(Z2), rs.point_at(0), 2)
     assert len(tree) == 4
+
+
+def test_tree_refuses_a_terminal_that_stays_critical(monkeypatch):
+    # every preimage a double root: the terminal and its 5 perturbations
+    # each hit a critical value
+    calls = []
+    monkeypatch.setattr(orbits, "preimages", lambda f, q: calls.append(q) or [(q, 2)])
+    with pytest.raises(NonGenericTerminal,
+                       match="after 5 perturbations: critical value at depth 1$"):
+        rs.preimage_tree_levels(corr(Z2), rs.point_at(2), 2)
+    assert len(calls) == 6
 
 
 README_TERMINAL = rs.sample_points(1, 42 + 9001)[0]  # ladder_tree's at seed 42

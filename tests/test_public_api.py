@@ -3,11 +3,15 @@
 import ast
 import dataclasses
 import functools
+import inspect
 import pathlib
 import re
 
+import pytest
+
 import rsentropy as rs
 import rsentropy.cli  # noqa: F401  the module map names the CLI, which the package does not import
+from util import Z2, Z3
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -45,6 +49,24 @@ def test_public_surface_matches_the_docs():
     assert len(names) > 10
     for name in names:
         functools.reduce(getattr, name.split("."), rs)
+
+
+def test_parameters_and_fields_that_nothing_read_are_gone():
+    # count_separated has the paper's two senses; per-word maxima are
+    # sum_up_partition's, and one word's count is a friedland count of its rows
+    params = inspect.signature(rs.count_separated).parameters
+    assert list(params) == ["pool", "epsilon", "mode", "seed", "classes"]
+    pool = rs.forward_orbits(rs.build_correspondence(rs.GeneratorSet([Z2, Z3])),
+                             rs.sample_points(2, 1), 1)
+    with pytest.raises(ValueError, match="unknown mode"):
+        rs.count_separated(pool, 0.2, "per_word")
+    # a fiber entropy is one cycle's; the value and the certificate echo no input
+    assert list(inspect.signature(rs.fiber_entropy).parameters) == ["gens", "cycle"]
+    assert [f.name for f in dataclasses.fields(rs.FiberEntropyValue)] == ["profile", "value"]
+    assert [f.name for f in dataclasses.fields(rs.RecurrenceCertificate)] == ["return_depths"]
+    # the forward-orbit budget is the module constant ORBIT_BUDGET
+    assert list(inspect.signature(rs.forward_orbits).parameters) == ["c", "starts", "nu"]
+    assert not hasattr(rs.Report, "from_json")
 
 
 def test_no_module_imports_a_private_name_from_a_sibling():

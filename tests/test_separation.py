@@ -73,16 +73,16 @@ def test_exact_count_matches_brute_force():
 
 
 def test_per_word_mode():
+    # one word's count is the friedland count of its rows (count_separated
+    # has no per-word mode), and sum_up_partition gives every word's maximum
     pool = rs.forward_orbits(corr(Z2, Z3), rs.sample_points(3, 1), 2)
-    res = rs.count_separated(pool, 0.2, "per_word", word=(1, 2))
-    assert res.count <= 3
-    assert res.mode == "per_word(1, 2)"
-    with pytest.raises(EmptyPool):
-        rs.count_separated(pool, 0.2, "per_word", word=(9, 9))
-    # a word read off the pool's label array gives the same cell
-    word = pool.symbols[0]
-    label = rs.count_separated(pool, 0.2, "per_word", word=word).mode
-    assert label == "per_word" + repr(tuple(word.tolist()))
+    for eps in (0.05, 0.2):
+        per_word, _, _ = rs.sum_up_partition(pool, eps)
+        assert len(per_word) == 4
+        for word, count in per_word.items():
+            rows = np.flatnonzero((pool.symbols == word).all(axis=1))
+            res = rs.count_separated(pool[rows], eps, "friedland")
+            assert (res.count, res.exact, res.pool_size) == (count, True, 3)
 
 
 def test_pool_validation():
