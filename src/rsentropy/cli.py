@@ -50,7 +50,8 @@ def main(argv=None) -> int:
             log.setLevel(level.upper())
         logging.basicConfig(level=(level or "WARNING").upper())
         cfg = parse_config(args.config, {
-            "seed": args.seed, "relations_word_length": args.word_length})
+            "seed": args.seed, "relations_word_length": args.word_length,
+            "output": {"report_path": args.report, "csv_path": args.csv}})
         started, stages = time.monotonic(), {}
         payload, rows = _dispatch(args, cfg, stages)
         provenance = {
@@ -64,10 +65,9 @@ def main(argv=None) -> int:
         report = build_report(cfg.echo(), provenance=provenance, **payload)
         # files first, so a failed write prints only the error object
         text = report.to_json()
-        report_path = args.report or cfg.output.get("report_path")
+        report_path, csv_path = cfg.output["report_path"], cfg.output["csv_path"]
         if report_path:
             _write(report_path, text)
-        csv_path = args.csv or cfg.output.get("csv_path")
         if csv_path and rows is not None:
             _write(csv_path, counts_to_csv(rows))
     except RsentropyError as exc:
@@ -112,8 +112,8 @@ def _build_parser():
                         help="relation search length (relations)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-    parser.add_argument("--report", default=None, help="report JSON path")
-    parser.add_argument("--csv", default=None, help="count-rows CSV path")
+    parser.add_argument("--report", default=None, help="override output.report_path")
+    parser.add_argument("--csv", default=None, help="override output.csv_path")
     parser.add_argument("--strict", action="store_true",
                         help="nonzero exit when bound flags are raised")
     parser.add_argument("--timing", action="store_true",
@@ -151,15 +151,11 @@ def _dispatch(args, cfg: RunConfig, stages):
     return payload, rows
 
 
-def _expanded_degrees(cfg: RunConfig):
-    out = []
-    for d, m in zip(cfg.degrees, cfg.multiplicities):
-        out.extend([d] * m)
-    return tuple(out)
-
-
 def _exact_section(cfg: RunConfig) -> dict:
-    section = dataclasses.asdict(exact_record(_expanded_degrees(cfg), cfg.n))
+    # each generator's degree once per unit of its multiplicity
+    degrees = [d for d, m in zip(cfg.degrees, cfg.multiplicities) for _ in range(m)]
+    section = {"n": cfg.n, "degrees": degrees,
+               **dataclasses.asdict(exact_record(degrees, cfg.n))}
     if cfg.generators:
         corr = build_correspondence(cfg.generator_set(), cfg.multiplicities)
         section["d_top"] = d_top(corr)
@@ -192,7 +188,7 @@ def _estimate_section(cfg: RunConfig, method: str, stages):
                 "best_epsilon": est.best_epsilon,
                 "epsilon_grid": list(est.epsilon_grid),
                 "nu_range": list(est.nu_range),
-                "seed": est.seed,
+                "seed": cfg.seed,
                 "counts": [
                     {"epsilon": r.epsilon, "nu": r.nu, "count": r.count,
                      "exact": r.exact, "pool_size": r.pool_size}
@@ -272,7 +268,7 @@ def _relations_section(cfg: RunConfig) -> dict:
         word_budget=cfg.budgets["word_budget"],
         degree_budget=cfg.budgets["degree_budget"])
     section = {
-        "word_length": ledger.length,
+        "word_length": cfg.relations_word_length,
         "total_words": ledger.total_words,
         "distinct": ledger.distinct,
         "relations": ledger.relations,

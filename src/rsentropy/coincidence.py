@@ -167,11 +167,11 @@ def _cross_roots(cross, scale, exact_ok):
     if len(g) > 1:
         core, scale = _exact_quotient(core, scale, g)
     if exact_ok:
-        core, scale, points = _deflate_rational_roots(core, scale)
+        points, zs = _deflate_rational_roots(core, scale)
         roots += [(exact_to_proj(pt), pt) for pt in points]
-    if len(core) > 1:
-        for z in aberth_roots([to_complex(c, scale) for c in reversed(core)]):
-            roots.append((normalize(z, 1.0), None))
+    else:
+        zs = aberth_roots([to_complex(c, scale) for c in reversed(core)])
+    roots += [(normalize(z, 1.0), None) for z in zs]
     return roots
 
 
@@ -187,18 +187,19 @@ def _exact_quotient(pairs, den, divisor):
 
 
 def _deflate_rational_roots(pairs, den):
-    """Strip the Gaussian-rational roots of the polynomial pairs/den that
-    its numeric roots snap to, each verified by exact substitution: the
-    rest as pairs over a denominator, and the roots as exact points."""
+    """(exact roots, numeric roots) of the polynomial pairs/den: the
+    Gaussian-rational roots that its numeric roots snap to, each verified by
+    exact substitution and deflated, as exact points; then the numeric
+    roots of what is left, from the solve that snapped none."""
     points: list[ExactPoint] = []
     while len(pairs) > 1:
         if len(pairs) == 2:
             # p0 z + p1 vanishes at [-p1 : p0]
             p0, (a, b) = pairs
             points.append(canonical([(-a, -b), p0])[0])
-            pairs = pairs[:1]
             break
-        for z in aberth_roots([to_complex(c, den) for c in reversed(pairs)]):
+        zs = aberth_roots([to_complex(c, den) for c in reversed(pairs)])
+        for z in zs:
             cand = _snap_exact(z)
             if cand is not None and pairs_eval(pairs, *cand) == (0, 0):
                 points.append(canonical(cand)[0])
@@ -206,8 +207,8 @@ def _deflate_rational_roots(pairs, den):
                 pairs, den = _exact_quotient(pairs, den, [d, (-a, -b)])
                 break
         else:
-            break
-    return pairs, den, points
+            return points, zs
+    return points, []
 
 
 # -- recurrence --------------------------------------------------------------------

@@ -177,7 +177,9 @@ def load_config(data: dict) -> RunConfig:
 
 def parse_config(path, overrides: dict | None = None) -> RunConfig:
     """Load, validate and resolve a JSON config file. The non-None overrides
-    replace its top-level keys before validation, like an edit of the file."""
+    replace its top-level keys before validation, like an edit of the file;
+    an override that is a dict merges into the file's dict of that name key
+    by key, skipping its None entries."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -188,7 +190,13 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"config is not valid JSON: {exc}", "") from exc
     if isinstance(data, dict):  # any other top level fails the schema as it is
-        data.update((k, v) for k, v in (overrides or {}).items() if v is not None)
+        for key, value in (overrides or {}).items():
+            if isinstance(value, dict):
+                if not isinstance(data.get(key, {}), dict):
+                    continue  # left for the schema to refuse
+                value = {**data.get(key, {}), **{k: v for k, v in value.items() if v is not None}}
+            if value is not None:
+                data[key] = value
     return load_config(data)
 
 

@@ -164,7 +164,6 @@ class WordLedger:
     its own entry and ``relations`` is None.
     """
 
-    length: int
     entries: dict
     total_words: int
     exact: bool
@@ -205,11 +204,11 @@ def enumerate_words(gens: GeneratorSet, nu: int,
             word: (1, (word,))
             for word in itertools.product(range(1, n + 1), repeat=nu)
         }
-        return WordLedger(length=nu, entries=entries, total_words=total, exact=False)
+        return WordLedger(entries=entries, total_words=total, exact=False)
 
     level = {f: (1, ((j,),)) for j, f in enumerate(gens.maps, start=1)}
     outer = tuple((g, 1) for g in gens.maps)
     for _ in range(nu - 1):
         level = _step(level.items(), outer)
     assert sum(m for m, _ in level.values()) == total
-    return WordLedger(length=nu, entries=level, total_words=total, exact=True)
+    return WordLedger(entries=level, total_words=total, exact=True)

@@ -48,11 +48,10 @@ class EntropyEstimate:
     nu_range: tuple
     slope_stderr: float
     method: str
-    seed: int
     best_epsilon: float
 
 
-def entropy_fit(counts, method: str = "", seed: int = 0) -> EntropyEstimate:
+def entropy_fit(counts) -> EntropyEstimate:
     """Least-squares slope of log(count) vs nu per epsilon; best slope wins.
 
     Needs at least three distinct nu values for every epsilon present. The
@@ -85,8 +84,7 @@ def entropy_fit(counts, method: str = "", seed: int = 0) -> EntropyEstimate:
         epsilon_grid=tuple(sorted(by_eps)),
         nu_range=(nus_all[0], nus_all[-1]),
         slope_stderr=stderr,
-        method=method or counts[0].mode,
-        seed=seed,
+        method=counts[0].mode,
         best_epsilon=eps,
     )
 
@@ -146,7 +144,7 @@ def estimate_entropy(c: Correspondence, method: str,
     for i_nu, nu in enumerate(range(nu_min, min(nu_max, max(levels)) + 1)):
         seeds = [seed * 10007 + i_nu * 101 + i_eps for i_eps in range(len(epsilon_grid))]
         rows += count_grid(levels[nu], epsilon_grid, mode, seeds)
-    return entropy_fit(rows, method=mode, seed=seed), rows
+    return entropy_fit(rows), rows
 
 
 # -- the pruned-tree lower-bound family -----------------------------------------

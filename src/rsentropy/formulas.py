@@ -19,27 +19,25 @@ from .errors import EmptyInput, positive_int
 class ExactEntropyRecord:
     """Exact entropy data for one degree tuple on P^n."""
 
-    n: int
-    degrees: tuple
     h_top_exact: float
     dynamical_degrees: tuple  # d_p for p = 0..n
     bounds: tuple  # (lower, upper)
 
 
-def _checked(degrees, n: int) -> tuple:
-    """(degrees as a tuple of ints, n as an int); EmptyInput on no degree,
+def _dynamical_degrees(degrees, n: int) -> tuple:
+    """(d_0, ..., d_n), d_p the sum of d_j^p; EmptyInput on no degree,
     ValueError unless n and every degree are integers >= 1."""
     degrees = tuple(degrees)
     if not degrees:
         raise EmptyInput("need at least one degree")
     n = positive_int(n, "ambient dimension must be >= 1")
-    return tuple(positive_int(d, "degrees must be positive integers") for d in degrees), n
+    degrees = [positive_int(d, "degrees must be positive integers") for d in degrees]
+    return tuple(sum(d ** p for d in degrees) for p in range(n + 1))
 
 
 def exact_htop(degrees, n: int) -> float:
     """log(sum of d_j^n) in nats."""
-    degrees, n = _checked(degrees, n)
-    return math.log(sum(d ** n for d in degrees))
+    return math.log(_dynamical_degrees(degrees, n)[-1])
 
 
 def general_bounds_eval(degrees, n: int) -> tuple:
@@ -48,23 +46,13 @@ def general_bounds_eval(degrees, n: int) -> tuple:
     lower = log(sum of d_j^n); upper = max of log(N), log(sum of d_j^n),
     and max over 0 < p < n of log(sum of d_j^p).
     """
-    degrees, n = _checked(degrees, n)
-    lower = exact_htop(degrees, n)
-    candidates = [math.log(len(degrees)), lower]
-    for p in range(1, n):
-        candidates.append(math.log(sum(d ** p for d in degrees)))
-    return (lower, max(candidates))
+    return exact_record(degrees, n).bounds
 
 
 def exact_record(degrees, n: int) -> ExactEntropyRecord:
-    """Full exact record: entropy, dynamical degrees, collapsed bounds."""
-    degrees, n = _checked(degrees, n)
-    value = exact_htop(degrees, n)
-    dyn = tuple(sum(d ** p for d in degrees) for p in range(n + 1))
-    return ExactEntropyRecord(
-        n=n,
-        degrees=degrees,
-        h_top_exact=value,
-        dynamical_degrees=dyn,
-        bounds=general_bounds_eval(degrees, n),
-    )
+    """Full exact record: entropy, dynamical degrees, collapsed bounds.
+    N is d_0, so the upper bound is the largest log d_p."""
+    dyn = _dynamical_degrees(degrees, n)
+    lower = math.log(dyn[-1])
+    return ExactEntropyRecord(h_top_exact=lower, dynamical_degrees=dyn,
+                              bounds=(lower, max(map(math.log, dyn))))

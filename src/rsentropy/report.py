@@ -3,10 +3,10 @@
 A report collects the config echo, the exact closed-form section, optional
 estimator / coincidence / relation sections, and provenance. Serialization
 is canonical JSON (sorted keys, fixed indentation, repr floats), so a fixed
-(config, seed, version) run is byte-identical; wall time is therefore only
-recorded when explicitly requested. Estimates that exceed their proven
-upper bound by more than one standard error raise flags instead of errors
-so batch runs complete and stay diagnosable.
+command line (config, flags, version) is byte-identical; wall time is
+therefore only recorded when explicitly requested. Estimates that exceed
+their proven upper bound by more than one standard error raise flags
+instead of errors so batch runs complete and stay diagnosable.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ Each case in ``golden/cases.json`` names a config under ``golden/configs``
 and a command line, in which ``{config}`` stands for that config's path and
 ``{out}`` for a fresh directory the run may write into. A case's expected
 output is ``golden/expected/<case>/``: ``stdout``, and each file the run
-wrote into ``{out}``, under its name there. Cases marked ``"slow"`` are
-left to the full check; the tier-1 test runs the others.
+wrote into ``{out}``, under its name there, with the directory's path
+written back as ``{out}`` wherever an output names it. Cases marked
+``"slow"`` are left to the full check; the tier-1 test runs the others.
 
     python3 tests/golden_outputs.py check             # every case
     python3 tests/golden_outputs.py regenerate        # rewrite the expected outputs
@@ -39,7 +40,8 @@ def load_cases() -> dict:
 
 def run_case(case) -> dict:
     """{output name: bytes} of one case: "stdout", then each file the run
-    wrote, by name. A run that exits nonzero raises RuntimeError."""
+    wrote, by name, each with the run's directory written as {out}. A run
+    that exits nonzero raises RuntimeError."""
     from rsentropy import cli
 
     with tempfile.TemporaryDirectory() as out:
@@ -53,7 +55,8 @@ def run_case(case) -> dict:
         outputs = {"stdout": stdout.getvalue().encode("utf-8")}
         for path in sorted(pathlib.Path(out).iterdir()):
             outputs[path.name] = path.read_bytes()
-    return outputs
+    return {name: data.replace(out.encode("utf-8"), b"{out}")
+            for name, data in outputs.items()}
 
 
 def expected_outputs(name) -> dict:

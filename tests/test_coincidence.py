@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import pathlib
 import tracemalloc
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from util import (
     schoolbook_mul,
 )
 
+GOLDEN_CONFIGS = pathlib.Path(__file__).resolve().parent / "golden" / "configs"
 BASILICA = rs.GeneratorSet([rs.make_map([1, 0, -1], [0, 0, 1]),
                             rs.make_map([1, 0, 0, -1], [0, 0, 0, 1])])
 # conjugated by z -> 1/z: {z^2/(1 - z^2), z^3/(1 - z^3)} is not polynomial,
@@ -174,6 +176,18 @@ def test_cross_roots_match_the_oracle(seed):
         deflations += exact_ok and sum(
             coords is not None and 0 not in (coords[0][0], coords[1][0]) for _, coords in got)
     assert divisions >= 60 and deflations >= 300
+
+
+@pytest.mark.parametrize("name,distinct", [("ci-inexact", 1), ("ci-cubics", 2)])
+def test_each_coincidence_polynomial_is_solved_once(name, distinct, monkeypatch):
+    # the solve in which no root snaps gives the numeric roots of what the
+    # deflation left, so nothing solves that polynomial again
+    gens = rs.parse_config(GOLDEN_CONFIGS / f"{name}.json").generator_set()
+    solved, roots = [], coincidence.aberth_roots
+    monkeypatch.setattr(coincidence, "aberth_roots",
+                        lambda coeffs: solved.append(tuple(coeffs)) or roots(coeffs))
+    rs.coincidence_set(gens)
+    assert len(solved) == len(set(solved)) == distinct
 
 
 def test_is_recurrent_examples():

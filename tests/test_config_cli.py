@@ -44,8 +44,9 @@ def test_parse_scalar_forms():
     assert rs.parse_scalar("2/5") == rs.GaussianRational(Fraction(2, 5))
     s = rs.parse_scalar({"re": "1/2", "im": "-3/4"})
     assert s == rs.GaussianRational(Fraction(1, 2), Fraction(-3, 4))
-    with pytest.raises(BadScalarLiteral):
-        rs.parse_scalar("one half")
+    for raw in ("one half", True, 1.5):
+        with pytest.raises(BadScalarLiteral):
+            rs.parse_scalar(raw)
 
 
 def test_minimal_config_defaults(tmp_path):
@@ -218,6 +219,35 @@ def test_cli_error_json(tmp_path, capsys):
     assert err["error"]["pointer"] == "/generators/0"
 
 
+def test_report_and_csv_flags_override_the_config_output(tmp_path, capsys):
+    # --report and --csv replace output.report_path and output.csv_path
+    # before validation, so the echo names the files the run wrote
+    a, b, c = (str(tmp_path / name) for name in ("a.json", "b.json", "c.csv"))
+    path = write_config(tmp_path, dict(Z23_CONFIG, output={"report_path": a}))
+    assert cli.main(["exact", "--config", path, "--report", b]) == 0
+    assert capsys.readouterr().out == ""
+    assert not pathlib.Path(a).exists()
+    with open(b, encoding="utf-8") as fh:
+        output = json.load(fh)["config"]["output"]
+    assert output == {"report_path": b, "csv_path": None}
+
+    cfg = dict(Z23_CONFIG, estimator={"nu_min": 2, "nu_max": 4, "epsilon_grid": [0.2]})
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["estimate", "--config", path, "--method", "ds", "--csv", c]) == 0
+    output = json.loads(capsys.readouterr().out)["config"]["output"]
+    assert output == {"report_path": None, "csv_path": c}
+    with open(c, encoding="utf-8") as fh:
+        assert fh.readline() == "method,epsilon,nu,count,exact_flag,pool_size\n"
+
+
+def test_an_output_that_is_not_an_object_is_refused_under_the_flags(tmp_path, capsys):
+    path = write_config(tmp_path, dict(Z23_CONFIG, output="r.json"))
+    argv = ["exact", "--config", path, "--report", str(tmp_path / "b.json")]
+    assert cli.main(argv) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert (err["type"], err["pointer"]) == ("SchemaViolation", "/output")
+
+
 @pytest.mark.parametrize("flag,key", [
     ("--report", None), ("--csv", None), (None, "report_path"), (None, "csv_path")])
 def test_cli_unwritable_output_prints_only_the_error(tmp_path, capsys, flag, key):
@@ -297,9 +327,9 @@ def test_cli_estimate_deterministic_csv(tmp_path):
     cfg["estimator"] = {"nu_min": 2, "nu_max": 4, "epsilon_grid": [0.1, 0.2]}
     path = write_config(tmp_path, cfg)
     outs = []
-    for run in (1, 2):
-        report = tmp_path / f"r{run}.json"
-        csv = tmp_path / f"c{run}.csv"
+    # the report echoes its output paths, so both runs write to the same ones
+    report, csv = tmp_path / "r.json", tmp_path / "c.csv"
+    for _ in (1, 2):
         assert cli.main(["estimate", "--config", path, "--method", "ds",
                          "--seed", "42", "--report", str(report),
                          "--csv", str(csv)]) == 0
@@ -323,9 +353,9 @@ def test_info_logging_leaves_report_unchanged(tmp_path, caplog):
     cfg["estimator"] = {"nu_min": 2, "nu_max": 4, "epsilon_grid": [0.1, 0.2]}
     path = write_config(tmp_path, cfg)
     outs = []
+    # the report echoes its output paths, so both runs write to the same ones
+    report, csv = tmp_path / "r.json", tmp_path / "c.csv"
     for level in (logging.WARNING, logging.INFO):
-        report = tmp_path / f"r{level}.json"
-        csv = tmp_path / f"c{level}.csv"
         with caplog.at_level(level, logger="rsentropy"):
             assert cli.main(["report", "--config", path, "--report", str(report),
                              "--csv", str(csv)]) == 0

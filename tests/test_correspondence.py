@@ -24,6 +24,8 @@ def test_build_correspondence_doubled():
 def test_duplicate_generator_rejected():
     with pytest.raises(DuplicateGenerator):
         rs.GeneratorSet([Z2, Z3, rs.make_map([2, 0, 0], [0, 0, 2])])
+    with pytest.raises(ValueError, match="at least one map"):
+        rs.GeneratorSet([])
 
 
 def test_multiplicity_length_checked():

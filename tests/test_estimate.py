@@ -47,6 +47,16 @@ def test_entropy_fit_needs_three_rungs():
         rs.entropy_fit(rows)
 
 
+@pytest.mark.parametrize("call,error,match", [
+    (lambda: rs.entropy_fit([]), InsufficientData, "no counts supplied"),
+    (lambda: rs.mp_family(rs.GeneratorSet([Z2, Z3]), 1.0, 2, 0), ValueError,
+     r"beta must lie in \(0, 1\)"),
+], ids=["fit-no-counts", "mp-family-beta-1"])
+def test_estimate_refuses_no_counts_and_a_beta_outside_the_interval(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_entropy_fit_takes_best_epsilon():
     rows = []
     for n in range(2, 6):

@@ -36,8 +36,8 @@ def test_numpy_integers_are_integers():
     degrees, n = np.array([2, 3]), np.int64(2)
     assert rs.exact_htop(degrees, n) == math.log(13)
     record = rs.exact_record(degrees, n)
-    assert (record.n, record.degrees) == (2, (2, 3))
-    assert all(type(d) is int for d in (record.n, *record.degrees))
+    assert record.dynamical_degrees == (2, 5, 13)
+    assert all(type(d) is int for d in record.dynamical_degrees)
 
 
 def test_general_bounds_examples():

@@ -129,6 +129,11 @@ def test_complex_overflow_matches_fraction_floats():
         complex(G(huge))
 
 
+def test_a_value_of_no_scalar_type_is_refused():
+    with pytest.raises(BadScalarLiteral, match="cannot interpret object"):
+        G.from_value(object())
+
+
 @pytest.mark.parametrize("value", [
     float("nan"), float("inf"), -float("inf"),
     complex(float("nan"), 0.0), complex(0.0, float("inf")),

@@ -25,6 +25,12 @@ def test_normalize_zero_vector():
         rs.normalize(0, 0)
 
 
+@pytest.mark.parametrize("radius", [0.0, 1.0])
+def test_a_ring_needs_a_radius_inside_0_1(radius):
+    with pytest.raises(ValueError, match="radius must lie in"):
+        rs.projective.ring_around(rs.sample_points(1, 0)[0], radius, 4)
+
+
 def test_normalize_against_50_digit_oracle():
     # canonicalize (1+i, 1-i) at 50 digits and compare coordinatewise
     mpmath.mp.dps = 50

@@ -64,6 +64,15 @@ def test_parameters_and_fields_that_nothing_read_are_gone():
     assert list(inspect.signature(rs.fiber_entropy).parameters) == ["gens", "cycle"]
     assert [f.name for f in dataclasses.fields(rs.FiberEntropyValue)] == ["profile", "value"]
     assert [f.name for f in dataclasses.fields(rs.RecurrenceCertificate)] == ["return_depths"]
+    # results echo no setting: the CLI reads the seed, the word length, the
+    # dimension and the degrees from its RunConfig
+    assert list(inspect.signature(rs.entropy_fit).parameters) == ["counts"]
+    assert [f.name for f in dataclasses.fields(rs.EntropyEstimate)] == [
+        "value", "epsilon_grid", "nu_range", "slope_stderr", "method", "best_epsilon"]
+    assert [f.name for f in dataclasses.fields(rs.WordLedger)] == [
+        "entries", "total_words", "exact"]
+    assert [f.name for f in dataclasses.fields(rs.ExactEntropyRecord)] == [
+        "h_top_exact", "dynamical_degrees", "bounds"]
     # the forward-orbit budget is the module constant ORBIT_BUDGET
     assert list(inspect.signature(rs.forward_orbits).parameters) == ["c", "starts", "nu"]
     assert not hasattr(rs.Report, "from_json")

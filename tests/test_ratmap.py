@@ -7,7 +7,7 @@ import pytest
 
 import rsentropy as rs
 from rsentropy import ratmap
-from rsentropy.errors import CommonFactor, DegreeMismatch, NotMobius
+from rsentropy.errors import CommonFactor, DegenerateMap, DegreeMismatch, NotMobius
 from rsentropy.polynomial import form_eval_complex, strip_infinite_roots
 from rsentropy.projective import normalize
 from util import (
@@ -47,6 +47,15 @@ def test_make_map_common_factor():
 def test_make_map_degree_mismatch():
     with pytest.raises(DegreeMismatch):
         rs.make_map([1, 0, 0], [0, 1])
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: rs.make_map([1], [1]), "degree must be at least 1"),
+    (lambda: rs.from_affine([0], [1]), "identically zero"),
+], ids=["make-map-degree-0", "from-affine-zero-numerator"])
+def test_degenerate_maps_are_refused(call, match):
+    with pytest.raises(DegenerateMap, match=match):
+        call()
 
 
 def test_from_affine_homogenization():

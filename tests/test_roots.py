@@ -81,6 +81,15 @@ def test_too_few_sweeps_raise(monkeypatch):
         aberth_roots(coeffs)
 
 
+def test_root_finding_refuses_a_zero_form_and_roots_that_miss(monkeypatch):
+    with pytest.raises(RootFindingFailure, match="zero form"):
+        polynomial.strip_infinite_roots([0j, 0j])
+    roots = ratmap.aberth_roots
+    monkeypatch.setattr(ratmap, "aberth_roots", lambda coeffs: [z + 0.1 for z in roots(coeffs)])
+    with pytest.raises(RootFindingFailure, match="preimage residual check failed"):
+        rs.preimages(Z2, rs.sample_points(1, 0)[0])
+
+
 # -- bit for bit against the reference forms --------------------------------------
 
 

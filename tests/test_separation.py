@@ -238,6 +238,19 @@ def test_sandwich_refuses_greedy_counts():
         rs.sandwich_counts(pool, 0.2, 1)
 
 
+@pytest.mark.parametrize("call,error,match", [
+    # C(0.1) is 3, so a depth-1 pool is not of depth nu + C
+    (lambda pool: rs.sandwich_counts(pool, 0.1, 1), MixedNu, "depth nu \\+ C = 4"),
+    # one word of 25 rows, above EXACT_CUTOFF
+    (lambda pool: rs.sum_up_partition(pool, 0.1), BudgetExceeded,
+     "per-word block too large"),
+], ids=["sandwich-depth", "sum-up-block"])
+def test_exact_counts_refuse_a_pool_they_cannot_count(call, error, match):
+    pool = rs.forward_orbits(corr(Z2), rs.sample_points(25, 3), 1)
+    with pytest.raises(error, match=match):
+        call(pool)
+
+
 def test_sandwich_empty_pool():
     # depth 4 is nu + C(0.2); an empty pool of another depth is empty first
     for depth in (3, 4):
