@@ -275,10 +275,8 @@ def _relations_section(cfg: RunConfig) -> dict:
         "relation_detection": ledger.exact,
     }
     if ledger.exact:
-        related = sorted(((f, words) for f, (mult, words) in ledger.entries.items()
-                          if mult > 1), key=lambda fw: fw[0].sort_key())
         section["relation_witnesses"] = [[list(w) for w in words]
-                                         for _, words in related[:10]]
+                                         for _, words in ledger.related[:10]]
     return section
 
 

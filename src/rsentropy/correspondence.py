@@ -7,15 +7,30 @@ as multiplicities greater than 1, which is exactly why the topological
 degree of the iterate is multiplicative while the degree of the underlying
 support relation is not.
 
-The iterate and the word ledger are one walk: each level's maps compose
-under the outer components, multiplicities multiply, and equal composites
-merge by exact canonical-form equality, for float-entered maps too. Merging
-equal maps cannot change M, d_top or the support degree. Generators entered
-with float coefficients only switch off relation detection in the ledger: a
-float-entered map stands for a nearby exact one, so equality of its
-composites proves no relation. For general (non-graph) components the
-composition rule would need generic fiber counts; for graphs it reduces to
-the multiplicity product implemented here.
+The iterate is one walk: each level's maps compose under the outer
+components, multiplicities multiply, and equal composites merge by exact
+canonical-form equality, for float-entered maps too. Merging equal maps
+cannot change M, d_top or the support degree. For general (non-graph)
+components the composition rule would need generic fiber counts; for
+graphs it reduces to the multiplicity product implemented here.
+
+The word ledger decides first, by fingerprints, which words differ, and
+runs that walk only inside the classes that might not. A word's
+fingerprint is its degree and its values at FINGERPRINT_POINTS of
+P^1(Z/p), p = CERT_PRIME, stepped through the generators' integer forms
+mapped into Z/p (``polynomial.pairs_mod_p``); no map is composed. Equal
+maps have proportional composed integer forms, F = lambda F' with lambda
+in Q(i). Write lambda = a/b with a, b Gaussian integers not both in the
+kernel of the ring map into Z/p; then b F(x) = a F'(x) mod p, so wherever
+neither value vanishes mod p both sides are nonzero and F(x), F'(x) are
+one point of P^1(Z/p). Different fingerprints therefore prove different
+maps, and a false collision costs only the composition it sends to the
+walk. A word whose value vanishes at a point (an undefined step) has no
+fingerprint; it may equal any word of its degree, so it and every word of
+that degree go to the walk too. Exact equality still decides every
+relation. Generators entered with float coefficients only switch off
+relation detection in the ledger: a float-entered map stands for a nearby
+exact one, so equality of its composites proves no relation.
 """
 
 from __future__ import annotations
@@ -24,10 +39,16 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, DuplicateGenerator, LengthMismatch, positive_int
+from .polynomial import CERT_PRIME, pairs_mod_p
 from .ratmap import compose, maps_equal, power_table
 
 WORD_BUDGET = 10 ** 6
 DEGREE_BUDGET = 10 ** 4
+
+#: the points [2 : 1] and [3 : 1] of P^1(Z/CERT_PRIME) at which a word's
+#: fingerprint reads its map; a residue x stands for [x : 1], and the
+#: residue CERT_PRIME for [1 : 0]
+FINGERPRINT_POINTS = (2, 3)
 
 
 @dataclass(frozen=True)
@@ -96,20 +117,28 @@ def build_correspondence(gens: GeneratorSet, mults=None) -> Correspondence:
     return Correspondence(components=_sorted_components(zip(gens.maps, mults)))
 
 
-def _step(level, outer) -> dict:
+def _step(level, outer, wanted=None) -> dict:
     """One level of the composition walk: {g o f: (mult, words)}.
 
     ``level`` holds pairs (f, (mult, words)) and ``outer`` pairs (g, m),
     labelled 1.. in order. Each f, in sort order, composes under every g:
     multiplicities multiply and f's words each gain g's label. Equal
     composites merge, summing multiplicities and joining words. f's powers
-    are built once for all the g and dropped before the next f.
+    are built once for all the g and dropped before the next f. With a set
+    of ``wanted`` words, f composes under the g of label j only when its
+    first word extended by j is in it: the caller decides for all of f's
+    words by its first.
     """
     top = max(g.degree for g, _ in outer)
     nxt: dict = {}
     for f, (mult, words) in sorted(level, key=lambda item: item[0].sort_key()):
+        labels = [j for j in range(1, len(outer) + 1)
+                  if wanted is None or words[0] + (j,) in wanted]
+        if not labels:
+            continue
         powers = power_table(f, top)
-        for j, (g, m) in enumerate(outer, start=1):
+        for j in labels:
+            g, m = outer[j - 1]
             h = compose(g, f, powers)
             extended = tuple(w + (j,) for w in words)
             if h in nxt:
@@ -158,13 +187,16 @@ def support_degree(c: Correspondence) -> int:
 class WordLedger:
     """All compositions of a given word length, grouped by exact equality.
 
-    ``entries`` maps each distinct composed map to (multiplicity, witness
-    words); a word (i_1, ..., i_nu) composes as f_{i_nu} o ... o f_{i_1}.
-    When relation detection is unavailable (float generators) every word is
-    its own entry and ``relations`` is None.
+    ``entries`` maps each class's first witness word to (multiplicity,
+    witness words), in word order; a word (i_1, ..., i_nu) composes as
+    f_{i_nu} o ... o f_{i_1}. ``related`` holds (map, witness words) for
+    every class of multiplicity above 1, in the map's sort order. When
+    relation detection is unavailable (float generators) every word is its
+    own entry, ``related`` is empty and ``relations`` is None.
     """
 
     entries: dict
+    related: tuple
     total_words: int
     exact: bool
 
@@ -179,16 +211,76 @@ class WordLedger:
         return self.total_words - self.distinct
 
 
+def _step_mod_p(coeffs: list, degree: int, points):
+    """The images of ``points`` (residues, CERT_PRIME for [1 : 0]) under a
+    map whose integer pairs, num then den, are ``coeffs`` mod CERT_PRIME;
+    None when both forms vanish at one of them."""
+    p = CERT_PRIME
+    images = []
+    for x in points:
+        if x == p:
+            a, b = coeffs[0], coeffs[degree + 1]
+        else:
+            a = b = 0
+            for c in coeffs[:degree + 1]:
+                a = (a * x + c) % p
+            for c in coeffs[degree + 1:]:
+                b = (b * x + c) % p
+        if b:
+            images.append(a * pow(b, -1, p) % p)
+        elif a:
+            images.append(p)
+        else:
+            return None
+    return tuple(images)
+
+
+def _fingerprint_walk(gens: GeneratorSet, nu: int) -> tuple[list, dict]:
+    """The fingerprint classes of the words of each length up to nu.
+
+    A class key is (degree, points): the words' degree and the images of
+    FINGERPRINT_POINTS under them mod CERT_PRIME, None for words with an
+    undefined step. The empty word's key is (1, FINGERPRINT_POINTS).
+    Returns (children, final): children[k] maps each key of length k to the
+    keys of its extensions by the labels 1..N, in order, and final maps
+    each key of length nu to (number of words, first word). Words of one
+    key step on as one class, so a level costs one step per class and
+    generator, and no class keeps its words.
+    """
+    steps = [(pairs_mod_p(g.pairs), g.degree) for g in gens.maps]
+    level = {(1, FINGERPRINT_POINTS): (1, ())}
+    children = []
+    for _ in range(nu):
+        kids, nxt = {}, {}
+        for (degree, points), (count, word) in level.items():
+            row = []
+            for j, (coeffs, d) in enumerate(steps, start=1):
+                key = (degree * d, None if points is None else _step_mod_p(coeffs, d, points))
+                row.append(key)
+                if key in nxt:
+                    nxt[key] = (nxt[key][0] + count, nxt[key][1])
+                else:
+                    nxt[key] = (count, word + (j,))
+            kids[(degree, points)] = tuple(row)
+        children.append(kids)
+        level = nxt
+    return children, level
+
+
 def enumerate_words(gens: GeneratorSet, nu: int,
                     word_budget: int = WORD_BUDGET,
                     degree_budget: int = DEGREE_BUDGET) -> WordLedger:
     """Ledger of all N^nu compositions of length nu.
 
-    nu - 1 steps of the walk from the generators, each at multiplicity 1
-    and carrying its witness words: each *distinct* level-k map composes
-    with every generator, so the cost tracks the number of distinct
-    compositions rather than N^nu when relations are plentiful. Each
-    level-k map's powers are built once for all the generators.
+    Fingerprints (see the module docstring) decide which words differ: a
+    word alone in its fingerprint class is its own class, and no map is
+    built for it. The words of the colliding classes, and every word of the
+    degree of a word with an undefined step, go through the composition
+    walk from the generators, each at multiplicity 1 and carrying its
+    witness words; a level map composes under a generator only when the
+    extended word is a prefix of one of those words. Exact equality decides
+    each of their classes, and each level map's powers are built once for
+    all the generators. Both budgets are checked before any word is stepped.
     """
     nu = positive_int(nu, "nu must be >= 1")
     n = len(gens)
@@ -204,11 +296,36 @@ def enumerate_words(gens: GeneratorSet, nu: int,
             word: (1, (word,))
             for word in itertools.product(range(1, n + 1), repeat=nu)
         }
-        return WordLedger(entries=entries, total_words=total, exact=False)
+        return WordLedger(entries=entries, related=(), total_words=total, exact=False)
 
-    level = {f: (1, ((j,),)) for j, f in enumerate(gens.maps, start=1)}
+    children, final = _fingerprint_walk(gens, nu)
+    undefined = {degree for degree, points in final if points is None}
+    live = {key for key, (count, _) in final.items() if count > 1 or key[0] in undefined}
+    entries = {word: (1, (word,)) for key, (_, word) in final.items() if key not in live}
+    # lives[k] holds the keys of length k that some word of a live class
+    # extends: their words are a union of exact classes, so the first word of
+    # a level entry speaks for all of its words
+    lives = [live]
+    for kids in reversed(children):
+        lives.append({key for key, row in kids.items() if any(kid in lives[-1] for kid in row)})
+    lives.reverse()
+    level, keys = {}, {}
+    for j, (f, key) in enumerate(zip(gens.maps, children[0][1, FINGERPRINT_POINTS]), start=1):
+        if key in lives[1]:
+            level[f], keys[(j,)] = (1, ((j,),)), key
     outer = tuple((g, 1) for g in gens.maps)
-    for _ in range(nu - 1):
-        level = _step(level.items(), outer)
-    assert sum(m for m, _ in level.values()) == total
-    return WordLedger(entries=level, total_words=total, exact=True)
+    for k in range(1, nu):
+        kids, ahead = children[k], lives[k + 1]
+        wanted = {word + (j,) for word, key in keys.items()
+                  for j, kid in enumerate(kids[key], start=1) if kid in ahead}
+        level = _step(level.items(), outer, wanted)
+        keys = {words[0]: kids[keys[words[0][:-1]]][words[0][-1] - 1]
+                for _, words in level.values()}
+    related = []
+    for f, (mult, words) in sorted(level.items(), key=lambda item: item[0].sort_key()):
+        entries[words[0]] = (mult, words)
+        if mult > 1:
+            related.append((f, words))
+    assert sum(m for m, _ in entries.values()) == total
+    return WordLedger(entries=dict(sorted(entries.items())), related=tuple(related),
+                      total_words=total, exact=True)

@@ -185,10 +185,16 @@ def _affine_constant(pairs: list) -> bool:
     return any(pairs[-1]) and pairs.count((0, 0)) == len(pairs) - 1
 
 
+def pairs_mod_p(pairs) -> list:
+    """Gaussian-integer (re, im) pairs mapped into Z/CERT_PRIME by the ring
+    map a + bi -> a + b CERT_SQRT_MINUS_1, as residues in [0, p)."""
+    return [(a + b * CERT_SQRT_MINUS_1) % CERT_PRIME for a, b in pairs]
+
+
 def _image_mod_p(pairs: list) -> tuple[np.ndarray, bool]:
     """form(z, 1), mapped into Z/p, as a trimmed ascending int64 row, and
     whether it kept its degree there."""
-    image = [(a + b * CERT_SQRT_MINUS_1) % CERT_PRIME for a, b in _drop_leading_zeros(pairs)[::-1]]
+    image = pairs_mod_p(_drop_leading_zeros(pairs)[::-1])
     kept = bool(image) and image[-1] != 0
     while image and not image[-1]:
         image.pop()

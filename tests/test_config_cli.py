@@ -13,7 +13,7 @@ import jsonschema
 from rsentropy import cli, coincidence, config, orbits
 from rsentropy.config import config_schema
 from rsentropy.errors import BadScalarLiteral, SchemaViolation, UnreadableFile
-from util import Z2, Z3
+from util import Z2, Z3, word_map
 
 Z23_CONFIG = {
     "space": "P1",
@@ -292,17 +292,20 @@ def test_cli_relations(tmp_path, capsys):
 
 def test_cli_relation_witnesses_are_the_first_related_entries(tmp_path, capsys):
     # Chebyshev T2, T3 at length 5: the witnesses are the word lists of the
-    # ledger's entries with multiplicity above 1, in sort_key order, first 10
+    # ledger's entries with multiplicity above 1, in the sort_key order of
+    # their maps, first 10
     t2 = {"num": ["2", "0", "-1"], "den": ["0", "0", "1"]}
     t3 = {"num": ["4", "0", "-3", "0"], "den": ["0", "0", "0", "1"]}
     assert cli.main(["relations", "--config",
                      write_config(tmp_path, {"generators": [t2, t3]}),
                      "--word-length", "5"]) == 0
     rel = json.loads(capsys.readouterr().out)["relations"]
-    ledger = rs.enumerate_words(rs.GeneratorSet([
-        rs.make_map([2, 0, -1], [0, 0, 1]), rs.make_map([4, 0, -3, 0], [0, 0, 0, 1])]), 5)
+    gens = rs.GeneratorSet([
+        rs.make_map([2, 0, -1], [0, 0, 1]), rs.make_map([4, 0, -3, 0], [0, 0, 0, 1])])
+    ledger = rs.enumerate_words(gens, 5)
     oracle = [[list(w) for w in words]
-              for f, (mult, words) in sorted(ledger.entries.items(),
+              for f, (mult, words) in sorted(((word_map(gens.maps, word), entry)
+                                              for word, entry in ledger.entries.items()),
                                              key=lambda fw: fw[0].sort_key())
               if mult > 1][:10]
     assert (rel["total_words"], rel["distinct"], rel["relations"]) == (32, 6, 26)

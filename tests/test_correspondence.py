@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import rsentropy as rs
-from rsentropy import gaussian
+from rsentropy import correspondence, gaussian, polynomial
 from rsentropy.errors import BudgetExceeded, DuplicateGenerator, LengthMismatch
-from util import Z2, Z3, Z4, monomial, reference_ledger, reference_make_map
+from util import Z2, Z3, Z4, monomial, reference_ledger, reference_make_map, word_map
 
 
 def test_build_correspondence_basic():
@@ -138,8 +138,8 @@ def test_support_degree_vs_relations():
         # the word ledger at length nu matches the composed component multiset
         by_map = {f: m for f, m in power.components}
         assert len(by_map) == ledger.distinct
-        for f, (mult, _) in ledger.entries.items():
-            assert by_map[f] == mult
+        for word, (mult, _) in ledger.entries.items():
+            assert by_map[word_map(gens.maps, word)] == mult
 
 
 def test_enumerate_words_examples():
@@ -160,6 +160,7 @@ def test_enumerate_words_examples():
     assert single.distinct == 1
     (mult, words), = single.entries.values()
     assert mult == 1 and len(words) == 1
+    assert single.entries == {(1,) * 5: (1, ((1,) * 5,))} and single.related == ()
 
 
 CHEBYSHEV_T2 = rs.make_map([2, 0, -1], [0, 0, 1])
@@ -179,15 +180,18 @@ def test_commuting_words_share_one_ledger_entry():
     t2_t3 = rs.compose(CHEBYSHEV_T2, CHEBYSHEV_T3)
     assert t3_t2 is not t2_t3 and len({t3_t2, t2_t3}) == 1
     ledger = rs.enumerate_words(rs.GeneratorSet([CHEBYSHEV_T2, CHEBYSHEV_T3]), 2)
-    assert ledger.entries[t3_t2] == (2, ((1, 2), (2, 1)))
+    assert ledger.entries[(1, 2)] == (2, ((1, 2), (2, 1)))
+    assert ledger.related == ((t3_t2, ((1, 2), (2, 1))),)
     assert (ledger.total_words, ledger.distinct, ledger.relations) == (4, 3, 1)
 
 
 def test_chebyshev_ledger_at_length_4():
     # T_a o T_b = T_ab, so a word with k letters T3 composes to T_(2^(4-k) 3^k)
-    ledger = rs.enumerate_words(rs.GeneratorSet([CHEBYSHEV_T2, CHEBYSHEV_T3]), 4)
+    gens = rs.GeneratorSet([CHEBYSHEV_T2, CHEBYSHEV_T3])
+    ledger = rs.enumerate_words(gens, 4)
     assert (ledger.total_words, ledger.distinct, ledger.relations) == (16, 5, 11)
-    profile = sorted((f.degree, mult) for f, (mult, _) in ledger.entries.items())
+    profile = sorted((word_map(gens.maps, word).degree, mult)
+                     for word, (mult, _) in ledger.entries.items())
     assert profile == [(16, 1), (24, 4), (36, 6), (54, 4), (81, 1)]
 
 
@@ -246,6 +250,9 @@ def test_the_ledger_builds_no_gaussian_rational_once_the_generators_exist(monkey
     assert (ledger.total_words, ledger.distinct, ledger.relations) == (64, 64, 0)
     ledger = rs.enumerate_words(rational, 4)
     assert (ledger.total_words, ledger.distinct, ledger.relations) == (16, 16, 0)
+    # the Chebyshev pair's words collide, so its ledger composes
+    ledger = rs.enumerate_words(rs.GeneratorSet([CHEBYSHEV_T2, CHEBYSHEV_T3]), 5)
+    assert (ledger.total_words, ledger.distinct, ledger.relations) == (32, 6, 26)
     assert made == []
 
 
@@ -255,37 +262,137 @@ RATIONAL_PAIR = (rs.make_map([1, 0, 0], [-1, 0, 1]),
                  rs.make_map([1, 0, 0, 0], [-1, 0, 0, 1]))
 
 
-@pytest.mark.parametrize("maps, nu", [
+I = rs.GaussianRational(0, 1)
+MOBIUS_PAIR = (rs.make_map([I, 0], [0, 1]), rs.make_map([-1, 0], [0, 1]))
+#: z, z/p and p z for the fingerprint prime p: the words (2, 3) and (3, 2)
+#: are z, yet both forms of each vanish mod p at every point, so their
+#: fingerprints are undefined while the word (1, 1), also z, has one
+PRIME_SCALINGS = (rs.make_map([1, 0], [0, 1]),
+                  rs.make_map([1, 0], [0, polynomial.CERT_PRIME]),
+                  rs.make_map([polynomial.CERT_PRIME, 0], [0, 1]))
+
+LEDGER_SETS = [
     ((CHEBYSHEV_T2, CHEBYSHEV_T3), 4),
     (FREE_PAIR, 4),
     (RATIONAL_PAIR, 3),
-], ids=["chebyshev", "free", "rational"])
+    ((Z2, Z3), 3),
+    ((Z2, Z4), 4),
+    (MOBIUS_PAIR, 4),
+    (PRIME_SCALINGS, 3),
+]
+LEDGER_IDS = ["chebyshev", "free", "rational", "z2-z3", "z2-z4", "mobius", "prime-scalings"]
+
+
+def assert_reference_ledger(maps, nu, ledger):
+    """entries, multiplicities, the order of each entry's witness words and
+    the related maps against the word-by-word oracle, which composes each
+    word on its own without the library's form_mul"""
+    want = reference_ledger([reference_make_map(f.num, f.den) for f in maps], nu)
+    assert ledger.exact and ledger.total_words == len(maps) ** nu
+    assert ledger.entries == dict(sorted((words[0], (m, words)) for m, words in want.values()))
+    assert list(ledger.entries) == sorted(ledger.entries)
+    related = sorted(((h, words) for h, (m, words) in want.items() if m > 1),
+                     key=lambda hw: hw[0].sort_key())
+    assert ([(f.num, f.den, words) for f, words in ledger.related]
+            == [(h.num, h.den, words) for h, words in related])
+    # each class's first word composes to the oracle's map of the class
+    for h, (_, words) in want.items():
+        f = word_map(maps, words[0])
+        assert (f.num, f.den) == (h.num, h.den)
+    return want
+
+
+@pytest.mark.parametrize("maps, nu", LEDGER_SETS, ids=LEDGER_IDS)
 def test_shared_power_tables_match_word_by_word_reference_compose(maps, nu):
     # enumerate_words and corr_pow run one walk, which builds each level
-    # map's powers once for every outer component; the oracle
-    # composes each word on its own, without the library's form_mul
-    want = reference_ledger([reference_make_map(f.num, f.den) for f in maps], nu)
-    ledger = rs.enumerate_words(rs.GeneratorSet(maps), nu)
-    assert ledger.total_words == len(maps) ** nu
-    # entries, multiplicities and the order of each entry's witness words
-    assert ({(h.num, h.den): entry for h, entry in ledger.entries.items()}
-            == {(h.num, h.den): entry for h, entry in want.items()})
+    # map's powers once for every outer component
+    want = assert_reference_ledger(maps, nu, rs.enumerate_words(rs.GeneratorSet(maps), nu))
     power = rs.corr_pow(rs.build_correspondence(rs.GeneratorSet(maps)), nu)
     assert ([(f.num, f.den, m) for f, m in power.components]
             == [(h.num, h.den, m) for h, (m, _) in
                 sorted(want.items(), key=lambda item: item[0].sort_key())])
 
 
-def test_the_ledger_keeps_no_power_table_past_its_level():
+def test_an_undefined_fingerprint_sends_every_word_of_its_degree_to_the_walk():
+    # (1, 1) is alone in its fingerprint class, but its map z is also the
+    # map of (2, 3) and (3, 2), whose fingerprints are undefined
+    gens = rs.GeneratorSet(PRIME_SCALINGS)
+    _, final = correspondence._fingerprint_walk(gens, 2)
+    assert final[(1, (2, 3))] == (1, (1, 1))
+    assert final[(1, None)] == (2, (2, 3))
+    ledger = rs.enumerate_words(gens, 2)
+    assert ledger.entries[(3, 2)] == (3, ((3, 2), (1, 1), (2, 3)))
+    assert (ledger.distinct, ledger.relations) == (5, 4)
+
+
+def counted_composes(monkeypatch):
+    """The (outer, inner) maps of every composition the walk makes."""
+    calls = []
+    compose = correspondence.compose
+
+    def counting(g, f, powers=None):
+        calls.append((g, f))
+        return compose(g, f, powers)
+
+    monkeypatch.setattr(correspondence, "compose", counting)
+    return calls
+
+
+def test_the_ledger_composes_only_inside_colliding_fingerprint_classes(monkeypatch):
+    calls = counted_composes(monkeypatch)
+    # no two words of the free or the rational pair share a fingerprint
+    ledger = rs.enumerate_words(rs.GeneratorSet(FREE_PAIR), 6)
+    assert (ledger.distinct, ledger.relations, ledger.related) == (64, 0, ())
+    ledger = rs.enumerate_words(rs.GeneratorSet(RATIONAL_PAIR), 8)
+    assert (ledger.distinct, ledger.relations, ledger.related) == (256, 0, ())
+    assert calls == []
+    # Chebyshev at 5: the walk over its 6 distinct maps makes 2 (2 + 3 + 4 + 5)
+    # = 28 compositions, less T2^5 and T3^5, each alone in its class
+    ledger = rs.enumerate_words(rs.GeneratorSet([CHEBYSHEV_T2, CHEBYSHEV_T3]), 5)
+    assert (ledger.distinct, ledger.relations) == (6, 26)
+    assert len(calls) == 26
+    assert ledger.entries[(1,) * 5] == (1, ((1,) * 5,))
+    assert ledger.entries[(2,) * 5] == (1, ((2,) * 5,))
+
+
+@pytest.mark.parametrize("maps, nu", LEDGER_SETS, ids=LEDGER_IDS)
+def test_a_planted_false_collision_still_gives_the_exact_ledger(maps, nu, monkeypatch):
+    # every point steps to 0, so all words of one degree share a fingerprint
+    monkeypatch.setattr(correspondence, "_step_mod_p", lambda coeffs, degree, points: (0, 0))
+    calls = counted_composes(monkeypatch)
+    assert_reference_ledger(maps, nu, rs.enumerate_words(rs.GeneratorSet(maps), nu))
+    assert calls
+
+
+@pytest.mark.parametrize("maps, nu", LEDGER_SETS, ids=LEDGER_IDS)
+def test_a_planted_undefined_step_still_gives_the_exact_ledger(maps, nu, monkeypatch):
+    # the first generator's step from the fingerprint points is undefined,
+    # so every word that starts with it has no fingerprint
+    step = correspondence._step_mod_p
+    first = polynomial.pairs_mod_p(maps[0].pairs)
+
+    def planted(coeffs, degree, points):
+        if coeffs == first and points == correspondence.FINGERPRINT_POINTS:
+            return None
+        return step(coeffs, degree, points)
+
+    monkeypatch.setattr(correspondence, "_step_mod_p", planted)
+    _, final = correspondence._fingerprint_walk(rs.GeneratorSet(maps), nu)
+    assert sum(count for (_, points), (count, _) in final.items() if points is None) >= (
+        len(maps) ** (nu - 1))
+    assert_reference_ledger(maps, nu, rs.enumerate_words(rs.GeneratorSet(maps), nu))
+
+
+def test_the_walk_keeps_no_power_table_past_its_level():
     # a level map's power table lives for its inner loop: at length 5 the
     # rational pair's traced peak is about 1.1 times what the returned
-    # ledger holds, and about 2.0 times when every table is kept to the end
-    gens = rs.GeneratorSet(RATIONAL_PAIR)
+    # iterate holds, and about 2.0 times when every table is kept to the end
+    c = rs.build_correspondence(rs.GeneratorSet(RATIONAL_PAIR))
     tracemalloc.start()
     try:
-        ledger = rs.enumerate_words(gens, 5)
+        power = rs.corr_pow(c, 5)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (ledger.total_words, ledger.distinct, ledger.relations) == (32, 32, 0)
+    assert (len(power.components), power.M) == (32, 32)
     assert peak <= 1.5 * held

@@ -70,7 +70,7 @@ def test_parameters_and_fields_that_nothing_read_are_gone():
     assert [f.name for f in dataclasses.fields(rs.EntropyEstimate)] == [
         "value", "epsilon_grid", "nu_range", "slope_stderr", "method", "best_epsilon"]
     assert [f.name for f in dataclasses.fields(rs.WordLedger)] == [
-        "entries", "total_words", "exact"]
+        "entries", "related", "total_words", "exact"]
     assert [f.name for f in dataclasses.fields(rs.ExactEntropyRecord)] == [
         "h_top_exact", "dynamical_degrees", "bounds"]
     # the forward-orbit budget is the module constant ORBIT_BUDGET

@@ -976,6 +976,15 @@ def reference_compose(f, g):
     return h
 
 
+def word_map(maps, word):
+    """The map of the word (i_1, ..., i_nu), f_{i_nu} o ... o f_{i_1}, by
+    ``rs.compose``, one letter at a time."""
+    f = maps[word[0] - 1]
+    for j in word[1:]:
+        f = rs.compose(maps[j - 1], f)
+    return f
+
+
 def reference_ledger(maps, nu):
     """The word ledger of length nu of the reference maps, one word at a time.
 
