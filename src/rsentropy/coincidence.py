@@ -18,12 +18,13 @@ destroy the lower bound, so equality at exact points is decided exactly.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
 
 from .correspondence import Correspondence, GeneratorSet, build_correspondence
-from .errors import InconsistentItinerary, RootFindingFailure
+from .errors import BudgetExceeded, InconsistentItinerary, RootFindingFailure
 from .gaussian import canonical, to_complex
 from .polynomial import aberth_roots, form_mul, pairs_divmod, pairs_eval, pairs_gcd
 from .projective import NearPoints, ProjPoint, chordal_dist, normalize, point_order
@@ -56,18 +57,6 @@ def exact_to_proj(pt: ExactPoint) -> ProjPoint:
     first entry of the first nonzero pair, by correctly rounded int division."""
     s = pt[0][0] or pt[1][0]
     return normalize(to_complex(pt[0], s), to_complex(pt[1], s))
-
-
-class ExactPoints(NearPoints):
-    """Exact points found by equality (tol is unused): a point's cell is its
-    coordinates. Adding point budget + 1 raises BudgetExceeded(message)."""
-
-    def _cell(self, p: ExactPoint) -> ExactPoint:
-        return p
-
-    def find(self, p: ExactPoint) -> int | None:
-        hit = self.cells.get(p)
-        return hit[0] if hit else None
 
 
 def _snap_exact(z: complex) -> tuple | None:
@@ -261,76 +250,100 @@ def _escape_test(maps):
     return escapes
 
 
-def _image_table(maps, node_budget: int):
-    """images(pt): the tuple of exact_eval(f, pt) over maps in order, less
-    the escaping points of _escape_test(maps), so that each exact point is
-    stepped by each map once however many searches of the call reach it.
+def _forward_graph(starts, step, depth: int, node_budget: int):
+    """(points, succ): the points within depth steps of starts, breadth
+    first from them, and for each point within depth - 1 steps, succ[u],
+    the ids of step(points[u]) in order. So each point is stepped once, the
+    graph is closed when len(succ) == len(points), and listing point
+    node_budget + 1 raises BudgetExceeded."""
+    ids, points, succ = {}, [], []
 
-    The step is pure. At most node_budget points keep their images, so the
-    table holds no more points than the graph and searches it serves.
-    """
-    escapes, table = _escape_test(maps), {}
+    def node(p) -> int:
+        u = ids.get(p)
+        if u is None:
+            if len(points) == node_budget:
+                raise BudgetExceeded("forward graph exceeded the node budget")
+            u = ids[p] = len(points)
+            points.append(p)
+        return u
 
-    def images(pt):
-        hit = table.get(pt)
-        if hit is None:
-            hit = tuple(y for f in maps if not escapes(y := exact_eval(f, pt)))
-            if len(table) < node_budget:
-                table[pt] = hit
-        return hit
-    return images
+    for p in starts:
+        node(p)
+    for _ in range(depth):
+        level_end = len(points)
+        while len(succ) < level_end:
+            succ.append(tuple(node(y) for y in step(points[len(succ)])))
+    return points, succ
+
+
+def _exact_step(maps):
+    """An exact point's images under maps, in order, less the escaping
+    points of _escape_test(maps), which is built once: they never return,
+    and neither do their images, so return depths and cycles are those of
+    the full forward set."""
+    escapes = _escape_test(maps)
+    return lambda pt: [y for f in maps if not escapes(y := exact_eval(f, pt))]
+
+
+def _return_depths(succ, u: int, depth: int) -> tuple:
+    """The n <= depth with node u in its own n-th image set on succ. Each
+    set is the image of one within depth - 1 steps of u, which a graph
+    whose starts include u has expanded."""
+    level, returns = {u}, []
+    for n in range(1, depth + 1):
+        level = {v for w in level for v in succ[w]}
+        if u in level:
+            returns.append(n)
+    return tuple(returns)
 
 
 def is_recurrent(c: Correspondence, x: ProjPoint, depth: int,
                  exact_point: ExactPoint | None = None,
-                 node_budget: int = NODE_BUDGET,
-                 *, _images=None) -> RecurrenceCertificate:
-    """Breadth-first search of the forward sets for returns to x.
-
-    Uses exact arithmetic when both the point and all component maps are
-    exact; otherwise matches within RECURRENCE_TOL chordal. A forward set
-    larger than node_budget raises BudgetExceeded as its first extra point
-    is found. _images is the image table of the enclosing call over the
-    same maps, if any; only exact steps go through it. Exact searches under
-    polynomials leave out the escaping points of _escape_test: they never
-    return, and neither do their images, so the return depths are those of
-    the full search.
-    """
+                 node_budget: int = NODE_BUDGET) -> RecurrenceCertificate:
+    """Breadth-first search of the forward sets for returns to x: on the
+    exact forward graph from exact_point when it is given and every
+    component map is exact, else within RECURRENCE_TOL chordal. A forward
+    graph or set larger than node_budget raises BudgetExceeded."""
     support = [f for f, _ in c.components]
     if exact_point is not None and all(f.exact_coeffs for f in support):
-        start, index = exact_point, ExactPoints
-        images = _images or _image_table(support, node_budget)
-    else:
-        start, index = x, NearPoints
-        images = lambda pt: [evaluate(f, pt) for f in support]
-    frontier, returns = [start], []
+        _, succ = _forward_graph([exact_point], _exact_step(support), depth, node_budget)
+        return RecurrenceCertificate(return_depths=_return_depths(succ, 0, depth))
+    frontier, returns = [x], []
     for n in range(1, depth + 1):
-        found = index(RECURRENCE_TOL, node_budget,
-                      "forward set exceeded the node budget")
+        found = NearPoints(RECURRENCE_TOL, node_budget, "forward set exceeded the node budget")
         for pt in frontier:
-            for y in images(pt):
-                found.index_of(y)
+            for f in support:
+                found.index_of(evaluate(f, pt))
         frontier = found.points
-        if found.find(start) is not None:
+        if found.find(x) is not None:
             returns.append(n)
     return RecurrenceCertificate(return_depths=tuple(returns))
 
 
-def certified_coincidences(gens: GeneratorSet, depth: int,
-                           node_budget: int = NODE_BUDGET,
-                           *, _images=None) -> list[tuple]:
-    """Each coincidence point paired with its recurrence certificate.
-
-    The searches share one image table over gens.maps (_images when the
-    enclosing call passes its own), so a point they revisit is stepped once.
-    """
+def _certify(gens: GeneratorSet, depth: int, node_budget: int):
+    """(pairs, points, succ): certified_coincidences' pairs, and the one
+    forward graph over gens.maps from the exact points of an exact set,
+    which certifies them all. Any other point is searched by is_recurrent
+    before the graph is built, so a float search that overflows its budget
+    fails the call before any exact work."""
     corr = build_correspondence(gens)
-    images = _images or _image_table(gens.maps, node_budget)
-    return [
-        (cp, is_recurrent(corr, cp.point, depth, exact_point=cp.exact_coords,
-                          node_budget=node_budget, _images=images))
-        for cp in coincidence_set(gens)
-    ]
+    cps = coincidence_set(gens)
+    certs = [None if gens.exact and cp.exact
+             else is_recurrent(corr, cp.point, depth, node_budget=node_budget)
+             for cp in cps]
+    starts = [cp.exact_coords for cp, cert in zip(cps, certs) if cert is None]
+    points, succ = _forward_graph(starts, _exact_step(gens.maps), depth, node_budget)
+    ids = iter(range(len(starts)))  # distinct starts take the first ids
+    certs = [cert or RecurrenceCertificate(_return_depths(succ, next(ids), depth))
+             for cert in certs]
+    return list(zip(cps, certs)), points, succ
+
+
+def certified_coincidences(gens: GeneratorSet, depth: int,
+                           node_budget: int = NODE_BUDGET) -> list[tuple]:
+    """Each coincidence point paired with its recurrence certificate. The
+    exact points of an exact set are certified by one forward graph."""
+    return _certify(gens, depth, node_budget)[0]
 
 
 # -- fiber entropy ------------------------------------------------------------------
@@ -394,7 +407,7 @@ def friedland_bounds(gens: GeneratorSet, depth: int = RECURRENCE_DEPTH,
     by log(number of generators realizing the step). Positive weights only
     occur on edges leaving coincidence points, so any positive-mean cycle
     passes through one. The exploration is depth-capped; the details record
-    whether the cap was hit, in which case S is certified only to that depth.
+    whether it left a node unexpanded, when S is certified only to depth.
     Under polynomials of degree >= 2 the graph leaves out the escaping
     points of _escape_test, which lie on no cycle, so it often closes
     before the cap and S holds at every depth.
@@ -408,9 +421,7 @@ def friedland_bounds(gens: GeneratorSet, depth: int = RECURRENCE_DEPTH,
     otherwise lower and s_hat are None and the graph is empty.
     """
     upper = math.log(sum(gens.degrees))
-    # one image table for the call: the graph reuses the searches' steps
-    images = _image_table(gens.maps, node_budget)
-    coincidences = certified_coincidences(gens, depth, node_budget, _images=images)
+    coincidences, points, succ = _certify(gens, depth, node_budget)
     recurrent = [cp for cp, cert in coincidences if cert.status == "recurrent"]
     details = {"coincidences": coincidences, "graph_nodes": 0, "graph_edges": 0,
                "depth_cap_hit": False, "exact": False, "cycle_points": (),
@@ -418,32 +429,19 @@ def friedland_bounds(gens: GeneratorSet, depth: int = RECURRENCE_DEPTH,
     if not (gens.exact and all(cp.exact_coords is not None for cp in recurrent)):
         return FriedlandBounds(lower=None, upper=upper, s_hat=None, details=details)
 
-    graph = ExactPoints(RECURRENCE_TOL, node_budget,
-                        "transition graph exceeded the node budget")
-    for cp in recurrent:
-        graph.index_of(cp.exact_coords)
-    # each step expands the nodes the step before added, so each node once;
-    # the cap is hit when the last step still had nodes to expand
-    edges: list = []  # (u, v, number of generators stepping u to v)
-    known, frontier = 0, range(0)
-    for _ in range(depth):
-        frontier = range(known, len(graph.points))
-        if not frontier:
-            break
-        known = len(graph.points)
-        for u in frontier:
-            targets: dict[int, int] = {}
-            for y in images(graph.points[u]):
-                v = graph.index_of(y)
-                targets[v] = targets.get(v, 0) + 1
-            edges.extend((u, v, m) for v, m in sorted(targets.items()))
-
-    cycle = _optimal_cycle(len(graph.points), edges)
+    # Karp's graph: the call's graph within depth steps of the recurrent
+    # points (among its first ids), renumbered breadth first from them; it
+    # steps by reading succ
+    nodes, inner = _forward_graph([points.index(cp.exact_coords) for cp in recurrent],
+                                  succ.__getitem__, depth, node_budget)
+    edges = [(u, v, m) for u, out in enumerate(inner)  # (u, v, generators stepping u to v)
+             for v, m in sorted(Counter(out).items())]
+    cycle = _optimal_cycle(len(nodes), edges)
     profile = tuple(edges[e][2] for e in cycle)
     s_hat = math.log(math.prod(profile)) / len(cycle) if cycle else 0.0
-    details.update(graph_nodes=len(graph.points), graph_edges=len(edges),
-                   depth_cap_hit=bool(frontier), exact=True,
-                   cycle_points=tuple(graph.points[edges[e][0]] for e in cycle),
+    details.update(graph_nodes=len(nodes), graph_edges=len(edges),
+                   depth_cap_hit=len(inner) < len(nodes), exact=True,
+                   cycle_points=tuple(points[nodes[edges[e][0]]] for e in cycle),
                    cycle_profile=profile, cycle_length=len(cycle))
     return FriedlandBounds(lower=max(upper - s_hat, 0.0), upper=upper, s_hat=s_hat,
                            details=details)

@@ -1,5 +1,6 @@
 """Seeded random configs, each run as ``report``: a run gives a report or a
-typed error, and the same run again gives the same bytes.
+typed error, the same run again gives the same bytes, and a report keeps
+the promises of ``bound_problems``.
 
 ``configs(seed, count)`` draws the configs with ``random.Random(seed)``.
 Each has 2 or 3 generators, 3 with probability 1/3. A generator has a
@@ -14,8 +15,9 @@ with an error object. ``outcome`` names what one run printed.
 runs each of the first COUNT configs of SEED twice at the default settings,
 each run as its own ``python -m rsentropy.cli report`` process under a
 60 s timeout. It prints one line per config and the tally by outcome, and
-exits 1 when a run is neither a report nor one error object whose type is
-a class of ``rsentropy.errors``, times out, or differs from its repeat.
+exits 1 when a run is neither a report that keeps those promises nor one
+error object whose type is a class of ``rsentropy.errors``, times out, or
+differs from its repeat.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import collections
 import inspect
 import json
+import math
 import pathlib
 import random
 import subprocess
@@ -53,15 +56,46 @@ def configs(seed: int, count: int) -> list[dict]:
     return out
 
 
+def bound_problems(report: dict) -> list[str]:
+    """What a report's coincidence section breaks of these exact facts:
+
+    - an exact recurrent point's return depths are closed under addition
+      within the depth, since f_u(x) = x and f_v(x) = x give f_uv(x) = x
+      (a float point's depths certify nothing, so it is skipped);
+    - s_hat is log(prod cycle_profile) / cycle_length, 0 with no cycle;
+    - lower is max(upper - s_hat, 0);
+    - upper is the exact section's h_top_exact, within 1e-12.
+    """
+    section, problems = report["coincidence"], []
+    for p in section["points"]:
+        depths = set(p["return_depths"])
+        if p["exact"] and any(a + b <= section["depth"] and a + b not in depths
+                              for a in depths for b in depths):
+            problems.append(f"return depths of {p['point']} are not closed under addition")
+    fb = section["friedland_bounds"]
+    if fb["s_hat"] is not None:
+        length = fb["cycle_length"]
+        if fb["s_hat"] != (math.log(math.prod(fb["cycle_profile"])) / length if length
+                           else 0.0):
+            problems.append("s_hat is not the cycle's mean log profile")
+        if fb["lower"] != max(fb["upper"] - fb["s_hat"], 0.0):
+            problems.append("lower is not max(upper - s_hat, 0)")
+    if abs(fb["upper"] - report["exact"]["h_top_exact"]) > 1e-12:
+        problems.append("upper is not h_top_exact")
+    return problems
+
+
 def outcome(code: int, stdout: str) -> str:
-    """"ok" for exit 0 with a report, the error type for exit 1 with one
-    error object of a class of rsentropy.errors, else "bad: " and why."""
+    """"ok" for exit 0 with a report that has no bound_problems, the error
+    type for exit 1 with one error object of a class of rsentropy.errors,
+    else "bad: " and why."""
     try:
         out = json.loads(stdout)
     except json.JSONDecodeError:
         return f"bad: exit {code}, stdout is not one JSON value"
     if code == 0 and isinstance(out, dict) and "exact" in out:
-        return "ok"
+        problems = bound_problems(out)
+        return "bad: " + "; ".join(problems) if problems else "ok"
     types = {name for name, cls in inspect.getmembers(errors, inspect.isclass)
              if cls.__module__ == errors.__name__}
     if code == 1 and isinstance(out, dict) and set(out) == {"error"} \

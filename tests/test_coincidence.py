@@ -1,5 +1,8 @@
 import collections
+import contextlib
+import io
 import itertools
+import json
 import math
 import pathlib
 import tracemalloc
@@ -9,7 +12,7 @@ import numpy as np
 import pytest
 
 import rsentropy as rs
-from rsentropy import coincidence
+from rsentropy import cli, coincidence
 from rsentropy.errors import BudgetExceeded, InconsistentItinerary
 from rsentropy.gaussian import canonical, lift
 from rsentropy.projective import NearPoints, ring_around
@@ -455,27 +458,30 @@ def test_step_table_holds_exact_rows_only(monkeypatch):
 
 
 def test_forward_set_budget_raises_in_both_modes():
-    # the largest forward set to depth 8 has 14 (float) or 86 (exact)
-    # points; each budget admits exactly that many
-    for gens, largest_set in ((FLOAT_BASILICA, 14), (CONJUGATE_BASILICA, 86)):
-        with pytest.raises(BudgetExceeded, match="forward set exceeded the node budget"):
-            coincidence.certified_coincidences(gens, 8, node_budget=largest_set - 1)
-        coincidence.certified_coincidences(gens, 8, node_budget=largest_set)
-    # only exact maps build a transition graph: 130 nodes at depth 8
-    with pytest.raises(BudgetExceeded, match="transition graph exceeded the node budget"):
-        rs.friedland_bounds(CONJUGATE_BASILICA, depth=8, node_budget=129)
-    fb = rs.friedland_bounds(CONJUGATE_BASILICA, depth=8, node_budget=130)
+    # the largest float forward set to depth 8 has 14 points, and the call's
+    # one exact forward graph 131 nodes; each budget admits exactly that many
+    with pytest.raises(BudgetExceeded, match="forward set exceeded the node budget"):
+        coincidence.certified_coincidences(FLOAT_BASILICA, 8, node_budget=13)
+    coincidence.certified_coincidences(FLOAT_BASILICA, 8, node_budget=14)
+    for call in (coincidence.certified_coincidences, rs.friedland_bounds):
+        with pytest.raises(BudgetExceeded, match="forward graph exceeded the node budget"):
+            call(CONJUGATE_BASILICA, 8, node_budget=130)
+        call(CONJUGATE_BASILICA, 8, node_budget=131)
+    # Karp's graph, from the recurrent points 0 and infinity, leaves out the
+    # point 1 and is read from the same 131 nodes
+    fb = rs.friedland_bounds(CONJUGATE_BASILICA, depth=8, node_budget=131)
     assert fb.details["graph_nodes"] == 130
 
 
 def test_exact_points_match_by_equality_within_the_budget():
-    index = coincidence.ExactPoints(0.5, 2, "too many exact points")
-    # the tolerance plays no part: 0 and 10^-12 are two points
-    assert [index.index_of(exact_point(z)) for z in (0, "1/1000000000000", 0)] == [0, 1, 0]
-    assert index.points == [exact_point(0), exact_point("1/1000000000000")]
-    assert index.find(exact_point(2)) is None
-    with pytest.raises(BudgetExceeded, match="too many exact points"):
-        index.index_of(exact_point(2))
+    # the graph's points are found by equality: 0 and 10^-12 are two points
+    tiny = exact_point("1/1000000000000")
+    points, succ = coincidence._forward_graph(
+        [exact_point(0), tiny, exact_point(0)], lambda pt: [pt], 3, 2)
+    assert (points, succ) == ([exact_point(0), tiny], [(0,), (1,)])
+    with pytest.raises(BudgetExceeded, match="forward graph exceeded the node budget"):
+        coincidence._forward_graph([exact_point(0), tiny, exact_point(2)],
+                                   lambda pt: [pt], 3, 2)
 
 
 def test_karp_against_brute_force():
@@ -569,17 +575,73 @@ def test_cycle_search_memory_is_linear_in_the_graph():
     assert peak < 1 << 20
 
 
-def test_transition_graph_steps_each_node_once(monkeypatch):
-    certs = coincidence.certified_coincidences(CONJUGATE_BASILICA, 10)
-    monkeypatch.setattr(coincidence, "certified_coincidences", lambda *a, **k: certs)
-    stepped = collections.Counter()
-    step = coincidence.exact_eval
-    monkeypatch.setattr(coincidence, "exact_eval",
-                        lambda f, pt: stepped.update([pt]) or step(f, pt))
-    fb = rs.friedland_bounds(CONJUGATE_BASILICA, depth=10)
-    assert fb.details["exact"] and fb.details["graph_nodes"] == 514
-    # every node added before the last step is stepped once by each generator
-    assert len(stepped) == 258 and set(stepped.values()) == {2}
+def _bounds_cli(gens, tmp_path, depth):
+    """The CLI friedland-bounds run of gens at the depth, through cli.main."""
+    cfg = {"generators": [{"num": [c.literal() for c in f.num],
+                           "den": [c.literal() for c in f.den]} for f in gens.maps],
+           "recurrence_depth": depth}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["friedland-bounds", "--config", str(path)]) == 0
+
+
+@pytest.mark.parametrize("entry", ["certified_coincidences", "friedland_bounds", "cli"])
+@pytest.mark.parametrize("gens", [BASILICA, CONJUGATE_BASILICA], ids=["basilica", "conjugate"])
+def test_each_call_builds_one_exact_forward_graph(entry, gens, tmp_path, monkeypatch):
+    # every exact answer of one call is read from one graph over exact
+    # points; Karp's graph is a second build over its int ids, and no
+    # exact point is searched on its own
+    graphs, searches = [], []
+    build, search = coincidence._forward_graph, coincidence.is_recurrent
+
+    def counted_build(starts, *args):
+        graphs.append([type(p) for p in starts])
+        return build(starts, *args)
+    monkeypatch.setattr(coincidence, "_forward_graph", counted_build)
+    monkeypatch.setattr(coincidence, "is_recurrent",
+                        lambda *a, **k: searches.append(a) or search(*a, **k))
+    if entry == "cli":
+        _bounds_cli(gens, tmp_path, 6)
+    else:
+        getattr(coincidence, entry)(gens, 6)
+    assert [set(starts) for starts in graphs] == [{tuple}] + (
+        [{int}] if entry != "certified_coincidences" else [])
+    assert len(graphs[0]) == 3 and not searches
+
+
+@pytest.mark.parametrize("depth,hit", [(1, False), (2, True), (3, False), (4, False), (5, False)])
+def test_depth_cap_hit_means_a_node_was_left_unexpanded(depth, hit):
+    # at depth 1 only infinity returns, and its graph is the loop at
+    # infinity; from depth 2 on 0 returns too, and the graph 0 -> -1 -> -2
+    # has expanded -2 at depth 3, whose images escape: the same 4 nodes as
+    # at depth 40, all of them expanded
+    d = rs.friedland_bounds(BASILICA, depth=depth).details
+    assert d["depth_cap_hit"] is hit
+    assert d["graph_nodes"] == (1 if depth == 1 else 4)
+
+
+def _word_return_depths(maps, x, depth):
+    """The n <= depth at which some word of n maps fixes the exact point x,
+    walking every word by exact_eval with no merging and no escape test."""
+    level, returns = [x], []
+    for n in range(1, depth + 1):
+        level = [coincidence.exact_eval(f, pt) for pt in level for f in maps]
+        if x in level:
+            returns.append(n)
+    return tuple(returns)
+
+
+@pytest.mark.parametrize("gens,depth", [
+    (BASILICA, 8), (CONJUGATE_BASILICA, 8), (THREE_GENERATORS, 6),
+    (rs.GeneratorSet([Z2, rs.make_map([2, -1], [0, 1])]), 8),
+], ids=["basilica", "conjugate", "three-generators", "square-and-line"])
+def test_exact_return_depths_match_every_word(gens, depth):
+    certs = [(cp, cert) for cp, cert in coincidence.certified_coincidences(gens, depth)
+             if cp.exact]
+    assert certs
+    for cp, cert in certs:
+        assert cert.return_depths == _word_return_depths(gens.maps, cp.exact_coords, depth)
 
 
 def test_friedland_bounds_steps_each_pair_once_per_call(monkeypatch):
@@ -589,7 +651,7 @@ def test_friedland_bounds_steps_each_pair_once_per_call(monkeypatch):
                         lambda f, pt: stepped.update([(f, pt)]) or step(f, pt))
     fb = rs.friedland_bounds(CONJUGATE_BASILICA, depth=10)
     assert fb.details["exact"] and fb.details["graph_nodes"] == 514
-    # the three searches and the graph share one step table
+    # the call's one forward graph steps each (map, point) once
     assert len(stepped) == 518 and set(stepped.values()) == {1}
     # and it lives for one call: the next call steps every pair again
     rs.friedland_bounds(CONJUGATE_BASILICA, depth=10)
@@ -597,7 +659,7 @@ def test_friedland_bounds_steps_each_pair_once_per_call(monkeypatch):
 
 
 def test_friedland_bounds_builds_the_escape_test_once(monkeypatch):
-    # the searches and the graph of one call read one image table
+    # the one forward graph of the call steps by one exact step
     built, make = [], coincidence._escape_test
     monkeypatch.setattr(coincidence, "_escape_test",
                         lambda maps: built.append(maps) or make(maps))

@@ -647,15 +647,3 @@ def test_cli_report_shares_one_tree(tmp_path, capsys, monkeypatch):
         "per_word": {",".join(map(str, w)): c for w, c in per_word.items()},
     }
 
-
-def test_cli_bounds_certify_each_point_once(tmp_path, capsys, monkeypatch):
-    basilica = {"generators": [
-        {"num": ["1", "0", "-1"], "den": ["0", "0", "1"]},
-        {"num": ["1", "0", "0", "-1"], "den": ["0", "0", "0", "1"]},
-    ], "recurrence_depth": 6}
-    calls = _counting(monkeypatch, coincidence, "is_recurrent")
-    assert cli.main(["friedland-bounds", "--config",
-                     write_config(tmp_path, basilica)]) == 0
-    points = json.loads(capsys.readouterr().out)["coincidence"]["points"]
-    assert len(points) == 3
-    assert len(calls) == len(points)

@@ -1,6 +1,7 @@
-"""Seeded random configs at small settings: every run gives a report or one
-typed error object, and repeats byte for byte (``tests/fuzz_configs.py``
-runs more of the same stream at the default settings)."""
+"""Seeded random configs at small settings: every run gives a report that
+keeps the bound checks of ``fuzz_configs.bound_problems`` or one typed
+error object, and repeats byte for byte (``tests/fuzz_configs.py`` runs
+more of the same stream at the default settings)."""
 
 import collections
 import json
