@@ -240,8 +240,8 @@ def _coincidence_section(cfg: RunConfig, with_bounds: bool) -> dict:
             "point": _point_label(cp.point),
             "exact": cp.exact,
             "witnesses": sorted(list(w) for w in cp.witnesses),
-            "recurrent": cert.status == "recurrent",
-            "return_depths": list(cert.return_depths),
+            "status": cert.status,
+            "return_depths": None if cert.return_depths is None else list(cert.return_depths),
         })
     section = {"points": entries, "depth": depth}
     if with_bounds:

@@ -10,9 +10,9 @@ the forward transition graph with edges weighted log(number of generators
 realizing the step), computed here with Karp's algorithm on the graph's
 strongly connected components that hold a cycle.
 
-Exact arithmetic is used whenever the generators and points are exact
-Gaussian-rational data: a false recurrence would inflate the cycle bound and
-destroy the lower bound, so equality at exact points is decided exactly.
+Recurrence is decided only at exact points of exact generators, on one
+exact forward graph per call. A float orbit can merge points or drift past a
+true return, so a float point is undecided and no lower bound rests on it.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
 
-from .correspondence import Correspondence, GeneratorSet, build_correspondence
+from .correspondence import Correspondence, GeneratorSet
 from .errors import BudgetExceeded, InconsistentItinerary, RootFindingFailure
 from .gaussian import canonical, to_complex
 from .polynomial import aberth_roots, form_mul, pairs_divmod, pairs_eval, pairs_gcd
-from .projective import NearPoints, ProjPoint, chordal_dist, normalize, point_order
+from .projective import ProjPoint, chordal_dist, normalize, point_order
 from .ratmap import RationalMap, evaluate
 
 RECURRENCE_TOL = 1e-9
@@ -205,11 +205,12 @@ def _deflate_rational_roots(pairs, den):
 
 @dataclass(frozen=True)
 class RecurrenceCertificate:
-    return_depths: tuple
+    """One of "recurrent", "never_returns", "no_return_within_depth" (see
+    _status) or "undecided": a float point or any point of a float set,
+    searched by nothing, with return_depths None."""
 
-    @property
-    def status(self) -> str:
-        return "recurrent" if self.return_depths else "not_found_within_depth"
+    status: str
+    return_depths: tuple | None
 
 
 def _escape_test(maps):
@@ -285,64 +286,61 @@ def _exact_step(maps):
     return lambda pt: [y for f in maps if not escapes(y := exact_eval(f, pt))]
 
 
-def _return_depths(succ, u: int, depth: int) -> tuple:
-    """The n <= depth with node u in its own n-th image set on succ. Each
-    set is the image of one within depth - 1 steps of u, which a graph
-    whose starts include u has expanded."""
+def _status(succ, u: int, depth: int) -> RecurrenceCertificate:
+    """The certificate of node u, a start of succ: recurrent at each
+    n <= depth with u in its own n-th image set (all expanded), else
+    never_returns when every node reachable from u is expanded and none
+    steps to u, else no_return_within_depth. Closure is read by reachability,
+    not by level sets: a closed set can hold a return past depth when a
+    second start lies on u's cycle."""
     level, returns = {u}, []
     for n in range(1, depth + 1):
         level = {v for w in level for v in succ[w]}
         if u in level:
             returns.append(n)
-    return tuple(returns)
+    if returns:
+        return RecurrenceCertificate("recurrent", tuple(returns))
+    seen, todo = {u}, [u]
+    while todo:
+        w = todo.pop()
+        if w >= len(succ) or u in succ[w]:
+            return RecurrenceCertificate("no_return_within_depth", ())
+        todo += {*succ[w]} - seen
+        seen.update(succ[w])
+    return RecurrenceCertificate("never_returns", ())
 
 
-def is_recurrent(c: Correspondence, x: ProjPoint, depth: int,
-                 exact_point: ExactPoint | None = None,
+def is_recurrent(c: Correspondence, x: ExactPoint, depth: int,
                  node_budget: int = NODE_BUDGET) -> RecurrenceCertificate:
-    """Breadth-first search of the forward sets for returns to x: on the
-    exact forward graph from exact_point when it is given and every
-    component map is exact, else within RECURRENCE_TOL chordal. A forward
-    graph or set larger than node_budget raises BudgetExceeded."""
+    """The certificate of the exact point x under c's component maps, by
+    the rule of certified_coincidences on a forward graph of its own;
+    undecided when a component map is float. A graph larger than
+    node_budget raises BudgetExceeded."""
     support = [f for f, _ in c.components]
-    if exact_point is not None and all(f.exact_coeffs for f in support):
-        _, succ = _forward_graph([exact_point], _exact_step(support), depth, node_budget)
-        return RecurrenceCertificate(return_depths=_return_depths(succ, 0, depth))
-    frontier, returns = [x], []
-    for n in range(1, depth + 1):
-        found = NearPoints(RECURRENCE_TOL, node_budget, "forward set exceeded the node budget")
-        for pt in frontier:
-            for f in support:
-                found.index_of(evaluate(f, pt))
-        frontier = found.points
-        if found.find(x) is not None:
-            returns.append(n)
-    return RecurrenceCertificate(return_depths=tuple(returns))
+    if not all(f.exact_coeffs for f in support):
+        return RecurrenceCertificate("undecided", None)
+    _, succ = _forward_graph([x], _exact_step(support), depth, node_budget)
+    return _status(succ, 0, depth)
 
 
 def _certify(gens: GeneratorSet, depth: int, node_budget: int):
     """(pairs, points, succ): certified_coincidences' pairs, and the one
     forward graph over gens.maps from the exact points of an exact set,
-    which certifies them all. Any other point is searched by is_recurrent
-    before the graph is built, so a float search that overflows its budget
-    fails the call before any exact work."""
-    corr = build_correspondence(gens)
+    which certifies them all; they are its first ids. Every other point is
+    undecided, and nothing searches it."""
     cps = coincidence_set(gens)
-    certs = [None if gens.exact and cp.exact
-             else is_recurrent(corr, cp.point, depth, node_budget=node_budget)
-             for cp in cps]
-    starts = [cp.exact_coords for cp, cert in zip(cps, certs) if cert is None]
+    starts = [cp.exact_coords for cp in cps if gens.exact and cp.exact]
     points, succ = _forward_graph(starts, _exact_step(gens.maps), depth, node_budget)
-    ids = iter(range(len(starts)))  # distinct starts take the first ids
-    certs = [cert or RecurrenceCertificate(_return_depths(succ, next(ids), depth))
-             for cert in certs]
+    ids = iter(range(len(starts)))
+    certs = [_status(succ, next(ids), depth) if gens.exact and cp.exact
+             else RecurrenceCertificate("undecided", None) for cp in cps]
     return list(zip(cps, certs)), points, succ
 
 
 def certified_coincidences(gens: GeneratorSet, depth: int,
                            node_budget: int = NODE_BUDGET) -> list[tuple]:
-    """Each coincidence point paired with its recurrence certificate. The
-    exact points of an exact set are certified by one forward graph."""
+    """Each coincidence point paired with its RecurrenceCertificate, all
+    read from the call's one exact forward graph."""
     return _certify(gens, depth, node_budget)[0]
 
 
@@ -406,33 +404,33 @@ def friedland_bounds(gens: GeneratorSet, depth: int = RECURRENCE_DEPTH,
     maximum mean cycle weight of the explored forward graph, edges weighted
     by log(number of generators realizing the step). Positive weights only
     occur on edges leaving coincidence points, so any positive-mean cycle
-    passes through one. The exploration is depth-capped; the details record
-    whether it left a node unexpanded, when S is certified only to depth.
-    Under polynomials of degree >= 2 the graph leaves out the escaping
-    points of _escape_test, which lie on no cycle, so it often closes
-    before the cap and S holds at every depth.
+    passes through one. The exploration is depth-capped; depth_cap_hit
+    records that it left a node unexpanded or that some point is
+    no_return_within_depth, when S is certified only to depth. Under
+    polynomials of degree >= 2 the graph leaves out the escaping points of
+    _escape_test, which lie on no cycle, so it often closes before the cap
+    and S holds at every depth.
 
     S is log(P) / L for one optimal cycle, with P the product of its
     multiplicities (its profile) and L its length; the details name it.
 
-    The graph is built only when every generator and every recurrent point
-    is exact, so that its nodes are equal or not. Float orbits can merge
-    distinct points or drift past a true return, so their S is no bound:
-    otherwise lower and s_hat are None and the graph is empty.
+    The bound needs every point decided: when the set has a float generator
+    or any point is undecided, lower and s_hat are None and the graph is
+    empty, since a float point's recurrence is not known.
     """
     upper = math.log(sum(gens.degrees))
     coincidences, points, succ = _certify(gens, depth, node_budget)
-    recurrent = [cp for cp, cert in coincidences if cert.status == "recurrent"]
+    statuses = [cert.status for _, cert in coincidences]
     details = {"coincidences": coincidences, "graph_nodes": 0, "graph_edges": 0,
                "depth_cap_hit": False, "exact": False, "cycle_points": (),
                "cycle_profile": (), "cycle_length": 0}
-    if not (gens.exact and all(cp.exact_coords is not None for cp in recurrent)):
+    if not gens.exact or "undecided" in statuses:
         return FriedlandBounds(lower=None, upper=upper, s_hat=None, details=details)
 
     # Karp's graph: the call's graph within depth steps of the recurrent
-    # points (among its first ids), renumbered breadth first from them; it
-    # steps by reading succ
-    nodes, inner = _forward_graph([points.index(cp.exact_coords) for cp in recurrent],
+    # points (the points are its first ids, in order), renumbered breadth
+    # first from them; it steps by reading succ
+    nodes, inner = _forward_graph([u for u, s in enumerate(statuses) if s == "recurrent"],
                                   succ.__getitem__, depth, node_budget)
     edges = [(u, v, m) for u, out in enumerate(inner)  # (u, v, generators stepping u to v)
              for v, m in sorted(Counter(out).items())]
@@ -440,8 +438,9 @@ def friedland_bounds(gens: GeneratorSet, depth: int = RECURRENCE_DEPTH,
     profile = tuple(edges[e][2] for e in cycle)
     s_hat = math.log(math.prod(profile)) / len(cycle) if cycle else 0.0
     details.update(graph_nodes=len(nodes), graph_edges=len(edges),
-                   depth_cap_hit=len(inner) < len(nodes), exact=True,
-                   cycle_points=tuple(points[nodes[edges[e][0]]] for e in cycle),
+                   depth_cap_hit=(len(inner) < len(nodes)
+                                  or "no_return_within_depth" in statuses),
+                   exact=True, cycle_points=tuple(points[nodes[edges[e][0]]] for e in cycle),
                    cycle_profile=profile, cycle_length=len(cycle))
     return FriedlandBounds(lower=max(upper - s_hat, 0.0), upper=upper, s_hat=s_hat,
                            details=details)

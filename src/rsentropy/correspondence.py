@@ -280,16 +280,14 @@ def enumerate_words(gens: GeneratorSet, nu: int,
     witness words; a level map composes under a generator only when the
     extended word is a prefix of one of those words. Exact equality decides
     each of their classes, and each level map's powers are built once for
-    all the generators. Both budgets are checked before any word is stepped.
+    all the generators. The word budget is checked first, and the degree
+    budget on the largest degree of those words before any map is composed.
     """
     nu = positive_int(nu, "nu must be >= 1")
     n = len(gens)
     total = n ** nu
     if total > word_budget:
         raise BudgetExceeded(f"{n}^{nu} words exceed the budget of {word_budget}")
-    top = max(gens.degrees)
-    if top ** nu > degree_budget:
-        raise BudgetExceeded(f"composed degree {top}^{nu} exceeds {degree_budget}")
 
     if not gens.exact:
         entries = {
@@ -301,6 +299,9 @@ def enumerate_words(gens: GeneratorSet, nu: int,
     children, final = _fingerprint_walk(gens, nu)
     undefined = {degree for degree, points in final if points is None}
     live = {key for key, (count, _) in final.items() if count > 1 or key[0] in undefined}
+    top = max((degree for degree, _ in live), default=0)
+    if top > degree_budget:
+        raise BudgetExceeded(f"composed degree {top} exceeds {degree_budget}")
     entries = {word: (1, (word,)) for key, (_, word) in final.items() if key not in live}
     # lives[k] holds the keys of length k that some word of a live class
     # extends: their words are a union of exact classes, so the first word of

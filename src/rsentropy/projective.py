@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, ZeroVector
+from .errors import ZeroVector
 
 #: default coordinatewise comparison tolerance for canonical representatives
 DEFAULT_TOL = 1e-12
@@ -96,7 +96,7 @@ def sample_points(count: int, seed: int) -> list[ProjPoint]:
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
-    sample = NearPoints(1e-10, count, "unused")
+    sample = NearPoints(1e-10)
     while len(sample.points) < count:
         raw = rng.standard_normal(4)
         pt = normalize(complex(raw[0], raw[1]), complex(raw[2], raw[3]))
@@ -110,12 +110,11 @@ class NearPoints:
     The chordal distance of two points is half the distance of their Bloch
     vectors, so a point within tol of another lies within 2 tol of it in
     every Bloch coordinate; with cells of that side, widened for rounding,
-    it lies in one of the 27 cells around the other. Adding point budget + 1
-    raises BudgetExceeded(message).
+    it lies in one of the 27 cells around the other.
     """
 
-    def __init__(self, tol: float, budget: int, message: str):
-        self.tol, self.budget, self.message = tol, budget, message
+    def __init__(self, tol: float):
+        self.tol = tol
         self.side = 2.0 * tol * (1.0 + 1e-9) + 1e-12
         self.points: list[ProjPoint] = []
         self.cells: dict[tuple, list[int]] = {}
@@ -139,8 +138,6 @@ class NearPoints:
         return self.add(p) if idx is None else idx
 
     def add(self, p: ProjPoint) -> int:
-        if len(self.points) >= self.budget:
-            raise BudgetExceeded(self.message)
         self.cells.setdefault(self._cell(p), []).append(len(self.points))
         self.points.append(p)
         return len(self.points) - 1

@@ -4,7 +4,7 @@ The sets are the first 120 valid configs of ``fuzz_configs.configs(3, ...)``,
 valid meaning that ``load_config`` resolves them to a generator set. Each is
 bounded at one depth with the default node budget. Its record holds each
 coincidence point (float coordinates, exact coordinates, witnesses) with
-its return depths, then ``lower``, ``s_hat``, the graph counts,
+its status and return depths, then ``lower``, ``s_hat``, the graph counts,
 ``depth_cap_hit``, ``cycle_points`` and ``cycle_profile``; a set that raises
 an error of ``rsentropy.errors`` records the error's type. The digest is
 the SHA-256 of the records' repr, so a change to any bound of any set
@@ -31,8 +31,8 @@ from rsentropy.errors import RsentropyError  # noqa: E402
 
 SEED, SETS, DRAWN = 3, 120, 400
 DIGESTS = {
-    6: "0c19bcfa82114559e8d9920afdb3f5cfea3b334529bde6f2080add124d3846b5",
-    8: "1b6f4207944468af6abf48259a7df10ab03fccbd5fe48604b32d0b8c2680f30c",
+    6: "e99d9c8edb802ca94ebedb3d2697524444183c57413881fa2ae205d70385def8",
+    8: "ee2784794b4201e3c83afc569f9e2ecce4b782fb1694722572d661ae9470a6ec",
 }
 
 
@@ -57,7 +57,7 @@ def record(gens, depth: int):
         return type(exc).__name__
     d = fb.details
     points = [(cp.point.h0, cp.point.h1, cp.exact_coords, sorted(cp.witnesses),
-               cert.return_depths) for cp, cert in d["coincidences"]]
+               cert.status, cert.return_depths) for cp, cert in d["coincidences"]]
     return (points, fb.lower, fb.s_hat, d["graph_nodes"], d["graph_edges"],
             d["depth_cap_hit"], d["cycle_points"], d["cycle_profile"])
 

@@ -59,20 +59,36 @@ def configs(seed: int, count: int) -> list[dict]:
 def bound_problems(report: dict) -> list[str]:
     """What a report's coincidence section breaks of these exact facts:
 
-    - an exact recurrent point's return depths are closed under addition
-      within the depth, since f_u(x) = x and f_v(x) = x give f_uv(x) = x
-      (a float point's depths certify nothing, so it is skipped);
+    - each point's status is one of the four, and a float point is
+      undecided;
+    - a point is recurrent iff its return depths are nonempty, and
+      undecided iff they are null;
+    - a recurrent point's return depths are closed under addition within
+      the depth, since f_u(x) = x and f_v(x) = x give f_uv(x) = x;
+    - a lower bound is given only when no point is undecided, and a built
+      graph with a no_return_within_depth point has depth_cap_hit;
     - s_hat is log(prod cycle_profile) / cycle_length, 0 with no cycle;
     - lower is max(upper - s_hat, 0);
     - upper is the exact section's h_top_exact, within 1e-12.
     """
     section, problems = report["coincidence"], []
+    statuses = {p["status"] for p in section["points"]}
     for p in section["points"]:
-        depths = set(p["return_depths"])
-        if p["exact"] and any(a + b <= section["depth"] and a + b not in depths
-                              for a in depths for b in depths):
+        status, depths = p["status"], p["return_depths"]
+        if status not in ("recurrent", "never_returns", "no_return_within_depth", "undecided"):
+            problems.append(f"{p['point']} has the status {status!r}")
+        if not p["exact"] and status != "undecided":
+            problems.append(f"the float point {p['point']} is not undecided")
+        if (status == "recurrent") != bool(depths) or (status == "undecided") != (depths is None):
+            problems.append(f"the return depths of {p['point']} do not fit its status")
+        elif depths and any(a + b <= section["depth"] and a + b not in depths
+                            for a in depths for b in depths):
             problems.append(f"return depths of {p['point']} are not closed under addition")
     fb = section["friedland_bounds"]
+    if fb["lower"] is not None and "undecided" in statuses:
+        problems.append("lower rests on an undecided point")
+    if fb["exact"] and "no_return_within_depth" in statuses and not fb["depth_cap_hit"]:
+        problems.append("a point has no return within the depth, but depth_cap_hit is false")
     if fb["s_hat"] is not None:
         length = fb["cycle_length"]
         if fb["s_hat"] != (math.log(math.prod(fb["cycle_profile"])) / length if length

@@ -33,7 +33,6 @@ from util import (
     same_bits,
     scalar,
     scaling,
-    scan_return_depths,
     schoolbook_mul,
 )
 
@@ -46,6 +45,13 @@ CONJUGATE_BASILICA = rs.GeneratorSet([rs.make_map([1, 0, 0], [-1, 0, 1]),
                                       rs.make_map([1, 0, 0, 0], [-1, 0, 0, 1])])
 FLOAT_BASILICA = rs.GeneratorSet([rs.make_map([1.0, 0, -1.0], [0, 0, 1.0]),
                                   rs.make_map([1.0, 0, 0, -1.0], [0, 0, 0, 1.0])])
+RECIPROCAL = rs.GeneratorSet([rs.make_map([1, 0, -1], [0, 0, 1]),
+                              rs.make_map([0, 0, 1], [1, 0, -1])])  # 1/(z^2 - 1)
+
+# (z^3 + 2z^2 - 1)/2 and -2z^3 + 2z^2 - z - 2, which meet at -0.6, at the
+# primitive sixth roots of unity and at infinity
+CUBICS = rs.load_config(json.loads(
+    (GOLDEN_CONFIGS / "ci-cubics.json").read_text(encoding="utf-8"))).generator_set()
 WITHHELD = {"graph_nodes": 0, "graph_edges": 0, "depth_cap_hit": False, "exact": False,
             "cycle_points": (), "cycle_profile": (), "cycle_length": 0}
 
@@ -197,20 +203,25 @@ def test_is_recurrent_examples():
     gens = rs.GeneratorSet([affine_translation(1), affine_translation(2)])
     c = rs.build_correspondence(gens)
     inf = rs.coincidence_set(gens)[0]
-    cert = rs.is_recurrent(c, inf.point, 5, exact_point=inf.exact_coords)
-    assert cert.status == "recurrent"
-    assert cert.return_depths == (1, 2, 3, 4, 5)
+    assert rs.is_recurrent(c, inf.exact_coords, 5) == rs.RecurrenceCertificate(
+        "recurrent", (1, 2, 3, 4, 5))
 
-    g23 = rs.GeneratorSet([Z2, Z3])
-    c23 = rs.build_correspondence(g23)
-    one = rs.point_at(1)
-    cert1 = rs.is_recurrent(c23, one, 4)
+    c23 = rs.build_correspondence(rs.GeneratorSet([Z2, Z3]))
+    cert1 = rs.is_recurrent(c23, exact_point(1), 4)
     assert cert1.status == "recurrent" and cert1.return_depths[0] == 1
 
     # under {z^2, z^4}, -1 maps into the fixed point 1 and never returns
     c24 = rs.build_correspondence(rs.GeneratorSet([Z2, Z4]))
-    cert_neg = rs.is_recurrent(c24, rs.point_at(-1), 6)
-    assert cert_neg.status == "not_found_within_depth"
+    assert rs.is_recurrent(c24, exact_point(-1), 6) == rs.RecurrenceCertificate(
+        "never_returns", ())
+    # 1 never returns under the basilica, nor under its conjugate by 1/z;
+    # but with no escape test the conjugate's forward set does not close, so
+    # only the depth bounds the answer
+    cert = rs.is_recurrent(rs.build_correspondence(CONJUGATE_BASILICA), exact_point(1), 6)
+    assert cert == rs.RecurrenceCertificate("no_return_within_depth", ())
+    # float maps are not searched
+    assert rs.is_recurrent(rs.build_correspondence(FLOAT_BASILICA), exact_point(0), 6) == \
+        rs.RecurrenceCertificate("undecided", None)
 
 
 def test_fiber_entropy_translation_pair():
@@ -355,9 +366,9 @@ def test_float_tangential_coincidence_is_one_point():
     assert [cp.exact for cp in pts] == [False, False]
     assert rs.chordal_dist(pts[0].point, rs.point_at(1)) <= 1e-15
     assert pts[1].point.is_infinity()
-    for depth in range(1, 13):
-        certs = coincidence.certified_coincidences(gens, depth)
-        assert all(cert.return_depths == tuple(range(1, depth + 1)) for _, cert in certs)
+    # a float set's points are not searched
+    certs = coincidence.certified_coincidences(gens, 12)
+    assert [cert for _, cert in certs] == [rs.RecurrenceCertificate("undecided", None)] * 2
 
 
 def test_friedland_bounds_basilica_graph_exact_and_float():
@@ -368,23 +379,23 @@ def test_friedland_bounds_basilica_graph_exact_and_float():
     assert (fb.details["graph_nodes"], fb.details["graph_edges"]) == (130, 130)
     assert fb.s_hat == pytest.approx(math.log(2))
     # the same maps with float coefficients: float nodes within the tolerance
-    # would merge distinct escaping points, so no graph is built and no
-    # lower bound is claimed
+    # would merge distinct escaping points, so no graph is built, no point
+    # is decided and no lower bound is claimed
     for depth in (4, 6, 8):
         fb = rs.friedland_bounds(FLOAT_BASILICA, depth=depth)
         assert (fb.lower, fb.s_hat, fb.upper) == (None, None, math.log(5))
         assert _graph_details(fb) == WITHHELD
-        # the points are still certified: 0 and infinity return, 1 does not
         statuses = [cert.status for _, cert in fb.details["coincidences"]]
-        assert statuses.count("recurrent") == 2
+        assert statuses == ["undecided"] * 3
     # so a node budget far below the exact graph's 130 nodes trips nothing
     fb = rs.friedland_bounds(FLOAT_BASILICA, depth=8, node_budget=25)
     assert _graph_details(fb) == WITHHELD
 
 
 def test_friedland_bounds_withheld_at_inexact_recurrent_points():
-    # {z^2 - 2, 2z^2 + z - 3} is exact, but it meets at 1, infinity and
-    # (-1 +- sqrt 5)/2, which z^2 - 2 swaps: a recurrent pair of inexact points
+    # {z^2 - 2, 2z^2 + z - 3} is exact, but it meets at infinity and at
+    # (-1 +- sqrt 5)/2, which z^2 - 2 swaps: a recurrent pair of inexact
+    # points, which are undecided
     gens = rs.GeneratorSet([rs.make_map([1, 0, -2], [0, 0, 1]),
                             rs.make_map([2, 1, -3], [0, 0, 1])])
     fb = rs.friedland_bounds(gens, depth=8)
@@ -394,9 +405,14 @@ def test_friedland_bounds_withheld_at_inexact_recurrent_points():
     for cp, cert in inexact:
         twice = rs.evaluate(square, rs.evaluate(square, cp.point))
         assert rs.chordal_dist(twice, cp.point) <= 1e-12
-        assert cert.return_depths == (2, 4, 6, 8)
+        assert cert == rs.RecurrenceCertificate("undecided", None)
     assert (fb.lower, fb.s_hat, fb.upper) == (None, None, math.log(4))
     assert _graph_details(fb) == WITHHELD
+    # {z^2 - 1, 1/(z^2 - 1)} meets at 0 and at the undecided +- sqrt 2
+    fb = rs.friedland_bounds(RECIPROCAL, depth=8)
+    assert [cert.status for _, cert in fb.details["coincidences"]] == [
+        "recurrent", "undecided", "undecided"]
+    assert (fb.lower, fb.s_hat) == (None, None) and _graph_details(fb) == WITHHELD
 
 
 @pytest.mark.parametrize("tol", (1e-9, 1e-3, 0.3))
@@ -408,7 +424,7 @@ def test_near_points_match_a_scan(tol):
         for r in (tol * (1 - 1e-9), tol, tol * (1 + 1e-9), 0.5 * tol, 2 * tol):
             pts += ring_around(c, r, 4)
     order = np.random.default_rng(3).permutation(len(pts))
-    grid = NearPoints(tol, len(pts), "unused")
+    grid = NearPoints(tol)
     kept = []
     for i in order:
         p = pts[i]
@@ -420,21 +436,8 @@ def test_near_points_match_a_scan(tol):
     assert grid.points == kept
 
 
-def test_recurrence_matches_scan_on_three_generators():
-    gens = THREE_GENERATORS
-    corr = rs.build_correspondence(gens)
-    certs = coincidence.certified_coincidences(gens, 7)
-    assert [cp.exact for cp, _ in certs].count(False) == 9
-    for cp, cert in certs:
-        if cp.exact:
-            assert cert.return_depths == tuple(range(1, 8))
-        else:
-            assert cert.return_depths == scan_return_depths(corr, cp.point, 7, 1e-9)
-        assert cert.status == ("recurrent" if cert.return_depths else "not_found_within_depth")
-
-
 def test_step_table_holds_exact_rows_only(monkeypatch):
-    # the nine inexact searches step by evaluate, never by exact_eval; the
+    # the nine inexact points are undecided and stepped by nothing; the
     # exact search from infinity steps each point it reaches once by every map
     stepped, images, step = collections.Counter(), set(), coincidence.exact_eval
 
@@ -444,6 +447,9 @@ def test_step_table_holds_exact_rows_only(monkeypatch):
         return image
     monkeypatch.setattr(coincidence, "exact_eval", spy)
     certs = coincidence.certified_coincidences(THREE_GENERATORS, 7)
+    assert [cert for cp, cert in certs if not cp.exact] == [
+        rs.RecurrenceCertificate("undecided", None)] * 9
+    assert {cert.return_depths for cp, cert in certs if cp.exact} == {tuple(range(1, 8))}
     starts = {cp.exact_coords for cp, _ in certs if cp.exact}
     points = {pt for _, pt in stepped}
     assert starts and starts <= points <= starts | images
@@ -457,12 +463,11 @@ def test_step_table_holds_exact_rows_only(monkeypatch):
         assert coords[0] == (coords[0][0] or coords[1][0], 0)
 
 
-def test_forward_set_budget_raises_in_both_modes():
-    # the largest float forward set to depth 8 has 14 points, and the call's
-    # one exact forward graph 131 nodes; each budget admits exactly that many
-    with pytest.raises(BudgetExceeded, match="forward set exceeded the node budget"):
-        coincidence.certified_coincidences(FLOAT_BASILICA, 8, node_budget=13)
-    coincidence.certified_coincidences(FLOAT_BASILICA, 8, node_budget=14)
+def test_forward_graph_budget_raises_in_both_calls():
+    # the call's one exact forward graph to depth 8 has 131 nodes, and the
+    # budget admits exactly that many; a float set lists no node
+    coincidence.certified_coincidences(FLOAT_BASILICA, 8, node_budget=1)
+    rs.friedland_bounds(FLOAT_BASILICA, 8, node_budget=1)
     for call in (coincidence.certified_coincidences, rs.friedland_bounds):
         with pytest.raises(BudgetExceeded, match="forward graph exceeded the node budget"):
             call(CONJUGATE_BASILICA, 8, node_budget=130)
@@ -482,6 +487,53 @@ def test_exact_points_match_by_equality_within_the_budget():
     with pytest.raises(BudgetExceeded, match="forward graph exceeded the node budget"):
         coincidence._forward_graph([exact_point(0), tiny, exact_point(2)],
                                    lambda pt: [pt], 3, 2)
+
+
+def test_statuses_on_synthetic_graphs():
+    # two starts on the 4-cycle 0 -> 1 -> 2 -> 3 -> 0 at depth 2: every
+    # node is expanded and none steps back within 2, yet each start returns
+    # at 4, so neither never returns
+    cycle = lambda pt: [(pt + 1) % 4]
+    points, succ = coincidence._forward_graph([0, 2], cycle, 2, 10)
+    assert (points, len(succ)) == ([0, 2, 1, 3], 4)
+    assert [coincidence._status(succ, u, 2) for u in (0, 1)] == [
+        rs.RecurrenceCertificate("no_return_within_depth", ())] * 2
+    _, succ = coincidence._forward_graph([0, 2], cycle, 4, 10)
+    assert coincidence._status(succ, 0, 4) == rs.RecurrenceCertificate("recurrent", (4,))
+    # a chain into a fixed point closes with no path back; one unexpanded
+    # node on the way leaves the answer to the depth
+    chain = lambda pt: [min(pt + 1, 3)]
+    _, succ = coincidence._forward_graph([0], chain, 4, 10)
+    assert coincidence._status(succ, 0, 4) == rs.RecurrenceCertificate("never_returns", ())
+    _, succ = coincidence._forward_graph([0], chain, 3, 10)
+    assert coincidence._status(succ, 0, 3).status == "no_return_within_depth"
+
+
+@pytest.mark.parametrize("gens,depth,statuses", [
+    (BASILICA, 10, ["recurrent", "never_returns", "recurrent"]),
+    (CONJUGATE_BASILICA, 12, ["recurrent", "no_return_within_depth", "recurrent"]),
+    (CUBICS, 9,
+     ["no_return_within_depth", "undecided", "undecided", "recurrent"]),
+], ids=["basilica", "conjugate", "cubics"])
+def test_each_point_gets_one_status(gens, depth, statuses):
+    # 0, 1 and infinity, then the cubics' points
+    certs = coincidence.certified_coincidences(gens, depth)
+    assert [cert.status for _, cert in certs] == statuses
+    assert all((cert.return_depths is None) == (cert.status == "undecided")
+               for _, cert in certs)
+
+
+@pytest.mark.parametrize("call", ["certified_coincidences", "friedland_bounds"])
+def test_float_points_are_searched_by_nothing(call, monkeypatch):
+    # no float orbit is stepped and no float forward set is listed
+    def refuse(*args):
+        raise AssertionError("a float point was searched")
+    monkeypatch.setattr(coincidence, "evaluate", refuse)
+    monkeypatch.setattr(coincidence, "NearPoints", refuse, raising=False)
+    monkeypatch.setattr("rsentropy.projective.NearPoints", refuse)
+    result = getattr(coincidence, call)(FLOAT_BASILICA, 8)
+    pairs = result.details["coincidences"] if call == "friedland_bounds" else result
+    assert [cert for _, cert in pairs] == [rs.RecurrenceCertificate("undecided", None)] * 3
 
 
 def test_karp_against_brute_force():
@@ -610,15 +662,18 @@ def test_each_call_builds_one_exact_forward_graph(entry, gens, tmp_path, monkeyp
     assert len(graphs[0]) == 3 and not searches
 
 
-@pytest.mark.parametrize("depth,hit", [(1, False), (2, True), (3, False), (4, False), (5, False)])
+@pytest.mark.parametrize("depth,hit", [(1, True), (2, True), (3, False), (4, False), (5, False)])
 def test_depth_cap_hit_means_a_node_was_left_unexpanded(depth, hit):
-    # at depth 1 only infinity returns, and its graph is the loop at
-    # infinity; from depth 2 on 0 returns too, and the graph 0 -> -1 -> -2
+    # at depth 1 only infinity returns, and Karp's graph is the loop at
+    # infinity, but the call's graph leaves -1 unexpanded, which 0 and 1
+    # reach; from depth 2 on 0 returns too, and the graph 0 -> -1 -> -2
     # has expanded -2 at depth 3, whose images escape: the same 4 nodes as
-    # at depth 40, all of them expanded
+    # at depth 40, all of them expanded, and 1 never returns
     d = rs.friedland_bounds(BASILICA, depth=depth).details
     assert d["depth_cap_hit"] is hit
     assert d["graph_nodes"] == (1 if depth == 1 else 4)
+    assert d["coincidences"][1][1].status == (
+        "never_returns" if depth >= 3 else "no_return_within_depth")
 
 
 def _word_return_depths(maps, x, depth):
@@ -898,18 +953,13 @@ def test_karp_ties_inside_a_component(n, edges, mean, cycle):
         n, [(u, v, round(math.exp(w))) for u, v, w in edges]) == cycle
 
 
-RECIPROCAL = rs.GeneratorSet([rs.make_map([1, 0, -1], [0, 0, 1]),
-                              rs.make_map([0, 0, 1], [1, 0, -1])])  # 1/(z^2 - 1)
-
-
 @pytest.mark.parametrize("gens,profile", [
     (BASILICA, (2,)), (CONJUGATE_BASILICA, (2,)), (MIXED, (2,)),
-    (RECIPROCAL, (2, 1)), (rs.GeneratorSet([Z2, Z3]), (2,)),
+    (rs.GeneratorSet([Z2, Z3]), (2,)),
     (rs.GeneratorSet([affine_translation(1), affine_translation(2)]), (2,)),
     # 1/z and (z + 1)/z: 0 -> infinity by both, infinity -> 0 by 1/z
     (rs.GeneratorSet([rs.make_map([0, 1], [1, 0]), rs.make_map([1, 1], [1, 0])]), (2, 1)),
-], ids=["basilica", "conjugate", "mixed", "reciprocal", "z2-z3", "translations",
-        "inverse-shift"])
+], ids=["basilica", "conjugate", "mixed", "z2-z3", "translations", "inverse-shift"])
 def test_optimal_cycle_matches_fiber_entropy(gens, profile):
     fb = rs.friedland_bounds(gens, depth=8)
     d = fb.details

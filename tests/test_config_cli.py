@@ -493,7 +493,7 @@ def test_cli_coincidence_section(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     pts = report["coincidence"]["points"]
     assert [p["point"] for p in pts] == ["inf"]
-    assert pts[0]["recurrent"] and pts[0]["exact"]
+    assert pts[0]["status"] == "recurrent" and pts[0]["exact"]
     fb = report["coincidence"]["friedland_bounds"]
     assert fb["lower"] == 0.0 and fb["upper"] == math.log(2)
 
@@ -506,14 +506,16 @@ def test_cli_coincidence_section(tmp_path, capsys):
 
 def test_cli_bounds_withheld_without_an_exact_graph(tmp_path, capsys):
     # configs hold exact scalars only; {z^2 - 2, 2z^2 + z - 3} meets at the
-    # inexact 2-cycle (-1 +- sqrt 5)/2 of z^2 - 2, so no exact graph is built
+    # inexact 2-cycle (-1 +- sqrt 5)/2 of z^2 - 2, whose points are undecided,
+    # so no exact graph is built
     cfg = {"generators": [
         {"num": ["1", "0", "-2"], "den": ["0", "0", "1"]},
         {"num": ["2", "1", "-3"], "den": ["0", "0", "1"]},
     ], "recurrence_depth": 8}
     assert cli.main(["friedland-bounds", "--config", write_config(tmp_path, cfg)]) == 0
     section = json.loads(capsys.readouterr().out)["coincidence"]
-    assert [p["recurrent"] for p in section["points"]] == [True, True, True]
+    assert [(p["status"], p["return_depths"]) for p in section["points"]] == [
+        ("undecided", None), ("undecided", None), ("recurrent", list(range(1, 9)))]
     assert section["friedland_bounds"] == {
         "lower": None, "upper": math.log(4), "s_hat": None, "graph_nodes": 0,
         "graph_edges": 0, "depth_cap_hit": False, "exact": False,

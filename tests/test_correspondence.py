@@ -355,6 +355,20 @@ def test_the_ledger_composes_only_inside_colliding_fingerprint_classes(monkeypat
     assert ledger.entries[(2,) * 5] == (1, ((2,) * 5,))
 
 
+def test_the_degree_budget_bounds_only_the_maps_the_ledger_builds(monkeypatch):
+    calls = counted_composes(monkeypatch)
+    # the rational pair's 512 words at length 9 reach degree 3^9 > 10^4, but
+    # their fingerprints tell them apart, so no map is built and none refused
+    ledger = rs.enumerate_words(rs.GeneratorSet(RATIONAL_PAIR), 9)
+    assert (ledger.total_words, ledger.distinct, ledger.relations) == (512, 512, 0)
+    assert calls == []
+    # the Chebyshev pair's largest colliding class at 9 is 2 * 3^8, refused
+    # before any composition
+    with pytest.raises(BudgetExceeded, match="composed degree 13122 exceeds 10000"):
+        rs.enumerate_words(rs.GeneratorSet([CHEBYSHEV_T2, CHEBYSHEV_T3]), 9)
+    assert calls == []
+
+
 @pytest.mark.parametrize("maps, nu", LEDGER_SETS, ids=LEDGER_IDS)
 def test_a_planted_false_collision_still_gives_the_exact_ledger(maps, nu, monkeypatch):
     # every point steps to 0, so all words of one degree share a fingerprint

@@ -63,7 +63,8 @@ def test_parameters_and_fields_that_nothing_read_are_gone():
     # a fiber entropy is one cycle's; the value and the certificate echo no input
     assert list(inspect.signature(rs.fiber_entropy).parameters) == ["gens", "cycle"]
     assert [f.name for f in dataclasses.fields(rs.FiberEntropyValue)] == ["profile", "value"]
-    assert [f.name for f in dataclasses.fields(rs.RecurrenceCertificate)] == ["return_depths"]
+    assert [f.name for f in dataclasses.fields(rs.RecurrenceCertificate)] == [
+        "status", "return_depths"]
     # results echo no setting: the CLI reads the seed, the word length, the
     # dimension and the degrees from its RunConfig
     assert list(inspect.signature(rs.entropy_fit).parameters) == ["counts"]

@@ -576,24 +576,6 @@ def steps_match(c, path, tol):
         for j, a in enumerate(path.symbols))
 
 
-def scan_return_depths(c, x, depth, tol):
-    """Return depths of the float forward search, deduplicating each forward
-    set by a scan over all points kept so far (the recurrence oracle)."""
-    support = [f for f, _ in c.components]
-    frontier, returns = [x], []
-    for step in range(1, depth + 1):
-        images = []
-        for pt in frontier:
-            for f in support:
-                img = rs.evaluate(f, pt)
-                if not any(rs.chordal_dist(img, seen) <= tol for seen in images):
-                    images.append(img)
-        frontier = images
-        if any(rs.chordal_dist(x, pt) <= tol for pt in frontier):
-            returns.append(step)
-    return tuple(returns)
-
-
 class ReferenceGaussian:
     """Exact complex rational as a pair of Fractions (the scalar oracle).
 
